@@ -13,14 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sectors import (
-    SystemParams,
-    _omega_minus,
-    _omega_plus,
-    jm_sector_table,
-    weights_jm_array,
-)
-from .trajectory import Trajectory
+from .sectors import SectorFamily, SystemParams, sector_family
+from .trajectory import Trajectory, _validate_times
 
 __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
 
@@ -28,34 +22,10 @@ __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
 _TIME_CHUNK = 2048
 
 
-def _validate_times(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-D array")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError("times must be strictly increasing")
-    return t
-
-
-def _sector_arrays(params: SystemParams):
-    two_j, two_m = jm_sector_table(params.N)
-    w = weights_jm_array(params.N)  # N_j / 2^N = p(j)/(2j+1)
-    return two_j, two_m, w
-
-
-def _branch_terms(params: SystemParams, two_j, two_m, branch: int):
-    """(omega, mu, 4A^2 b) arrays for one branch over the sector table."""
-    A = params.A
-    if branch == +1:
-        om = _omega_plus(params.omega0, A, two_m)
-        b4 = A * A * (two_j * (two_j + 2) - two_m * (two_m + 2))  # 4A^2 b(j,m)
-    else:
-        om = _omega_minus(params.omega0, A, two_m)
-        b4 = A * A * (two_j * (two_j + 2) - two_m * (two_m - 2))  # 4A^2 b(j,-m)
-    mu = np.sqrt(0.25 * om * om + b4)
-    return om, mu, b4
+def _branch_terms(fam: SectorFamily, branch: int):
+    """(omega, mu, 4A^2 b(j, +-m)) arrays for one branch over the jm table."""
+    om, b4 = (fam.om_p, fam.b_p) if branch == +1 else (fam.om_m, fam.b_m)
+    return om, np.sqrt(0.25 * om * om + b4), b4
 
 
 def _sin_over_mu(mu, t):
@@ -80,9 +50,10 @@ def population_survival(
     then missing from the constant term as well, so the result stays a
     survival probability of the truncated ensemble plus the frozen remainder.
     """
-    two_j, two_m, w = _sector_arrays(params)
-    _, mus, b4 = _branch_terms(params, two_j, two_m, branch)
-    coef = w * b4  # deficit amplitude per sector
+    times = _validate_times(times)
+    fam = sector_family(params, "jm")
+    _, mus, b4 = _branch_terms(fam, branch)
+    coef = fam.w * b4  # deficit amplitude per sector
     if sector_mask is not None:
         coef = np.where(sector_mask, coef, 0.0)
     out = np.empty_like(times)
@@ -118,9 +89,9 @@ def exact_population_plus(params: SystemParams, times) -> Trajectory:
 def exact_coherence(params: SystemParams, times) -> Trajectory:
     """Exact coherence rho_{+-}(t) in the rotating frame (coherence only)."""
     t = _validate_times(times)
-    two_j, two_m, w = _sector_arrays(params)
-    om_p, mu_p, _ = _branch_terms(params, two_j, two_m, +1)
-    om_m, mu_m, _ = _branch_terms(params, two_j, two_m, -1)
+    fam = sector_family(params, "jm")
+    om_p, mu_p, _ = _branch_terms(fam, +1)
+    om_m, mu_m, _ = _branch_terms(fam, -1)
     coh0 = complex(params.initial_coh)
 
     coh = np.empty(t.shape, dtype=complex)
@@ -132,7 +103,7 @@ def exact_coherence(params: SystemParams, times) -> Trajectory:
         br_m = np.cos(np.multiply.outer(mu_m, tc)) + 0.5j * om_m[:, None] * sm
         phase = np.exp(1j * params.omega0 * tc)[None, :]
         # written as 1 + sum w (f - 1) so that coh(0) == initial_coh exactly
-        factor = 1.0 + np.add.reduce(w[:, None] * (phase * br_p * br_m - 1.0), axis=0)
+        factor = 1.0 + np.add.reduce(fam.w[:, None] * (phase * br_p * br_m - 1.0), axis=0)
         coh[lo : lo + _TIME_CHUNK] = coh0 * factor
     return Trajectory(
         times=t,

@@ -6,19 +6,26 @@ Two projection families are supported:
 * ``jm``: project onto the simultaneous (J^2, J_3) eigenspaces; its NZ2
   populations coincide with the exact dynamics.
 
-Within each family the sector coherences decouple and the sector populations
-close pairwise via d/dt [P^m_+ + P^{m+1}_-] = 0, so every solver reduces to
-independent scalar problems per sector:
+Both are one construction on two sector partitions: sector coherences
+decouple and sector populations close pairwise, d/dt [P^m_+ + P^{m+1}_-] = 0,
+so every solver reduces to independent scalar problems per sector.  Their
+coefficients are one table, ``sectors.sector_family(params, "m" | "jm")``:
+labels ``two_j``/``two_m``, weights ``w``, detunings ``om_p``/``om_m``,
+coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
+``c`` with its ``steady`` value and ``y0``, and ``c_prev``/``lower`` to
+rebuild P_- from P_+.  Four kernels read it and never branch on the family:
 
-* TCL2 has closed forms, exp(-Lambda) with explicit decay exponents;
-* NZ2 is a scalar Volterra equation with a two-term exponential kernel,
-  handed to the volterra engine (the constant forcing produced by the
-  pairwise closure is removed by shifting to the steady value, which keeps
-  trace and J_3^tot conservation exact by construction).
+* ``_tcl2_coherence``/``_tcl2_population``: closed forms exp(-Lambda), behind
+  ``tcl2_coherence_m``, ``tcl2_population_m`` and ``tcl2_jm``;
+* ``_nz2_coherence``/``_nz2_population``: one scalar Volterra equation per
+  sector, behind ``nz2_coherence_m``, ``nz2_population_m`` and ``nz2_jm``.
+  Shifting to the steady value removes the constant forcing of the pairwise
+  closure and keeps trace and J_3^tot conservation exact by construction.
 
-All public trajectories are back-transformed to the rotating frame of the
-central spin: populations are untouched, sector coherences pick up the phase
-exp(-4 i A m t).
+``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
+with RK4, as an independent check of the closed forms.  Public trajectories
+are in the rotating frame of the central spin: sector coherences pick up the
+phase exp(-4 i A m t), populations are untouched.
 """
 
 from __future__ import annotations
@@ -27,17 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _validate_times
-from .sectors import (
-    SystemParams,
-    _omega_minus,
-    _omega_plus,
-    jm_sector_table,
-    two_m_values,
-    weights_jm_array,
-    weights_m_array,
-)
-from .trajectory import SectorSeries, Trajectory
+from .sectors import SectorFamily, SystemParams, sector_family
+from .trajectory import SectorSeries, Trajectory, _validate_times
 from .volterra import SolveOptions, solve_volterra_batch, integrate_linear_ode
 
 __all__ = [
@@ -71,7 +69,6 @@ def _resonance_eps(params: SystemParams) -> float:
 
 def _coh_exponent_term(om, t, eps):
     """g(Omega, t) = (1 - e^{i Omega t})/Omega^2 + i t/Omega, series limit at resonance."""
-    om = np.asarray(om, dtype=float)
     small = np.abs(om) < eps
     om_safe = np.where(small, 1.0, om)[:, None]
     x = om_safe * t[None, :]
@@ -82,7 +79,6 @@ def _coh_exponent_term(om, t, eps):
 
 def _pop_exponent(coef, om, t, eps):
     """Lambda = coef (1 - cos(Omega t)) / Omega^2, series limit coef t^2/2 at resonance."""
-    om = np.asarray(om, dtype=float)
     small = np.abs(om) < eps
     om_safe = np.where(small, 1.0, om)[:, None]
     full = coef[:, None] * (1.0 - np.cos(om_safe * t[None, :])) / om_safe**2
@@ -91,53 +87,89 @@ def _pop_exponent(coef, om, t, eps):
     return np.where(small[:, None], series, full)
 
 
-# ---------------------------------------------------------------------------
-# m-projection sector data
-# ---------------------------------------------------------------------------
-
-
-def _m_sectors(params: SystemParams):
-    tm = two_m_values(params.N)
-    w = weights_m_array(params.N)
-    om_p = _omega_plus(params.omega0, params.A, tm)
-    om_m = _omega_minus(params.omega0, params.A, tm)
-    a2 = params.A * params.A
-    b_plus = 2.0 * a2 * (params.N - tm)  # B_+(m) = 4A^2 (N/2 - m)
-    b_minus = 2.0 * a2 * (params.N + tm)  # B_-(m) = 4A^2 (N/2 + m)
-    return tm, w, om_p, om_m, b_plus, b_minus
-
-
-def _m_population_constants(params: SystemParams):
-    """Per-sector pairwise invariants and steady values for the m-projection.
-
-    C_m = P^m_+(0) + P^{m+1}_-(0); the populations relax toward
-    d_m = (N/2 + m + 1) C_m / (N + 1).
-    """
-    N = params.N
-    p0 = params.initial_p_plus
-    tm = two_m_values(N)
-    w = weights_m_array(N)
-    w_next = np.append(w[1:], 0.0)  # weight of sector m+1, 0 past the edge
-    c = w * p0 + w_next * (1.0 - p0)
-    d = ((N + tm) // 2 + 1) * c / (N + 1.0)
-    y0 = w * p0 - d
-    return tm, w, c, d, y0
-
-
-def _m_sector_p_minus(params: SystemParams, p_plus_sectors: np.ndarray) -> np.ndarray:
-    """P^m_-(t) = C_{m-1} - P^{m-1}_+(t), with the convention P^{m_min-1}_+ = 0."""
-    N = params.N
-    p0 = params.initial_p_plus
-    w = weights_m_array(N)
-    w_prev = np.concatenate(([0.0], w[:-1]))
-    c_prev = w_prev * p0 + w * (1.0 - p0)  # P^{m-1}_+(0) + P^m_-(0)
-    shifted = np.vstack([np.zeros_like(p_plus_sectors[0]), p_plus_sectors[:-1]])
-    return c_prev[:, None] - shifted
-
-
 def _frame_phase(params: SystemParams, two_m, t):
     # e^{-4 i A m t} = e^{-2 i A two_m t}
     return np.exp(-2j * params.A * np.multiply.outer(np.asarray(two_m, float), t))
+
+
+# ---------------------------------------------------------------------------
+# family-generic kernels: each returns (total, sector array or None)
+# ---------------------------------------------------------------------------
+
+
+def _tcl2_coherence(params: SystemParams, fam: SectorFamily, t, sectors: bool):
+    """rho_{+-}(0) sum_s w_s exp[-2iA two_m t - Lambda^coh_s(t)]."""
+    eps = _resonance_eps(params)
+    lam = (fam.b_p[:, None] * _coh_exponent_term(fam.om_p, t, eps)
+           + fam.b_m[:, None] * _coh_exponent_term(-fam.om_m, t, eps))
+    factors = np.exp(-2j * params.A * fam.two_m[:, None] * t[None, :] - lam)
+    coh0 = complex(params.initial_coh)
+    coh = coh0 * (1.0 + np.add.reduce(fam.w[:, None] * (factors - 1.0), axis=0))
+    return coh, (coh0 * fam.w[:, None] * factors if sectors else None)
+
+
+def _tcl2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool):
+    """steady + y0 exp(-Lambda^pop), Lambda^pop = pair_coef (1 - cos Omega_+ t)/Omega_+^2."""
+    lam = _pop_exponent(fam.pair_coef, fam.om_p, t, _resonance_eps(params))
+    p_plus = params.initial_p_plus + np.add.reduce(fam.y0[:, None] * np.expm1(-lam), axis=0)
+    return p_plus, (fam.steady[:, None] + fam.y0[:, None] * np.exp(-lam) if sectors else None)
+
+
+def _coherence_totals(params: SystemParams, fam: SectorFamily, t, x):
+    """Total and sector coherence from the interaction-picture sector solutions x."""
+    coh0 = complex(params.initial_coh)
+    sector_coh = x * _frame_phase(params, fam.two_m, t)
+    return coh0 + np.add.reduce(sector_coh - (fam.w * coh0)[:, None], axis=0), sector_coh
+
+
+def _nz2_coherence(params: SystemParams, fam: SectorFamily, t, sectors: bool, opts):
+    """Per-sector Volterra solve with the kernel B_+ e^{i Omega_+ tau} + B_- e^{-i Omega_- tau}."""
+    amps = np.stack([fam.b_p, fam.b_m], axis=1).astype(complex)
+    rates = np.stack([1j * fam.om_p, -1j * fam.om_m], axis=1)
+    x = solve_volterra_batch(fam.w * complex(params.initial_coh), amps, rates, t, opts=opts)
+    coh, sector_coh = _coherence_totals(params, fam, t, x)
+    return coh, (sector_coh if sectors else None)
+
+
+def _nz2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool, opts):
+    """Per-sector Volterra solve with the kernel pair_coef cos(Omega_+ tau) around steady."""
+    half = 0.5 * fam.pair_coef  # cosine kernel split into e^{+-i Omega_+ tau}/2
+    amps = np.stack([half, half], axis=1).astype(complex)
+    rates = np.stack([1j * fam.om_p, -1j * fam.om_p], axis=1)
+    y = solve_volterra_batch(fam.y0.astype(complex), amps, rates, t, opts=opts).real
+    p_plus = params.initial_p_plus + np.add.reduce(y - fam.y0[:, None], axis=0)
+    return p_plus, (fam.steady[:, None] + y if sectors else None)
+
+
+def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
+    """P^m_-(t) = C_{m-1} - P^{m-1}_+(t) along each chain, P_+ = 0 below its edge."""
+    # zeros_like keeps the memory layout of p_plus, and with it the summation
+    # order (hence the last bits) of reductions over the sector axis
+    below, inner = np.zeros_like(p_plus), fam.lower >= 0
+    below[inner] = p_plus[fam.lower[inner]]
+    return fam.c_prev[:, None] - below
+
+
+def _result(params, fam: SectorFamily, t, method: str, pop, coh, return_sectors: bool):
+    """The public Trajectory (and SectorBundle) from kernel outputs, None where absent."""
+    p_plus, sector_p = pop or (None, None)
+    total_coh, sector_coh = coh or (None, None)
+    traj = Trajectory(
+        times=t, p_plus=p_plus, p_minus=None if p_plus is None else 1.0 - p_plus,
+        coh=total_coh, method=method, projection=fam.family, params=params,
+    )
+    if not return_sectors:
+        return traj
+    return traj, SectorBundle(
+        two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p,
+        p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
+        coh=sector_coh,
+    )
+
+
+# ---------------------------------------------------------------------------
+# public solvers
+# ---------------------------------------------------------------------------
 
 
 def tcl2_coherence_m(params: SystemParams, times, return_sectors: bool = False):
@@ -145,26 +177,9 @@ def tcl2_coherence_m(params: SystemParams, times, return_sectors: bool = False):
 
     rho_{+-}(t) = rho_{+-}(0) sum_m (N_m/2^N) exp[-4iAmt - Lambda^coh_m(t)].
     """
-    t = _validate_times(times)
-    tm, w, om_p, om_m, b_p, b_m = _m_sectors(params)
-    eps = _resonance_eps(params)
-    lam = b_p[:, None] * _coh_exponent_term(om_p, t, eps) + b_m[:, None] * _coh_exponent_term(
-        -om_m, t, eps
-    )
-    factors = np.exp(-2j * params.A * tm[:, None] * t[None, :] - lam)
-    coh0 = complex(params.initial_coh)
-    coh = coh0 * (1.0 + np.add.reduce(w[:, None] * (factors - 1.0), axis=0))
-    traj = Trajectory(
-        times=t, p_plus=None, p_minus=None, coh=coh,
-        method="tcl2", projection="m", params=params,
-    )
-    if not return_sectors:
-        return traj
-    bundle = SectorBundle(
-        two_m=tm, two_j=None, p_plus=None, p_minus=None,
-        coh=coh0 * w[:, None] * factors,
-    )
-    return traj, bundle
+    t, fam = _validate_times(times), sector_family(params, "m")
+    coh = _tcl2_coherence(params, fam, t, return_sectors)
+    return _result(params, fam, t, "tcl2", None, coh, return_sectors)
 
 
 def tcl2_population_m(params: SystemParams, times, return_sectors: bool = False):
@@ -173,25 +188,9 @@ def tcl2_population_m(params: SystemParams, times, return_sectors: bool = False)
     Each sector relaxes as d_m + (P^m_+(0) - d_m) exp(-Lambda^pop_m) with
     Lambda^pop_m = 8A^2(N+1)(1 - cos Omega_+(m) t)/Omega_+^2(m).
     """
-    t = _validate_times(times)
-    N = params.N
-    tm, w, c, d, y0 = _m_population_constants(params)
-    om_p = _omega_plus(params.omega0, params.A, tm)
-    coef = np.full(tm.shape, 8.0 * params.A**2 * (N + 1.0))
-    lam = _pop_exponent(coef, om_p, t, _resonance_eps(params))
-    p_plus = params.initial_p_plus + np.add.reduce(y0[:, None] * np.expm1(-lam), axis=0)
-    traj = Trajectory(
-        times=t, p_plus=p_plus, p_minus=1.0 - p_plus, coh=None,
-        method="tcl2", projection="m", params=params,
-    )
-    if not return_sectors:
-        return traj
-    sectors = d[:, None] + y0[:, None] * np.exp(-lam)
-    bundle = SectorBundle(
-        two_m=tm, two_j=None, p_plus=sectors,
-        p_minus=_m_sector_p_minus(params, sectors), coh=None,
-    )
-    return traj, bundle
+    t, fam = _validate_times(times), sector_family(params, "m")
+    pop = _tcl2_population(params, fam, t, return_sectors)
+    return _result(params, fam, t, "tcl2", pop, None, return_sectors)
 
 
 def nz2_coherence_m(
@@ -199,22 +198,9 @@ def nz2_coherence_m(
     return_sectors: bool = False,
 ):
     """NZ2 coherence under the J_3 projection (per-sector Volterra solve)."""
-    t = _validate_times(times)
-    tm, w, om_p, om_m, b_p, b_m = _m_sectors(params)
-    amps = np.stack([b_p, b_m], axis=1).astype(complex)
-    rates = np.stack([1j * om_p, -1j * om_m], axis=1)
-    coh0 = complex(params.initial_coh)
-    x0 = w * coh0
-    x = solve_volterra_batch(x0, amps, rates, t, opts=opts)
-    sector_coh = x * _frame_phase(params, tm, t)
-    coh = coh0 + np.add.reduce(sector_coh - x0[:, None], axis=0)
-    traj = Trajectory(
-        times=t, p_plus=None, p_minus=None, coh=coh,
-        method="nz2", projection="m", params=params,
-    )
-    if not return_sectors:
-        return traj
-    return traj, SectorBundle(two_m=tm, two_j=None, p_plus=None, p_minus=None, coh=sector_coh)
+    t, fam = _validate_times(times), sector_family(params, "m")
+    coh = _nz2_coherence(params, fam, t, return_sectors, opts)
+    return _result(params, fam, t, "nz2", None, coh, return_sectors)
 
 
 def nz2_population_m(
@@ -227,54 +213,9 @@ def nz2_population_m(
     sector obeys a scalar Volterra equation with the cosine kernel
     8A^2(N+1) cos(Omega_+(m) tau) around its steady value.
     """
-    t = _validate_times(times)
-    N = params.N
-    tm, w, c, d, y0 = _m_population_constants(params)
-    om_p = _omega_plus(params.omega0, params.A, tm)
-    half = 4.0 * params.A**2 * (N + 1.0)  # cosine kernel split into e^{+-i Omega tau}/2
-    amps = np.full((tm.size, 2), half, dtype=complex)
-    rates = np.stack([1j * om_p, -1j * om_p], axis=1)
-    y = solve_volterra_batch(y0.astype(complex), amps, rates, t, opts=opts)
-    y = y.real
-    p_plus = params.initial_p_plus + np.add.reduce(y - y0[:, None], axis=0)
-    traj = Trajectory(
-        times=t, p_plus=p_plus, p_minus=1.0 - p_plus, coh=None,
-        method="nz2", projection="m", params=params,
-    )
-    if not return_sectors:
-        return traj
-    sectors = d[:, None] + y
-    bundle = SectorBundle(
-        two_m=tm, two_j=None, p_plus=sectors,
-        p_minus=_m_sector_p_minus(params, sectors), coh=None,
-    )
-    return traj, bundle
-
-
-# ---------------------------------------------------------------------------
-# (j, m)-projection
-# ---------------------------------------------------------------------------
-
-
-def _jm_sectors(params: SystemParams):
-    tj, tm = jm_sector_table(params.N)
-    w = weights_jm_array(params.N)
-    om_p = _omega_plus(params.omega0, params.A, tm)
-    om_m = _omega_minus(params.omega0, params.A, tm)
-    a2 = params.A * params.A
-    bt_plus = a2 * (tj * (tj + 2) - tm * (tm + 2))  # 4A^2 b(j, m)
-    bt_minus = a2 * (tj * (tj + 2) - tm * (tm - 2))  # 4A^2 b(j, -m)
-    return tj, tm, w, om_p, om_m, bt_plus, bt_minus
-
-
-def _jm_population_constants(params: SystemParams):
-    tj, tm = jm_sector_table(params.N)
-    w = weights_jm_array(params.N)
-    p0 = params.initial_p_plus
-    has_up = tm < tj  # sector (j, m+1) exists
-    c = w * p0 + np.where(has_up, w * (1.0 - p0), 0.0)
-    y0 = w * p0 - 0.5 * c
-    return tj, tm, w, c, y0
+    t, fam = _validate_times(times), sector_family(params, "m")
+    pop = _nz2_population(params, fam, t, return_sectors, opts)
+    return _result(params, fam, t, "nz2", pop, None, return_sectors)
 
 
 def tcl2_jm(params: SystemParams, times, return_sectors: bool = False):
@@ -285,48 +226,10 @@ def tcl2_jm(params: SystemParams, times, return_sectors: bool = False):
     relax toward C_{jm}/2 with
     Lambda^pop_{jm} = 16A^2 b(j,m) (1 - cos Omega_+(m) t)/Omega_+^2(m).
     """
-    t = _validate_times(times)
-    tj, tm, w, om_p, om_m, bt_p, bt_m = _jm_sectors(params)
-    eps = _resonance_eps(params)
-
-    lam_coh = bt_p[:, None] * _coh_exponent_term(om_p, t, eps) + bt_m[
-        :, None
-    ] * _coh_exponent_term(-om_m, t, eps)
-    factors = np.exp(-2j * params.A * tm[:, None] * t[None, :] - lam_coh)
-    coh0 = complex(params.initial_coh)
-    coh = coh0 * (1.0 + np.add.reduce(w[:, None] * (factors - 1.0), axis=0))
-
-    _, _, _, c, y0 = _jm_population_constants(params)
-    lam_pop = _pop_exponent(4.0 * bt_p, om_p, t, eps)  # 16 A^2 b(j,m) (1-cos)/Omega^2
-    p_plus = params.initial_p_plus + np.add.reduce(y0[:, None] * np.expm1(-lam_pop), axis=0)
-
-    traj = Trajectory(
-        times=t, p_plus=p_plus, p_minus=1.0 - p_plus, coh=coh,
-        method="tcl2", projection="jm", params=params,
-    )
-    if not return_sectors:
-        return traj
-    sectors = 0.5 * c[:, None] + y0[:, None] * np.exp(-lam_pop)
-    bundle = SectorBundle(
-        two_m=tm, two_j=tj, p_plus=sectors,
-        p_minus=_jm_sector_p_minus(params, sectors),
-        coh=coh0 * w[:, None] * factors,
-    )
-    return traj, bundle
-
-
-def _jm_sector_p_minus(params: SystemParams, p_plus_sectors: np.ndarray) -> np.ndarray:
-    """P^{jm}_-(t) = C_{j,m-1} - P^{j,m-1}_+(t) within each j multiplet."""
-    tj, tm = jm_sector_table(params.N)
-    w = weights_jm_array(params.N)
-    p0 = params.initial_p_plus
-    index = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(tj, tm))}
-    out = np.empty_like(p_plus_sectors)
-    for i, (a, b) in enumerate(zip(tj, tm)):
-        below = index.get((int(a), int(b) - 2))
-        c_prev = w[i] * (1.0 - p0) + (w[i] * p0 if below is not None else 0.0)
-        out[i] = c_prev - (p_plus_sectors[below] if below is not None else 0.0)
-    return out
+    t, fam = _validate_times(times), sector_family(params, "jm")
+    coh = _tcl2_coherence(params, fam, t, return_sectors)
+    pop = _tcl2_population(params, fam, t, return_sectors)
+    return _result(params, fam, t, "tcl2", pop, coh, return_sectors)
 
 
 def nz2_jm(
@@ -339,35 +242,10 @@ def nz2_jm(
     each sector solves a scalar Volterra equation with the cosine kernel
     16 A^2 b(j,m) cos(Omega_+(m) tau) around the steady value C_{jm}/2.
     """
-    t = _validate_times(times)
-    tj, tm, w, om_p, om_m, bt_p, bt_m = _jm_sectors(params)
-    coh0 = complex(params.initial_coh)
-
-    amps_c = np.stack([bt_p, bt_m], axis=1).astype(complex)
-    rates_c = np.stack([1j * om_p, -1j * om_m], axis=1)
-    x0 = w * coh0
-    x = solve_volterra_batch(x0, amps_c, rates_c, t, opts=opts)
-    sector_coh = x * _frame_phase(params, tm, t)
-    coh = coh0 + np.add.reduce(sector_coh - x0[:, None], axis=0)
-
-    _, _, _, c, y0 = _jm_population_constants(params)
-    amps_p = np.stack([2.0 * bt_p, 2.0 * bt_p], axis=1).astype(complex)  # 8A^2 b each
-    rates_p = np.stack([1j * om_p, -1j * om_p], axis=1)
-    y = solve_volterra_batch(y0.astype(complex), amps_p, rates_p, t, opts=opts).real
-    p_plus = params.initial_p_plus + np.add.reduce(y - y0[:, None], axis=0)
-
-    traj = Trajectory(
-        times=t, p_plus=p_plus, p_minus=1.0 - p_plus, coh=coh,
-        method="nz2", projection="jm", params=params,
-    )
-    if not return_sectors:
-        return traj
-    sectors = 0.5 * c[:, None] + y
-    bundle = SectorBundle(
-        two_m=tm, two_j=tj, p_plus=sectors,
-        p_minus=_jm_sector_p_minus(params, sectors), coh=sector_coh,
-    )
-    return traj, bundle
+    t, fam = _validate_times(times), sector_family(params, "jm")
+    coh = _nz2_coherence(params, fam, t, return_sectors, opts)
+    pop = _nz2_population(params, fam, t, return_sectors, opts)
+    return _result(params, fam, t, "nz2", pop, coh, return_sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +280,7 @@ def to_rotating_frame(
     Populations are returned bit-identical; the coherence picks up the
     phase factor exp(-4 i A m t).
     """
-    t = np.asarray(times, dtype=float)
+    t = _validate_times(times)
     phase = np.exp(-2j * params.A * two_m * t)
     return SectorSeries(
         p_plus=series.p_plus, p_minus=series.p_minus, coh=series.coh * phase
@@ -424,17 +302,14 @@ def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _integrated_kernel(b_p, b_m, om_p, om_m, t, eps):
-    """int_0^t [B_+ e^{i Omega_+ s} + B_- e^{-i Omega_- s}] ds, resonance-guarded."""
-
-    def one(b, om, sign):
-        if abs(om) < eps:
-            return b * t
-        return b * (np.exp(sign * 1j * om * t) - 1.0) / (sign * 1j * om)
-
-    return np.array(
-        [one(bp, op, +1) + one(bm, om_, -1) for bp, bm, op, om_ in zip(b_p, b_m, om_p, om_m)]
-    )
+def _integrated_kernel(fam: SectorFamily, t, eps):
+    """int_0^t [B_+ e^{i Omega_+ s} + B_- e^{-i Omega_- s}] ds per sector, resonance-guarded."""
+    out = 0.0
+    for b, om, i_sign in ((fam.b_p, fam.om_p, 1j), (fam.b_m, fam.om_m, -1j)):
+        small = np.abs(om) < eps
+        z = i_sign * np.where(small, 1.0, om)
+        out = out + np.where(small, b * t, b * (np.exp(z * t) - 1.0) / z)
+    return out
 
 
 def tcl2_coherence_via_ode(
@@ -445,63 +320,29 @@ def tcl2_coherence_via_ode(
     Cross-validates the Lambda^coh exponents, including the jm variant whose
     closed form is derived rather than printed.
     """
-    t = _validate_times(times)
-    if family == "m":
-        tm, w, om_p, om_m, b_p, b_m = _m_sectors(params)
-    elif family == "jm":
-        _, tm, w, om_p, om_m, b_p, b_m = _jm_sectors(params)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    t, fam = _validate_times(times), sector_family(params, family)
     eps = _resonance_eps(params)
+    x0 = fam.w.astype(complex) * complex(params.initial_coh)
 
     def rhs(tt, x):
-        lam = _integrated_kernel(b_p, b_m, om_p, om_m, tt, eps)
-        return -lam * x
+        return -_integrated_kernel(fam, tt, eps) * x
 
-    coh0 = complex(params.initial_coh)
-    x0 = w.astype(complex) * coh0
     xs = integrate_linear_ode(x0, rhs, t, opts or SolveOptions(step=0.01))
-    sector = xs.T * _frame_phase(params, tm, t)
-    coh = coh0 + np.add.reduce(sector - x0[:, None], axis=0)
-    return Trajectory(
-        times=t, p_plus=None, p_minus=None, coh=coh,
-        method="tcl2_ode", projection=family, params=params,
-    )
+    coh, _ = _coherence_totals(params, fam, t, xs.T)
+    return _result(params, fam, t, "tcl2_ode", None, (coh, None), False)
 
 
 def tcl2_population_via_ode(
     params: SystemParams, times, family: str = "m", opts: SolveOptions | None = None
 ) -> Trajectory:
     """Integrate the time-local TCL2 population equations directly."""
-    t = _validate_times(times)
-    a2 = params.A * params.A
-    if family == "m":
-        tm, w, c, d, y0 = _m_population_constants(params)
-        om_p = _omega_plus(params.omega0, params.A, tm)
-        gain = ((params.N + tm) // 2 + 1) * c  # (N/2 + m + 1) C_m
-        loss = np.full(tm.shape, params.N + 1.0)
-        scale = 8.0 * a2
-    elif family == "jm":
-        tj, tm, w, c, y0 = _jm_population_constants(params)
-        om_p = _omega_plus(params.omega0, params.A, tm)
-        b_p = 0.25 * (tj * (tj + 2) - tm * (tm + 2))
-        gain = b_p * c
-        loss = 2.0 * b_p
-        scale = 8.0 * a2
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    eps = _resonance_eps(params)
-    sin_over = lambda tt: np.where(  # noqa: E731
-        np.abs(om_p) < eps, tt, np.sin(om_p * tt) / np.where(np.abs(om_p) < eps, 1.0, om_p)
-    )
+    t, fam = _validate_times(times), sector_family(params, family)
+    small = np.abs(fam.om_p) < _resonance_eps(params)
+    om = np.where(small, 1.0, fam.om_p)
 
-    def rhs(tt, p):
-        return scale * sin_over(tt) * (gain - loss * p)
+    def rhs(tt, y):  # y' = -pair_coef sin(Omega_+ t)/Omega_+ y, y = P^s_+ - steady
+        return -fam.pair_coef * np.where(small, tt, np.sin(om * tt) / om) * y
 
-    p0_sectors = (w * params.initial_p_plus).astype(complex)
-    ps = integrate_linear_ode(p0_sectors, rhs, t, opts or SolveOptions(step=0.01)).real
-    p_plus = params.initial_p_plus + np.add.reduce(ps.T - p0_sectors.real[:, None], axis=0)
-    return Trajectory(
-        times=t, p_plus=p_plus, p_minus=1.0 - p_plus, coh=None,
-        method="tcl2_ode", projection=family, params=params,
-    )
+    ys = integrate_linear_ode(fam.y0.astype(complex), rhs, t, opts or SolveOptions(step=0.01))
+    p_plus = params.initial_p_plus + np.add.reduce(ys.real.T - fam.y0[:, None], axis=0)
+    return _result(params, fam, t, "tcl2_ode", (p_plus, None), None, False)

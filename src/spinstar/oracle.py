@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SystemParams
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _validate_times
 from .volterra import SolveOptions, integrate_linear_ode
 
 __all__ = [
@@ -245,11 +245,7 @@ def propagate(
     if resolve not in ("none", "m", "jm"):
         raise ValueError(f"unknown resolve {resolve!r}")
     couplings = _check_couplings(params.N, couplings)
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
-        raise ValueError("times must be a non-empty, finite 1-D array")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise ValueError("times must be strictly increasing")
+    t = _validate_times(times)
     if method == "ode":
         if resolve != "none":
             raise ValueError("the ODE route has no sector resolution")

@@ -10,7 +10,9 @@ master equations) consumes only
 * the sector weights ``N_m / 2^N`` and probabilities ``p(j)``,
 * the detuning frequencies ``Omega_+(m)``, ``Omega_-(m)``,
 * the Rabi frequencies ``mu_+(j, m)``, ``mu_-(j, m)``,
-* the flip coefficients ``b(j, +-m) = j(j+1) - m(m +- 1)``.
+* the flip coefficients ``b(j, +-m) = j(j+1) - m(m +- 1)``,
+
+gathered per sector of the ``m`` or ``jm`` family by ``sector_family``.
 
 Half-integer quantum numbers are stored as doubled integers (``two_j``,
 ``two_m``) so that sector identities are exact and usable as keys.
@@ -51,6 +53,8 @@ __all__ = [
     "weights_m_array",
     "weights_jm_array",
     "prob_j_array",
+    "SectorFamily",
+    "sector_family",
 ]
 
 #: largest N for which binomial weights are computed in exact integer
@@ -340,3 +344,65 @@ def weights_jm_array(N: int) -> np.ndarray:
         }
         return np.array([cache[int(t)] for t in two_j])
     return np.exp(_log_multiplicity_j(float(N), two_j) - N * _LOG2)
+
+
+@dataclass(frozen=True)
+class SectorFamily:
+    """The ``m`` or ``jm`` sector table, one aligned array per field.
+
+    Coherence kernel b_p e^{i om_p tau} + b_m e^{-i om_m tau}; the pair
+    P^m_+ + P^{m+1}_- = c is conserved while P^m_+ relaxes to ``steady`` with
+    the kernel pair_coef cos(om_p tau); y0 = P^m_+(0) - steady; ``lower`` is
+    the index of m-1 in the same chain (-1 at its edge), ``c_prev`` its c.
+    m: w = N_m/2^N, b_p/b_m = 4A^2 (N/2 -+ m), pair_coef = 8A^2 (N+1),
+    steady = (N/2+m+1) c/(N+1).  jm: w = N_j/2^N, b_p/b_m = 4A^2 b(j, +-m),
+    pair_coef = 16A^2 b(j,m), steady = c/2.
+    """
+
+    family: str
+    two_j: np.ndarray | None
+    two_m: np.ndarray
+    w: np.ndarray
+    om_p: np.ndarray
+    om_m: np.ndarray
+    b_p: np.ndarray
+    b_m: np.ndarray
+    pair_coef: np.ndarray
+    c: np.ndarray
+    steady: np.ndarray
+    y0: np.ndarray
+    c_prev: np.ndarray
+    lower: np.ndarray
+
+
+def sector_family(params: SystemParams, family: str) -> SectorFamily:
+    """The sector table of the ``m`` or ``jm`` family for ``params``."""
+    N, A, p0 = params.N, params.A, params.initial_p_plus
+    a2 = A * A
+    if family == "m":
+        two_j, two_m, w, top = None, two_m_values(N), weights_m_array(N), N
+        b_p = 2.0 * a2 * (N - two_m)
+        b_m = 2.0 * a2 * (N + two_m)
+        pair_coef = np.full(two_m.shape, 8.0 * A**2 * (N + 1.0))
+    elif family == "jm":
+        two_j, two_m = jm_sector_table(N)
+        w, top = weights_jm_array(N), two_j
+        b_p = a2 * (two_j * (two_j + 2) - two_m * (two_m + 2))
+        b_m = a2 * (two_j * (two_j + 2) - two_m * (two_m - 2))
+        pair_coef = 4.0 * b_p
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    # the chain of a sector runs over m at fixed j (jm) or over all m (m);
+    # neighbours are adjacent in the table
+    lower = np.where(two_m > -top, np.arange(two_m.size) - 1, -1)
+    w_up = np.where(two_m < top, np.append(w[1:], 0.0), 0.0)
+    w_low = np.where(lower >= 0, w[lower], 0.0)
+    c = w * p0 + w_up * (1.0 - p0)
+    steady = 0.5 * c if two_j is not None else ((N + two_m) // 2 + 1) * c / (N + 1.0)
+    return SectorFamily(
+        family=family, two_j=two_j, two_m=two_m, w=w,
+        om_p=_omega_plus(params.omega0, A, two_m),
+        om_m=_omega_minus(params.omega0, A, two_m),
+        b_p=b_p, b_m=b_m, pair_coef=pair_coef, c=c, steady=steady,
+        y0=w * p0 - steady, c_prev=w_low * p0 + w * (1.0 - p0), lower=lower,
+    )

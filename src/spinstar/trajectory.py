@@ -11,6 +11,18 @@ from .sectors import SystemParams
 __all__ = ["Trajectory", "SectorSeries", "ErrorReport", "compare_trajectories"]
 
 
+def _validate_times(times) -> np.ndarray:
+    """``times`` as floats; ValueError unless non-empty, 1-D, finite and strictly increasing."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("times must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
+    if not np.all(np.diff(t) > 0.0):
+        raise ValueError("times must be strictly increasing")
+    return t
+
+
 @dataclass
 class Trajectory:
     """Reduced central-spin dynamics on a time grid.
@@ -29,11 +41,7 @@ class Trajectory:
     params: SystemParams
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or self.times.size == 0:
-            raise ValueError("times must be a non-empty 1-D array")
-        if not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("times must be strictly increasing")
+        self.times = _validate_times(self.times)
         for name in ("p_plus", "p_minus", "coh"):
             arr = getattr(self, name)
             if arr is None:

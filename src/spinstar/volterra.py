@@ -1,10 +1,10 @@
 """Linear Volterra integrodifferential solvers for exponential-sum kernels.
 
-Solves  x'(t) = - int_0^t k(t-s) x(s) ds + drive(t)  with
+Solves  x'(t) = - int_0^t k(t-s) x(s) ds  with
 k(tau) = sum_i a_i exp(r_i tau), by two independent routes:
 
 * ``aux_ode`` (production, O(T)): one auxiliary variable per kernel term,
-  u_i' = r_i u_i + x, x' = -sum_i a_i u_i + drive, stepped with classic RK4.
+  u_i' = r_i u_i + x, x' = -sum_i a_i u_i, stepped with classic RK4.
 * ``quadrature`` (verifier, O(T^2)): trapezoidal memory sums on a uniform
   grid with an implicit-trapezoid step, kept deliberately simple and
   independent of the reduction above.
@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .trajectory import _validate_times
 
 __all__ = [
     "KernelSpec",
@@ -35,10 +37,9 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Memory kernel k(tau) = sum_i a_i exp(r_i tau), plus an optional constant drive."""
+    """Memory kernel k(tau) = sum_i a_i exp(r_i tau)."""
 
     terms: tuple[tuple[complex, complex], ...]
-    inhomogeneity: complex | None = None
 
     def __post_init__(self):
         for a, r in self.terms:
@@ -79,17 +80,6 @@ class SolveOptions:
             raise ValueError("tolerance must be positive")
 
 
-def _validate_grid(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError("times must be a non-empty 1-D array")
-    if abs(t[0]) > 1e-14:
-        raise ValueError("times must start at 0 (the memory integral starts there)")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise ValueError("times must be strictly increasing")
-    return t
-
-
 def _rk4_fixed(rhs, y0: np.ndarray, times: np.ndarray, step: float) -> np.ndarray:
     """Classic RK4 from times[0] through all output points, substepping to <= step."""
     out = np.empty((times.size,) + y0.shape, dtype=y0.dtype)
@@ -119,9 +109,7 @@ def integrate_linear_ode(y0, generator, times, opts: SolveOptions | None = None)
     solution is returned.
     """
     opts = opts or SolveOptions()
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0 or (t.size > 1 and not np.all(np.diff(t) > 0.0)):
-        raise ValueError("times must be a non-empty, strictly increasing 1-D array")
+    t = _validate_times(times)
     y0 = np.asarray(y0, dtype=complex)
 
     # clamp to the widest output interval so that halving the step always
@@ -153,15 +141,13 @@ def integrate_linear_ode(y0, generator, times, opts: SolveOptions | None = None)
     )
 
 
-def _aux_ode_solve(x0, amps, rates, times, opts: SolveOptions, drive):
+def _aux_ode_solve(x0, amps, rates, times, opts: SolveOptions):
     n_prob, n_terms = amps.shape
 
     def rhs(t, y):
         x = y[:, 0]
         u = y[:, 1:]
         dx = -np.add.reduce(amps * u, axis=1)
-        if drive is not None:
-            dx = dx + drive(t)
         du = rates * u + x[:, None]
         return np.concatenate((dx[:, None], du), axis=1)
 
@@ -171,7 +157,7 @@ def _aux_ode_solve(x0, amps, rates, times, opts: SolveOptions, drive):
     return ys[:, :, 0].T  # (n_prob, n_times)
 
 
-def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions, drive):
+def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions):
     """Implicit-trapezoid stepping with trapezoidal memory sums (order 2)."""
     if times.size == 1:
         return x0[:, None].copy()
@@ -191,7 +177,7 @@ def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions, drive):
 
     x = np.empty((n_prob, n_steps + 1), dtype=complex)
     x[:, 0] = x0
-    f_prev = 0.0 * x0 + (drive(0.0) if drive is not None else 0.0)  # integral is 0 at t=0
+    f_prev = 0.0 * x0  # the memory integral is 0 at t=0
     denom = 1.0 + 0.25 * h * h * k0
     for n in range(n_steps):
         # memory sum for t_{n+1}, trapezoid weights, excluding the unknown
@@ -200,11 +186,10 @@ def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions, drive):
         if n >= 1:
             s = s + np.einsum("pj,pj->p", kv[:, n:0:-1], x[:, 1 : n + 1])
         s *= h
-        d_next = drive(h * (n + 1)) if drive is not None else 0.0
-        x_new = (x[:, n] + 0.5 * h * (f_prev - s + d_next)) / denom
+        x_new = (x[:, n] + 0.5 * h * (f_prev - s)) / denom
         x[:, n + 1] = x_new
         # completed derivative at t_{n+1}, for the next step
-        f_prev = -(s + 0.5 * h * k0 * x_new) + d_next
+        f_prev = -(s + 0.5 * h * k0 * x_new)
     if not np.all(np.isfinite(x.view(float))):
         raise NumericsError(f"non-finite values in quadrature solve at step {h:g}")
     return x[:, ::nsub]
@@ -216,15 +201,16 @@ def solve_volterra_batch(
     rates,
     times,
     opts: SolveOptions | None = None,
-    drive=None,
 ) -> np.ndarray:
     """Batched solve of independent scalar Volterra problems.
 
-    ``x0`` has shape (P,), ``amplitudes``/``rates`` shape (P, K).  ``drive``
-    is an optional callable t -> scalar or (P,) array.  Returns (P, n_times).
+    ``x0`` has shape (P,), ``amplitudes``/``rates`` shape (P, K).  Returns
+    (P, n_times).
     """
     opts = opts or SolveOptions()
-    t = _validate_grid(times)
+    t = _validate_times(times)
+    if abs(t[0]) > 1e-14:
+        raise ValueError("times must start at 0 (the memory integral starts there)")
     x0 = np.asarray(x0, dtype=complex)
     amps = np.asarray(amplitudes, dtype=complex)
     rts = np.asarray(rates, dtype=complex)
@@ -233,8 +219,8 @@ def solve_volterra_batch(
     if t.size == 1:
         return x0[:, None].copy()
     if opts.method == "aux_ode":
-        return _aux_ode_solve(x0, amps, rts, t, opts, drive)
-    return _quadrature_solve(x0, amps, rts, t, opts, drive)
+        return _aux_ode_solve(x0, amps, rts, t, opts)
+    return _quadrature_solve(x0, amps, rts, t, opts)
 
 
 def solve_volterra(
@@ -242,22 +228,13 @@ def solve_volterra(
     kernel: KernelSpec,
     times,
     opts: SolveOptions | None = None,
-    drive=None,
 ) -> np.ndarray:
-    """Solve a single scalar problem; see :func:`solve_volterra_batch`.
-
-    A constant ``kernel.inhomogeneity`` is used as the drive when no
-    explicit ``drive`` callable is given.
-    """
-    if drive is None and kernel.inhomogeneity is not None:
-        c = complex(kernel.inhomogeneity)
-        drive = lambda t: c  # noqa: E731
+    """Solve a single scalar problem; see :func:`solve_volterra_batch`."""
     out = solve_volterra_batch(
         np.array([x0], dtype=complex),
         kernel.amplitudes[None, :],
         kernel.rates[None, :],
         times,
         opts=opts,
-        drive=drive,
     )
     return out[0]

@@ -17,7 +17,12 @@ from spinstar.masters import (
     tcl2_population_via_ode,
     to_rotating_frame,
 )
-from spinstar.sectors import SystemParams, coupling_from_alpha, weights_m_array
+from spinstar.sectors import (
+    SystemParams,
+    coupling_from_alpha,
+    sector_family,
+    weights_m_array,
+)
 from spinstar.trajectory import SectorSeries
 from spinstar.volterra import SolveOptions
 
@@ -221,3 +226,54 @@ class TestJMProjection:
             np.sum(bundle.p_plus, axis=0), traj.p_plus, atol=1e-12
         )
         np.testing.assert_allclose(np.sum(bundle.coh, axis=0), traj.coh, atol=1e-12)
+
+
+class TestSharedKernelsAtResonance:
+    """A < 0 with an exact resonance Omega_+(m) = 0, through every kernel of both families.
+
+    omega0 = 1, A = -0.25 gives Omega_+ = 0 at two_m = 1, so the series
+    branches of the TCL2 exponents and of the via-ODE kernels are taken.
+    """
+
+    CASES = [
+        SystemParams(N=n, A=-0.25, omega0=1.0, initial_p_plus=0.6, initial_coh=0.3 - 0.1j)
+        for n in (3, 1)
+    ]
+    T = np.linspace(0.0, 5.0, 51)
+    OPTS = SolveOptions(step=0.001)
+
+    @pytest.mark.parametrize("p", CASES, ids=["N3", "N1"])
+    def test_nz2_jm_populations_are_exact(self, p):
+        assert np.any(sector_family(p, "jm").om_p == 0.0)
+        got = nz2_jm(p, self.T, self.OPTS).p_plus
+        ref = exact_population_plus(p, self.T).p_plus
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["m", "jm"])
+    @pytest.mark.parametrize("p", CASES, ids=["N3", "N1"])
+    def test_closed_forms_match_direct_integration(self, p, family):
+        assert np.any(sector_family(p, family).om_p == 0.0)
+        if family == "m":
+            pop, coh = tcl2_population_m(p, self.T), tcl2_coherence_m(p, self.T)
+        else:
+            pop = coh = tcl2_jm(p, self.T)
+        ode_coh = tcl2_coherence_via_ode(p, self.T, family, self.OPTS).coh
+        ode_pop = tcl2_population_via_ode(p, self.T, family, self.OPTS).p_plus
+        np.testing.assert_allclose(coh.coh, ode_coh, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pop.p_plus, ode_pop, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fn", [tcl2_population_m, tcl2_jm])
+    @pytest.mark.parametrize("p", CASES, ids=["N3", "N1"])
+    def test_pair_conservation_along_sector_bundle(self, p, fn):
+        _, b = fn(p, self.T, return_sectors=True)
+        two_j = np.full_like(b.two_m, p.N) if b.two_j is None else b.two_j
+        labels = {(j, m): i for i, (j, m) in enumerate(zip(two_j.tolist(), b.two_m.tolist()))}
+        pairs = 0
+        for (j, m), i in labels.items():
+            up = labels.get((j, m + 2))
+            if up is None:
+                continue
+            pair = b.p_plus[i] + b.p_minus[up]  # P^m_+ + P^{m+1}_-
+            np.testing.assert_allclose(pair, pair[0], rtol=0, atol=1e-15)
+            pairs += 1
+        assert pairs == b.two_m.size - len(set(two_j.tolist()))

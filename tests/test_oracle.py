@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import spinstar.oracle
 
 from spinstar.oracle import (
     MAX_BATH_SPINS,
@@ -200,3 +205,25 @@ class TestFirstOrderTermVanishes:
             product_bath="polarized", n_samples=4,
         )
         assert res > 0.1
+
+
+def test_oracle_is_independent_of_the_sector_combinatorics():
+    """The oracle takes only SystemParams from sectors, never the (j, m) tables."""
+    tree = ast.parse(Path(spinstar.oracle.__file__).read_text())
+    from_sectors = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("sectors")
+        for alias in node.names
+    ]
+    assert from_sectors == ["SystemParams"]
+    plain = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert not any(name.endswith("sectors") for name in plain)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not {"sector_family", "SectorFamily"} & (names | attrs)

@@ -19,6 +19,7 @@ from spinstar.sectors import (
     multiplicity_j,
     prob_j,
     prob_j_array,
+    sector_family,
     sector_frequencies,
     two_m_values,
     weight_m,
@@ -227,3 +228,42 @@ def test_sector_table_consistency_hypothesis(N, idx):
     # table is sorted ascending two_j then two_m and has no duplicates
     keys = list(zip(tj.tolist(), tm.tolist()))
     assert keys == sorted(set(keys))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8])
+def test_sector_family_matches_scalar_api(N):
+    """The shared m/jm table against the scalar sector functions, sector by sector."""
+    p = params(N=N, A=-0.13, omega0=0.9, initial_p_plus=0.35)
+    p0 = p.initial_p_plus
+    for family in ("m", "jm"):
+        fam = sector_family(p, family)
+        two_j = [N] * fam.two_m.size if fam.two_j is None else fam.two_j.tolist()
+        index = {(j, m): i for i, (j, m) in enumerate(zip(two_j, fam.two_m.tolist()))}
+        for (j, m), i in index.items():
+            if family == "m":
+                w = weight_m(p, SectorM(m))
+                b_p, b_m = 2 * (N - m), 2 * (N + m)  # 4(N/2 -+ m)
+                pair = 8 * (N + 1)
+                steady_ratio = ((N + m) // 2 + 1) / (N + 1)
+            else:
+                s = SectorJM(j, m)
+                w = prob_j(p, j) / (j + 1)
+                b_p, b_m = 4 * b_coeff(s, +1), 4 * b_coeff(s, -1)
+                pair = 4 * b_p
+                steady_ratio = 0.5
+            a2 = p.A**2
+            assert fam.w[i] == pytest.approx(w, rel=1e-15)
+            assert (fam.om_p[i], fam.om_m[i]) == sector_frequencies(p, SectorM(m))
+            assert fam.b_p[i] == pytest.approx(a2 * b_p, rel=1e-15, abs=1e-300)
+            assert fam.b_m[i] == pytest.approx(a2 * b_m, rel=1e-15, abs=1e-300)
+            assert fam.pair_coef[i] == pytest.approx(a2 * pair, rel=1e-15, abs=1e-300)
+            up, low = index.get((j, m + 2)), index.get((j, m - 2))
+            c = w * p0 + (fam.w[up] if up is not None else 0.0) * (1 - p0)
+            assert fam.c[i] == pytest.approx(c, rel=1e-15)
+            assert fam.steady[i] == pytest.approx(steady_ratio * c, rel=1e-15)
+            assert fam.y0[i] == pytest.approx(w * p0 - fam.steady[i], rel=1e-13, abs=1e-16)
+            assert fam.lower[i] == (-1 if low is None else low)
+            c_prev = fam.c[low] if low is not None else w * (1 - p0)
+            assert fam.c_prev[i] == pytest.approx(c_prev, rel=1e-15)
+    with pytest.raises(ValueError, match="unknown family"):
+        sector_family(p, "product")

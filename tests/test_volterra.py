@@ -58,11 +58,6 @@ class TestAnalyticCases:
         np.testing.assert_allclose(x.real, expected, rtol=0, atol=2e-7)
         np.testing.assert_allclose(x.imag, 0.0, rtol=0, atol=1e-10)
 
-    def test_constant_drive_with_zero_kernel(self):
-        spec = KernelSpec(terms=((0.0, 0.0),), inhomogeneity=0.4 - 0.2j)
-        x = solve_volterra(1.0, spec, T_GRID, SolveOptions(step=0.01))
-        np.testing.assert_allclose(x, 1.0 + (0.4 - 0.2j) * T_GRID, atol=1e-10)
-
 
 class TestConvergence:
     # steps are chosen to divide the output interval 0.1 exactly, so that
