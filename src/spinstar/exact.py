@@ -39,19 +39,8 @@ def _sin_over_mu(mu, t):
     return out
 
 
-def population_survival(
-    params: SystemParams, times: np.ndarray, branch: int, sector_mask=None
-) -> np.ndarray:
-    """Probability that the central spin stays in |+> (branch=+1) or |-> (branch=-1).
-
-    Evaluated as 1 - sum_s w_s * 4A^2 b_s * (sin(mu_s t)/mu_s)^2, which is
-    exactly 1 at t = 0 and free of 0/0 at degenerate sectors.  ``sector_mask``
-    restricts the sum (used by truncation diagnostics); the dropped weight is
-    then missing from the constant term as well, so the result stays a
-    survival probability of the truncated ensemble plus the frozen remainder.
-    """
-    times = _validate_times(times)
-    fam = sector_family(params, "jm")
+def _survival(fam: SectorFamily, times, branch: int, sector_mask=None) -> np.ndarray:
+    """population_survival on the jm table ``fam`` and validated ``times``."""
     _, mus, b4 = _branch_terms(fam, branch)
     coef = fam.w * b4  # deficit amplitude per sector
     if sector_mask is not None:
@@ -64,6 +53,27 @@ def population_survival(
     return out
 
 
+def population_survival(
+    params: SystemParams, times: np.ndarray, branch: int, sector_mask=None
+) -> np.ndarray:
+    """Probability that the central spin stays in |+> (branch=+1) or |-> (branch=-1).
+
+    Evaluated as 1 - sum_s w_s * 4A^2 b_s * (sin(mu_s t)/mu_s)^2, which is
+    exactly 1 at t = 0 and free of 0/0 at degenerate sectors.  ``sector_mask``
+    restricts the sum (used by truncation diagnostics); the dropped weight is
+    then missing from the constant term as well, so the result stays a
+    survival probability of the truncated ensemble plus the frozen remainder.
+    """
+    times = _validate_times(times)
+    return _survival(sector_family(params, "jm"), times, branch, sector_mask)
+
+
+def _population_plus(params: SystemParams, fam: SectorFamily, t) -> np.ndarray:
+    """P_+(t) by linearity between the solutions started in |+> and in |->."""
+    p0 = params.initial_p_plus
+    return p0 * _survival(fam, t, +1) + (1.0 - p0) * (1.0 - _survival(fam, t, -1))
+
+
 def exact_population_plus(params: SystemParams, times) -> Trajectory:
     """Exact upper-state population P_+(t) (populations only).
 
@@ -71,10 +81,7 @@ def exact_population_plus(params: SystemParams, times) -> Trajectory:
     started in |+> and its mirror started in |->.
     """
     t = _validate_times(times)
-    p0 = params.initial_p_plus
-    f_plus = population_survival(params, t, +1)
-    f_minus = population_survival(params, t, -1)
-    p_plus = p0 * f_plus + (1.0 - p0) * (1.0 - f_minus)
+    p_plus = _population_plus(params, sector_family(params, "jm"), t)
     return Trajectory(
         times=t,
         p_plus=p_plus,
@@ -86,10 +93,8 @@ def exact_population_plus(params: SystemParams, times) -> Trajectory:
     )
 
 
-def exact_coherence(params: SystemParams, times) -> Trajectory:
-    """Exact coherence rho_{+-}(t) in the rotating frame (coherence only)."""
-    t = _validate_times(times)
-    fam = sector_family(params, "jm")
+def _coherence(params: SystemParams, fam: SectorFamily, t) -> np.ndarray:
+    """rho_{+-}(t) on the jm table ``fam`` and validated ``t``."""
     om_p, mu_p, _ = _branch_terms(fam, +1)
     om_m, mu_m, _ = _branch_terms(fam, -1)
     coh0 = complex(params.initial_coh)
@@ -105,11 +110,17 @@ def exact_coherence(params: SystemParams, times) -> Trajectory:
         # written as 1 + sum w (f - 1) so that coh(0) == initial_coh exactly
         factor = 1.0 + np.add.reduce(fam.w[:, None] * (phase * br_p * br_m - 1.0), axis=0)
         coh[lo : lo + _TIME_CHUNK] = coh0 * factor
+    return coh
+
+
+def exact_coherence(params: SystemParams, times) -> Trajectory:
+    """Exact coherence rho_{+-}(t) in the rotating frame (coherence only)."""
+    t = _validate_times(times)
     return Trajectory(
         times=t,
         p_plus=None,
         p_minus=None,
-        coh=coh,
+        coh=_coherence(params, sector_family(params, "jm"), t),
         method="exact",
         projection="none",
         params=params,
@@ -117,14 +128,14 @@ def exact_coherence(params: SystemParams, times) -> Trajectory:
 
 
 def exact_trajectory(params: SystemParams, times) -> Trajectory:
-    """Populations and coherence in one trajectory."""
-    pop = exact_population_plus(params, times)
-    coh = exact_coherence(params, times)
+    """Populations and coherence in one trajectory, from one jm sector table."""
+    t, fam = _validate_times(times), sector_family(params, "jm")
+    p_plus = _population_plus(params, fam, t)
     return Trajectory(
-        times=pop.times,
-        p_plus=pop.p_plus,
-        p_minus=pop.p_minus,
-        coh=coh.coh,
+        times=t,
+        p_plus=p_plus,
+        p_minus=1.0 - p_plus,
+        coh=_coherence(params, fam, t),
         method="exact",
         projection="none",
         params=params,

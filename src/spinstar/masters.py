@@ -21,6 +21,10 @@ rebuild P_- from P_+.  Four kernels read it and never branch on the family:
   sector, behind ``nz2_coherence_m``, ``nz2_population_m`` and ``nz2_jm``.
   Shifting to the steady value removes the constant forcing of the pairwise
   closure and keeps trace and J_3^tot conservation exact by construction.
+  Every NZ2 kernel has amplitudes >= 0 and rates +-i Omega, so with
+  ``opts=None`` the Volterra engine solves them exactly by its spectral
+  route; an explicit ``SolveOptions`` selects the RK4 (``aux_ode``) or the
+  ``quadrature`` verifier route instead.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
 with RK4, as an independent check of the closed forms.  Public trajectories
@@ -143,8 +147,6 @@ def _nz2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool, o
 
 def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
     """P^m_-(t) = C_{m-1} - P^{m-1}_+(t) along each chain, P_+ = 0 below its edge."""
-    # zeros_like keeps the memory layout of p_plus, and with it the summation
-    # order (hence the last bits) of reductions over the sector axis
     below, inner = np.zeros_like(p_plus), fam.lower >= 0
     below[inner] = p_plus[fam.lower[inner]]
     return fam.c_prev[:, None] - below
@@ -238,9 +240,10 @@ def nz2_jm(
 ):
     """NZ2 populations and coherence under the full (J^2, J_3) projection.
 
-    The population route reproduces the exact dynamics up to solver error:
-    each sector solves a scalar Volterra equation with the cosine kernel
-    16 A^2 b(j,m) cos(Omega_+(m) tau) around the steady value C_{jm}/2.
+    The population route reproduces the exact dynamics, to rounding on the
+    default spectral route: each sector solves a scalar Volterra equation
+    with the cosine kernel 16 A^2 b(j,m) cos(Omega_+(m) tau) around the
+    steady value C_{jm}/2.
     """
     t, fam = _validate_times(times), sector_family(params, "jm")
     coh = _nz2_coherence(params, fam, t, return_sectors, opts)
@@ -288,13 +291,17 @@ def to_rotating_frame(
 
 
 def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:
-    """tr{J_3^tot P rho(t)} = sum_m [(m + 1/2) P^m_+ + (m - 1/2) P^m_-]."""
+    """tr{J_3^tot P rho(t)} = sum_m [(m + 1/2) P^m_+ + (m - 1/2) P^m_-].
+
+    The sector sum runs over a C-ordered copy, so its rounding (and
+    report.csv's ``j3tot_drift``) does not depend on the memory layout of the
+    bundle.
+    """
     if bundle.p_plus is None or bundle.p_minus is None:
         raise ValueError("sector populations required")
     m = 0.5 * bundle.two_m.astype(float)
-    return np.add.reduce(
-        (m + 0.5)[:, None] * bundle.p_plus + (m - 0.5)[:, None] * bundle.p_minus, axis=0
-    )
+    weighted = (m + 0.5)[:, None] * bundle.p_plus + (m - 0.5)[:, None] * bundle.p_minus
+    return np.add.reduce(np.ascontiguousarray(weighted), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,23 @@
 """Linear Volterra integrodifferential solvers for exponential-sum kernels.
 
 Solves  x'(t) = - int_0^t k(t-s) x(s) ds  with
-k(tau) = sum_i a_i exp(r_i tau), by two independent routes:
+k(tau) = sum_i a_i exp(r_i tau), by three routes:
 
-* ``aux_ode`` (production, O(T)): one auxiliary variable per kernel term,
-  u_i' = r_i u_i + x, x' = -sum_i a_i u_i, stepped with classic RK4.
+* ``spectral`` (production, exact): when every a_i >= 0 and every
+  r_i = i w_i is purely imaginary, as in all NZ2 sector kernels, the
+  auxiliary variables below scaled by sqrt(a_i) obey y' = -i H y with a
+  Hermitian arrowhead H, so x(t) = x0 sum_k |V_0k|^2 exp(-i lambda_k t)
+  from one batched ``eigh``: no step error, on any time grid.  Taken
+  whenever ``opts`` is None and the kernel qualifies.
+* ``aux_ode`` (O(T)): one auxiliary variable per kernel term,
+  u_i' = r_i u_i + x, x' = -sum_i a_i u_i, stepped with classic RK4.  The
+  default for any other kernel, and the route an explicit ``SolveOptions``
+  selects (so a step bound or tolerance always means RK4).
 * ``quadrature`` (verifier, O(T^2)): trapezoidal memory sums on a uniform
   grid with an implicit-trapezoid step, kept deliberately simple and
-  independent of the reduction above.
+  independent of the reductions above.
 
-Both routes accept batches of independent scalar problems (the sector
+All routes accept batches of independent scalar problems (the sector
 equations of the master solvers) as leading array dimensions.
 """
 
@@ -32,7 +40,18 @@ __all__ = [
 
 
 class NumericsError(RuntimeError):
-    """Raised when a solver produces non-finite values or fails to converge."""
+    """Raised when a solver produces non-finite values or fails to converge.
+
+    ``route`` names the integrator that failed (``"rk4"``, ``"quadrature"``
+    or ``"spectral"``), ``step`` the last step it used, ``halvings`` the
+    step halvings it had done and ``error`` the last error it measured (the
+    gap between two refinements, or the spectral weight-sum defect).  Each
+    is None where it does not apply.
+    """
+
+    def __init__(self, message, *, route=None, step=None, halvings=None, error=None):
+        super().__init__(message)
+        self.route, self.step, self.halvings, self.error = route, step, halvings, error
 
 
 @dataclass(frozen=True)
@@ -57,7 +76,10 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs.
+    """Solver knobs for the RK4 (``aux_ode``) and ``quadrature`` routes.
+
+    Passing any ``SolveOptions`` runs ``method``; only ``opts=None`` lets
+    :func:`solve_volterra_batch` take the exact spectral route.
 
     ``step`` is the internal step bound (output intervals are subdivided to
     respect it).  ``tolerance=None`` means a single fixed-step pass; a float
@@ -122,22 +144,28 @@ def integrate_linear_ode(y0, generator, times, opts: SolveOptions | None = None)
     sol = _rk4_fixed(generator, y0, t, step)
     if not np.all(np.isfinite(sol.view(float))):
         raise NumericsError(
-            f"non-finite values during RK4 integration at step {step:g}"
+            f"non-finite values during RK4 integration at step {step:g}",
+            route="rk4", step=step, halvings=0,
         )
     if opts.tolerance is None:
         return sol
-    for _ in range(opts.max_halvings):
+    err = None
+    for halvings in range(1, opts.max_halvings + 1):
         step *= 0.5
         finer = _rk4_fixed(generator, y0, t, step)
         if not np.all(np.isfinite(finer.view(float))):
-            raise NumericsError(f"non-finite values during RK4 integration at step {step:g}")
+            raise NumericsError(
+                f"non-finite values during RK4 integration at step {step:g}",
+                route="rk4", step=step, halvings=halvings, error=err,
+            )
         err = float(np.max(np.abs(finer - sol)))
         sol = finer
         if err <= opts.tolerance:
             return sol
     raise NumericsError(
         f"step halving did not reach tolerance {opts.tolerance:g} "
-        f"within {opts.max_halvings} halvings (last step {step:g})"
+        f"within {opts.max_halvings} halvings (last step {step:g})",
+        route="rk4", step=step, halvings=opts.max_halvings, error=err,
     )
 
 
@@ -191,8 +219,44 @@ def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions):
         # completed derivative at t_{n+1}, for the next step
         f_prev = -(s + 0.5 * h * k0 * x_new)
     if not np.all(np.isfinite(x.view(float))):
-        raise NumericsError(f"non-finite values in quadrature solve at step {h:g}")
+        raise NumericsError(
+            f"non-finite values in quadrature solve at step {h:g}", route="quadrature", step=h
+        )
     return x[:, ::nsub]
+
+
+def _spectral_solve(x0, amps, rates, times):
+    """Exact solve for kernels with a_i >= 0 and r_i = i w_i (see the module docstring).
+
+    H = [[0, -i sqrt(a)^T], [i sqrt(a), -diag(w)]] per problem, and
+    x(t) = x0 [1 + sum_k |V_0k|^2 expm1(-i lambda_k t)], which is
+    x0 sum_k |V_0k|^2 exp(-i lambda_k t) because the weights sum to 1, and
+    keeps x(0) == x0 exactly.  The weight-sum defect is the runtime check.
+    """
+    n_prob, n_terms = amps.shape
+    root = np.sqrt(amps.real)
+    h = np.zeros((n_prob, n_terms + 1, n_terms + 1), dtype=complex)
+    h[:, 0, 1:] = -1j * root
+    h[:, 1:, 0] = 1j * root
+    diag = np.arange(1, n_terms + 1)
+    h[:, diag, diag] = -rates.imag
+    lam, vec = np.linalg.eigh(h)
+    wts = np.abs(vec[:, 0, :]) ** 2
+    defect = float(np.max(np.abs(np.add.reduce(wts, axis=1) - 1.0), initial=0.0))
+
+    x = np.ones((n_prob, times.size), dtype=complex)
+    for k in range(n_terms + 1):  # one eigenvalue at a time: no (P, K+1, T) array
+        term = -1j * np.multiply.outer(lam[:, k], times)
+        np.expm1(term, out=term)
+        term *= wts[:, k, None]
+        x += term
+    x *= x0[:, None]
+    if not (defect <= 1e-12 and np.all(np.isfinite(x.view(float)))):
+        raise NumericsError(
+            f"spectral solve failed: eigenvector weight-sum defect {defect:.3g}",
+            route="spectral", error=defect,
+        )
+    return x
 
 
 def solve_volterra_batch(
@@ -205,9 +269,11 @@ def solve_volterra_batch(
     """Batched solve of independent scalar Volterra problems.
 
     ``x0`` has shape (P,), ``amplitudes``/``rates`` shape (P, K).  Returns
-    (P, n_times).
+    (P, n_times).  With ``opts`` None, kernels with real amplitudes >= 0 and
+    purely imaginary rates take the exact spectral route and all others
+    RK4 with the default ``SolveOptions()``; an explicit ``opts`` always
+    runs ``opts.method``.
     """
-    opts = opts or SolveOptions()
     t = _validate_times(times)
     if abs(t[0]) > 1e-14:
         raise ValueError("times must start at 0 (the memory integral starts there)")
@@ -218,6 +284,10 @@ def solve_volterra_batch(
         raise ValueError("inconsistent batch shapes")
     if t.size == 1:
         return x0[:, None].copy()
+    if opts is None:
+        if np.all(amps.imag == 0.0) and np.all(amps.real >= 0.0) and np.all(rts.real == 0.0):
+            return _spectral_solve(x0, amps, rts, t)
+        opts = SolveOptions()
     if opts.method == "aux_ode":
         return _aux_ode_solve(x0, amps, rts, t, opts)
     return _quadrature_solve(x0, amps, rts, t, opts)

@@ -8,10 +8,12 @@ from spinstar.cli import (
     EXIT_OK,
     FIGURE_PRESETS,
     ScenarioConfig,
+    _run_method,
     main,
     method_filename,
     parse_config,
 )
+from spinstar.volterra import NumericsError
 
 BASE = """
 # comment lines and blank lines are ignored
@@ -104,6 +106,21 @@ class TestExitCodes:
         )
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+
+    def test_numeric_error_carries_solver_state(self, tmp_path):
+        # the failure behind test_numeric_error, raised instead of mapped to exit 3
+        text = BASE.replace("exact,tcl2", "nz2") + (
+            "solver_step = 50\nsolver_tolerance = 1e-30\n"
+        )
+        with pytest.raises(NumericsError) as info:
+            _run_method(parse_config(write_config(tmp_path, text)), "nz2")
+        err = info.value
+        # the step is clamped to the output interval 0.5, then halved 12 times
+        assert (err.route, err.halvings, err.step) == ("rk4", 12, 0.5 / 2**12)
+        assert 1e-30 < err.error < 1e-10
+        assert str(err) == (
+            "step halving did not reach tolerance 1e-30 within 12 halvings (last step 0.00012207)"
+        )
 
     def test_capacity_error(self, tmp_path):
         text = BASE.replace("N = 4", "N = 15").replace("exact,tcl2", "oracle")

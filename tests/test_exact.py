@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinstar import exact
 from spinstar.exact import (
     exact_coherence,
     exact_population_plus,
@@ -10,7 +11,7 @@ from spinstar.exact import (
     population_survival,
 )
 from spinstar.oracle import propagate
-from spinstar.sectors import SystemParams, jm_sector_table, weights_jm_array
+from spinstar.sectors import SystemParams, jm_sector_table, sector_family, weights_jm_array
 
 
 def two_spin_survival(A, omega0, t):
@@ -130,6 +131,22 @@ class TestAgainstOracle:
         ref = propagate(p, t)
         np.testing.assert_allclose(got.p_plus, ref.p_plus, rtol=0, atol=1e-13)
         np.testing.assert_allclose(got.coh, ref.coh, rtol=0, atol=1e-13)
+
+
+def test_trajectory_builds_one_sector_table(monkeypatch):
+    calls = []
+
+    def counting(params, family):
+        calls.append(family)
+        return sector_family(params, family)
+
+    p = SystemParams(N=6, A=0.13, omega0=0.9, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
+    t = np.linspace(0.0, 10.0, 101)
+    monkeypatch.setattr(exact, "sector_family", counting)
+    traj = exact_trajectory(p, t)
+    assert calls == ["jm"]
+    np.testing.assert_array_equal(traj.p_plus, exact_population_plus(p, t).p_plus)
+    np.testing.assert_array_equal(traj.coh, exact_coherence(p, t).coh)
 
 
 class TestValidation:

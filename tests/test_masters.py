@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstar.exact import exact_population_plus
 from spinstar.masters import (
@@ -82,6 +85,19 @@ class TestInitialConditionsAndConservation:
         for bundle in bundles:
             q = j3tot_expectation(bundle)
             assert np.max(np.abs(q - q[0])) <= 1e-12
+
+    def test_j3tot_independent_of_memory_layout(self):
+        _, bundle = nz2_jm(PARAMS, np.linspace(0.0, 40.0, 81), return_sectors=True)
+        c_ordered = dataclasses.replace(
+            bundle, p_plus=np.ascontiguousarray(bundle.p_plus),
+            p_minus=np.ascontiguousarray(bundle.p_minus),
+        )
+        f_ordered = dataclasses.replace(
+            bundle, p_plus=np.asfortranarray(bundle.p_plus),
+            p_minus=np.asfortranarray(bundle.p_minus),
+        )
+        assert f_ordered.p_plus.flags.f_contiguous and not f_ordered.p_plus.flags.c_contiguous
+        np.testing.assert_array_equal(j3tot_expectation(f_ordered), j3tot_expectation(c_ordered))
 
     def test_j3tot_requires_populations(self):
         _, bundle = tcl2_coherence_m(PARAMS, T, return_sectors=True)
@@ -277,3 +293,33 @@ class TestSharedKernelsAtResonance:
             np.testing.assert_allclose(pair, pair[0], rtol=0, atol=1e-15)
             pairs += 1
         assert pairs == b.two_m.size - len(set(two_j.tolist()))
+
+
+def _resonant_or_generic_params(data):
+    """N <= 40, either sign of A, omega0 and p0; half the draws sit at Omega_+(m) = 0."""
+    n = data.draw(st.integers(1, 40), label="N")
+    magnitude = data.draw(st.floats(0.01, 0.3), label="|A|")
+    p0 = data.draw(st.floats(0.0, 1.0), label="p0")
+    radius = data.draw(st.floats(0.0, 1.0), label="|coh| / sqrt(p0 (1 - p0))")
+    phase = data.draw(st.floats(0.0, 2.0 * math.pi), label="arg coh")
+    coh = radius * math.sqrt(p0 * (1.0 - p0)) * complex(math.cos(phase), math.sin(phase))
+    two_ms = [m for m in range(-n, n + 1, 2) if m + 1 != 0]
+    if data.draw(st.booleans(), label="resonant") and two_ms:
+        two_m = data.draw(st.sampled_from(two_ms), label="resonant two_m")
+        a = -math.copysign(magnitude, two_m + 1)
+        omega0 = -(2.0 * a * (two_m + 1.0))  # Omega_+(m) == 0 bit for bit
+    else:
+        a = data.draw(st.sampled_from([-1.0, 1.0]), label="sign A") * magnitude
+        omega0 = data.draw(st.floats(0.1, 3.0), label="omega0")
+    return SystemParams(N=n, A=a, omega0=omega0, initial_p_plus=p0, initial_coh=coh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nz2_default_route_is_exact_hypothesis(data):
+    p = _resonant_or_generic_params(data)
+    t = np.linspace(0.0, 20.0, 81)
+    np.testing.assert_allclose(
+        nz2_jm(p, t).p_plus, exact_population_plus(p, t).p_plus, rtol=0, atol=1e-12
+    )
+    assert nz2_coherence_m(p, t).coh[0] == complex(p.initial_coh)

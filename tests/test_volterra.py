@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spinstar import masters
+from spinstar.sectors import SystemParams, coupling_from_alpha
 from spinstar.volterra import (
     KernelSpec,
     NumericsError,
@@ -213,3 +215,84 @@ class TestValidation:
                 np.zeros((2, 2), dtype=complex),
                 T_GRID,
             )
+
+
+class TestSpectralRoute:
+    """opts=None on kernels with amplitudes >= 0 and imaginary rates: exact eigensolve."""
+
+    def test_cosine_kernel_laplace_oracle(self):
+        big_k, omega = 0.7, 1.3
+        x = solve_volterra(1.0, cosine_spec(big_k, omega), T_GRID)
+        expected = cosine_kernel_solution(1.0, big_k, omega, T_GRID)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("solver", ["nz2_population_m", "nz2_coherence_m"])
+    def test_production_nz2_m_kernel_matches_rk4_and_quadrature(self, solver):
+        p = SystemParams(N=21, A=coupling_from_alpha(21, 1.0, 0.5), omega0=1.0,
+                         initial_p_plus=0.8, initial_coh=0.3 + 0.2j)
+        t = np.linspace(0.0, 10.0, 101)
+        run = getattr(masters, solver)
+        field = "p_plus" if solver == "nz2_population_m" else "coh"
+        spectral = getattr(run(p, t), field)
+        rk4 = getattr(run(p, t, opts=SolveOptions(step=0.001)), field)
+        quad = getattr(run(p, t, opts=SolveOptions(step=0.001, method="quadrature")), field)
+        np.testing.assert_allclose(spectral, rk4, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spectral, quad, rtol=0, atol=1e-8)
+
+    def test_geometric_grid_agrees_with_uniform_grid(self):
+        spec = KernelSpec(terms=((0.02, 1.2j), (0.05, -0.8j), (0.3, 0.0j)))
+        uniform = 0.1 * np.arange(65)
+        geometric = np.concatenate(([0.0], 0.1 * 2.0 ** np.arange(7)))  # 0.1 .. 6.4
+        xu = solve_volterra(0.5 + 0.5j, spec, uniform)
+        xg = solve_volterra(0.5 + 0.5j, spec, geometric)
+        shared = np.searchsorted(uniform, geometric)
+        np.testing.assert_array_equal(uniform[shared], geometric)
+        np.testing.assert_array_equal(xg, xu[shared])
+
+    def test_zero_kernel_is_exactly_constant(self):
+        spec = KernelSpec(terms=((0.0, 1.3j), (0.0, -0.4j)))
+        np.testing.assert_array_equal(solve_volterra(1.7 - 0.3j, spec, T_GRID), 1.7 - 0.3j)
+
+    @pytest.mark.parametrize("terms", [((2.3, 0j),), ((1.15, 0j), (1.15, 0j))])
+    def test_exact_resonance_gives_cosine(self, terms):
+        # k(tau) = 2.3 at w = 0, also split into two degenerate terms
+        x = solve_volterra(1.0, KernelSpec(terms=terms), T_GRID)
+        np.testing.assert_allclose(x, np.cos(np.sqrt(2.3) * T_GRID), rtol=0, atol=1e-14)
+
+    def test_zero_amplitude_terms_drop_out(self):
+        base = cosine_spec(0.7, 1.3)
+        padded = KernelSpec(terms=base.terms + ((0.0, 0.7j), (0.0, 0j)))
+        np.testing.assert_allclose(
+            solve_volterra(1.0, padded, T_GRID), solve_volterra(1.0, base, T_GRID),
+            rtol=0, atol=1e-14,
+        )
+
+    def test_initial_value_is_bit_exact(self):
+        x0 = np.array([0.3 - 0.7j, -1.1 + 0.2j, 1e-300 + 0j])
+        amps = np.array([[0.35, 0.35], [0.02, 0.05], [5.0, 0.0]], dtype=complex)
+        rates = np.array([[1.3j, -1.3j], [1.2j, -0.8j], [0j, 2j]])
+        x = solve_volterra_batch(x0, amps, rates, T_GRID)
+        np.testing.assert_array_equal(x[:, 0], x0)
+
+    @pytest.mark.parametrize("terms", [((0.3, -0.2 + 1.0j),), ((-0.3, 1.0j), (0.2, -1.0j)),
+                                       ((0.3 + 0.1j, 1.0j),)])
+    def test_other_kernels_keep_the_rk4_default(self, terms):
+        spec = KernelSpec(terms=terms)
+        np.testing.assert_array_equal(
+            solve_volterra(0.5 + 0.5j, spec, T_GRID),
+            solve_volterra(0.5 + 0.5j, spec, T_GRID, SolveOptions()),
+        )
+
+    def test_non_orthonormal_eigenvectors_raise(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed(h):
+            lam, vec = eigh(h)
+            return lam, 1.01 * vec
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(NumericsError, match="weight-sum") as info:
+            solve_volterra(1.0, cosine_spec(0.7, 1.3), T_GRID)
+        assert info.value.route == "spectral"
+        assert info.value.error == pytest.approx(0.0201, rel=1e-6)
+        assert info.value.step is None and info.value.halvings is None
