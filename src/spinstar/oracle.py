@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SystemParams
-from .trajectory import Trajectory, _validate_times
+from .trajectory import Trajectory, _time_chunks, _validate_times
 from .volterra import SolveOptions, integrate_linear_ode
 
 __all__ = [
@@ -40,7 +40,8 @@ __all__ = [
     "check_plp_zero",
 ]
 
-#: hard cap for the blockwise spectral route (largest block ~6.4k states)
+#: hard cap for the blockwise spectral route (largest block ~6.4k states);
+#: 1001 times on one BLAS thread take 14 s at N = 12, 448 s and 4.5 GB at N = 14
 MAX_BATH_SPINS = 14
 #: cap for the diagnostics that build full 2^(N+1)-dimensional matrices
 MAX_DENSE_BATH_SPINS = 8
@@ -53,8 +54,6 @@ def _check_couplings(N: int, couplings) -> np.ndarray | None:
     if c.shape != (N,) or not np.all(np.isfinite(c)):
         raise ValueError(f"couplings must be a finite array of length N = {N}")
     return c
-
-_TIME_CHUNK = 2048
 
 
 class CapacityError(ValueError):
@@ -188,12 +187,18 @@ def _build_blocks(params: SystemParams, couplings=None) -> dict[int, _Block]:
 def _phase_sum(times, e_left, w, e_right) -> np.ndarray:
     """sum_{kl} e^{-i E^L_k t} W[k,l] e^{+i E^R_l t}, chunked over times."""
     out = np.empty(times.size, dtype=complex)
-    for lo in range(0, times.size, _TIME_CHUNK):
-        t = times[lo : lo + _TIME_CHUNK]
-        ph_l = np.exp(-1j * np.multiply.outer(t, e_left))
-        ph_r = np.exp(1j * np.multiply.outer(t, e_right))
-        out[lo : lo + _TIME_CHUNK] = np.einsum("tk,kl,tl->t", ph_l, w, ph_r)
+    for sl in _time_chunks(times.size, 16 * max(e_left.size, e_right.size)):
+        ph_l = np.exp(-1j * np.multiply.outer(times[sl], e_left))
+        ph_r = np.exp(1j * np.multiply.outer(times[sl], e_right))
+        out[sl] = np.add.reduce((ph_l @ w) * ph_r, axis=1)
     return out
+
+
+def _block_weights(blk: _Block, w_up: float, w_dn: float):
+    """(initial weights, Q_up, Q_dn) of a block in its eigenbasis, Q = V^H V per half."""
+    q_up = blk.v_up.conj().T @ blk.v_up
+    q_dn = blk.v_dn.conj().T @ blk.v_dn
+    return w_up * q_up + w_dn * q_dn, q_up, q_dn
 
 
 @dataclass
@@ -261,96 +266,54 @@ def propagate(
     w_up = params.initial_p_plus / (1 << N)
     w_dn = (1.0 - params.initial_p_plus) / (1 << N)
     coh0 = complex(params.initial_coh)
+    scale = coh0 / (1 << N)
     frame = np.exp(1j * params.omega0 * t)
 
-    two_ms = np.arange(-N, N + 1, 2)
-    pop_plus = np.zeros((two_ms.size, t.size))
-    pop_minus = np.zeros((two_ms.size, t.size))
-    coh_m = np.zeros((two_ms.size, t.size), dtype=complex)
-
-    weight_mix = {}  # per block: eigenbasis matrix of the (bath-mixed) initial weights
-    for b, blk in blocks.items():
-        q_up = blk.v_up.conj().T @ blk.v_up
-        q_dn = blk.v_dn.conj().T @ blk.v_dn
-        wm = w_up * q_up + w_dn * q_dn
-        weight_mix[b] = wm
-        e = blk.energies
-        if -N <= b <= N:
-            s = (b + N) // 2
-            pop_plus[s] = _phase_sum(t, e, wm * q_up.conj(), e).real
-        if -N <= b + 2 <= N:
-            s = (b + 2 + N) // 2
-            pop_minus[s] = _phase_sum(t, e, wm * q_dn.conj(), e).real
-
-    scale = coh0 / (1 << N)
-    if coh0 != 0.0:
-        for s, tm in enumerate(two_ms):
-            blk_l = blocks.get(int(tm))  # |+> side lives in this block
-            blk_r = blocks.get(int(tm) - 2)  # |-> side of the same bath sector
-            if blk_l is None or blk_r is None or blk_l.v_up.size == 0:
-                continue
-            x = blk_l.v_up.conj().T @ blk_r.v_dn
-            coh_m[s] = scale * _phase_sum(
-                t, blk_l.energies, (x * x.conj()), blk_r.energies
-            ) * frame
-
-    result = OracleResult(
-        times=t,
-        p_plus=np.add.reduce(pop_plus, axis=0),
-        p_minus=np.add.reduce(pop_minus, axis=0),
-        coh=np.add.reduce(coh_m, axis=0),
-        params=params,
-    )
-    if resolve == "m":
-        result.sector_two_m = two_ms
-        result.sector_p_plus = pop_plus
-        result.sector_p_minus = pop_minus
-        result.sector_coh = coh_m
-    elif resolve == "jm":
-        _resolve_jm(params, t, states, blocks, weight_mix, frame, result)
-    return result
-
-
-def _resolve_jm(params, t, states, blocks, weight_mix, frame, result: OracleResult):
-    N = params.N
-    coh0 = complex(params.initial_coh)
-    scale = coh0 / (1 << N)
     tjs, tms, pp, pm, cc = [], [], [], [], []
+    below = _block_weights(blocks[-N - 2], w_up, w_dn)
     for tm in range(-N, N + 1, 2):
-        eigblocks = _j2_eigenblocks(N, tm, states)
-        blk_l = blocks.get(tm)  # |+> rows carry bath sector tm
-        blk_r = blocks.get(tm - 2)  # |-> rows carry bath sector tm
-        for tj, xj in sorted(eigblocks.items()):
-            y_up = xj.conj().T @ blk_l.v_up if blk_l is not None else None
-            y_dn = xj.conj().T @ blk_r.v_dn if blk_r is not None else None
+        # bath sector tm sits on the |+> rows of block tm and the |-> rows of block tm - 2
+        up, dn = blocks[tm], blocks[tm - 2]
+        here = _block_weights(up, w_up, w_dn)
+        (wm_up, q_sec_up, _), (wm_dn, _, q_sec_dn) = here, below
+        x = up.v_up.conj().T @ dn.v_dn
+        if resolve == "jm":
+            projectors = sorted(_j2_eigenblocks(N, tm, states).items())
+        else:
+            projectors = [(None, None)]
+        for tj, xj in projectors:
+            if xj is None:  # the whole sector
+                q_up, q_dn, z = q_sec_up, q_sec_dn, x
+            else:
+                y_up, y_dn = xj.conj().T @ up.v_up, xj.conj().T @ dn.v_dn
+                q_up, q_dn, z = y_up.conj().T @ y_up, y_dn.conj().T @ y_dn, y_up.conj().T @ y_dn
             tjs.append(tj)
             tms.append(tm)
-            if y_up is not None:
-                q = y_up.conj().T @ y_up
-                pp.append(_phase_sum(t, blk_l.energies, weight_mix[tm] * q.conj(),
-                                     blk_l.energies).real)
-            else:
-                pp.append(np.zeros(t.size))
-            if y_dn is not None:
-                q = y_dn.conj().T @ y_dn
-                pm.append(_phase_sum(t, blk_r.energies, weight_mix[tm - 2] * q.conj(),
-                                     blk_r.energies).real)
-            else:
-                pm.append(np.zeros(t.size))
-            if coh0 != 0.0 and y_up is not None and y_dn is not None:
-                x = blk_l.v_up.conj().T @ blk_r.v_dn
-                z = y_up.conj().T @ y_dn
-                cc.append(scale * _phase_sum(t, blk_l.energies, x * z.conj(),
-                                             blk_r.energies) * frame)
+            pp.append(_phase_sum(t, up.energies, wm_up * q_up.conj(), up.energies).real)
+            pm.append(_phase_sum(t, dn.energies, wm_dn * q_dn.conj(), dn.energies).real)
+            if coh0 != 0.0:
+                cc.append(scale * _phase_sum(t, up.energies, x * z.conj(), dn.energies) * frame)
             else:
                 cc.append(np.zeros(t.size, dtype=complex))
-    # canonical sector order: ascending two_j, then ascending two_m
-    order = np.lexsort((np.asarray(tms), np.asarray(tjs)))
-    result.sector_two_j = np.asarray(tjs, dtype=np.int64)[order]
-    result.sector_two_m = np.asarray(tms, dtype=np.int64)[order]
-    result.sector_p_plus = np.asarray(pp)[order]
-    result.sector_p_minus = np.asarray(pm)[order]
-    result.sector_coh = np.asarray(cc)[order]
+        below = here
+
+    pp, pm, cc = np.asarray(pp), np.asarray(pm), np.asarray(cc)
+    result = OracleResult(
+        times=t,
+        p_plus=np.add.reduce(pp, axis=0),
+        p_minus=np.add.reduce(pm, axis=0),
+        coh=np.add.reduce(cc, axis=0),
+        params=params,
+    )
+    if resolve != "none":
+        # canonical sector order: ascending two_j, then ascending two_m
+        order = np.lexsort((tms, tjs)) if resolve == "jm" else np.arange(len(tms))
+        result.sector_two_j = None if resolve == "m" else np.asarray(tjs, dtype=np.int64)[order]
+        result.sector_two_m = np.asarray(tms, dtype=np.int64)[order]
+        result.sector_p_plus = pp[order]
+        result.sector_p_minus = pm[order]
+        result.sector_coh = cc[order]
+    return result
 
 
 def oracle_trajectory(params: SystemParams, times) -> Trajectory:

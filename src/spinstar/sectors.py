@@ -89,8 +89,9 @@ class SystemParams:
     initial_coh: complex = 0.0j
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
+        if not math.isfinite(self.N) or int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be an integer >= 1, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
         if not (self.omega0 > 0.0) or not math.isfinite(self.omega0):
             raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
         if not math.isfinite(self.A):
@@ -294,15 +295,17 @@ def two_m_values(N: int) -> np.ndarray:
     return np.arange(-N, N + 1, 2, dtype=np.int64)
 
 
+def _two_j_values(N: int) -> np.ndarray:
+    """All ``two_j`` labels for a bath of N spins, ascending."""
+    return np.arange(N % 2, N + 1, 2, dtype=np.int64)
+
+
 def jm_sector_table(N: int) -> tuple[np.ndarray, np.ndarray]:
     """(two_j, two_m) arrays over all (j, m) sectors, ascending two_j then two_m."""
-    two_j = []
-    two_m = []
-    for tj in range(N % 2, N + 1, 2):
-        for tm in range(-tj, tj + 1, 2):
-            two_j.append(tj)
-            two_m.append(tm)
-    return np.asarray(two_j, dtype=np.int64), np.asarray(two_m, dtype=np.int64)
+    tjs = _two_j_values(N)
+    two_j = np.repeat(tjs, tjs + 1)
+    first = np.repeat(np.cumsum(tjs + 1) - (tjs + 1), tjs + 1)  # table index of m = -j
+    return two_j, 2 * (np.arange(two_j.size) - first) - two_j
 
 
 def weights_m_array(N: int) -> np.ndarray:
@@ -319,7 +322,7 @@ def weights_m_array(N: int) -> np.ndarray:
 
 def prob_j_array(N: int) -> np.ndarray:
     """p(j) for two_j = N%2, N%2+2, ..., N (ascending)."""
-    tjs = np.arange(N % 2, N + 1, 2, dtype=np.int64)
+    tjs = _two_j_values(N)
     if N <= EXACT_BINOMIAL_MAX_N:
         denom = 1 << N
         return np.array(
@@ -335,15 +338,13 @@ def prob_j_array(N: int) -> np.ndarray:
 
 def weights_jm_array(N: int) -> np.ndarray:
     """Weights N_j / 2^N = p(j)/(2j+1) aligned with ``jm_sector_table(N)``."""
-    two_j, _ = jm_sector_table(N)
+    tjs = _two_j_values(N)
     if N <= EXACT_BINOMIAL_MAX_N:
         denom = 1 << N
-        cache = {
-            tj: float(Fraction(multiplicity_j(N, tj), denom))
-            for tj in range(N % 2, N + 1, 2)
-        }
-        return np.array([cache[int(t)] for t in two_j])
-    return np.exp(_log_multiplicity_j(float(N), two_j) - N * _LOG2)
+        w = np.array([float(Fraction(multiplicity_j(N, int(tj)), denom)) for tj in tjs])
+    else:
+        w = np.exp(_log_multiplicity_j(float(N), tjs) - N * _LOG2)
+    return np.repeat(w, tjs + 1)
 
 
 @dataclass(frozen=True)

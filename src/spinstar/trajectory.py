@@ -10,6 +10,12 @@ from .sectors import SystemParams
 
 __all__ = ["Trajectory", "SectorSeries", "ErrorReport", "compare_trajectories"]
 
+#: bytes allowed for one complex (rows, chunk) temporary of a chunked sum over times.
+#: Kept below 8 MiB: freeing a larger block raises glibc's dynamic mmap threshold
+#: above the 8 MB temporaries of bench/child.py's host calibration, which then
+#: come from the heap, run faster and skew every calibrated timing.
+_CHUNK_BYTES = 4 * 2**20
+
 
 def _validate_times(times) -> np.ndarray:
     """``times`` as floats; ValueError unless non-empty, 1-D, finite and strictly increasing."""
@@ -21,6 +27,13 @@ def _validate_times(times) -> np.ndarray:
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("times must be strictly increasing")
     return t
+
+
+def _time_chunks(n_times: int, bytes_per_time: int):
+    """Slices covering range(n_times) whose length times ``bytes_per_time`` fits _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // bytes_per_time)
+    for lo in range(0, n_times, step):
+        yield slice(lo, min(lo + step, n_times))
 
 
 @dataclass

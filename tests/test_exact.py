@@ -1,17 +1,17 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from spinstar import exact
-from spinstar.exact import (
-    exact_coherence,
-    exact_population_plus,
-    exact_trajectory,
-    population_survival,
-)
+from spinstar import exact, trajectory
+from spinstar.exact import exact_coherence, exact_population_plus, exact_trajectory
 from spinstar.oracle import propagate
-from spinstar.sectors import SystemParams, jm_sector_table, sector_family, weights_jm_array
+from spinstar.sectors import SystemParams, sector_family
 
 
 def two_spin_survival(A, omega0, t):
@@ -71,19 +71,6 @@ class TestSurvival:
             mix.p_plus, 0.3 * up.p_plus + 0.7 * dn.p_plus, rtol=0, atol=1e-15
         )
 
-    def test_sector_truncation_bound(self):
-        # dropping sectors changes the result by at most the dropped weight:
-        # every deficit term is w * 4A^2 b (sin mu t / mu)^2 <= w
-        p = SystemParams(N=12, A=0.3, omega0=1.0)
-        t = np.linspace(0.0, 25.0, 501)
-        tj, _ = jm_sector_table(12)
-        w = weights_jm_array(12)
-        mask = tj >= 6
-        full = population_survival(p, t, +1)
-        trunc = population_survival(p, t, +1, sector_mask=mask)
-        dropped = float(np.sum(w[~mask]))
-        assert np.max(np.abs(full - trunc)) <= dropped + 1e-15
-
 
 class TestCoherence:
     def test_initial_value_is_exact(self):
@@ -121,12 +108,26 @@ class TestCoherence:
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("N", [1, 2, 4, 6])
-    def test_full_trajectory(self, N):
+    @pytest.mark.parametrize(
+        "N, A, omega0, geometric",
+        [
+            pytest.param(1, 0.13, 0.9, False, id="1"),
+            pytest.param(2, 0.13, 0.9, False, id="2"),
+            pytest.param(4, 0.13, 0.9, False, id="4"),
+            pytest.param(6, 0.13, 0.9, False, id="6"),
+            # Omega_+ = 0 exactly, and mu = 0 at (j, m) = (1/2, 1/2)
+            pytest.param(3, -0.25, 1.0, False, id="3-resonant"),
+            pytest.param(1, 0.13, 0.9, True, id="1-geometric"),
+        ],
+    )
+    def test_full_trajectory(self, N, A, omega0, geometric):
         p = SystemParams(
-            N=N, A=0.13, omega0=0.9, initial_p_plus=0.35, initial_coh=0.2 - 0.3j
+            N=N, A=A, omega0=omega0, initial_p_plus=0.35, initial_coh=0.2 - 0.3j
         )
-        t = np.linspace(0.0, 10.0, 101)
+        if geometric:
+            t = np.concatenate([[0.0], np.geomspace(0.01, 40.0, 100)])
+        else:
+            t = np.linspace(0.0, 10.0, 101)
         got = exact_trajectory(p, t)
         ref = propagate(p, t)
         np.testing.assert_allclose(got.p_plus, ref.p_plus, rtol=0, atol=1e-13)
@@ -147,6 +148,49 @@ def test_trajectory_builds_one_sector_table(monkeypatch):
     assert calls == ["jm"]
     np.testing.assert_array_equal(traj.p_plus, exact_population_plus(p, t).p_plus)
     np.testing.assert_array_equal(traj.coh, exact_coherence(p, t).coh)
+
+
+def test_time_chunks_do_not_change_the_result(monkeypatch):
+    p = SystemParams(N=7, A=0.21, omega0=1.3, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
+    t = np.linspace(0.0, 20.0, 60)
+    whole = exact_trajectory(p, t)
+    n_sectors = sector_family(p, "jm").w.size
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * n_sectors * 7)  # 7 times per chunk
+    assert len(list(trajectory._time_chunks(t.size, 16 * n_sectors))) == 9
+    chunked = exact_trajectory(p, t)
+    np.testing.assert_allclose(chunked.p_plus, whole.p_plus, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(chunked.coh, whole.coh, rtol=0, atol=1e-15)
+
+
+_CAPPED_CHILD = textwrap.dedent(
+    """
+    import numpy as np
+    from spinstar.exact import exact_trajectory
+    from spinstar.sectors import SystemParams
+
+    p = SystemParams(N=400, A=0.5 / 800, omega0=1.0, initial_p_plus=0.7, initial_coh=0.25 - 0.1j)
+    traj = exact_trajectory(p, 0.5 * np.arange(512))
+    assert traj.p_plus[0] == 0.7 and traj.coh[0] == 0.25 - 0.1j
+    """
+)
+
+
+def test_large_bath_fits_a_memory_cap():
+    # 40401 (j, m) sectors x 512 times: a (sectors, times) complex temporary
+    # alone is 331 MB, so this passes only if the sector sums are chunked
+    cap = 512 * 2**20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD], env=env, preexec_fn=limit_address_space,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestValidation:

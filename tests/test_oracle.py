@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spinstar.oracle
+import spinstar.trajectory
 
 from spinstar.oracle import (
     MAX_BATH_SPINS,
@@ -124,12 +125,30 @@ class TestPropagation:
         t = np.linspace(0.0, 15.0, 31)
         res_m = propagate(p, t, resolve="m")
         res_jm = propagate(p, t, resolve="jm")
+        res = propagate(p, t)
+        for name in ("p_plus", "p_minus", "coh"):  # jm totals are sums over the jm sectors
+            np.testing.assert_allclose(
+                getattr(res_jm, name), getattr(res, name), rtol=0, atol=1e-13
+            )
         for i, tm in enumerate(res_m.sector_two_m):
             rows = res_jm.sector_two_m == tm
             np.testing.assert_allclose(
                 np.sum(res_jm.sector_p_plus[rows], axis=0),
                 res_m.sector_p_plus[i],
                 atol=1e-12,
+            )
+
+    def test_time_chunks_do_not_change_the_result(self, monkeypatch):
+        p = SystemParams(
+            N=4, A=0.18, omega0=1.0, initial_p_plus=0.65, initial_coh=0.3 - 0.2j
+        )
+        t = np.linspace(0.0, 15.0, 60)
+        whole = propagate(p, t, resolve="jm")
+        monkeypatch.setattr(spinstar.trajectory, "_CHUNK_BYTES", 16 * 10 * 7)
+        chunked = propagate(p, t, resolve="jm")  # blocks of dimension 10: 7 times per chunk
+        for name in ("p_plus", "p_minus", "coh", "sector_p_plus", "sector_p_minus", "sector_coh"):
+            np.testing.assert_allclose(
+                getattr(chunked, name), getattr(whole, name), rtol=0, atol=1e-15
             )
 
     def test_trajectory_wrapper(self):

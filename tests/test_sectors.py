@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinstar.exact import exact_trajectory
 from spinstar.sectors import (
     EXACT_BINOMIAL_MAX_N,
     SectorJM,
@@ -42,6 +43,15 @@ class TestSystemParams:
             SystemParams(N=2, A=np.inf, omega0=1.0)
         with pytest.raises(ValueError):
             SystemParams(N=2, A=0.1, omega0=1.0, initial_p_plus=1.5)
+        for bad_n in (np.inf, np.nan, 2.5):
+            with pytest.raises(ValueError):
+                SystemParams(N=bad_n, A=0.1, omega0=1.0)
+        # integral floats and numpy integers are stored as int
+        kw = dict(A=0.1, omega0=1.0, initial_p_plus=0.5, initial_coh=0.1)
+        p = SystemParams(N=2.0, **kw)
+        assert p == SystemParams(N=2, **kw)
+        assert type(p.N) is int and type(SystemParams(N=np.int64(3), A=0.1, omega0=1.0).N) is int
+        exact_trajectory(p, np.linspace(0.0, 1.0, 5))
 
     def test_nonpositive_initial_state_warns_but_propagates(self):
         # |coh|^2 > p(1-p) is Hermitian but not PSD; accepted with a warning
@@ -230,7 +240,7 @@ def test_sector_table_consistency_hypothesis(N, idx):
     assert keys == sorted(set(keys))
 
 
-@pytest.mark.parametrize("N", [1, 2, 5, 8])
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 60, 61])
 def test_sector_family_matches_scalar_api(N):
     """The shared m/jm table against the scalar sector functions, sector by sector."""
     p = params(N=N, A=-0.13, omega0=0.9, initial_p_plus=0.35)
