@@ -454,14 +454,43 @@ def _apply_projection(pairs, x: np.ndarray, N: int, adjoint: bool = False) -> np
     return out.reshape(2 * d, 2 * d)
 
 
+def _min_choi_eigenvalue(pairs, N: int) -> float:
+    """Smallest eigenvalue of the Choi matrix sum_i B_i^T (x) A_i, block by block.
+
+    Asserts that no A_i or B_i has weight outside the bath J_3 sector blocks.
+    The Choi matrix is then block diagonal over sector pairs (S_x, S_y), with
+    the block sum_i B_i[S_x, S_x]^T (x) A_i[S_y, S_y] of size |S_x| |S_y|.
+    All blocks, zero blocks included, carry the 4^N eigenvalues between them.
+    """
+    sectors = _sector_states(N).values()
+    two_m = N - 2 * _popcounts(N)
+    outside = two_m[:, None] != two_m[None, :]
+    if any(np.any(a_i[outside]) or np.any(b_i[outside]) for a_i, b_i in pairs):
+        raise AssertionError("projection family is not block diagonal in the bath J_3 sectors")
+    a_blocks = [np.stack([a_i[np.ix_(s, s)] for a_i, _ in pairs]) for s in sectors]
+    b_blocks = [np.stack([b_i[np.ix_(s, s)] for _, b_i in pairs]) for s in sectors]
+    lowest = np.inf
+    for bx in b_blocks:
+        for ay in a_blocks:
+            # kron(B^T, A)[(p, q), (r, s)] = B[r, p] A[q, s], summed over the pairs
+            block = np.tensordot(bx, ay, axes=(0, 0)).transpose(1, 2, 0, 3)
+            n = bx.shape[1] * ay.shape[1]
+            lowest = min(lowest, np.linalg.eigvalsh(block.reshape(n, n))[0])
+    return float(lowest)
+
+
 @dataclass
 class ProjectionConditionReport:
     """Numerical residuals of the projection consistency conditions.
 
     ``idempotency_defect``: max |tr(B_i A_j) - delta_ij|.
     ``trace_defect``: max-norm of sum_i tr(A_i) B_i - I.
-    ``min_choi_eigenvalue``: smallest eigenvalue of sum_i B_i^T (x) A_i
-    (non-negative iff the projection is completely positive).
+    ``min_choi_eigenvalue``: smallest eigenvalue of the Choi matrix
+    sum_i B_i^T (x) A_i (non-negative iff the projection is completely
+    positive).  Every A_i and B_i is block diagonal in the bath J_3 sectors,
+    so the Choi matrix is block diagonal over sector pairs (S_x, S_y) and the
+    minimum is taken over the spectra of those blocks (at most
+    C(N, N/2)^2 = 400 states each at N = 6).
     ``j3_invariance_defect``: max-norm of P^dagger(J_3^tot) - J_3^tot.
     ``j2_invariance_defect``: same for the bath J^2 (expected zero only for
     the jm family).
@@ -481,7 +510,8 @@ def check_projection_conditions(
     """Verify the defining conditions of a projection family numerically."""
     if N > 6:
         raise CapacityError(
-            "projection condition checks build the Choi matrix; N <= 6 only"
+            "projection condition checks diagonalize the Choi matrix in bath J_3 "
+            "sector-pair blocks of up to C(N, N/2)^2 states; N <= 6 only"
         )
     pairs = projection_family(N, family, corrupt_normalization)
     d = 1 << N
@@ -496,8 +526,7 @@ def check_projection_conditions(
     resolution = sum(np.trace(a_i).real * b_i for a_i, b_i in pairs)
     trace_defect = float(np.max(np.abs(resolution - np.eye(d))))
 
-    choi = sum(np.kron(b_i.T, a_i) for a_i, b_i in pairs)
-    min_eig = float(np.linalg.eigvalsh(choi)[0])
+    min_eig = _min_choi_eigenvalue(pairs, N)
 
     states = _sector_states(N)
     two_m = N - 2 * _popcounts(N)

@@ -64,6 +64,9 @@ EXACT_BINOMIAL_MAX_N = 4096
 
 _LOG2 = math.log(2.0)
 
+#: rounding slack of the positivity test |coh|^2 <= p(1-p) on the initial state
+_PSD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -102,7 +105,7 @@ class SystemParams:
         c = complex(self.initial_coh)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("initial_coh must be finite")
-        if abs(c) ** 2 > p * (1.0 - p) + 1e-12:
+        if not self.is_physical:
             warnings.warn(
                 "initial state is not positive semidefinite "
                 f"(|coh|^2 = {abs(c)**2:.3g} > p(1-p) = {p*(1.0-p):.3g}); "
@@ -114,7 +117,7 @@ class SystemParams:
     def is_physical(self) -> bool:
         """True if (initial_p_plus, initial_coh) describes a valid qubit state."""
         c = abs(complex(self.initial_coh)) ** 2
-        return c <= self.initial_p_plus * (1.0 - self.initial_p_plus) + 1e-15
+        return c <= self.initial_p_plus * (1.0 - self.initial_p_plus) + _PSD_TOL
 
     @property
     def rho_s0(self) -> np.ndarray:

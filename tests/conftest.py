@@ -1,0 +1,32 @@
+import os
+import resource
+import subprocess
+import sys
+
+import pytest
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+@pytest.fixture
+def run_capped():
+    """Run Python source in a child process whose address space is capped at ``cap_mib`` MiB.
+
+    The cap (RLIMIT_AS) is set in the child only, and BLAS runs on one thread
+    so its buffers do not scale with the core count.
+    """
+
+    def run(source: str, cap_mib: int) -> subprocess.CompletedProcess:
+        cap = cap_mib * 2**20
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-c", source], env=env, preexec_fn=limit_address_space,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    return run

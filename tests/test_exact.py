@@ -1,8 +1,4 @@
 import math
-import os
-import resource
-import subprocess
-import sys
 import textwrap
 
 import numpy as np
@@ -175,21 +171,10 @@ _CAPPED_CHILD = textwrap.dedent(
 )
 
 
-def test_large_bath_fits_a_memory_cap():
+def test_large_bath_fits_a_memory_cap(run_capped):
     # 40401 (j, m) sectors x 512 times: a (sectors, times) complex temporary
     # alone is 331 MB, so this passes only if the sector sums are chunked
-    cap = 512 * 2**20
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD], env=env, preexec_fn=limit_address_space,
-        capture_output=True, text=True, timeout=300,
-    )
+    proc = run_capped(_CAPPED_CHILD, cap_mib=512)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinstar.exact import exact_population_plus
+from spinstar.exact import exact_population_plus, exact_trajectory
 from spinstar.masters import (
     j3tot_expectation,
     nz2_coherence_m,
@@ -323,3 +323,29 @@ def test_nz2_default_route_is_exact_hypothesis(data):
         nz2_jm(p, t).p_plus, exact_population_plus(p, t).p_plus, rtol=0, atol=1e-12
     )
     assert nz2_coherence_m(p, t).coh[0] == complex(p.initial_coh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_solution_stays_positive_hypothesis(data):
+    # a physical initial state stays physical: |coh|^2 <= p(1-p) along the exact solution
+    p = _resonant_or_generic_params(data)
+    traj = exact_trajectory(p, np.linspace(0.0, 40.0, 161))
+    margin = np.abs(traj.coh) ** 2 - traj.p_plus * (1.0 - traj.p_plus)
+    assert np.max(margin) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_decoupled_bath_leaves_the_state_constant(n):
+    p = SystemParams(N=n, A=0.0, omega0=1.3, initial_p_plus=0.7, initial_coh=0.3 - 0.2j)
+    t = np.linspace(0.0, 30.0, 61)
+    trajs = [
+        exact_trajectory(p, t), tcl2_coherence_m(p, t), tcl2_population_m(p, t),
+        nz2_coherence_m(p, t), nz2_population_m(p, t), tcl2_jm(p, t), nz2_jm(p, t),
+    ]
+    for traj in trajs:
+        if traj.p_plus is not None:
+            np.testing.assert_allclose(traj.p_plus, 0.7, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(traj.p_minus, 0.3, rtol=0, atol=1e-15)
+        if traj.coh is not None:
+            np.testing.assert_allclose(traj.coh, 0.3 - 0.2j, rtol=0, atol=1e-15)

@@ -1,4 +1,5 @@
 import ast
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import spinstar.trajectory
 from spinstar.oracle import (
     MAX_BATH_SPINS,
     CapacityError,
+    _min_choi_eigenvalue,
     build_hamiltonian,
     check_plp_zero,
     check_projection_conditions,
@@ -203,6 +205,53 @@ class TestProjectionConditions:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             projection_family(2, "bogus")
+
+
+class TestBlockChoiSpectrum:
+    @staticmethod
+    def dense_min_eigenvalue(pairs):
+        return np.linalg.eigvalsh(sum(np.kron(b_i.T, a_i) for a_i, b_i in pairs))[0]
+
+    @pytest.mark.parametrize(
+        "N, family, kwargs",
+        [
+            (N, family, kwargs)
+            for N in (2, 4)
+            for family, kwargs in [
+                ("m", {}), ("jm", {}), ("product", {}), ("product", {"product_bath": "polarized"}),
+            ]
+        ]
+        + [(4, family, {"corrupt_normalization": True}) for family in ("m", "jm", "product")],
+    )
+    def test_matches_dense_reference(self, N, family, kwargs):
+        pairs = projection_family(N, family, **kwargs)
+        assert abs(_min_choi_eigenvalue(pairs, N) - self.dense_min_eigenvalue(pairs)) <= 1e-14
+
+    def test_weight_outside_the_sector_blocks_is_rejected(self):
+        d = 4  # N = 2: sectors {0}, {1, 2}, {3}
+        with pytest.raises(AssertionError, match="block diagonal"):
+            _min_choi_eigenvalue([(np.full((d, d), 1.0 / d), np.eye(d))], 2)
+        b = np.eye(d)
+        b[0, 3] = b[3, 0] = 0.5  # couples the all-up and all-down bath states
+        with pytest.raises(AssertionError, match="block diagonal"):
+            _min_choi_eigenvalue([(np.eye(d) / d, b)], 2)
+
+
+_CAPPED_CHILD = textwrap.dedent(
+    """
+    from spinstar.oracle import check_projection_conditions
+
+    rep = check_projection_conditions(6, "jm")
+    assert rep.min_choi_eigenvalue >= -1e-12 and rep.j2_invariance_defect <= 1e-10
+    """
+)
+
+
+def test_projection_check_fits_a_memory_cap(run_capped):
+    # the dense 4096 x 4096 Choi matrix is 128 MiB, and summing the krons
+    # needs three of them at once; the sector-pair blocks are at most 400^2
+    proc = run_capped(_CAPPED_CHILD, cap_mib=256)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 class TestFirstOrderTermVanishes:

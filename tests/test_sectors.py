@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,16 @@ class TestSystemParams:
             p = SystemParams(N=2, A=0.1, omega0=1.0, initial_p_plus=1.0,
                              initial_coh=0.5)
         assert not p.is_physical
+
+    @pytest.mark.parametrize("excess, physical", [(1e-13, True), (1e-11, False)])
+    def test_warning_agrees_with_is_physical(self, excess, physical):
+        # |coh|^2 exceeds p(1-p) = 1/4 by less / more than the rounding slack
+        coh = math.sqrt(0.25 + excess)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = SystemParams(N=2, A=0.1, omega0=1.0, initial_p_plus=0.5, initial_coh=coh)
+        assert p.is_physical is physical
+        assert len(caught) == (0 if physical else 1)
 
     def test_rho_s0(self):
         p = params(initial_p_plus=0.7, initial_coh=0.2 - 0.1j)
