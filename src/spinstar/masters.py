@@ -67,28 +67,40 @@ class SectorBundle:
     coh: np.ndarray | None
 
 
-def _resonance_eps(params: SystemParams) -> float:
-    return 1e-8 * max(params.omega0, abs(params.A) * params.N)
+# (x - sin x)/x^2 = x sum_k (-1)^k x^(2k)/(2k+3)!; eight terms reach rounding for |x| < 1
+_SIN_SERIES = (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 6227020800,
+               1 / 1307674368000, -1 / 355687428096000)
 
 
-def _coh_exponent_term(om, t, eps):
-    """g(Omega, t) = (1 - e^{i Omega t})/Omega^2 + i t/Omega, series limit at resonance."""
-    small = np.abs(om) < eps
-    om_safe = np.where(small, 1.0, om)[:, None]
-    x = om_safe * t[None, :]
-    full = (1.0 - np.exp(1j * x)) / om_safe**2 + 1j * t[None, :] / om_safe
-    series = 0.5 * t[None, :] ** 2 + (1j / 6.0) * om[:, None] * t[None, :] ** 3
-    return np.where(small[:, None], series, full)
+def _tcl2_exponent(terms, t, imag: bool) -> np.ndarray:
+    """sum over (coef, Omega) in terms of coef g(Omega, t), one (sectors, times) array.
 
-
-def _pop_exponent(coef, om, t, eps):
-    """Lambda = coef (1 - cos(Omega t)) / Omega^2, series limit coef t^2/2 at resonance."""
-    small = np.abs(om) < eps
-    om_safe = np.where(small, 1.0, om)[:, None]
-    full = coef[:, None] * (1.0 - np.cos(om_safe * t[None, :])) / om_safe**2
-    x2 = (om[:, None] * t[None, :]) ** 2
-    series = 0.5 * coef[:, None] * t[None, :] ** 2 * (1.0 - x2 / 12.0)
-    return np.where(small[:, None], series, full)
+    g(Omega, t) = int_0^t (t - u) e^{i Omega u} du = (1 - e^{i Omega t})/Omega^2 + i t/Omega.
+    With x = Omega t, Re g = (t^2/2) (sin(x/2)/(x/2))^2 has no cancellation and
+    Im g = t^2 (x - sin x)/x^2 takes its Taylor series where |x| < 1, element
+    by element, so both are accurate at and near Omega = 0.  With imag=False
+    only Re g is summed, into a real array.
+    """
+    lam = np.zeros((terms[0][0].size, t.size), complex if imag else float)
+    for coef, om in terms:
+        x = np.multiply.outer(om, t)
+        g = np.multiply(x, 0.5)
+        np.divide(np.sin(g), g, out=g, where=x != 0.0)
+        g[x == 0.0] = 1.0
+        g *= g
+        g *= (0.5 * coef)[:, None]
+        g *= t * t
+        lam.real += g
+        if imag:
+            small = np.abs(x) < 1.0
+            np.subtract(x, np.sin(x), out=g)
+            np.divide(g, x * x, out=g, where=~small)
+            xs = x[small]
+            g[small] = xs * np.polynomial.polynomial.polyval(xs * xs, _SIN_SERIES)
+            g *= coef[:, None]
+            g *= t * t
+            lam.imag += g
+    return lam
 
 
 def _frame_phase(params: SystemParams, two_m, t):
@@ -102,21 +114,26 @@ def _frame_phase(params: SystemParams, two_m, t):
 
 
 def _tcl2_coherence(params: SystemParams, fam: SectorFamily, t, sectors: bool):
-    """rho_{+-}(0) sum_s w_s exp[-2iA two_m t - Lambda^coh_s(t)]."""
-    eps = _resonance_eps(params)
-    lam = (fam.b_p[:, None] * _coh_exponent_term(fam.om_p, t, eps)
-           + fam.b_m[:, None] * _coh_exponent_term(-fam.om_m, t, eps))
-    factors = np.exp(-2j * params.A * fam.two_m[:, None] * t[None, :] - lam)
+    """rho_{+-}(0) sum_s w_s exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)]."""
+    f = _tcl2_exponent(((fam.b_p, fam.om_p), (fam.b_m, -fam.om_m)), t, imag=True)
+    f.imag += np.multiply.outer(2.0 * params.A * fam.two_m, t)
+    np.negative(f, out=f)
+    np.exp(f, out=f)
     coh0 = complex(params.initial_coh)
-    coh = coh0 * (1.0 + np.add.reduce(fam.w[:, None] * (factors - 1.0), axis=0))
-    return coh, (coh0 * fam.w[:, None] * factors if sectors else None)
+    sector_coh = coh0 * fam.w[:, None] * f if sectors else None
+    f -= 1.0
+    f *= fam.w[:, None]
+    return coh0 * (1.0 + np.add.reduce(f, axis=0)), sector_coh
 
 
 def _tcl2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool):
-    """steady + y0 exp(-Lambda^pop), Lambda^pop = pair_coef (1 - cos Omega_+ t)/Omega_+^2."""
-    lam = _pop_exponent(fam.pair_coef, fam.om_p, t, _resonance_eps(params))
-    p_plus = params.initial_p_plus + np.add.reduce(fam.y0[:, None] * np.expm1(-lam), axis=0)
-    return p_plus, (fam.steady[:, None] + fam.y0[:, None] * np.exp(-lam) if sectors else None)
+    """steady + y0 exp(-pair_coef Re g(Omega_+, t)), Re g = (1 - cos Omega_+ t)/Omega_+^2."""
+    lam = _tcl2_exponent(((fam.pair_coef, fam.om_p),), t, imag=False)
+    np.negative(lam, out=lam)
+    sector_p = fam.steady[:, None] + fam.y0[:, None] * np.exp(lam) if sectors else None
+    np.expm1(lam, out=lam)
+    lam *= fam.y0[:, None]
+    return params.initial_p_plus + np.add.reduce(lam, axis=0), sector_p
 
 
 def _coherence_totals(params: SystemParams, fam: SectorFamily, t, x):
@@ -309,13 +326,12 @@ def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _integrated_kernel(fam: SectorFamily, t, eps):
-    """int_0^t [B_+ e^{i Omega_+ s} + B_- e^{-i Omega_- s}] ds per sector, resonance-guarded."""
+def _integrated_kernel(fam: SectorFamily, t):
+    """int_0^t [B_+ e^{i Omega_+ s} + B_- e^{-i Omega_- s}] ds per sector."""
     out = 0.0
-    for b, om, i_sign in ((fam.b_p, fam.om_p, 1j), (fam.b_m, fam.om_m, -1j)):
-        small = np.abs(om) < eps
-        z = i_sign * np.where(small, 1.0, om)
-        out = out + np.where(small, b * t, b * (np.exp(z * t) - 1.0) / z)
+    for b, om in ((fam.b_p, fam.om_p), (fam.b_m, -fam.om_m)):
+        h = 0.5 * om * t  # int_0^t e^{i om s} ds = t e^{i h} sin(h)/h
+        out = out + b * t * np.exp(1j * h) * np.sinc(h / np.pi)
     return out
 
 
@@ -328,11 +344,10 @@ def tcl2_coherence_via_ode(
     closed form is derived rather than printed.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    eps = _resonance_eps(params)
     x0 = fam.w.astype(complex) * complex(params.initial_coh)
 
     def rhs(tt, x):
-        return -_integrated_kernel(fam, tt, eps) * x
+        return -_integrated_kernel(fam, tt) * x
 
     xs = integrate_linear_ode(x0, rhs, t, opts or SolveOptions(step=0.01))
     coh, _ = _coherence_totals(params, fam, t, xs.T)
@@ -344,11 +359,9 @@ def tcl2_population_via_ode(
 ) -> Trajectory:
     """Integrate the time-local TCL2 population equations directly."""
     t, fam = _validate_times(times), sector_family(params, family)
-    small = np.abs(fam.om_p) < _resonance_eps(params)
-    om = np.where(small, 1.0, fam.om_p)
 
     def rhs(tt, y):  # y' = -pair_coef sin(Omega_+ t)/Omega_+ y, y = P^s_+ - steady
-        return -fam.pair_coef * np.where(small, tt, np.sin(om * tt) / om) * y
+        return -fam.pair_coef * tt * np.sinc(fam.om_p * tt / np.pi) * y
 
     ys = integrate_linear_ode(fam.y0.astype(complex), rhs, t, opts or SolveOptions(step=0.01))
     p_plus = params.initial_p_plus + np.add.reduce(ys.real.T - fam.y0[:, None], axis=0)

@@ -336,7 +336,7 @@ def build_hamiltonian(params: SystemParams, couplings=None) -> np.ndarray:
     J_3^tot conservation) are asserted.  Memory grows as 4^(N+1); meant for
     diagnostics and small-N cross-checks, not production propagation.
     """
-    _require_capacity(params.N, MAX_BATH_SPINS, "the dense Hamiltonian")
+    _require_capacity(params.N, MAX_DENSE_BATH_SPINS, "the dense Hamiltonian")
     N, w0 = params.N, params.omega0
     a_k = _check_couplings(N, couplings)
     if a_k is None:

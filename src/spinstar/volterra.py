@@ -23,7 +23,7 @@ equations of the master solvers) as leading array dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,6 +10,7 @@ import spinstar.trajectory
 
 from spinstar.oracle import (
     MAX_BATH_SPINS,
+    MAX_DENSE_BATH_SPINS,
     CapacityError,
     _min_choi_eigenvalue,
     build_hamiltonian,
@@ -70,6 +71,11 @@ class TestHamiltonian:
         np.testing.assert_array_equal(
             build_hamiltonian(p), build_hamiltonian(p, couplings=[0.2] * 3)
         )
+
+    def test_capacity_guard(self):
+        # the dense 2^(N+1) matrix is capped like every other dense route
+        with pytest.raises(CapacityError):
+            build_hamiltonian(SystemParams(N=MAX_DENSE_BATH_SPINS + 1, A=0.1, omega0=1.0))
 
 
 class TestPropagation:
