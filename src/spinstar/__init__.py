@@ -16,7 +16,6 @@ from .masters import (
     tcl2_coherence_m,
     tcl2_jm,
     tcl2_population_m,
-    to_rotating_frame,
 )
 from .oracle import (
     CapacityError,
@@ -24,7 +23,6 @@ from .oracle import (
     build_hamiltonian,
     check_plp_zero,
     check_projection_conditions,
-    oracle_trajectory,
     propagate,
 )
 from .sectors import (
@@ -39,7 +37,7 @@ from .sectors import (
     sector_frequencies,
     weight_m,
 )
-from .trajectory import ErrorReport, SectorSeries, Trajectory, compare_trajectories
+from .trajectory import ErrorReport, Trajectory, compare_trajectories
 from .volterra import (
     KernelSpec,
     NumericsError,
@@ -54,15 +52,15 @@ __version__ = "0.1.0"
 __all__ = [
     "SystemParams", "SectorM", "SectorJM", "weight_m", "prob_j",
     "sector_frequencies", "mu", "alpha", "coupling_from_alpha", "b_coeff",
-    "Trajectory", "SectorSeries", "ErrorReport", "compare_trajectories",
+    "Trajectory", "ErrorReport", "compare_trajectories",
     "exact_population_plus", "exact_coherence", "exact_trajectory",
     "tcl2_coherence_m", "tcl2_population_m", "nz2_coherence_m",
     "nz2_population_m", "tcl2_jm", "nz2_jm",
-    "standard_projection_population", "to_rotating_frame",
+    "standard_projection_population",
     "SectorBundle", "j3tot_expectation",
     "KernelSpec", "SolveOptions", "NumericsError",
     "solve_volterra", "solve_volterra_batch", "integrate_linear_ode",
-    "CapacityError", "OracleResult", "propagate", "oracle_trajectory",
+    "CapacityError", "OracleResult", "propagate",
     "build_hamiltonian", "check_projection_conditions", "check_plp_zero",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Resolved scenario parameters (A already derived from alpha if given)."""
+    """Resolved scenario parameters (A already derived from alpha if given).
+
+    The time window is checked here, so config files and figure overrides
+    share one check.
+    """
 
     N: int
     omega0: float
@@ -74,7 +78,12 @@ class ScenarioConfig:
     solver_step: float | None = None
     solver_tolerance: float | None = None
     output_dir: str = "."
-    raw_items: tuple[tuple[str, str], ...] = field(default=(), repr=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError("dt must be finite and > 0")
+        if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
+            raise ConfigError("t_max must be finite and >= dt")
 
     def params(self) -> SystemParams:
         return SystemParams(
@@ -119,9 +128,8 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    items = _parse_lines(text)
     seen = {}
-    for key, value in items:
+    for key, value in _parse_lines(text):
         if key in seen:
             raise ConfigError(f"duplicate key {key!r}")
         seen[key] = value
@@ -166,10 +174,6 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 
     t_max = as_float("t_max", need("t_max"))
     dt = as_float("dt", need("dt"))
-    if not (dt > 0.0):
-        raise ConfigError("dt must be > 0")
-    if t_max < dt:
-        raise ConfigError("t_max must be >= dt")
 
     methods = tuple(m.strip() for m in need("methods").split(",") if m.strip())
     if not methods:
@@ -235,7 +239,6 @@ def parse_config(path: str | Path) -> ScenarioConfig:
         solver_step=solver_step,
         solver_tolerance=solver_tolerance,
         output_dir=seen.get("output_dir", "."),
-        raw_items=tuple(items),
     )
 
 
@@ -264,8 +267,6 @@ def _run_method(cfg: ScenarioConfig, method: str):
             None,
         )
     if method == "standard":
-        if params.initial_p_plus != 1.0:
-            raise ConfigError("the standard method requires initial_p_plus = 1")
         return standard_projection_population(params, t), None
     if method == "tcl2":
         if cfg.projection == "m":

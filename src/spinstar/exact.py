@@ -55,62 +55,39 @@ def _sector_pass(params: SystemParams, fam: SectorFamily, t, coherence: bool):
     return surv[0], surv[1], coh
 
 
-def population_survival(params: SystemParams, times: np.ndarray, branch: int) -> np.ndarray:
-    """Probability that the central spin stays in |+> (branch=+1) or |-> (branch=-1)."""
-    t = _validate_times(times)
-    s_plus, s_minus, _ = _sector_pass(params, sector_family(params, "jm"), t, False)
-    return s_plus if branch == +1 else s_minus
-
-
-def _exact(params: SystemParams, times, coherence: bool):
-    """(t, P_+(t), rho_{+-}(t) or None); P_+ by linearity between |+> and |-> starts."""
-    t = _validate_times(times)
-    s_plus, s_minus, coh = _sector_pass(params, sector_family(params, "jm"), t, coherence)
-    p0 = params.initial_p_plus
-    return t, p0 * s_plus + (1.0 - p0) * (1.0 - s_minus), coh
-
-
-def exact_population_plus(params: SystemParams, times) -> Trajectory:
-    """Exact upper-state population P_+(t) (populations only).
+def _exact(params: SystemParams, times, populations: bool, coherence: bool) -> Trajectory:
+    """The exact trajectory with populations and/or coherence, from one jm sector table.
 
     Arbitrary initial_p_plus is handled by linearity between the solution
     started in |+> and its mirror started in |->.
     """
-    t, p_plus, _ = _exact(params, times, False)
+    t = _validate_times(times)
+    s_plus, s_minus, coh = _sector_pass(params, sector_family(params, "jm"), t, coherence)
+    p_plus = None
+    if populations:
+        p0 = params.initial_p_plus
+        p_plus = p0 * s_plus + (1.0 - p0) * (1.0 - s_minus)
     return Trajectory(
         times=t,
         p_plus=p_plus,
-        p_minus=1.0 - p_plus,
-        coh=None,
+        p_minus=None if p_plus is None else 1.0 - p_plus,
+        coh=coh,
         method="exact",
         projection="none",
         params=params,
     )
+
+
+def exact_population_plus(params: SystemParams, times) -> Trajectory:
+    """Exact upper-state population P_+(t) (populations only)."""
+    return _exact(params, times, True, False)
 
 
 def exact_coherence(params: SystemParams, times) -> Trajectory:
     """Exact coherence rho_{+-}(t) in the rotating frame (coherence only)."""
-    t, _, coh = _exact(params, times, True)
-    return Trajectory(
-        times=t,
-        p_plus=None,
-        p_minus=None,
-        coh=coh,
-        method="exact",
-        projection="none",
-        params=params,
-    )
+    return _exact(params, times, False, True)
 
 
 def exact_trajectory(params: SystemParams, times) -> Trajectory:
     """Populations and coherence in one trajectory, from one jm sector table."""
-    t, p_plus, coh = _exact(params, times, True)
-    return Trajectory(
-        times=t,
-        p_plus=p_plus,
-        p_minus=1.0 - p_plus,
-        coh=coh,
-        method="exact",
-        projection="none",
-        params=params,
-    )
+    return _exact(params, times, True, True)

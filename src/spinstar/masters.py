@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, sector_family
-from .trajectory import SectorSeries, Trajectory, _validate_times
+from .trajectory import Trajectory, _validate_times
 from .volterra import SolveOptions, solve_volterra_batch, integrate_linear_ode
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "tcl2_jm",
     "nz2_jm",
     "standard_projection_population",
-    "to_rotating_frame",
     "j3tot_expectation",
 ]
 
@@ -269,7 +268,7 @@ def nz2_jm(
 
 
 # ---------------------------------------------------------------------------
-# standard product projection, frame utilities, diagnostics
+# standard product projection, diagnostics
 # ---------------------------------------------------------------------------
 
 
@@ -284,26 +283,11 @@ def standard_projection_population(params: SystemParams, times) -> Trajectory:
             "standard_projection_population requires initial_p_plus = 1"
         )
     t = _validate_times(times)
-    rate = 8.0 * params.A**2 * params.N / params.omega0**2
+    rate = 8.0 * params.A * params.A * params.N / params.omega0**2
     p_plus = 0.5 * (1.0 + np.exp(-rate * (1.0 - np.cos(params.omega0 * t))))
     return Trajectory(
         times=t, p_plus=p_plus, p_minus=1.0 - p_plus, coh=None,
         method="standard", projection="product", params=params,
-    )
-
-
-def to_rotating_frame(
-    params: SystemParams, two_m: int, times, series: SectorSeries
-) -> SectorSeries:
-    """Back-transform one sector block from the H_0 interaction picture.
-
-    Populations are returned bit-identical; the coherence picks up the
-    phase factor exp(-4 i A m t).
-    """
-    t = _validate_times(times)
-    phase = np.exp(-2j * params.A * two_m * t)
-    return SectorSeries(
-        p_plus=series.p_plus, p_minus=series.p_minus, coh=series.coh * phase
     )
 
 

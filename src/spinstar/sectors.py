@@ -387,7 +387,7 @@ def sector_family(params: SystemParams, family: str) -> SectorFamily:
         two_j, two_m, w, top = None, two_m_values(N), weights_m_array(N), N
         b_p = 2.0 * a2 * (N - two_m)
         b_m = 2.0 * a2 * (N + two_m)
-        pair_coef = np.full(two_m.shape, 8.0 * A**2 * (N + 1.0))
+        pair_coef = np.full(two_m.shape, 8.0 * a2 * (N + 1.0))
     elif family == "jm":
         two_j, two_m = jm_sector_table(N)
         w, top = weights_jm_array(N), two_j

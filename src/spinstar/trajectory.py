@@ -8,13 +8,28 @@ import numpy as np
 
 from .sectors import SystemParams
 
-__all__ = ["Trajectory", "SectorSeries", "ErrorReport", "compare_trajectories"]
+__all__ = ["Trajectory", "ErrorReport", "compare_trajectories"]
 
 #: bytes allowed for one complex (rows, chunk) temporary of a chunked sum over times.
 #: Kept below 8 MiB: freeing a larger block raises glibc's dynamic mmap threshold
 #: above the 8 MB temporaries of bench/child.py's host calibration, which then
 #: come from the heap, run faster and skew every calibrated timing.
 _CHUNK_BYTES = 4 * 2**20
+
+
+class NumericsError(RuntimeError):
+    """Raised on non-finite solver inputs or results, or when a solver fails to converge.
+
+    ``route`` names the integrator that failed (``"rk4"``, ``"quadrature"``
+    or ``"spectral"``), ``step`` the last step it used, ``halvings`` the
+    step halvings it had done and ``error`` the last error it measured (the
+    gap between two refinements, or the spectral weight-sum defect).  Each
+    is None where it does not apply.
+    """
+
+    def __init__(self, message, *, route=None, step=None, halvings=None, error=None):
+        super().__init__(message)
+        self.route, self.step, self.halvings, self.error = route, step, halvings, error
 
 
 def _validate_times(times) -> np.ndarray:
@@ -42,7 +57,8 @@ class Trajectory:
 
     ``p_plus``/``p_minus``/``coh`` may be None when a method fills only part
     of the state (e.g. a coherence-only solver).  All trajectories live in
-    the rotating frame of the central spin.
+    the rotating frame of the central spin.  Non-finite data raise
+    NumericsError: a finite input whose result overflows is a numeric failure.
     """
 
     times: np.ndarray
@@ -63,7 +79,7 @@ class Trajectory:
             if arr.shape != self.times.shape:
                 raise ValueError(f"{name} must match the time grid shape")
             if not np.all(np.isfinite(arr.view(float))):
-                raise ValueError(f"{name} contains non-finite values")
+                raise NumericsError(f"{name} contains non-finite values")
             setattr(self, name, arr)
 
     def trace_drift(self) -> float:
@@ -71,15 +87,6 @@ class Trajectory:
         if self.p_plus is None or self.p_minus is None:
             return 0.0
         return float(np.max(np.abs(self.p_plus + self.p_minus - 1.0)))
-
-
-@dataclass
-class SectorSeries:
-    """Unnormalized 2x2 sector block over time: populations and coherence."""
-
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    coh: np.ndarray
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import _validate_times
+from .trajectory import NumericsError, _validate_times
 
 __all__ = [
     "KernelSpec",
@@ -37,21 +37,6 @@ __all__ = [
     "solve_volterra_batch",
     "integrate_linear_ode",
 ]
-
-
-class NumericsError(RuntimeError):
-    """Raised when a solver produces non-finite values or fails to converge.
-
-    ``route`` names the integrator that failed (``"rk4"``, ``"quadrature"``
-    or ``"spectral"``), ``step`` the last step it used, ``halvings`` the
-    step halvings it had done and ``error`` the last error it measured (the
-    gap between two refinements, or the spectral weight-sum defect).  Each
-    is None where it does not apply.
-    """
-
-    def __init__(self, message, *, route=None, step=None, halvings=None, error=None):
-        super().__init__(message)
-        self.route, self.step, self.halvings, self.error = route, step, halvings, error
 
 
 @dataclass(frozen=True)
@@ -272,7 +257,8 @@ def solve_volterra_batch(
     (P, n_times).  With ``opts`` None, kernels with real amplitudes >= 0 and
     purely imaginary rates take the exact spectral route and all others
     RK4 with the default ``SolveOptions()``; an explicit ``opts`` always
-    runs ``opts.method``.
+    runs ``opts.method``.  A non-finite ``x0``, amplitude or rate raises
+    NumericsError before any route runs.
     """
     t = _validate_times(times)
     if abs(t[0]) > 1e-14:
@@ -282,6 +268,8 @@ def solve_volterra_batch(
     rts = np.asarray(rates, dtype=complex)
     if x0.ndim != 1 or amps.shape != rts.shape or amps.shape[0] != x0.shape[0]:
         raise ValueError("inconsistent batch shapes")
+    if not all(np.all(np.isfinite(a)) for a in (x0, amps, rts)):
+        raise NumericsError("non-finite initial value, kernel amplitude or rate")
     if t.size == 1:
         return x0[:, None].copy()
     if opts is None:

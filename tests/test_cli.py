@@ -132,6 +132,30 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "5", "--dt", "0"],
+            ["figure", "5", "--t-max", "inf"],
+            ["figure", "5", "--t-max", "nan"],
+            ["run", "--config", "inf.cfg"],
+        ],
+        ids=["dt-0", "t-max-inf", "t-max-nan", "config-t-max-inf"],
+    )
+    def test_bad_time_window(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, BASE.replace("t_max = 2.0", "t_max = inf"), name="inf.cfg")
+        assert main(argv + ["--out", "o"]) == EXIT_CONFIG
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("projection", ["m", "jm"])
+    @pytest.mark.parametrize("method", ["exact", "tcl2", "nz2", "standard"])
+    def test_coupling_whose_square_overflows(self, tmp_path, method, projection):
+        # A = 1e160 is finite, A^2 is not: every method's output is non-finite
+        text = BASE.replace("A = 0.1", "A = 1e160").replace("exact,tcl2", method)
+        cfg = write_config(tmp_path, text + f"projection = {projection}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+
     def test_compare_needs_two_methods(self, tmp_path):
         text = BASE.replace("exact,tcl2", "exact")
         cfg = write_config(tmp_path, text)

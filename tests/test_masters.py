@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spinstar.exact import exact_population_plus, exact_trajectory
 from spinstar.masters import (
+    _frame_phase,
     j3tot_expectation,
     nz2_coherence_m,
     nz2_jm,
@@ -18,7 +19,6 @@ from spinstar.masters import (
     tcl2_jm,
     tcl2_population_m,
     tcl2_population_via_ode,
-    to_rotating_frame,
 )
 from spinstar.sectors import (
     SystemParams,
@@ -26,7 +26,6 @@ from spinstar.sectors import (
     sector_family,
     weights_m_array,
 )
-from spinstar.trajectory import SectorSeries
 from spinstar.volterra import SolveOptions
 
 PARAMS = SystemParams(
@@ -201,26 +200,21 @@ class TestStandardProjection:
 
 
 class TestFrameTransform:
+    """The rotating-frame phase that the NZ2 coherence routes apply per sector."""
+
     def test_phase_factor(self):
         # two_m = 2 (m = 1), A = 0.1, t = pi/0.4: phase exp(-2iA two_m t) = -1
         p = SystemParams(N=4, A=0.1, omega0=1.0)
         t = np.array([0.0, math.pi / 0.4])
-        series = SectorSeries(
-            p_plus=np.array([0.5, 0.5]), p_minus=np.array([0.5, 0.5]),
-            coh=np.array([1.0 + 0.0j, 1.0 + 0.0j]),
-        )
-        out = to_rotating_frame(p, 2, t, series)
-        np.testing.assert_allclose(out.coh, [1.0, -1.0], atol=1e-12)
-        assert out.p_plus is series.p_plus  # populations untouched
+        np.testing.assert_allclose(_frame_phase(p, 2, t), [1.0, -1.0], atol=1e-12)
+        # one row per sector for an array of two_m
+        phase = _frame_phase(p, np.array([0, 2]), t)
+        np.testing.assert_allclose(phase, [[1.0, 1.0], [1.0, -1.0]], atol=1e-12)
 
     def test_zero_coupling_is_identity(self):
         p = SystemParams(N=4, A=0.0, omega0=1.0)
         t = np.linspace(0.0, 5.0, 6)
-        series = SectorSeries(
-            p_plus=np.ones(6), p_minus=np.zeros(6), coh=np.full(6, 0.3 + 0.1j)
-        )
-        out = to_rotating_frame(p, 4, t, series)
-        np.testing.assert_array_equal(out.coh, series.coh)
+        np.testing.assert_array_equal(_frame_phase(p, 4, t), np.ones(6))
 
 
 class TestJMProjection:

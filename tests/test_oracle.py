@@ -18,7 +18,6 @@ from spinstar.oracle import (
     check_projection_conditions,
     projection_family,
     propagate,
-    oracle_trajectory,
 )
 from spinstar.sectors import SystemParams
 
@@ -161,7 +160,7 @@ class TestPropagation:
 
     def test_trajectory_wrapper(self):
         p = SystemParams(N=2, A=0.1, omega0=1.0)
-        traj = oracle_trajectory(p, np.linspace(0.0, 5.0, 11))
+        traj = propagate(p, np.linspace(0.0, 5.0, 11)).trajectory()
         assert traj.method == "oracle"
         assert traj.trace_drift() <= 1e-12
 

@@ -1,14 +1,11 @@
 """Every public entry point that takes a time grid rejects a malformed one."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from spinstar.exact import (
-    exact_coherence,
-    exact_population_plus,
-    exact_trajectory,
-    population_survival,
-)
+from spinstar.exact import exact_coherence, exact_population_plus, exact_trajectory
 from spinstar.masters import (
     nz2_coherence_m,
     nz2_jm,
@@ -19,11 +16,10 @@ from spinstar.masters import (
     tcl2_jm,
     tcl2_population_m,
     tcl2_population_via_ode,
-    to_rotating_frame,
 )
-from spinstar.oracle import oracle_trajectory, propagate
+from spinstar.oracle import propagate
 from spinstar.sectors import SystemParams
-from spinstar.trajectory import SectorSeries, Trajectory
+from spinstar.trajectory import Trajectory
 from spinstar.volterra import (
     KernelSpec,
     integrate_linear_ode,
@@ -38,7 +34,10 @@ ENTRY_POINTS = {
     "exact_population_plus": lambda t: exact_population_plus(P, t),
     "exact_coherence": lambda t: exact_coherence(P, t),
     "exact_trajectory": lambda t: exact_trajectory(P, t),
-    "population_survival": lambda t: population_survival(P, t, +1),
+    # survival of |+>: P_+ of the exact route started in |+>
+    "population_survival": lambda t: exact_population_plus(
+        dataclasses.replace(P, initial_p_plus=1.0), t
+    ),
     "tcl2_coherence_m": lambda t: tcl2_coherence_m(P, t),
     "tcl2_population_m": lambda t: tcl2_population_m(P, t),
     "nz2_coherence_m": lambda t: nz2_coherence_m(P, t),
@@ -48,13 +47,12 @@ ENTRY_POINTS = {
     "standard_projection_population": lambda t: standard_projection_population(P, t),
     "tcl2_coherence_via_ode": lambda t: tcl2_coherence_via_ode(P, t, "jm"),
     "tcl2_population_via_ode": lambda t: tcl2_population_via_ode(P, t, "jm"),
-    "to_rotating_frame": lambda t: to_rotating_frame(P, 0, t, SectorSeries(ONE, ONE, ONE)),
     "solve_volterra_batch": lambda t: solve_volterra_batch(ONE, [[1.0]], [[0.0]], t),
     "solve_volterra": lambda t: solve_volterra(1.0, KernelSpec(terms=((1.0, 0.0),)), t),
     "integrate_linear_ode": lambda t: integrate_linear_ode(ONE, lambda tt, y: -y, t),
     "propagate": lambda t: propagate(P, t),
     "propagate_ode": lambda t: propagate(P, t, method="ode"),
-    "oracle_trajectory": lambda t: oracle_trajectory(P, t),
+    "oracle_trajectory": lambda t: propagate(P, t).trajectory(),
     "Trajectory": lambda t: Trajectory(
         times=t, p_plus=None, p_minus=None, coh=None,
         method="exact", projection="none", params=P,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstar import masters
 from spinstar.sectors import SystemParams, coupling_from_alpha
@@ -216,6 +218,17 @@ class TestValidation:
                 T_GRID,
             )
 
+    @pytest.mark.parametrize(
+        "x0,amplitude,rate",
+        [([np.inf], [[1.0]], [[1j]]), ([1.0], [[np.inf]], [[1j]]),
+         ([1.0], [[1.0]], [[complex(0.0, np.inf)]])],
+        ids=["x0", "amplitude", "rate"],
+    )
+    def test_non_finite_inputs_raise(self, x0, amplitude, rate):
+        # each kernel qualifies for the spectral route, whose eigh would see the infinity
+        with pytest.raises(NumericsError, match="non-finite"):
+            solve_volterra_batch(np.array(x0), np.array(amplitude), np.array(rate), T_GRID)
+
 
 class TestSpectralRoute:
     """opts=None on kernels with amplitudes >= 0 and imaginary rates: exact eigensolve."""
@@ -296,3 +309,31 @@ class TestSpectralRoute:
         assert info.value.route == "spectral"
         assert info.value.error == pytest.approx(0.0201, rel=1e-6)
         assert info.value.step is None and info.value.halvings is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_spectral_route_is_bounded_by_x0_hypothesis(data):
+    # the weights |V_0k|^2 are >= 0 and sum to 1, so |x(t)| <= |x0|
+    n_prob = data.draw(st.integers(1, 6), label="P")
+    n_terms = data.draw(st.integers(1, 4), label="K")
+    size = n_prob * n_terms
+    amp = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+    amps = np.array(data.draw(st.lists(amp, min_size=size, max_size=size), label="a"))
+    # rates i w n with small integers n: repeated rates, w = 0 and n = 0 all occur
+    w = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), label="w")
+    n = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+    part = st.floats(-2.0, 2.0, allow_subnormal=False)
+    x0 = np.array([complex(data.draw(part), data.draw(part)) for _ in range(n_prob)])
+    n_times = data.draw(st.integers(2, 40), label="n_times")
+    if data.draw(st.booleans(), label="geometric"):
+        t1 = data.draw(st.floats(1e-3, 1.0), label="t1")
+        ratio = data.draw(st.floats(1.1, 2.0), label="ratio")
+        t = np.concatenate(([0.0], t1 * ratio ** np.arange(n_times - 1)))
+    else:
+        t = data.draw(st.floats(0.01, 2.0), label="dt") * np.arange(n_times)
+    x = solve_volterra_batch(
+        x0, amps.reshape(n_prob, n_terms), 1j * w * n.reshape(n_prob, n_terms), t
+    )
+    np.testing.assert_array_equal(x[:, 0], x0)
+    assert np.all(np.abs(x) <= np.abs(x0)[:, None] * (1.0 + 1e-12))
