@@ -25,17 +25,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .exact import exact_trajectory
-from .masters import (
-    SectorBundle,
-    j3tot_expectation,
-    nz2_coherence_m,
-    nz2_jm,
-    nz2_population_m,
-    standard_projection_population,
-    tcl2_coherence_m,
-    tcl2_jm,
-    tcl2_population_m,
-)
+from .masters import _solve, standard_projection_population
 from .oracle import CapacityError
 from .sectors import SystemParams, coupling_from_alpha
 from .trajectory import ErrorReport, Trajectory, compare_trajectories
@@ -247,18 +237,14 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _merge(pop: Trajectory, coh: Trajectory) -> Trajectory:
-    return Trajectory(
-        times=pop.times, p_plus=pop.p_plus, p_minus=pop.p_minus, coh=coh.coh,
-        method=pop.method, projection=pop.projection, params=pop.params,
-    )
+def _run_method(cfg: ScenarioConfig, method: str, j3tot: bool = False):
+    """Compute one method; returns (Trajectory, J_3^tot series or None).
 
-
-def _run_method(cfg: ScenarioConfig, method: str):
-    """Compute one method; returns (Trajectory, SectorBundle | None)."""
+    The series is computed for TCL2 and NZ2 when ``j3tot`` is set, without
+    sector-resolved arrays; the other methods have none.
+    """
     params = cfg.params()
     t = cfg.times()
-    opts = cfg.solve_options()
     if method == "exact":
         return exact_trajectory(params, t), None
     if method == "oracle":
@@ -268,18 +254,11 @@ def _run_method(cfg: ScenarioConfig, method: str):
         )
     if method == "standard":
         return standard_projection_population(params, t), None
-    if method == "tcl2":
-        if cfg.projection == "m":
-            pop, bundle = tcl2_population_m(params, t, return_sectors=True)
-            return _merge(pop, tcl2_coherence_m(params, t)), bundle
-        traj, bundle = tcl2_jm(params, t, return_sectors=True)
-        return traj, bundle
-    if method == "nz2":
-        if cfg.projection == "m":
-            pop, bundle = nz2_population_m(params, t, opts, return_sectors=True)
-            return _merge(pop, nz2_coherence_m(params, t, opts)), bundle
-        traj, bundle = nz2_jm(params, t, opts, return_sectors=True)
-        return traj, bundle
+    if method in ("tcl2", "nz2"):
+        traj, _, q = _solve(
+            params, t, method, cfg.projection, opts=cfg.solve_options(), j3tot=j3tot
+        )
+        return traj, q
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -312,14 +291,11 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _j3_drift_per_unit_time(bundle: SectorBundle | None, times: np.ndarray) -> float:
-    if bundle is None or bundle.p_plus is None:
+def _drift_per_unit_time(q: np.ndarray | None, times: np.ndarray) -> float:
+    """max over t > 0 of |q(t) - q(0)| / t; 0 without a series."""
+    if q is None or q.size < 2:
         return 0.0
-    q = j3tot_expectation(bundle)
-    dev = np.abs(q - q[0])[1:]
-    if dev.size == 0:
-        return 0.0
-    return float(np.max(dev / times[1:]))
+    return float(np.max(np.abs(q - q[0])[1:] / times[1:]))
 
 
 def _resolved_config_lines(cfg: ScenarioConfig) -> list[str]:
@@ -344,17 +320,17 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, with_report: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for method in cfg.methods:
-        traj, bundle = _run_method(cfg, method)
-        results.append((method, traj, bundle))
+        traj, j3tot = _run_method(cfg, method, j3tot=with_report)
+        results.append((method, traj, j3tot))
         write_trajectory_csv(out_dir / method_filename(method, cfg.projection), traj)
     if not with_report:
         return
     ref_method, ref, _ = results[0]
     lines = _resolved_config_lines(cfg)
     lines.append(",".join(ErrorReport.FIELDS))
-    for method, traj, bundle in results[1:]:
+    for method, traj, j3tot in results[1:]:
         rep = compare_trajectories(
-            ref, traj, j3tot_drift=_j3_drift_per_unit_time(bundle, traj.times)
+            ref, traj, j3tot_drift=_drift_per_unit_time(j3tot, traj.times)
         )
         lines.append(
             ",".join(

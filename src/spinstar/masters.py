@@ -16,7 +16,8 @@ coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
 rebuild P_- from P_+.  Four kernels read it and never branch on the family:
 
 * ``_tcl2_coherence``/``_tcl2_population``: closed forms exp(-Lambda), behind
-  ``tcl2_coherence_m``, ``tcl2_population_m`` and ``tcl2_jm``;
+  ``tcl2_coherence_m``, ``tcl2_population_m`` and ``tcl2_jm``, evaluated per
+  time chunk so that memory does not grow with sectors x times;
 * ``_nz2_coherence``/``_nz2_population``: one scalar Volterra equation per
   sector, behind ``nz2_coherence_m``, ``nz2_population_m`` and ``nz2_jm``.
   Shifting to the steady value removes the constant forcing of the pairwise
@@ -25,6 +26,10 @@ rebuild P_- from P_+.  Four kernels read it and never branch on the family:
   ``opts=None`` the Volterra engine solves them exactly by its spectral
   route; an explicit ``SolveOptions`` selects the RK4 (``aux_ode``) or the
   ``quadrature`` verifier route instead.
+
+Every public solver and the CLI go through ``_solve``, which can also return
+the J_3^tot series, reduced per time chunk next to the totals, without
+sector-resolved arrays.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
 with RK4, as an independent check of the closed forms.  Public trajectories
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, sector_family
-from .trajectory import Trajectory, _validate_times
+from .trajectory import Trajectory, _time_chunks, _validate_times
 from .volterra import SolveOptions, solve_volterra_batch, integrate_linear_ode
 
 __all__ = [
@@ -108,31 +113,51 @@ def _frame_phase(params: SystemParams, two_m, t):
 
 
 # ---------------------------------------------------------------------------
-# family-generic kernels: each returns (total, sector array or None)
+# family-generic kernels: each returns totals, then sector arrays or None
 # ---------------------------------------------------------------------------
+#
+# The TCL2 kernels run per time chunk of trajectory._time_chunks, so their
+# temporaries are (sectors, chunk) blocks.  Each time column is reduced over
+# sectors in the same order as a whole (sectors, times) array would be, so
+# chunking changes no bit of the totals, the sector arrays or J_3^tot.
 
 
 def _tcl2_coherence(params: SystemParams, fam: SectorFamily, t, sectors: bool):
     """rho_{+-}(0) sum_s w_s exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)]."""
-    f = _tcl2_exponent(((fam.b_p, fam.om_p), (fam.b_m, -fam.om_m)), t, imag=True)
-    f.imag += np.multiply.outer(2.0 * params.A * fam.two_m, t)
-    np.negative(f, out=f)
-    np.exp(f, out=f)
-    coh0 = complex(params.initial_coh)
-    sector_coh = coh0 * fam.w[:, None] * f if sectors else None
-    f -= 1.0
-    f *= fam.w[:, None]
-    return coh0 * (1.0 + np.add.reduce(f, axis=0)), sector_coh
+    terms = ((fam.b_p, fam.om_p), (fam.b_m, -fam.om_m))
+    phase, coh0 = 2.0 * params.A * fam.two_m, complex(params.initial_coh)
+    coh = np.empty(t.size, complex)
+    sector_coh = np.empty((fam.w.size, t.size), complex) if sectors else None
+    for sl in _time_chunks(t.size, 16 * fam.w.size):
+        f = _tcl2_exponent(terms, t[sl], imag=True)
+        f.imag += np.multiply.outer(phase, t[sl])
+        np.negative(f, out=f)
+        np.exp(f, out=f)
+        if sectors:
+            sector_coh[:, sl] = coh0 * fam.w[:, None] * f
+        f -= 1.0
+        f *= fam.w[:, None]
+        coh[sl] = coh0 * (1.0 + np.add.reduce(f, axis=0))
+    return coh, sector_coh
 
 
-def _tcl2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool):
+def _tcl2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool, j3tot: bool):
     """steady + y0 exp(-pair_coef Re g(Omega_+, t)), Re g = (1 - cos Omega_+ t)/Omega_+^2."""
-    lam = _tcl2_exponent(((fam.pair_coef, fam.om_p),), t, imag=False)
-    np.negative(lam, out=lam)
-    sector_p = fam.steady[:, None] + fam.y0[:, None] * np.exp(lam) if sectors else None
-    np.expm1(lam, out=lam)
-    lam *= fam.y0[:, None]
-    return params.initial_p_plus + np.add.reduce(lam, axis=0), sector_p
+    p_plus, j3 = np.empty(t.size), (np.empty(t.size) if j3tot else None)
+    sector_p = np.empty((fam.w.size, t.size)) if sectors else None
+    for sl in _time_chunks(t.size, 16 * fam.w.size):
+        lam = _tcl2_exponent(((fam.pair_coef, fam.om_p),), t[sl], imag=False)
+        np.negative(lam, out=lam)
+        if sectors or j3tot:
+            sp = fam.steady[:, None] + fam.y0[:, None] * np.exp(lam)
+            if sectors:
+                sector_p[:, sl] = sp
+            if j3tot:
+                j3[sl] = _sector_j3tot(fam, sp)
+        np.expm1(lam, out=lam)
+        lam *= fam.y0[:, None]
+        p_plus[sl] = params.initial_p_plus + np.add.reduce(lam, axis=0)
+    return p_plus, sector_p, j3
 
 
 def _coherence_totals(params: SystemParams, fam: SectorFamily, t, x):
@@ -151,14 +176,20 @@ def _nz2_coherence(params: SystemParams, fam: SectorFamily, t, sectors: bool, op
     return coh, (sector_coh if sectors else None)
 
 
-def _nz2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool, opts):
+def _nz2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool, j3tot: bool,
+                    opts):
     """Per-sector Volterra solve with the kernel pair_coef cos(Omega_+ tau) around steady."""
     half = 0.5 * fam.pair_coef  # cosine kernel split into e^{+-i Omega_+ tau}/2
     amps = np.stack([half, half], axis=1).astype(complex)
     rates = np.stack([1j * fam.om_p, -1j * fam.om_p], axis=1)
     y = solve_volterra_batch(fam.y0.astype(complex), amps, rates, t, opts=opts).real
     p_plus = params.initial_p_plus + np.add.reduce(y - fam.y0[:, None], axis=0)
-    return p_plus, (fam.steady[:, None] + y if sectors else None)
+    j3 = None
+    if j3tot:  # per time chunk: no (sectors, times) array besides the solution
+        j3 = np.empty(t.size)
+        for sl in _time_chunks(t.size, 16 * fam.w.size):
+            j3[sl] = _sector_j3tot(fam, fam.steady[:, None] + y[:, sl])
+    return p_plus, (fam.steady[:, None] + y if sectors else None), j3
 
 
 def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
@@ -168,21 +199,59 @@ def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
     return fam.c_prev[:, None] - below
 
 
-def _result(params, fam: SectorFamily, t, method: str, pop, coh, return_sectors: bool):
-    """The public Trajectory (and SectorBundle) from kernel outputs, None where absent."""
-    p_plus, sector_p = pop or (None, None)
-    total_coh, sector_coh = coh or (None, None)
-    traj = Trajectory(
-        times=t, p_plus=p_plus, p_minus=None if p_plus is None else 1.0 - p_plus,
-        coh=total_coh, method=method, projection=fam.family, params=params,
-    )
-    if not return_sectors:
-        return traj
-    return traj, SectorBundle(
+def _sector_j3tot(fam: SectorFamily, sector_p: np.ndarray) -> np.ndarray:
+    """``j3tot_expectation`` of the sector populations P^s_+ on any slice of the times."""
+    return j3tot_expectation(SectorBundle(
         two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p,
-        p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
-        coh=sector_coh,
+        p_minus=_sector_p_minus(fam, sector_p), coh=None,
+    ))
+
+
+def _trajectory(params, t, method: str, family: str, p_plus, coh) -> Trajectory:
+    return Trajectory(
+        times=t, p_plus=p_plus, p_minus=None if p_plus is None else 1.0 - p_plus,
+        coh=coh, method=method, projection=family, params=params,
     )
+
+
+def _solve(
+    params: SystemParams, times, method: str, family: str, populations: bool = True,
+    coherence: bool = True, opts: SolveOptions | None = None, sectors: bool = False,
+    j3tot: bool = False,
+):
+    """(Trajectory, SectorBundle or None, J_3^tot series or None) of TCL2 or NZ2.
+
+    The one route of the public solvers and the CLI: ``method`` is "tcl2" or
+    "nz2", ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle;
+    ``j3tot`` (with populations) returns the series of
+    ``j3tot_expectation(bundle)``, bit for bit, reduced per time chunk
+    without building the bundle.
+    """
+    t, fam = _validate_times(times), sector_family(params, family)
+    extra = () if method == "tcl2" else (opts,)
+    pop_kernel, coh_kernel = {
+        "tcl2": (_tcl2_population, _tcl2_coherence),
+        "nz2": (_nz2_population, _nz2_coherence),
+    }[method]
+    p_plus = sector_p = j3 = coh = sector_coh = None
+    if coherence:
+        coh, sector_coh = coh_kernel(params, fam, t, sectors, *extra)
+    if populations:
+        p_plus, sector_p, j3 = pop_kernel(params, fam, t, sectors, j3tot, *extra)
+    bundle = None
+    if sectors:
+        bundle = SectorBundle(
+            two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p,
+            p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
+            coh=sector_coh,
+        )
+    return _trajectory(params, t, method, family, p_plus, coh), bundle, j3
+
+
+def _public(params, times, method, family, populations, coherence, opts, return_sectors):
+    traj, bundle, _ = _solve(params, times, method, family, populations, coherence, opts,
+                             return_sectors)
+    return (traj, bundle) if return_sectors else traj
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +264,7 @@ def tcl2_coherence_m(params: SystemParams, times, return_sectors: bool = False):
 
     rho_{+-}(t) = rho_{+-}(0) sum_m (N_m/2^N) exp[-4iAmt - Lambda^coh_m(t)].
     """
-    t, fam = _validate_times(times), sector_family(params, "m")
-    coh = _tcl2_coherence(params, fam, t, return_sectors)
-    return _result(params, fam, t, "tcl2", None, coh, return_sectors)
+    return _public(params, times, "tcl2", "m", False, True, None, return_sectors)
 
 
 def tcl2_population_m(params: SystemParams, times, return_sectors: bool = False):
@@ -206,9 +273,7 @@ def tcl2_population_m(params: SystemParams, times, return_sectors: bool = False)
     Each sector relaxes as d_m + (P^m_+(0) - d_m) exp(-Lambda^pop_m) with
     Lambda^pop_m = 8A^2(N+1)(1 - cos Omega_+(m) t)/Omega_+^2(m).
     """
-    t, fam = _validate_times(times), sector_family(params, "m")
-    pop = _tcl2_population(params, fam, t, return_sectors)
-    return _result(params, fam, t, "tcl2", pop, None, return_sectors)
+    return _public(params, times, "tcl2", "m", True, False, None, return_sectors)
 
 
 def nz2_coherence_m(
@@ -216,9 +281,7 @@ def nz2_coherence_m(
     return_sectors: bool = False,
 ):
     """NZ2 coherence under the J_3 projection (per-sector Volterra solve)."""
-    t, fam = _validate_times(times), sector_family(params, "m")
-    coh = _nz2_coherence(params, fam, t, return_sectors, opts)
-    return _result(params, fam, t, "nz2", None, coh, return_sectors)
+    return _public(params, times, "nz2", "m", False, True, opts, return_sectors)
 
 
 def nz2_population_m(
@@ -231,9 +294,7 @@ def nz2_population_m(
     sector obeys a scalar Volterra equation with the cosine kernel
     8A^2(N+1) cos(Omega_+(m) tau) around its steady value.
     """
-    t, fam = _validate_times(times), sector_family(params, "m")
-    pop = _nz2_population(params, fam, t, return_sectors, opts)
-    return _result(params, fam, t, "nz2", pop, None, return_sectors)
+    return _public(params, times, "nz2", "m", True, False, opts, return_sectors)
 
 
 def tcl2_jm(params: SystemParams, times, return_sectors: bool = False):
@@ -244,10 +305,7 @@ def tcl2_jm(params: SystemParams, times, return_sectors: bool = False):
     relax toward C_{jm}/2 with
     Lambda^pop_{jm} = 16A^2 b(j,m) (1 - cos Omega_+(m) t)/Omega_+^2(m).
     """
-    t, fam = _validate_times(times), sector_family(params, "jm")
-    coh = _tcl2_coherence(params, fam, t, return_sectors)
-    pop = _tcl2_population(params, fam, t, return_sectors)
-    return _result(params, fam, t, "tcl2", pop, coh, return_sectors)
+    return _public(params, times, "tcl2", "jm", True, True, None, return_sectors)
 
 
 def nz2_jm(
@@ -261,10 +319,7 @@ def nz2_jm(
     with the cosine kernel 16 A^2 b(j,m) cos(Omega_+(m) tau) around the
     steady value C_{jm}/2.
     """
-    t, fam = _validate_times(times), sector_family(params, "jm")
-    coh = _nz2_coherence(params, fam, t, return_sectors, opts)
-    pop = _nz2_population(params, fam, t, return_sectors, opts)
-    return _result(params, fam, t, "nz2", pop, coh, return_sectors)
+    return _public(params, times, "nz2", "jm", True, True, opts, return_sectors)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +390,7 @@ def tcl2_coherence_via_ode(
 
     xs = integrate_linear_ode(x0, rhs, t, opts or SolveOptions(step=0.01))
     coh, _ = _coherence_totals(params, fam, t, xs.T)
-    return _result(params, fam, t, "tcl2_ode", None, (coh, None), False)
+    return _trajectory(params, t, "tcl2_ode", family, None, coh)
 
 
 def tcl2_population_via_ode(
@@ -349,4 +404,4 @@ def tcl2_population_via_ode(
 
     ys = integrate_linear_ode(fam.y0.astype(complex), rhs, t, opts or SolveOptions(step=0.01))
     p_plus = params.initial_p_plus + np.add.reduce(ys.real.T - fam.y0[:, None], axis=0)
-    return _result(params, fam, t, "tcl2_ode", (p_plus, None), None, False)
+    return _trajectory(params, t, "tcl2_ode", family, p_plus, None)

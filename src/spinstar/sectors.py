@@ -272,7 +272,7 @@ def mu(params: SystemParams, s: SectorJM, branch: int = +1) -> float:
     else:
         raise ValueError("branch must be +1 or -1")
     b = b_coeff(s, branch)
-    return float(np.sqrt(0.25 * om * om + 4.0 * params.A**2 * b))
+    return float(np.sqrt(0.25 * om * om + 4.0 * params.A * params.A * b))
 
 
 def alpha(params: SystemParams) -> float:

@@ -45,10 +45,18 @@ def _validate_times(times) -> np.ndarray:
 
 
 def _time_chunks(n_times: int, bytes_per_time: int):
-    """Slices covering range(n_times) whose length times ``bytes_per_time`` fits _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // bytes_per_time)
-    for lo in range(0, n_times, step):
-        yield slice(lo, min(lo + step, n_times))
+    """Slices covering range(n_times) whose length times ``bytes_per_time`` fits _CHUNK_BYTES.
+
+    No slice is 1 wide unless n_times is 1: the last slice takes in a 1-wide
+    tail (one time over the budget), and every slice is at least 2 wide.
+    numpy sums an (S, 1) block over S pairwise but a wider block row by row,
+    so a 1-wide slice would round differently from a whole-array sum.
+    """
+    step, lo = max(2, _CHUNK_BYTES // bytes_per_time), 0
+    while lo < n_times:
+        hi = lo + step if lo + step + 1 < n_times else n_times
+        yield slice(lo, hi)
+        lo = hi
 
 
 @dataclass

@@ -210,14 +210,8 @@ def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions):
     return x[:, ::nsub]
 
 
-def _spectral_solve(x0, amps, rates, times):
-    """Exact solve for kernels with a_i >= 0 and r_i = i w_i (see the module docstring).
-
-    H = [[0, -i sqrt(a)^T], [i sqrt(a), -diag(w)]] per problem, and
-    x(t) = x0 [1 + sum_k |V_0k|^2 expm1(-i lambda_k t)], which is
-    x0 sum_k |V_0k|^2 exp(-i lambda_k t) because the weights sum to 1, and
-    keeps x(0) == x0 exactly.  The weight-sum defect is the runtime check.
-    """
+def _arrowhead_spectrum(amps, rates):
+    """Eigenvalues lambda_k and weights |V_0k|^2, shape (P, K+1) each, of every arrowhead H."""
     n_prob, n_terms = amps.shape
     root = np.sqrt(amps.real)
     h = np.zeros((n_prob, n_terms + 1, n_terms + 1), dtype=complex)
@@ -226,11 +220,23 @@ def _spectral_solve(x0, amps, rates, times):
     diag = np.arange(1, n_terms + 1)
     h[:, diag, diag] = -rates.imag
     lam, vec = np.linalg.eigh(h)
-    wts = np.abs(vec[:, 0, :]) ** 2
+    return lam, np.abs(vec[:, 0, :]) ** 2
+
+
+def _spectral_solve(x0, amps, rates, times):
+    """Exact solve for kernels with a_i >= 0 and r_i = i w_i (see the module docstring).
+
+    H = [[0, -i sqrt(a)^T], [i sqrt(a), -diag(w)]] per problem, and
+    x(t) = x0 [1 + sum_k |V_0k|^2 expm1(-i lambda_k t)], which is
+    x0 sum_k |V_0k|^2 exp(-i lambda_k t) because the weights sum to 1, and
+    keeps x(0) == x0 exactly.  The weight-sum defect is the runtime check.
+    """
+    lam, wts = _arrowhead_spectrum(amps, rates)
+    n_prob, n_eig = lam.shape
     defect = float(np.max(np.abs(np.add.reduce(wts, axis=1) - 1.0), initial=0.0))
 
     x = np.ones((n_prob, times.size), dtype=complex)
-    for k in range(n_terms + 1):  # one eigenvalue at a time: no (P, K+1, T) array
+    for k in range(n_eig):  # one eigenvalue at a time: no (P, K+1, T) array
         term = -1j * np.multiply.outer(lam[:, k], times)
         np.expm1(term, out=term)
         term *= wts[:, k, None]

@@ -1,3 +1,5 @@
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,42 @@ def test_scenario_times_include_endpoint():
     t = cfg.times()
     assert t[0] == 0.0 and t[-1] == pytest.approx(1.0)
     assert t.size == 11
+
+
+_CAPPED_COMPARE = textwrap.dedent(
+    """
+    import sys
+    from spinstar.cli import main
+
+    sys.exit(main(["compare", "--config", {config!r}, "--out", {out!r}]))
+    """
+)
+
+
+def test_figure7_compare_fits_a_memory_cap(tmp_path, run_capped):
+    # the figure-7 scenario on 6001 times: one (sectors, times) complex array
+    # of its 2652 jm sectors is 255 MB, so this passes only if neither TCL2
+    # nor report.csv's J_3^tot drift builds one
+    preset = FIGURE_PRESETS[7]
+    cfg = write_config(tmp_path, f"""
+N = 101
+omega0 = 1.0
+alpha = {preset["alpha"]}
+t_max = 3000.0
+dt = {preset["dt"]}
+methods = {",".join(preset["methods"])}
+projection = {preset["projection"]}
+initial_p_plus = {preset["p0"]}
+coh_re = {preset["coh0"]}
+""")
+    out = tmp_path / "out"
+    proc = run_capped(_CAPPED_COMPARE.format(config=str(cfg), out=str(out)), cap_mib=256)
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    lines = (out / "report.csv").read_text().splitlines()
+    header, row = lines[-2].split(","), lines[-1].split(",")
+    rep = dict(zip(header, row))
+    assert (rep["method_ref"], rep["method_other"]) == ("exact_none", "tcl2_jm")
+    assert float(rep["trace_drift"]) == 0.0
+    assert 0.0 <= float(rep["j3tot_drift"]) <= 1e-9
+    assert 0.0 < float(rep["sup_err_coh"]) <= 0.1
+    assert len((out / "tcl2_jm.csv").read_text().splitlines()) == 6002

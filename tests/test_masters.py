@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinstar import trajectory
 from spinstar.exact import exact_population_plus, exact_trajectory
 from spinstar.masters import (
     _frame_phase,
+    _solve,
     j3tot_expectation,
     nz2_coherence_m,
     nz2_jm,
@@ -358,3 +361,64 @@ def test_decoupled_bath_leaves_the_state_constant(n):
             np.testing.assert_allclose(traj.p_minus, 0.3, rtol=0, atol=1e-15)
         if traj.coh is not None:
             np.testing.assert_allclose(traj.coh, 0.3 - 0.2j, rtol=0, atol=1e-15)
+
+
+class TestTimeChunks:
+    """The TCL2 closed forms run per time chunk; no chunking changes a bit."""
+
+    CLOSED_FORMS = {"tcl2_jm": tcl2_jm, "tcl2_coherence_m": tcl2_coherence_m,
+                    "tcl2_population_m": tcl2_population_m}
+    T = np.linspace(0.0, 25.0, 127)
+
+    @pytest.mark.parametrize("return_sectors", [False, True])
+    @pytest.mark.parametrize("fn", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
+    def test_chunked_closed_forms_are_bit_identical(self, monkeypatch, fn, return_sectors):
+        whole = fn(PARAMS, self.T, return_sectors=return_sectors)
+        n_sectors = 12  # the jm table of N = 5; 3 chunks of the m table (6 sectors)
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * n_sectors * 5)
+        assert len(list(trajectory._time_chunks(self.T.size, 16 * n_sectors))) == 26
+        chunked = fn(PARAMS, self.T, return_sectors=return_sectors)
+        if return_sectors:
+            (whole, whole_bundle), (chunked, chunked_bundle) = whole, chunked
+            for part in ("p_plus", "p_minus", "coh"):
+                a, b = getattr(chunked_bundle, part), getattr(whole_bundle, part)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a, b)
+        for part in ("p_plus", "p_minus", "coh"):
+            a, b = getattr(chunked, part), getattr(whole, part)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("family", ["m", "jm"])
+    @pytest.mark.parametrize("method", ["tcl2", "nz2"])
+    def test_j3tot_series_equals_the_bundle_reduction(self, monkeypatch, method, family):
+        # the series report.csv reads, built per chunk, against the whole bundle
+        _, bundle, _ = _solve(PARAMS, self.T, method, family, sectors=True)
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * 12 * 5)
+        traj, none, q = _solve(PARAMS, self.T, method, family, j3tot=True)
+        assert none is None and q.shape == self.T.shape
+        np.testing.assert_array_equal(q, j3tot_expectation(bundle))
+        assert traj.p_plus is not None and traj.coh is not None
+        assert _solve(PARAMS, self.T, method, family)[2] is None
+
+
+_CAPPED_CHILD = textwrap.dedent(
+    """
+    import numpy as np
+    from spinstar.masters import tcl2_population_m
+    from spinstar.sectors import SystemParams
+
+    p = SystemParams(N=1000, A=0.1 / 2000, omega0=1.0, initial_p_plus=0.7)
+    traj = tcl2_population_m(p, 0.5 * np.arange(16001))
+    assert traj.p_plus[0] == 0.7 and np.all(np.abs(traj.p_plus - 0.5) <= 0.2)
+    """
+)
+
+
+def test_large_bath_population_fits_a_memory_cap(run_capped):
+    # 1001 m sectors x 16001 times: one (sectors, times) float temporary is
+    # 128 MB and the unchunked closed form needs three of them at once
+    proc = run_capped(_CAPPED_CHILD, cap_mib=256)
+    assert proc.returncode == 0, proc.stderr[-2000:]

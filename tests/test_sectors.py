@@ -180,6 +180,20 @@ class TestFrequencies:
                 rhs = 4.0 * p.A**2 * b_coeff(s, branch)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("coupling", [0.23, 1e160], ids=["A=0.23", "A^2-overflows"])
+    def test_mu_agrees_with_the_sector_table(self, coupling):
+        # the scalar mu and the Rabi frequencies of the jm table (as exact.py
+        # forms them), bit for bit; at A = 1e160, A^2 overflows to inf in both
+        p = params(N=4, A=coupling, omega0=1.0)
+        fam = sector_family(p, "jm")
+        for branch, om, b4 in ((+1, fam.om_p, fam.b_p), (-1, fam.om_m, fam.b_m)):
+            scalar = [mu(p, SectorJM(int(tj), int(tm)), branch)
+                      for tj, tm in zip(fam.two_j, fam.two_m)]
+            np.testing.assert_array_equal(scalar, np.sqrt(0.25 * om * om + b4))
+        if coupling == 1e160:
+            assert mu(p, SectorJM(2, 0)) == np.inf
+
 
 class TestBCoeff:
     def test_examples(self):

@@ -17,6 +17,7 @@ from spinstar.masters import (
     tcl2_population_m,
     tcl2_population_via_ode,
 )
+from spinstar import trajectory
 from spinstar.oracle import propagate
 from spinstar.sectors import SystemParams
 from spinstar.trajectory import Trajectory
@@ -74,3 +75,27 @@ BAD_GRIDS = {
 def test_malformed_grid_is_rejected(entry, grid):
     with pytest.raises(ValueError):
         entry(np.array(grid, dtype=float))
+
+
+def test_one_wide_tail_joins_the_last_chunk(monkeypatch):
+    # 36 jm sectors, 3 times per chunk: 10 times would leave a 1-wide tail,
+    # which numpy sums over sectors pairwise instead of row by row
+    p = SystemParams(N=10, A=0.07, omega0=1.2, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
+    t = np.linspace(0.0, 9.0, 10)
+    runs = {
+        "exact_trajectory": lambda: exact_trajectory(p, t),
+        "tcl2_jm": lambda: tcl2_jm(p, t),
+        "tcl2_coherence_m": lambda: tcl2_coherence_m(p, t),
+        "tcl2_population_m": lambda: tcl2_population_m(p, t),
+    }
+    whole = {name: run() for name, run in runs.items()}
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * 36 * 3)
+    widths = [s.stop - s.start for s in trajectory._time_chunks(t.size, 16 * 36)]
+    assert widths == [3, 3, 4]
+    assert [s.stop - s.start for s in trajectory._time_chunks(3, 2**30)] == [3]
+    assert [s.stop - s.start for s in trajectory._time_chunks(5, 2**30)] == [2, 3]
+    for name, run in runs.items():
+        chunked = run()
+        for part in ("p_plus", "coh"):
+            if getattr(chunked, part) is not None:
+                np.testing.assert_array_equal(getattr(chunked, part), getattr(whole[name], part))

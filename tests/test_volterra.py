@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinstar import masters
+from spinstar import masters, volterra
 from spinstar.sectors import SystemParams, coupling_from_alpha
 from spinstar.volterra import (
     KernelSpec,
@@ -335,5 +335,29 @@ def test_spectral_route_is_bounded_by_x0_hypothesis(data):
     x = solve_volterra_batch(
         x0, amps.reshape(n_prob, n_terms), 1j * w * n.reshape(n_prob, n_terms), t
     )
+    np.testing.assert_array_equal(x[:, 0], x0)
+    assert np.all(np.abs(x) <= np.abs(x0)[:, None] * (1.0 + 1e-12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arrowhead_weights_sum_to_one_hypothesis(data):
+    # the weights |V_0k|^2 are the first components of an orthonormal
+    # eigenbasis: they sum to 1, so the spectral solution keeps |x(t)| <= |x0|
+    n_prob = data.draw(st.integers(1, 6), label="P")
+    n_terms = data.draw(st.integers(1, 5), label="K")
+    size = n_prob * n_terms
+    amp = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+    amps = np.array(data.draw(st.lists(amp, min_size=size, max_size=size), label="a"))
+    freq = st.one_of(st.just(0.0), st.floats(-20.0, 20.0))
+    w = np.array(data.draw(st.lists(freq, min_size=size, max_size=size), label="w"))
+    amps, rates = amps.reshape(n_prob, n_terms), 1j * w.reshape(n_prob, n_terms)
+    lam, wts = volterra._arrowhead_spectrum(amps, rates)
+    assert lam.shape == wts.shape == (n_prob, n_terms + 1)
+    assert np.all(wts >= 0.0)
+    assert np.max(np.abs(wts.sum(axis=1) - 1.0)) <= 1e-12
+    x0 = np.linspace(1.0, 2.0, n_prob) * np.exp(0.7j * np.arange(n_prob))
+    t = np.linspace(0.0, 10.0, 41)
+    x = solve_volterra_batch(x0, amps, rates, t)
     np.testing.assert_array_equal(x[:, 0], x0)
     assert np.all(np.abs(x) <= np.abs(x0)[:, None] * (1.0 + 1e-12))
