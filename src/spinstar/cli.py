@@ -9,8 +9,10 @@ Subcommands:
 * ``figure K [--t-max X] [--dt X] [--out DIR]``: canned parameter sets
   (presets 2..7) reproducing the published comparison scenarios.
 
-Config files are line-oriented ``key=value`` with ``#`` comments.  Exit
-codes: 0 success, 2 config error, 3 numeric failure, 4 capacity exceeded.
+Config files are line-oriented ``key=value`` with ``#`` comments; the keys
+are the fields of :class:`ScenarioConfig` plus ``alpha``.  Exit codes: 0
+success, 2 config error, 3 numeric failure, 4 capacity exceeded (the oracle
+cap or an allocation that does not fit in memory).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +50,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """Resolved scenario parameters (A already derived from alpha if given).
+    """One scenario, checked once on construction (A already derived from alpha).
 
-    The time window is checked here, so config files and figure overrides
-    share one check.
+    The fields are the config-file keys, and config files and figure presets
+    alike build one, so ``__post_init__`` is the CLI's only scenario check.
+    It holds the rules that only the CLI has and builds the owners of the
+    others: SystemParams, SolveOptions and the oracle guards.  Their
+    ValueError becomes ConfigError; CapacityError passes through.
     """
 
     N: int
@@ -74,6 +79,35 @@ class ScenarioConfig:
             raise ConfigError("dt must be finite and > 0")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ConfigError("t_max must be finite and >= dt")
+        if not self.methods:
+            raise ConfigError("methods list is empty")
+        bad = [m for m in self.methods if m not in _VALID_METHODS]
+        if bad:
+            raise ConfigError(
+                f"unknown methods: {', '.join(bad)} (valid: {', '.join(_VALID_METHODS)})"
+            )
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError("methods list contains duplicates")
+        if self.projection not in ("m", "jm"):
+            raise ConfigError("projection must be 'm' or 'jm'")
+        if self.couplings is not None and "oracle" not in self.methods:
+            raise ConfigError("couplings are supported by the oracle method only")
+        for keys, owner in (
+            ("N, omega0, A, initial_p_plus, coh_re, coh_im", self.params),
+            ("solver_step, solver_tolerance", self.solve_options),
+            ("N, couplings", self._oracle_guards),
+        ):
+            try:
+                owner()
+            except CapacityError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"{keys}: {exc}") from None
+
+    def _oracle_guards(self) -> None:
+        if "oracle" in self.methods:
+            oracle_mod._require_capacity(self.N, oracle_mod.MAX_BATH_SPINS, "the spectral oracle")
+            oracle_mod._check_couplings(self.N, self.couplings)
 
     def params(self) -> SystemParams:
         return SystemParams(
@@ -99,6 +133,20 @@ class ScenarioConfig:
         return SolveOptions(**kwargs)
 
 
+def _list(read):
+    return lambda text: tuple(read(v) for v in text.split(",") if v.strip())
+
+
+#: how config text becomes a value, per ScenarioConfig field annotation (without "| None")
+_READERS = {
+    "int": ("an integer", int),
+    "float": ("a number", float),
+    "str": ("a string", str),
+    "tuple[str, ...]": ("a list", _list(str.strip)),
+    "tuple[float, ...]": ("a list of numbers", _list(float)),
+}
+
+
 def _parse_lines(text: str) -> list[tuple[str, str]]:
     items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,7 +161,7 @@ def _parse_lines(text: str) -> list[tuple[str, str]]:
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate a key=value scenario file."""
+    """Read a key=value scenario file; the keys are ScenarioConfig's fields plus alpha."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -124,112 +172,30 @@ def parse_config(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"duplicate key {key!r}")
         seen[key] = value
 
-    known = {
-        "N", "omega0", "A", "alpha", "t_max", "dt", "methods", "projection",
-        "initial_p_plus", "coh_re", "coh_im", "couplings", "solver_step",
-        "solver_tolerance", "output_dir",
-    }
-    unknown = sorted(set(seen) - known)
+    schema = {f.name: f for f in fields(ScenarioConfig)}
+    unknown = sorted(set(seen) - set(schema) - {"alpha"})
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
-
-    def need(key):
-        if key not in seen:
-            raise ConfigError(f"missing required key {key!r}")
-        return seen[key]
-
-    def as_float(key, value):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: not a number: {value!r}") from None
-
-    n_raw = need("N")
-    try:
-        n_spins = int(n_raw)
-    except ValueError:
-        raise ConfigError(f"key 'N': not an integer: {n_raw!r}") from None
-    if n_spins < 1:
-        raise ConfigError("N must be >= 1")
-    omega0 = as_float("omega0", need("omega0"))
-    if not (omega0 > 0.0):
-        raise ConfigError("omega0 must be > 0")
-
     if ("A" in seen) == ("alpha" in seen):
         raise ConfigError("exactly one of the keys 'A' and 'alpha' must be given")
-    if "A" in seen:
-        coupling = as_float("A", seen["A"])
-    else:
-        coupling = coupling_from_alpha(n_spins, omega0, as_float("alpha", seen["alpha"]))
+    for f in schema.values():
+        if f.name not in seen and f.name != "A" and f.default is MISSING:
+            raise ConfigError(f"missing required key {f.name!r}")
 
-    t_max = as_float("t_max", need("t_max"))
-    dt = as_float("dt", need("dt"))
-
-    methods = tuple(m.strip() for m in need("methods").split(",") if m.strip())
-    if not methods:
-        raise ConfigError("methods list is empty")
-    bad = [m for m in methods if m not in _VALID_METHODS]
-    if bad:
-        raise ConfigError(
-            f"unknown methods: {', '.join(bad)} (valid: {', '.join(_VALID_METHODS)})"
-        )
-    if len(set(methods)) != len(methods):
-        raise ConfigError("methods list contains duplicates")
-
-    projection = seen.get("projection", "m")
-    if projection not in ("m", "jm"):
-        raise ConfigError("projection must be 'm' or 'jm'")
-
-    p0 = as_float("initial_p_plus", seen.get("initial_p_plus", "1"))
-    if not (0.0 <= p0 <= 1.0):
-        raise ConfigError("initial_p_plus must lie in [0, 1]")
-    coh_re = as_float("coh_re", seen.get("coh_re", "0"))
-    coh_im = as_float("coh_im", seen.get("coh_im", "0"))
-
-    couplings = None
-    if "couplings" in seen:
-        if "oracle" not in methods:
-            raise ConfigError("couplings are supported by the oracle method only")
-        couplings = tuple(
-            as_float("couplings", v) for v in seen["couplings"].split(",") if v.strip()
-        )
-        if len(couplings) != n_spins:
-            raise ConfigError(
-                f"couplings list has {len(couplings)} entries, expected N = {n_spins}"
-            )
-
-    if "oracle" in methods and n_spins > oracle_mod.MAX_BATH_SPINS:
-        raise CapacityError(
-            f"oracle requested with N = {n_spins} > {oracle_mod.MAX_BATH_SPINS}"
-        )
-
-    solver_step = as_float("solver_step", seen["solver_step"]) if "solver_step" in seen else None
-    if solver_step is not None and not (solver_step > 0.0):
-        raise ConfigError("solver_step must be > 0")
-    solver_tolerance = (
-        as_float("solver_tolerance", seen["solver_tolerance"])
-        if "solver_tolerance" in seen
-        else None
-    )
-    if solver_tolerance is not None and not (solver_tolerance > 0.0):
-        raise ConfigError("solver_tolerance must be > 0")
-
-    return ScenarioConfig(
-        N=n_spins,
-        omega0=omega0,
-        A=coupling,
-        t_max=t_max,
-        dt=dt,
-        methods=methods,
-        projection=projection,
-        initial_p_plus=p0,
-        coh_re=coh_re,
-        coh_im=coh_im,
-        couplings=couplings,
-        solver_step=solver_step,
-        solver_tolerance=solver_tolerance,
-        output_dir=seen.get("output_dir", "."),
-    )
+    values = {}
+    for key, raw in seen.items():
+        annotation = schema[key].type if key != "alpha" else "float"
+        kind, read = _READERS[annotation.removesuffix(" | None")]
+        try:
+            values[key] = read(raw)
+        except ValueError:
+            raise ConfigError(f"key {key!r}: not {kind}: {raw!r}") from None
+    if "alpha" in values:
+        try:
+            values["A"] = coupling_from_alpha(values["N"], values["omega0"], values.pop("alpha"))
+        except ValueError as exc:
+            raise ConfigError(f"alpha: {exc}") from None
+    return ScenarioConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +220,10 @@ def _run_method(cfg: ScenarioConfig, method: str, j3tot: bool = False):
         )
     if method == "standard":
         return standard_projection_population(params, t), None
-    if method in ("tcl2", "nz2"):
-        traj, _, q = _solve(
-            params, t, method, cfg.projection, opts=cfg.solve_options(), j3tot=j3tot
-        )
-        return traj, q
-    raise ConfigError(f"unknown method {method!r}")
+    traj, _, q = _solve(  # tcl2 or nz2
+        params, t, method, cfg.projection, opts=cfg.solve_options(), j3tot=j3tot
+    )
+    return traj, q
 
 
 def method_filename(method: str, projection: str) -> str:
@@ -271,6 +235,13 @@ def method_filename(method: str, projection: str) -> str:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _text(value) -> str:
+    """A field value as written to report.csv: floats shortest round-trip, tuples comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(map(_text, value))
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -299,48 +270,31 @@ def _drift_per_unit_time(q: np.ndarray | None, times: np.ndarray) -> float:
 
 
 def _resolved_config_lines(cfg: ScenarioConfig) -> list[str]:
-    vals = [
-        ("N", str(cfg.N)), ("omega0", _fmt(cfg.omega0)), ("A", _fmt(cfg.A)),
-        ("t_max", _fmt(cfg.t_max)), ("dt", _fmt(cfg.dt)),
-        ("methods", ",".join(cfg.methods)), ("projection", cfg.projection),
-        ("initial_p_plus", _fmt(cfg.initial_p_plus)),
-        ("coh_re", _fmt(cfg.coh_re)), ("coh_im", _fmt(cfg.coh_im)),
-    ]
-    if cfg.couplings is not None:
-        vals.append(("couplings", ",".join(_fmt(c) for c in cfg.couplings)))
-    if cfg.solver_step is not None:
-        vals.append(("solver_step", _fmt(cfg.solver_step)))
-    if cfg.solver_tolerance is not None:
-        vals.append(("solver_tolerance", _fmt(cfg.solver_tolerance)))
-    vals.append(("output_dir", cfg.output_dir))
-    return [f"# resolved_config: {k}={v}" for k, v in vals]
+    return [f"# resolved_config: {k}={_text(v)}" for k, v in asdict(cfg).items() if v is not None]
 
 
-def _execute(cfg: ScenarioConfig, out_dir: Path, with_report: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    for method in cfg.methods:
-        traj, j3tot = _run_method(cfg, method, j3tot=with_report)
-        results.append((method, traj, j3tot))
-        write_trajectory_csv(out_dir / method_filename(method, cfg.projection), traj)
-    if not with_report:
-        return
-    ref_method, ref, _ = results[0]
+def _report(cfg: ScenarioConfig, results) -> str:
+    """report.csv: the resolved config, then every method against the first one."""
     lines = _resolved_config_lines(cfg)
-    lines.append(",".join(ErrorReport.FIELDS))
-    for method, traj, j3tot in results[1:]:
+    lines.append(",".join(f.name for f in fields(ErrorReport)))
+    ref = results[0][1]
+    for _, traj, j3tot in results[1:]:
         rep = compare_trajectories(
             ref, traj, j3tot_drift=_drift_per_unit_time(j3tot, traj.times)
         )
-        lines.append(
-            ",".join(
-                (rep.method_ref, rep.method_other,
-                 _fmt(rep.sup_err_pop), _fmt(rep.l2_err_pop),
-                 _fmt(rep.sup_err_coh), _fmt(rep.l2_err_coh),
-                 _fmt(rep.trace_drift), _fmt(rep.j3tot_drift))
-            )
-        )
-    (out_dir / "report.csv").write_text("\n".join(lines) + "\n")
+        lines.append(",".join(map(_text, astuple(rep))))
+    return "\n".join(lines) + "\n"
+
+
+def _execute(cfg: ScenarioConfig, out_dir: Path, with_report: bool) -> None:
+    """Compute every method before writing anything, so a failing run leaves no files."""
+    results = [(method, *_run_method(cfg, method, j3tot=with_report)) for method in cfg.methods]
+    report = _report(cfg, results) if with_report else None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for method, traj, _ in results:
+        write_trajectory_csv(out_dir / method_filename(method, cfg.projection), traj)
+    if report is not None:
+        (out_dir / "report.csv").write_text(report)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +401,10 @@ def main(argv=None) -> int:
         else:
             cfg = figure_config(args.preset, args.t_max, args.dt, args.out)
             _execute(cfg, Path(cfg.output_dir), with_report=False)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, CapacityError):
-            print(f"spinstar: capacity exceeded: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
+    except (CapacityError, MemoryError) as exc:
+        print(f"spinstar: capacity exceeded: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except ValueError as exc:
         print(f"spinstar: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericsError as exc:

@@ -51,7 +51,10 @@ def _check_couplings(N: int, couplings) -> np.ndarray | None:
         return None
     c = np.asarray(couplings, dtype=float)
     if c.shape != (N,) or not np.all(np.isfinite(c)):
-        raise ValueError(f"couplings must be a finite array of length N = {N}")
+        raise ValueError(
+            f"couplings must be a finite array of length N (expected N = {N} finite values, "
+            f"got shape {c.shape})"
+        )
     return c
 
 
@@ -64,17 +67,18 @@ def _require_capacity(N: int, limit: int, what: str) -> None:
         raise CapacityError(f"{what} supports at most N = {limit} bath spins, got {N}")
 
 
-def _popcounts(N: int) -> np.ndarray:
+def _bath_two_m(N: int) -> np.ndarray:
+    """two_m = N - 2 * (number of down spins) of every bath basis state."""
     n = np.arange(1 << N, dtype=np.int64)
     counts = np.zeros_like(n)
     for k in range(N):
         counts += (n >> k) & 1
-    return counts
+    return N - 2 * counts
 
 
 def _sector_states(N: int) -> dict[int, np.ndarray]:
-    """Bath basis states (integers, ascending) grouped by two_m = N - 2*popcount."""
-    two_m = N - 2 * _popcounts(N)
+    """Bath basis states (integers, ascending) grouped by two_m."""
+    two_m = _bath_two_m(N)
     return {int(tm): np.nonzero(two_m == tm)[0] for tm in range(-N, N + 1, 2)}
 
 
@@ -134,7 +138,6 @@ def _j2_eigenblocks(N: int, two_m: int, states: dict[int, np.ndarray]):
 class _Block:
     """Eigen-data of one J_3^tot block: |+> x (sector b) with |-> x (sector b+2)."""
 
-    two_m_up: int
     energies: np.ndarray
     v_up: np.ndarray  # (dim_up, D) eigenvector components on the |+> rows
     v_dn: np.ndarray  # (dim_dn, D) components on the |-> rows
@@ -150,9 +153,10 @@ def _zeeman_sums(N: int, couplings: np.ndarray) -> np.ndarray:
 
 
 def _build_blocks(params: SystemParams, couplings=None) -> dict[int, _Block]:
-    N, A, w0 = params.N, params.A, params.omega0
+    N, w0 = params.N, params.omega0
+    a_k = np.full(N, params.A) if couplings is None else couplings
     states = _sector_states(N)
-    zsum = None if couplings is None else _zeeman_sums(N, couplings)
+    zsum = _zeeman_sums(N, a_k)
     blocks = {}
     for b in range(-N - 2, N + 1, 2):  # b = bath two_m of the |+> half
         n_up = states[b].size if -N <= b <= N else 0
@@ -163,23 +167,16 @@ def _build_blocks(params: SystemParams, couplings=None) -> dict[int, _Block]:
         h = np.zeros((dim, dim))
         if n_up:
             idx = np.arange(n_up)
-            h[idx, idx] = 0.5 * w0 + (A * b if zsum is None else zsum[states[b]])
+            h[idx, idx] = 0.5 * w0 + zsum[states[b]]
         if n_dn:
             idx = np.arange(n_up, dim)
-            h[idx, idx] = -0.5 * w0 - (
-                A * (b + 2) if zsum is None else zsum[states[b + 2]]
-            )
+            h[idx, idx] = -0.5 * w0 - zsum[states[b + 2]]
         if n_up and n_dn:
-            if couplings is None:
-                c = 2.0 * A * _jplus_block(states[b], states[b + 2]).T
-            else:
-                c = 2.0 * _jplus_block(states[b], states[b + 2], couplings).T
+            c = 2.0 * _jplus_block(states[b], states[b + 2], a_k).T
             h[:n_up, n_up:] = c
             h[n_up:, :n_up] = c.T
         energies, u = np.linalg.eigh(h)
-        blocks[b] = _Block(
-            two_m_up=b, energies=energies, v_up=u[:n_up, :], v_dn=u[n_up:, :]
-        )
+        blocks[b] = _Block(energies=energies, v_up=u[:n_up, :], v_dn=u[n_up:, :])
     return blocks
 
 
@@ -349,7 +346,7 @@ def build_hamiltonian(params: SystemParams, couplings=None) -> np.ndarray:
                 h[d + n_up, n_down] += 2.0 * a_k[k]
     if not np.allclose(h, h.T):
         raise AssertionError("Hamiltonian construction is not symmetric")
-    two_m = N - 2 * _popcounts(N)
+    two_m = _bath_two_m(N)
     j3tot = np.concatenate([0.5 + 0.5 * two_m, -0.5 + 0.5 * two_m])
     if np.max(np.abs(h * (j3tot[:, None] - j3tot[None, :]))) > 1e-12:
         raise AssertionError("Hamiltonian does not conserve J_3^tot")
@@ -457,7 +454,7 @@ def _min_choi_eigenvalue(pairs, N: int) -> float:
     All blocks, zero blocks included, carry the 4^N eigenvalues between them.
     """
     sectors = _sector_states(N).values()
-    two_m = N - 2 * _popcounts(N)
+    two_m = _bath_two_m(N)
     outside = two_m[:, None] != two_m[None, :]
     if any(np.any(a_i[outside]) or np.any(b_i[outside]) for a_i, b_i in pairs):
         raise AssertionError("projection family is not block diagonal in the bath J_3 sectors")
@@ -523,7 +520,7 @@ def check_projection_conditions(
     min_eig = _min_choi_eigenvalue(pairs, N)
 
     states = _sector_states(N)
-    two_m = N - 2 * _popcounts(N)
+    two_m = _bath_two_m(N)
     j3tot = np.diag(np.concatenate([0.5 + 0.5 * two_m, -0.5 + 0.5 * two_m]))
     j3_defect = float(
         np.max(np.abs(_apply_projection(pairs, j3tot, N, adjoint=True) - j3tot))

@@ -363,7 +363,6 @@ class SectorFamily:
     pair_coef = 16A^2 b(j,m), steady = c/2.
     """
 
-    family: str
     two_j: np.ndarray | None
     two_m: np.ndarray
     w: np.ndarray
@@ -404,7 +403,7 @@ def sector_family(params: SystemParams, family: str) -> SectorFamily:
     c = w * p0 + w_up * (1.0 - p0)
     steady = 0.5 * c if two_j is not None else ((N + two_m) // 2 + 1) * c / (N + 1.0)
     return SectorFamily(
-        family=family, two_j=two_j, two_m=two_m, w=w,
+        two_j=two_j, two_m=two_m, w=w,
         om_p=_omega_plus(params.omega0, A, two_m),
         om_m=_omega_minus(params.omega0, A, two_m),
         b_p=b_p, b_m=b_m, pair_coef=pair_coef, c=c, steady=steady,

@@ -103,7 +103,8 @@ class ErrorReport:
 
     The L2 norm is sqrt of the trapezoidal integral of |delta|^2 over the
     common time grid.  ``j3tot_drift`` is filled by callers that have
-    sector-resolved data; it defaults to 0 for methods without it.
+    sector-resolved data; it defaults to 0 for methods without it.  The
+    fields, in order, are the columns of the CLI's report.csv.
     """
 
     method_ref: str
@@ -114,17 +115,6 @@ class ErrorReport:
     l2_err_coh: float
     trace_drift: float
     j3tot_drift: float = 0.0
-
-    FIELDS = (
-        "method_ref",
-        "method_other",
-        "sup_err_pop",
-        "l2_err_pop",
-        "sup_err_coh",
-        "l2_err_coh",
-        "trace_drift",
-        "j3tot_drift",
-    )
 
 
 def _sup_l2(delta: np.ndarray, times: np.ndarray) -> tuple[float, float]:

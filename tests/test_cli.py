@@ -1,4 +1,7 @@
+import re
 import textwrap
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ from spinstar.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     FIGURE_PRESETS,
+    ConfigError,
     ScenarioConfig,
     _run_method,
+    figure_config,
     main,
     method_filename,
     parse_config,
@@ -157,6 +162,23 @@ class TestExitCodes:
         text = BASE.replace("A = 0.1", "A = 1e160").replace("exact,tcl2", method)
         cfg = write_config(tmp_path, text + f"projection = {projection}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize(
+        "methods,extra,code",
+        [
+            # standard rejects p_plus(0) != 1 only once it runs, after exact and tcl2
+            ("exact,tcl2,standard", "initial_p_plus = 0.5\n", EXIT_CONFIG),
+            ("exact,oracle", "couplings = 0.1,0.1,inf,0.1\n", EXIT_CONFIG),
+            ("exact,nz2", "solver_step = 50\nsolver_tolerance = 1e-30\n", EXIT_NUMERIC),
+        ],
+        ids=["standard-p0", "infinite-coupling", "nz2-no-convergence"],
+    )
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_failing_run_writes_nothing(self, tmp_path, command, methods, extra, code):
+        cfg = write_config(tmp_path, BASE.replace("exact,tcl2", methods) + extra)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert not out.exists()
 
     def test_compare_needs_two_methods(self, tmp_path):
         text = BASE.replace("exact,tcl2", "exact")
@@ -324,3 +346,55 @@ coh_re = {preset["coh0"]}
     assert 0.0 <= float(rep["j3tot_drift"]) <= 1e-9
     assert 0.0 < float(rep["sup_err_coh"]) <= 0.1
     assert len((out / "tcl2_jm.csv").read_text().splitlines()) == 6002
+
+
+def test_out_of_memory_exits_4(tmp_path, run_capped):
+    # 1e9 + 1 times are 8 GB of float64: the time grid alone cannot be allocated
+    cfg = write_config(tmp_path, BASE.replace("dt = 0.5", "dt = 1e-6").replace(
+        "t_max = 2.0", "t_max = 1000"))
+    out = tmp_path / "out"
+    proc = run_capped(_CAPPED_COMPARE.format(config=str(cfg), out=str(out)), cap_mib=256)
+    assert proc.returncode == EXIT_CAPACITY, proc.stderr[-2000:]
+    assert "capacity exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+class TestSchema:
+    """The keys and the report.csv echo both come from ScenarioConfig's fields."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            BASE.replace("A = 0.1", "alpha = 0.37") + "projection = jm\ninitial_p_plus = 0.3\n"
+            "coh_re = 0.1\ncoh_im = -0.2\n",
+            BASE.replace("exact,tcl2", "oracle,exact") + "couplings = 0.1,0.25,-0.05,0.3\n",
+            BASE.replace("exact,tcl2", "exact,nz2") + "solver_step = 0.01\n"
+            "solver_tolerance = 1e-9\noutput_dir = somewhere\n",
+        ],
+        ids=["alpha", "couplings", "solver-keys"],
+    )
+    def test_resolved_config_parses_back(self, tmp_path, text):
+        path = write_config(tmp_path, text)
+        cfg, out = parse_config(path), tmp_path / "out"
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        prefix = "# resolved_config: "
+        echoed = [l[len(prefix):] for l in (out / "report.csv").read_text().splitlines()
+                  if l.startswith(prefix)]
+        assert parse_config(write_config(tmp_path, "\n".join(echoed), name="echo.cfg")) == cfg
+
+    def test_figure_and_config_file_share_the_check(self, tmp_path):
+        with pytest.raises(ConfigError) as from_figure:
+            figure_config(5, dt=-1.0)
+        with pytest.raises(ConfigError) as from_file:
+            parse_config(write_config(tmp_path, BASE.replace("dt = 0.5", "dt = -1")))
+        assert str(from_figure.value) == str(from_file.value) == "dt must be finite and > 0"
+
+    def test_readme_config_block(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(write_config(tmp_path, block))
+        assert (cfg.N, cfg.methods, cfg.output_dir) == (101, ("exact", "tcl2", "nz2"), "out")
+        # every key is documented, the commented-out optional ones included
+        documented = set(re.findall(r"^#?\s*(\w+)\s*=", block, re.M))
+        assert documented == {f.name for f in fields(ScenarioConfig)} | {"alpha"}
