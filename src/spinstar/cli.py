@@ -27,7 +27,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .exact import exact_trajectory
-from .masters import _solve, standard_projection_population
+from .masters import _check_standard_start, _solve, standard_projection_population
 from .oracle import CapacityError
 from .sectors import SystemParams, coupling_from_alpha
 from .trajectory import ErrorReport, Trajectory, compare_trajectories
@@ -55,7 +55,7 @@ class ScenarioConfig:
     The fields are the config-file keys, and config files and figure presets
     alike build one, so ``__post_init__`` is the CLI's only scenario check.
     It holds the rules that only the CLI has and builds the owners of the
-    others: SystemParams, SolveOptions and the oracle guards.  Their
+    others: SystemParams, SolveOptions, the oracle and standard guards.  Their
     ValueError becomes ConfigError; CapacityError passes through.
     """
 
@@ -95,7 +95,7 @@ class ScenarioConfig:
         for keys, owner in (
             ("N, omega0, A, initial_p_plus, coh_re, coh_im", self.params),
             ("solver_step, solver_tolerance", self.solve_options),
-            ("N, couplings", self._oracle_guards),
+            ("N, couplings, initial_p_plus", self._method_guards),
         ):
             try:
                 owner()
@@ -104,10 +104,12 @@ class ScenarioConfig:
             except ValueError as exc:
                 raise ConfigError(f"{keys}: {exc}") from None
 
-    def _oracle_guards(self) -> None:
+    def _method_guards(self) -> None:
         if "oracle" in self.methods:
             oracle_mod._require_capacity(self.N, oracle_mod.MAX_BATH_SPINS, "the spectral oracle")
             oracle_mod._check_couplings(self.N, self.couplings)
+        if "standard" in self.methods:
+            _check_standard_start(self.initial_p_plus)
 
     def params(self) -> SystemParams:
         return SystemParams(

@@ -13,13 +13,15 @@ coefficients are one table, ``sectors.sector_family(params, "m" | "jm")``:
 labels ``two_j``/``two_m``, weights ``w``, detunings ``om_p``/``om_m``,
 coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
 ``c`` with its ``steady`` value and ``y0``, and ``c_prev``/``lower`` to
-rebuild P_- from P_+.  Four kernels read it and never branch on the family:
+rebuild P_- from P_+.  One kernel per method reads it, blind to the family:
 
-* ``_tcl2_coherence``/``_tcl2_population``: closed forms exp(-Lambda), behind
-  ``tcl2_coherence_m``, ``tcl2_population_m`` and ``tcl2_jm``, evaluated per
-  time chunk so that memory does not grow with sectors x times;
-* ``_nz2_coherence``/``_nz2_population``: one scalar Volterra equation per
-  sector, behind ``nz2_coherence_m``, ``nz2_population_m`` and ``nz2_jm``.
+* ``_tcl2``: closed forms exp(-Lambda), behind ``tcl2_coherence_m``,
+  ``tcl2_population_m`` and ``tcl2_jm``, evaluated per time chunk so that
+  memory does not grow with sectors x times.  Every exponent is read from one
+  table of g(Omega, t) on the N+2 detunings Omega_+(m), two_m = -N-2 ... N:
+  the |-> branch of sector m is the |+> branch of m-1, Omega_-(m) = -Omega_+(m-1);
+* ``_nz2``: one scalar Volterra equation per sector, behind
+  ``nz2_coherence_m``, ``nz2_population_m`` and ``nz2_jm``.
   Shifting to the steady value removes the constant forcing of the pairwise
   closure and keeps trace and J_3^tot conservation exact by construction.
   Every NZ2 kernel has amplitudes >= 0 and rates +-i Omega, so with
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sectors import SectorFamily, SystemParams, sector_family
-from .trajectory import Trajectory, _time_chunks, _validate_times
+from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
+from .trajectory import Trajectory, _time_chunks, _trajectory, _validate_times
 from .volterra import SolveOptions, solve_volterra_batch, integrate_linear_ode
 
 __all__ = [
@@ -76,35 +78,25 @@ _SIN_SERIES = (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 622702
                1 / 1307674368000, -1 / 355687428096000)
 
 
-def _tcl2_exponent(terms, t, imag: bool) -> np.ndarray:
-    """sum over (coef, Omega) in terms of coef g(Omega, t), one (sectors, times) array.
+def _g_table(om, t):
+    """(2 Re g/t^2, Im g/t^2) of g(Omega, t) on a (detunings, times) grid.
 
     g(Omega, t) = int_0^t (t - u) e^{i Omega u} du = (1 - e^{i Omega t})/Omega^2 + i t/Omega.
-    With x = Omega t, Re g = (t^2/2) (sin(x/2)/(x/2))^2 has no cancellation and
-    Im g = t^2 (x - sin x)/x^2 takes its Taylor series where |x| < 1, element
-    by element, so both are accurate at and near Omega = 0.  With imag=False
-    only Re g is summed, into a real array.
+    With x = Omega t, 2 Re g/t^2 = (sin(x/2)/(x/2))^2 has no cancellation and
+    Im g/t^2 = (x - sin x)/x^2 takes its Taylor series where |x| < 1, element
+    by element, so both are accurate at and near Omega = 0.
     """
-    lam = np.zeros((terms[0][0].size, t.size), complex if imag else float)
-    for coef, om in terms:
-        x = np.multiply.outer(om, t)
-        g = np.multiply(x, 0.5)
-        np.divide(np.sin(g), g, out=g, where=x != 0.0)
-        g[x == 0.0] = 1.0
-        g *= g
-        g *= (0.5 * coef)[:, None]
-        g *= t * t
-        lam.real += g
-        if imag:
-            small = np.abs(x) < 1.0
-            np.subtract(x, np.sin(x), out=g)
-            np.divide(g, x * x, out=g, where=~small)
-            xs = x[small]
-            g[small] = xs * np.polynomial.polynomial.polyval(xs * xs, _SIN_SERIES)
-            g *= coef[:, None]
-            g *= t * t
-            lam.imag += g
-    return lam
+    x = np.multiply.outer(om, t)
+    re = np.multiply(x, 0.5)
+    np.divide(np.sin(re), re, out=re, where=x != 0.0)
+    re[x == 0.0] = 1.0
+    re *= re
+    small = np.abs(x) < 1.0
+    im = np.subtract(x, np.sin(x))
+    np.divide(im, x * x, out=im, where=~small)
+    xs = x[small]
+    im[small] = xs * np.polynomial.polynomial.polyval(xs * xs, _SIN_SERIES)
+    return re, im
 
 
 def _frame_phase(params: SystemParams, two_m, t):
@@ -113,51 +105,62 @@ def _frame_phase(params: SystemParams, two_m, t):
 
 
 # ---------------------------------------------------------------------------
-# family-generic kernels: each returns totals, then sector arrays or None
+# family-generic kernels: (coh, sector coh, P_+, sector P_+, J_3^tot), None if not asked
 # ---------------------------------------------------------------------------
 #
-# The TCL2 kernels run per time chunk of trajectory._time_chunks, so their
+# The TCL2 kernel runs per time chunk of trajectory._time_chunks, so its
 # temporaries are (sectors, chunk) blocks.  Each time column is reduced over
 # sectors in the same order as a whole (sectors, times) array would be, so
 # chunking changes no bit of the totals, the sector arrays or J_3^tot.
 
 
-def _tcl2_coherence(params: SystemParams, fam: SectorFamily, t, sectors: bool):
-    """rho_{+-}(0) sum_s w_s exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)]."""
-    terms = ((fam.b_p, fam.om_p), (fam.b_m, -fam.om_m))
-    phase, coh0 = 2.0 * params.A * fam.two_m, complex(params.initial_coh)
-    coh = np.empty(t.size, complex)
-    sector_coh = np.empty((fam.w.size, t.size), complex) if sectors else None
-    for sl in _time_chunks(t.size, 16 * fam.w.size):
-        f = _tcl2_exponent(terms, t[sl], imag=True)
-        f.imag += np.multiply.outer(phase, t[sl])
-        np.negative(f, out=f)
-        np.exp(f, out=f)
-        if sectors:
-            sector_coh[:, sl] = coh0 * fam.w[:, None] * f
-        f -= 1.0
-        f *= fam.w[:, None]
-        coh[sl] = coh0 * (1.0 + np.add.reduce(f, axis=0))
-    return coh, sector_coh
+def _tcl2(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
+          sectors: bool, j3tot: bool):
+    """Closed forms exp(-Lambda), every g(Omega, t) read from one table per time chunk.
 
-
-def _tcl2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool, j3tot: bool):
-    """steady + y0 exp(-pair_coef Re g(Omega_+, t)), Re g = (1 - cos Omega_+ t)/Omega_+^2."""
-    p_plus, j3 = np.empty(t.size), (np.empty(t.size) if j3tot else None)
-    sector_p = np.empty((fam.w.size, t.size)) if sectors else None
-    for sl in _time_chunks(t.size, 16 * fam.w.size):
-        lam = _tcl2_exponent(((fam.pair_coef, fam.om_p),), t[sl], imag=False)
-        np.negative(lam, out=lam)
-        if sectors or j3tot:
-            sp = fam.steady[:, None] + fam.y0[:, None] * np.exp(lam)
+    The table holds the N+2 detunings Omega_+(m), two_m = -N-2 ... N: row
+    k = (two_m + N + 2)//2 is Omega_+(m), row k - 1 is Omega_+(m-1) = -Omega_-(m).
+    Coherence: rho_{+-}(0) sum_s w_s exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)].
+    Populations: steady + y0 exp(-pair_coef Re g(Omega_+, t)).
+    """
+    N, size, coh0 = params.N, fam.w.size, complex(params.initial_coh)
+    om = _omega_plus(params.omega0, params.A, np.arange(-N - 2, N + 1, 2))
+    k = (fam.two_m + N + 2) // 2
+    coh = np.empty(t.size, complex) if coherence else None
+    sector_coh = np.empty((size, t.size), complex) if coherence and sectors else None
+    p_plus = np.empty(t.size) if populations else None
+    sector_p = np.empty((size, t.size)) if populations and sectors else None
+    j3 = np.empty(t.size) if populations and j3tot else None
+    for sl in _time_chunks(t.size, 16 * size):
+        t2 = t[sl] * t[sl]
+        re, im = _g_table(om, t[sl])
+        if coherence:  # each term of Lambda as (g coef) t^2, the B_+ term first
+            f = np.zeros((size, t2.size), complex)
+            for rows, b in ((k, fam.b_p), (k - 1, fam.b_m)):
+                f.real += re[rows] * (0.5 * b)[:, None] * t2
+                f.imag += im[rows] * b[:, None] * t2
+            f.imag += np.multiply.outer(2.0 * params.A * fam.two_m, t[sl])
+            np.negative(f, out=f)
+            np.exp(f, out=f)
             if sectors:
-                sector_p[:, sl] = sp
-            if j3tot:
-                j3[sl] = _sector_j3tot(fam, sp)
-        np.expm1(lam, out=lam)
-        lam *= fam.y0[:, None]
-        p_plus[sl] = params.initial_p_plus + np.add.reduce(lam, axis=0)
-    return p_plus, sector_p, j3
+                sector_coh[:, sl] = coh0 * fam.w[:, None] * f
+            f -= 1.0
+            f *= fam.w[:, None]
+            coh[sl] = coh0 * (1.0 + np.add.reduce(f, axis=0))
+            del f  # before the population step makes its own temporaries
+        if populations:
+            lam = re[k] * (0.5 * fam.pair_coef)[:, None] * t2
+            np.negative(lam, out=lam)
+            if sectors or j3tot:
+                sp = fam.steady[:, None] + fam.y0[:, None] * np.exp(lam)
+                if sectors:
+                    sector_p[:, sl] = sp
+                if j3tot:
+                    j3[sl] = _sector_j3tot(fam, sp)
+            np.expm1(lam, out=lam)
+            lam *= fam.y0[:, None]
+            p_plus[sl] = params.initial_p_plus + np.add.reduce(lam, axis=0)
+    return coh, sector_coh, p_plus, sector_p, j3
 
 
 def _coherence_totals(params: SystemParams, fam: SectorFamily, t, x):
@@ -167,29 +170,30 @@ def _coherence_totals(params: SystemParams, fam: SectorFamily, t, x):
     return coh0 + np.add.reduce(sector_coh - (fam.w * coh0)[:, None], axis=0), sector_coh
 
 
-def _nz2_coherence(params: SystemParams, fam: SectorFamily, t, sectors: bool, opts):
-    """Per-sector Volterra solve with the kernel B_+ e^{i Omega_+ tau} + B_- e^{-i Omega_- tau}."""
-    amps = np.stack([fam.b_p, fam.b_m], axis=1).astype(complex)
-    rates = np.stack([1j * fam.om_p, -1j * fam.om_m], axis=1)
-    x = solve_volterra_batch(fam.w * complex(params.initial_coh), amps, rates, t, opts=opts)
-    coh, sector_coh = _coherence_totals(params, fam, t, x)
-    return coh, (sector_coh if sectors else None)
-
-
-def _nz2_population(params: SystemParams, fam: SectorFamily, t, sectors: bool, j3tot: bool,
-                    opts):
-    """Per-sector Volterra solve with the kernel pair_coef cos(Omega_+ tau) around steady."""
-    half = 0.5 * fam.pair_coef  # cosine kernel split into e^{+-i Omega_+ tau}/2
-    amps = np.stack([half, half], axis=1).astype(complex)
-    rates = np.stack([1j * fam.om_p, -1j * fam.om_p], axis=1)
-    y = solve_volterra_batch(fam.y0.astype(complex), amps, rates, t, opts=opts).real
-    p_plus = params.initial_p_plus + np.add.reduce(y - fam.y0[:, None], axis=0)
-    j3 = None
-    if j3tot:  # per time chunk: no (sectors, times) array besides the solution
-        j3 = np.empty(t.size)
-        for sl in _time_chunks(t.size, 16 * fam.w.size):
-            j3[sl] = _sector_j3tot(fam, fam.steady[:, None] + y[:, sl])
-    return p_plus, (fam.steady[:, None] + y if sectors else None), j3
+def _nz2(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
+         sectors: bool, j3tot: bool, opts):
+    """Scalar Volterra solves per sector: coherence with the kernel B_+ e^{i Omega_+ tau} +
+    B_- e^{-i Omega_- tau}, then populations with pair_coef cos(Omega_+ tau) around steady."""
+    coh = sector_coh = p_plus = sector_p = j3 = None
+    if coherence:
+        amps = np.stack([fam.b_p, fam.b_m], axis=1).astype(complex)
+        rates = np.stack([1j * fam.om_p, -1j * fam.om_m], axis=1)
+        coh, sector_coh = _coherence_totals(params, fam, t, solve_volterra_batch(
+            fam.w * complex(params.initial_coh), amps, rates, t, opts=opts))
+        if not sectors:  # free it before the population solve
+            sector_coh = None
+    if populations:
+        half = 0.5 * fam.pair_coef  # cosine kernel split into e^{+-i Omega_+ tau}/2
+        amps = np.stack([half, half], axis=1).astype(complex)
+        rates = np.stack([1j * fam.om_p, -1j * fam.om_p], axis=1)
+        y = solve_volterra_batch(fam.y0.astype(complex), amps, rates, t, opts=opts).real
+        p_plus = params.initial_p_plus + np.add.reduce(y - fam.y0[:, None], axis=0)
+        if j3tot:  # per time chunk: no (sectors, times) array besides the solution
+            j3 = np.empty(t.size)
+            for sl in _time_chunks(t.size, 16 * fam.w.size):
+                j3[sl] = _sector_j3tot(fam, fam.steady[:, None] + y[:, sl])
+        sector_p = fam.steady[:, None] + y if sectors else None
+    return coh, sector_coh, p_plus, sector_p, j3
 
 
 def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
@@ -207,13 +211,6 @@ def _sector_j3tot(fam: SectorFamily, sector_p: np.ndarray) -> np.ndarray:
     ))
 
 
-def _trajectory(params, t, method: str, family: str, p_plus, coh) -> Trajectory:
-    return Trajectory(
-        times=t, p_plus=p_plus, p_minus=None if p_plus is None else 1.0 - p_plus,
-        coh=coh, method=method, projection=family, params=params,
-    )
-
-
 def _solve(
     params: SystemParams, times, method: str, family: str, populations: bool = True,
     coherence: bool = True, opts: SolveOptions | None = None, sectors: bool = False,
@@ -228,16 +225,8 @@ def _solve(
     without building the bundle.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    extra = () if method == "tcl2" else (opts,)
-    pop_kernel, coh_kernel = {
-        "tcl2": (_tcl2_population, _tcl2_coherence),
-        "nz2": (_nz2_population, _nz2_coherence),
-    }[method]
-    p_plus = sector_p = j3 = coh = sector_coh = None
-    if coherence:
-        coh, sector_coh = coh_kernel(params, fam, t, sectors, *extra)
-    if populations:
-        p_plus, sector_p, j3 = pop_kernel(params, fam, t, sectors, j3tot, *extra)
+    args = (params, fam, t, populations, coherence, sectors, j3tot)
+    coh, sector_coh, p_plus, sector_p, j3 = _tcl2(*args) if method == "tcl2" else _nz2(*args, opts)
     bundle = None
     if sectors:
         bundle = SectorBundle(
@@ -327,23 +316,23 @@ def nz2_jm(
 # ---------------------------------------------------------------------------
 
 
+def _check_standard_start(initial_p_plus: float) -> None:
+    """The standard projection's closed form holds for P_+(0) = 1 only."""
+    if initial_p_plus != 1.0:
+        raise ValueError("standard_projection_population requires initial_p_plus = 1")
+
+
 def standard_projection_population(params: SystemParams, times) -> Trajectory:
     """TCL2 populations under the standard product projection (closed form).
 
     P_+(t) = [1 + exp(-(8A^2 N/omega0^2)(1 - cos omega0 t))]/2; only the
     initial condition P_+(0) = 1 is supported (as printed).
     """
-    if params.initial_p_plus != 1.0:
-        raise ValueError(
-            "standard_projection_population requires initial_p_plus = 1"
-        )
+    _check_standard_start(params.initial_p_plus)
     t = _validate_times(times)
     rate = 8.0 * params.A * params.A * params.N / params.omega0**2
     p_plus = 0.5 * (1.0 + np.exp(-rate * (1.0 - np.cos(params.omega0 * t))))
-    return Trajectory(
-        times=t, p_plus=p_plus, p_minus=1.0 - p_plus, coh=None,
-        method="standard", projection="product", params=params,
-    )
+    return _trajectory(params, t, "standard", "product", p_plus, None)
 
 
 def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:

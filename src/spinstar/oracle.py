@@ -50,11 +50,13 @@ def _check_couplings(N: int, couplings) -> np.ndarray | None:
     if couplings is None:
         return None
     c = np.asarray(couplings, dtype=float)
-    if c.shape != (N,) or not np.all(np.isfinite(c)):
+    if c.shape != (N,):
         raise ValueError(
-            f"couplings must be a finite array of length N (expected N = {N} finite values, "
-            f"got shape {c.shape})"
+            f"couplings must have length N (expected N = {N} values, got shape {c.shape})"
         )
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise ValueError(f"couplings must be finite, got {c[bad[0]]} at position {bad[0]}")
     return c
 
 

@@ -231,9 +231,9 @@ def _omega_plus(omega0: float, A: float, two_m) -> float:
 
 
 def _omega_minus(omega0: float, A: float, two_m) -> float:
-    # Omega_-(m) = -omega0 + 4A(-m + 1/2) = -(omega0 + 2A(two_m - 1));
-    # written this way, Omega_-(m+1) == -Omega_+(m) holds bit for bit.
-    return -(omega0 + 2.0 * A * (np.asarray(two_m, dtype=float) - 1.0))
+    # Omega_-(m) = -omega0 + 4A(-m + 1/2) = -Omega_+(m - 1): the |-> branch of
+    # sector m is the |+> branch of m - 1, bit for bit by construction
+    return -_omega_plus(omega0, A, np.asarray(two_m) - 2)
 
 
 def sector_frequencies(params: SystemParams, s: SectorM) -> tuple[float, float]:

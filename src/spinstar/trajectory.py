@@ -97,6 +97,14 @@ class Trajectory:
         return float(np.max(np.abs(self.p_plus + self.p_minus - 1.0)))
 
 
+def _trajectory(params, t, method: str, projection: str, p_plus, coh) -> Trajectory:
+    """A Trajectory with p_minus = 1 - p_plus, or without populations where p_plus is None."""
+    return Trajectory(
+        times=t, p_plus=p_plus, p_minus=None if p_plus is None else 1.0 - p_plus,
+        coh=coh, method=method, projection=projection, params=params,
+    )
+
+
 @dataclass
 class ErrorReport:
     """Sup/L2 deviations between two trajectories plus conservation diagnostics.

@@ -69,6 +69,8 @@ class TestParseConfig:
             (lambda s: s + "initial_p_plus = 1.5\n", "initial_p_plus"),
             (lambda s: s + "solver_step = 0\n", "solver_step"),
             (lambda s: s + "couplings = 0.1,0.1,0.1,0.1\n", "oracle"),
+            (lambda s: s.replace("exact,tcl2", "oracle") + "couplings = 0.1,0.1,inf,0.1\n",
+             "couplings must be finite, got inf at position 2"),
             (lambda s: s.replace("N = 4", "N = four"), "integer"),
             (lambda s: s + "just a line without equals\n", "key=value"),
         ],
@@ -90,6 +92,22 @@ class TestParseConfig:
         text = BASE.replace("exact,tcl2", "oracle") + "couplings = 0.1,0.2\n"
         with pytest.raises(ConfigError, match="expected N"):
             parse_config(write_config(tmp_path, text))
+
+    def test_standard_needs_an_excited_start(self, tmp_path):
+        # rejected on parsing, before exact and tcl2 spend their time on N = 101
+        text = textwrap.dedent("""
+            N = 101
+            omega0 = 1.0
+            alpha = 0.5
+            t_max = 8000.0
+            dt = 0.5
+            methods = exact,tcl2,standard
+            initial_p_plus = 0.5
+        """)
+        with pytest.raises(ConfigError, match="initial_p_plus: standard_projection_population"):
+            parse_config(write_config(tmp_path, text))
+        cfg = parse_config(write_config(tmp_path, text.replace("0.5\n", "1.0\n")))
+        assert cfg.methods == ("exact", "tcl2", "standard")
 
     def test_missing_file(self):
         from spinstar.cli import ConfigError
@@ -166,7 +184,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "methods,extra,code",
         [
-            # standard rejects p_plus(0) != 1 only once it runs, after exact and tcl2
+            # ScenarioConfig rejects standard with p_plus(0) != 1 before any method runs
             ("exact,tcl2,standard", "initial_p_plus = 0.5\n", EXIT_CONFIG),
             ("exact,oracle", "couplings = 0.1,0.1,inf,0.1\n", EXIT_CONFIG),
             ("exact,nz2", "solver_step = 50\nsolver_tolerance = 1e-30\n", EXIT_NUMERIC),
@@ -179,6 +197,17 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "couplings,fragment",
+        [("0.1,0.1,inf,0.1", "couplings must be finite"), ("0.1,0.1", "expected N = 4 values")],
+        ids=["non-finite", "length"],
+    )
+    def test_couplings_messages(self, tmp_path, capsys, couplings, fragment):
+        cfg = write_config(tmp_path, BASE.replace("exact,tcl2", "exact,oracle")
+                           + f"couplings = {couplings}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert fragment in capsys.readouterr().err
 
     def test_compare_needs_two_methods(self, tmp_path):
         text = BASE.replace("exact,tcl2", "exact")

@@ -150,12 +150,51 @@ def test_time_chunks_do_not_change_the_result(monkeypatch):
     p = SystemParams(N=7, A=0.21, omega0=1.3, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
     t = np.linspace(0.0, 20.0, 60)
     whole = exact_trajectory(p, t)
-    n_sectors = sector_family(p, "jm").w.size
-    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * n_sectors * 7)  # 7 times per chunk
-    assert len(list(trajectory._time_chunks(t.size, 16 * n_sectors))) == 9
+    fam = sector_family(p, "jm")
+    rows = fam.w.size + np.count_nonzero(fam.lower < 0)  # one row per Rabi pair
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * rows * 7)  # 7 times per chunk
+    assert len(list(trajectory._time_chunks(t.size, 16 * rows))) == 9
     chunked = exact_trajectory(p, t)
     np.testing.assert_allclose(chunked.p_plus, whole.p_plus, rtol=0, atol=1e-15)
     np.testing.assert_allclose(chunked.coh, whole.coh, rtol=0, atol=1e-15)
+
+
+def _two_branch_exact(p, t):
+    """(P_+, coh) with both Rabi branches of every jm sector evaluated on their own.
+
+    The reference for the pair rows of exact._sector_pass: the |-> branch of
+    each sector takes Omega_-(m) and b(j, -m) of that sector and has its own
+    survival sum.
+    """
+    fam = sector_family(p, "jm")
+    surv, br = [], []
+    for om, b4, combine in ((fam.om_p, fam.b_p, np.subtract), (fam.om_m, fam.b_m, np.add)):
+        mu = np.sqrt(0.25 * om * om + b4)
+        small = mu < 1e-300
+        x = np.multiply.outer(mu, t)
+        s = np.sin(x) / np.where(small, 1.0, mu)[:, None]
+        s[small, :] = t
+        surv.append(1.0 - np.add.reduce((fam.w * b4)[:, None] * s * s, axis=0))
+        br.append(combine(np.cos(x), 0.5j * om[:, None] * s))
+    f = np.exp(1j * p.omega0 * t)[None, :] * br[0] * br[1]
+    coh = complex(p.initial_coh) * (1.0 + np.add.reduce(fam.w[:, None] * (f - 1.0), axis=0))
+    p0 = p.initial_p_plus
+    return p0 * surv[0] + (1.0 - p0) * (1.0 - surv[1]), coh, fam
+
+
+@pytest.mark.parametrize("resonant", [False, True], ids=["generic", "resonant"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_pair_rows_equal_both_branches(n, resonant):
+    # resonant: Omega_+(m) = 0 bit for bit at two_m = N (N = 2: two_m = 0)
+    a, two_m = -0.13, (0 if n == 2 else n)
+    omega0 = -(2.0 * a * (two_m + 1.0)) if resonant else 0.9
+    p = SystemParams(N=n, A=a, omega0=omega0, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
+    t = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)])
+    p_plus, coh, fam = _two_branch_exact(p, t)
+    assert np.any(fam.om_p == 0.0) == resonant
+    traj = exact_trajectory(p, t)
+    np.testing.assert_array_equal(traj.p_plus, p_plus)
+    np.testing.assert_array_equal(traj.coh, coh)
 
 
 _CAPPED_CHILD = textwrap.dedent(

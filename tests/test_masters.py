@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from spinstar import trajectory
 from spinstar.exact import exact_population_plus, exact_trajectory
 from spinstar.masters import (
+    _SIN_SERIES,
     _frame_phase,
+    _sector_p_minus,
     _solve,
     j3tot_expectation,
     nz2_coherence_m,
@@ -402,6 +404,88 @@ class TestTimeChunks:
         np.testing.assert_array_equal(q, j3tot_expectation(bundle))
         assert traj.p_plus is not None and traj.coh is not None
         assert _solve(PARAMS, self.T, method, family)[2] is None
+
+
+def _direct_exponent(terms, t, imag: bool):
+    """sum over (coef, Omega) in terms of coef g(Omega, t), evaluated sector by sector.
+
+    The reference for the detuning table of the TCL2 kernel: every term takes
+    its own sin on its own (sectors, times) grid, with Re g added first.
+    """
+    lam = np.zeros((terms[0][0].size, t.size), complex if imag else float)
+    for coef, om in terms:
+        x = np.multiply.outer(om, t)
+        g = np.multiply(x, 0.5)
+        np.divide(np.sin(g), g, out=g, where=x != 0.0)
+        g[x == 0.0] = 1.0
+        g *= g
+        g *= (0.5 * coef)[:, None]
+        g *= t * t
+        lam.real += g
+        if imag:
+            small = np.abs(x) < 1.0
+            np.subtract(x, np.sin(x), out=g)
+            np.divide(g, x * x, out=g, where=~small)
+            xs = x[small]
+            g[small] = xs * np.polynomial.polynomial.polyval(xs * xs, _SIN_SERIES)
+            g *= coef[:, None]
+            g *= t * t
+            lam.imag += g
+    return lam
+
+
+def _direct_tcl2(p, t, family):
+    """(coh, P_+, sector coh, sector P_+) of the TCL2 closed forms, Omega_- read per sector."""
+    fam, coh0 = sector_family(p, family), complex(p.initial_coh)
+    f = _direct_exponent(((fam.b_p, fam.om_p), (fam.b_m, -fam.om_m)), t, imag=True)
+    f.imag += np.multiply.outer(2.0 * p.A * fam.two_m, t)
+    f = np.exp(-f)
+    sector_coh = coh0 * fam.w[:, None] * f
+    coh = coh0 * (1.0 + np.add.reduce((f - 1.0) * fam.w[:, None], axis=0))
+    lam = -_direct_exponent(((fam.pair_coef, fam.om_p),), t, imag=False)
+    sector_p = fam.steady[:, None] + fam.y0[:, None] * np.exp(lam)
+    p_plus = p.initial_p_plus + np.add.reduce(np.expm1(lam) * fam.y0[:, None], axis=0)
+    return coh, p_plus, sector_coh, sector_p, fam
+
+
+def _generic_or_resonant(n, resonant):
+    """A < 0; resonant puts Omega_+(m) = 0 bit for bit at the top sector two_m = N (N = 2: 0)."""
+    a, two_m = -0.13, (0 if n == 2 else n)
+    omega0 = -(2.0 * a * (two_m + 1.0)) if resonant else 0.9
+    return SystemParams(N=n, A=a, omega0=omega0, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
+
+
+class TestDetuningTableEqualsDirectEvaluation:
+    """The TCL2 kernel reads g(Omega, t) from one table of the N+2 detunings
+    Omega_+(m); per-sector evaluation gives the same bits, with and without bundles."""
+
+    T = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)])
+    CLOSED_FORMS = {"tcl2_jm": (tcl2_jm, "jm"), "tcl2_coherence_m": (tcl2_coherence_m, "m"),
+                    "tcl2_population_m": (tcl2_population_m, "m")}
+
+    @pytest.mark.parametrize("resonant", [False, True], ids=["generic", "resonant"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_bit_identical(self, name, n, resonant):
+        fn, family = self.CLOSED_FORMS[name]
+        p = _generic_or_resonant(n, resonant)
+        coh, p_plus, sector_coh, sector_p, fam = _direct_tcl2(p, self.T, family)
+        if resonant:
+            assert np.any(fam.om_p == 0.0)
+        traj = fn(p, self.T)
+        traj_s, bundle = fn(p, self.T, return_sectors=True)
+        for got in (traj, traj_s):
+            if got.coh is not None:
+                np.testing.assert_array_equal(got.coh, coh)
+            if got.p_plus is not None:
+                np.testing.assert_array_equal(got.p_plus, p_plus)
+        assert (bundle.coh is None) == (traj.coh is None)
+        if bundle.coh is not None:
+            np.testing.assert_array_equal(bundle.coh, sector_coh)
+        assert (bundle.p_plus is None) == (traj.p_plus is None)
+        if bundle.p_plus is not None:
+            np.testing.assert_array_equal(bundle.p_plus, sector_p)
+            np.testing.assert_array_equal(bundle.p_minus, _sector_p_minus(fam, sector_p))
 
 
 _CAPPED_CHILD = textwrap.dedent(

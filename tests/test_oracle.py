@@ -65,6 +65,17 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="length N"):
             build_hamiltonian(p, couplings=[0.1, 0.2])
 
+    @pytest.mark.parametrize(
+        "couplings,fragment",
+        [([0.1, 0.2], r"length N \(expected N = 3 values, got shape \(2,\)\)"),
+         ([0.1, np.nan, 0.3], "couplings must be finite, got nan at position 1")],
+        ids=["length", "non-finite"],
+    )
+    def test_couplings_messages_through_propagate(self, couplings, fragment):
+        p = SystemParams(N=3, A=0.2, omega0=1.0)
+        with pytest.raises(ValueError, match=fragment):
+            propagate(p, [0.0, 1.0], couplings=couplings)
+
     def test_uniform_couplings_match_scalar_coupling(self):
         p = SystemParams(N=3, A=0.2, omega0=1.0)
         np.testing.assert_array_equal(

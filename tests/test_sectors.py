@@ -265,6 +265,44 @@ def test_sector_table_consistency_hypothesis(N, idx):
     assert keys == sorted(set(keys))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_pairing_identities_bit_for_bit_hypothesis(data):
+    """The |-> branch of sector m is the |+> branch of m-1 in its chain, bit for bit.
+
+    The TCL2 detuning table and the exact pair rows read Omega_-(m) and, for
+    jm, b(j, -m) from the row below, so these must hold exactly, also at
+    A = 0 and at a resonance Omega_+(m) = 0.
+    """
+    n = data.draw(st.integers(1, 60), label="N")
+    kind = data.draw(st.sampled_from(["generic", "zero", "resonant"]), label="kind")
+    if kind == "resonant":
+        two_m = data.draw(st.sampled_from([m for m in range(-n, n + 1, 2) if m != -1]),
+                          label="resonant two_m")
+        a = -math.copysign(data.draw(st.floats(1e-3, 10.0), label="|A|"), two_m + 1)
+        omega0 = -(2.0 * a * (two_m + 1.0))
+    else:
+        a = 0.0 if kind == "zero" else data.draw(
+            st.floats(-10.0, 10.0).filter(lambda v: v != 0.0), label="A")
+        omega0 = data.draw(st.floats(1e-3, 100.0), label="omega0")
+    p = params(N=n, A=a, omega0=omega0)
+    if kind == "resonant":
+        assert sector_family(p, "m").om_p[(two_m + n) // 2] == 0.0
+    for family in ("m", "jm"):
+        fam = sector_family(p, family)
+        inner, bottom = fam.lower >= 0, fam.lower < 0
+        np.testing.assert_array_equal(_bits(fam.om_m[inner]), _bits(-fam.om_p[fam.lower[inner]]))
+        np.testing.assert_array_equal(_bits(fam.b_m[bottom]), _bits(np.zeros(bottom.sum())))
+        if family == "jm":
+            np.testing.assert_array_equal(_bits(fam.b_m[inner]), _bits(fam.b_p[fam.lower[inner]]))
+            top = fam.two_m == fam.two_j
+            np.testing.assert_array_equal(_bits(fam.b_p[top]), _bits(np.zeros(top.sum())))
+
+
 @pytest.mark.parametrize("N", [1, 2, 5, 8, 60, 61])
 def test_sector_family_matches_scalar_api(N):
     """The shared m/jm table against the scalar sector functions, sector by sector."""
