@@ -16,10 +16,11 @@ coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
 rebuild P_- from P_+.  One kernel per method reads it, blind to the family:
 
 * ``_tcl2``: closed forms exp(-Lambda), behind ``tcl2_coherence_m``,
-  ``tcl2_population_m`` and ``tcl2_jm``, evaluated per time chunk so that
-  memory does not grow with sectors x times.  Every exponent is read from one
-  table of g(Omega, t) on the N+2 detunings Omega_+(m), two_m = -N-2 ... N:
-  the |-> branch of sector m is the |+> branch of m-1, Omega_-(m) = -Omega_+(m-1);
+  ``tcl2_population_m`` and ``tcl2_jm``, evaluated per (sector block, time
+  chunk) tile so that memory does not grow with sectors x times.  Every
+  exponent is read from one table of g(Omega, t) on the detunings
+  Omega_+(m) of the table, plus the one below its lowest m: the |-> branch
+  of sector m is the |+> branch of m-1, Omega_-(m) = -Omega_+(m-1);
 * ``_nz2``: one scalar Volterra equation per sector, behind
   ``nz2_coherence_m``, ``nz2_population_m`` and ``nz2_jm``.
   Shifting to the steady value removes the constant forcing of the pairwise
@@ -46,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
-from .trajectory import Trajectory, _time_chunks, _trajectory, _validate_times
+from .trajectory import (Trajectory, _add_rows, _sector_blocks, _time_chunks, _trajectory,
+                         _validate_times)
 from .volterra import SolveOptions, solve_volterra_batch, integrate_linear_ode
 
 __all__ = [
@@ -64,7 +66,12 @@ __all__ = [
 
 @dataclass
 class SectorBundle:
-    """Sector-resolved solution: arrays of shape (n_sectors, n_times)."""
+    """Sector-resolved solution: arrays of shape (n_sectors, n_times).
+
+    The sectors are those of ``sector_family``: the whole ``m`` table, and
+    for ``jm`` the kept multiplets only, which at N >= 67 leave out a tail of
+    total weight <= 2^-60 (see ``sectors._TAIL_WEIGHT``).
+    """
 
     two_m: np.ndarray
     two_j: np.ndarray | None
@@ -118,48 +125,59 @@ def _tcl2(params: SystemParams, fam: SectorFamily, t, populations: bool, coheren
           sectors: bool, j3tot: bool):
     """Closed forms exp(-Lambda), every g(Omega, t) read from one table per time chunk.
 
-    The table holds the N+2 detunings Omega_+(m), two_m = -N-2 ... N: row
-    k = (two_m + N + 2)//2 is Omega_+(m), row k - 1 is Omega_+(m-1) = -Omega_-(m).
+    The table holds the detunings Omega_+(m) from two_m = min(two_m) - 2 to
+    max(two_m): the row of a sector is Omega_+(m), the row before it
+    Omega_+(m-1) = -Omega_-(m).  The sectors run in blocks of whole chains
+    (trajectory._sector_blocks), and the sums carry over from block to block.
     Coherence: rho_{+-}(0) sum_s w_s exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)].
     Populations: steady + y0 exp(-pair_coef Re g(Omega_+, t)).
     """
-    N, size, coh0 = params.N, fam.w.size, complex(params.initial_coh)
-    om = _omega_plus(params.omega0, params.A, np.arange(-N - 2, N + 1, 2))
-    k = (fam.two_m + N + 2) // 2
+    coh0, lo = complex(params.initial_coh), int(fam.two_m.min())
+    om = _omega_plus(params.omega0, params.A, np.arange(lo - 2, int(fam.two_m.max()) + 1, 2))
+    blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 16)]
+    table_rows = [(sub.two_m - lo) // 2 + 1 for _, sub in blocks]
     coh = np.empty(t.size, complex) if coherence else None
-    sector_coh = np.empty((size, t.size), complex) if coherence and sectors else None
+    sector_coh = np.empty((fam.w.size, t.size), complex) if coherence and sectors else None
     p_plus = np.empty(t.size) if populations else None
-    sector_p = np.empty((size, t.size)) if populations and sectors else None
+    sector_p = np.empty((fam.w.size, t.size)) if populations and sectors else None
     j3 = np.empty(t.size) if populations and j3tot else None
-    for sl in _time_chunks(t.size, 16 * size):
+    for sl in _time_chunks(t.size, 16 * max(sub.w.size for _, sub in blocks)):
         t2 = t[sl] * t[sl]
         re, im = _g_table(om, t[sl])
-        if coherence:  # each term of Lambda as (g coef) t^2, the B_+ term first
-            f = np.zeros((size, t2.size), complex)
-            for rows, b in ((k, fam.b_p), (k - 1, fam.b_m)):
-                f.real += re[rows] * (0.5 * b)[:, None] * t2
-                f.imag += im[rows] * b[:, None] * t2
-            f.imag += np.multiply.outer(2.0 * params.A * fam.two_m, t[sl])
-            np.negative(f, out=f)
-            np.exp(f, out=f)
-            if sectors:
-                sector_coh[:, sl] = coh0 * fam.w[:, None] * f
-            f -= 1.0
-            f *= fam.w[:, None]
-            coh[sl] = coh0 * (1.0 + np.add.reduce(f, axis=0))
-            del f  # before the population step makes its own temporaries
-        if populations:
-            lam = re[k] * (0.5 * fam.pair_coef)[:, None] * t2
-            np.negative(lam, out=lam)
-            if sectors or j3tot:
-                sp = fam.steady[:, None] + fam.y0[:, None] * np.exp(lam)
+        acc_coh = acc_p = acc_j3 = None
+        for (blk, sub), k in zip(blocks, table_rows):
+            if coherence:  # each term of Lambda as (g coef) t^2, the B_+ term first
+                f = np.zeros((sub.w.size, t2.size), complex)
+                for r, b in ((k, sub.b_p), (k - 1, sub.b_m)):
+                    f.real += re[r] * (0.5 * b)[:, None] * t2
+                    f.imag += im[r] * b[:, None] * t2
+                f.imag += np.multiply.outer(2.0 * params.A * sub.two_m, t[sl])
+                np.negative(f, out=f)
+                np.exp(f, out=f)
                 if sectors:
-                    sector_p[:, sl] = sp
-                if j3tot:
-                    j3[sl] = _sector_j3tot(fam, sp)
-            np.expm1(lam, out=lam)
-            lam *= fam.y0[:, None]
-            p_plus[sl] = params.initial_p_plus + np.add.reduce(lam, axis=0)
+                    sector_coh[blk, sl] = coh0 * sub.w[:, None] * f
+                f -= 1.0
+                f *= sub.w[:, None]
+                acc_coh = _add_rows(f, acc_coh)
+                del f  # before the population step makes its own temporaries
+            if populations:
+                lam = re[k] * (0.5 * sub.pair_coef)[:, None] * t2
+                np.negative(lam, out=lam)
+                if sectors or j3tot:
+                    sp = sub.steady[:, None] + sub.y0[:, None] * np.exp(lam)
+                    if sectors:
+                        sector_p[blk, sl] = sp
+                    if j3tot:
+                        acc_j3 = _sector_j3tot(sub, sp, acc_j3)
+                np.expm1(lam, out=lam)
+                lam *= sub.y0[:, None]
+                acc_p = _add_rows(lam, acc_p)
+        if coherence:
+            coh[sl] = coh0 * (1.0 + acc_coh)
+        if populations:
+            p_plus[sl] = params.initial_p_plus + acc_p
+        if j3tot:
+            j3[sl] = acc_j3
     return coh, sector_coh, p_plus, sector_p, j3
 
 
@@ -203,12 +221,12 @@ def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
     return fam.c_prev[:, None] - below
 
 
-def _sector_j3tot(fam: SectorFamily, sector_p: np.ndarray) -> np.ndarray:
-    """``j3tot_expectation`` of the sector populations P^s_+ on any slice of the times."""
-    return j3tot_expectation(SectorBundle(
-        two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p,
-        p_minus=_sector_p_minus(fam, sector_p), coh=None,
-    ))
+def _sector_j3tot(fam: SectorFamily, sector_p: np.ndarray, acc=None) -> np.ndarray:
+    """``j3tot_expectation`` of the sector populations P^s_+ on any slice of the times.
+
+    ``acc`` is the sum over the blocks of the table before ``fam``, if any.
+    """
+    return _add_rows(_j3tot_terms(fam.two_m, sector_p, _sector_p_minus(fam, sector_p)), acc)
 
 
 def _solve(
@@ -344,9 +362,13 @@ def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:
     """
     if bundle.p_plus is None or bundle.p_minus is None:
         raise ValueError("sector populations required")
-    m = 0.5 * bundle.two_m.astype(float)
-    weighted = (m + 0.5)[:, None] * bundle.p_plus + (m - 0.5)[:, None] * bundle.p_minus
-    return np.add.reduce(np.ascontiguousarray(weighted), axis=0)
+    return _add_rows(_j3tot_terms(bundle.two_m, bundle.p_plus, bundle.p_minus), None)
+
+
+def _j3tot_terms(two_m, p_plus, p_minus) -> np.ndarray:
+    """(m + 1/2) P^m_+ + (m - 1/2) P^m_- per sector, C-ordered."""
+    m = 0.5 * two_m.astype(float)
+    return np.ascontiguousarray((m + 0.5)[:, None] * p_plus + (m - 0.5)[:, None] * p_minus)
 
 
 # ---------------------------------------------------------------------------

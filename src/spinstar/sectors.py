@@ -12,7 +12,10 @@ master equations) consumes only
 * the Rabi frequencies ``mu_+(j, m)``, ``mu_-(j, m)``,
 * the flip coefficients ``b(j, +-m) = j(j+1) - m(m +- 1)``,
 
-gathered per sector of the ``m`` or ``jm`` family by ``sector_family``.
+gathered per sector of the ``m`` or ``jm`` family by ``sector_family``.  The
+``jm`` family leaves out the j multiplets of a certified-negligible tail of
+p(j) (total weight <= 2^-60), which a maximally mixed bath concentrates on
+j of order sqrt(N).
 
 Half-integer quantum numbers are stored as doubled integers (``two_j``,
 ``two_m``) so that sector identities are exact and usable as keys.
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +69,13 @@ _LOG2 = math.log(2.0)
 
 #: rounding slack of the positivity test |coh|^2 <= p(1-p) on the initial state
 _PSD_TOL = 1e-12
+
+#: total probability sum p(j) of the j multiplets that ``sector_family`` may leave
+#: out of the jm family.  Each sector term of every route is bounded by its weight
+#: (|f - 1| <= 2 for a coherence factor |f| <= 1), so the cut moves any total by at
+#: most 2 |initial_coh| _TAIL_WEIGHT and any population by at most _TAIL_WEIGHT.
+#: No multiplet is dropped for N <= 66.
+_TAIL_WEIGHT = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -303,12 +313,16 @@ def _two_j_values(N: int) -> np.ndarray:
     return np.arange(N % 2, N + 1, 2, dtype=np.int64)
 
 
-def jm_sector_table(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(two_j, two_m) arrays over all (j, m) sectors, ascending two_j then two_m."""
-    tjs = _two_j_values(N)
+def _expand_multiplets(tjs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(two_j, two_m) over every sector of the multiplets ``tjs``, ascending two_m in each."""
     two_j = np.repeat(tjs, tjs + 1)
     first = np.repeat(np.cumsum(tjs + 1) - (tjs + 1), tjs + 1)  # table index of m = -j
     return two_j, 2 * (np.arange(two_j.size) - first) - two_j
+
+
+def jm_sector_table(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(two_j, two_m) arrays over all (j, m) sectors, ascending two_j then two_m."""
+    return _expand_multiplets(_two_j_values(N))
 
 
 def weights_m_array(N: int) -> np.ndarray:
@@ -339,14 +353,37 @@ def prob_j_array(N: int) -> np.ndarray:
     )
 
 
-def weights_jm_array(N: int) -> np.ndarray:
-    """Weights N_j / 2^N = p(j)/(2j+1) aligned with ``jm_sector_table(N)``."""
+def _multiplet_weights(N: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
+    """(two_j, N_j / 2^N) of the shortest ascending prefix of the j multiplets
+    whose dropped rest has total probability sum p(j) <= ``tail`` (0: keep all).
+
+    The cut is decided on the N/2+1 multiplet weights, in exact arithmetic up
+    to EXACT_BINOMIAL_MAX_N and on log-space floats beyond.
+    """
     tjs = _two_j_values(N)
+    keep = tjs.size
     if N <= EXACT_BINOMIAL_MAX_N:
         denom = 1 << N
-        w = np.array([float(Fraction(multiplicity_j(N, int(tj)), denom)) for tj in tjs])
+        n_j = [multiplicity_j(N, int(tj)) for tj in tjs]
+        dropped = 0
+        while keep > 1:
+            dropped += (int(tjs[keep - 1]) + 1) * n_j[keep - 1]
+            if Fraction(dropped, denom) > tail:
+                break
+            keep -= 1
+        w = np.array([float(Fraction(n, denom)) for n in n_j[:keep]])
     else:
-        w = np.exp(_log_multiplicity_j(float(N), tjs) - N * _LOG2)
+        log_w = _log_multiplicity_j(float(N), tjs) - N * _LOG2
+        if tail > 0.0:  # tail[k] = sum_{i >= k} p(j_i), non-increasing in k
+            rest = np.cumsum(np.exp(np.log(tjs + 1.0) + log_w)[::-1])[::-1]
+            keep = max(1, int(np.count_nonzero(rest > tail)))
+        w = np.exp(log_w[:keep])
+    return tjs[:keep], w
+
+
+def weights_jm_array(N: int) -> np.ndarray:
+    """Weights N_j / 2^N = p(j)/(2j+1) aligned with ``jm_sector_table(N)``."""
+    tjs, w = _multiplet_weights(N, 0.0)
     return np.repeat(w, tjs + 1)
 
 
@@ -377,9 +414,24 @@ class SectorFamily:
     c_prev: np.ndarray
     lower: np.ndarray
 
+    def block(self, sl: slice) -> SectorFamily:
+        """The sectors ``sl``, a run of whole chains, as a table of their own."""
+        parts = {f.name: getattr(self, f.name)[sl] for f in fields(self)
+                 if getattr(self, f.name) is not None}
+        parts["lower"] = np.where(parts["lower"] >= 0, parts["lower"] - sl.start, -1)
+        return replace(self, **parts)
+
 
 def sector_family(params: SystemParams, family: str) -> SectorFamily:
-    """The sector table of the ``m`` or ``jm`` family for ``params``."""
+    """The sector table of the ``m`` or ``jm`` family for ``params``.
+
+    The ``m`` table is whole.  The ``jm`` table covers the shortest ascending
+    prefix of the j multiplets whose dropped rest weighs at most
+    ``_TAIL_WEIGHT`` = 2^-60 in total: all of them for N <= 66, 1892 of 2652
+    sectors at N = 101, 21609 of 251001 at N = 1000.  Whole chains are kept,
+    so every kept sector is bit for bit the row of the whole table, and only
+    the kept multiplets are ever expanded into sectors.
+    """
     N, A, p0 = params.N, params.A, params.initial_p_plus
     a2 = A * A
     if family == "m":
@@ -388,8 +440,9 @@ def sector_family(params: SystemParams, family: str) -> SectorFamily:
         b_m = 2.0 * a2 * (N + two_m)
         pair_coef = np.full(two_m.shape, 8.0 * a2 * (N + 1.0))
     elif family == "jm":
-        two_j, two_m = jm_sector_table(N)
-        w, top = weights_jm_array(N), two_j
+        tjs, w_j = _multiplet_weights(N, _TAIL_WEIGHT)
+        two_j, two_m = _expand_multiplets(tjs)
+        w, top = np.repeat(w_j, tjs + 1), two_j
         b_p = a2 * (two_j * (two_j + 2) - two_m * (two_m + 2))
         b_m = a2 * (two_j * (two_j + 2) - two_m * (two_m - 2))
         pair_coef = 4.0 * b_p

@@ -16,6 +16,10 @@ __all__ = ["Trajectory", "ErrorReport", "compare_trajectories"]
 #: come from the heap, run faster and skew every calibrated timing.
 _CHUNK_BYTES = 4 * 2**20
 
+#: time-chunk width that ``_sector_blocks`` sizes its sector blocks for: numpy's
+#: inner loops run along the times, and a 2-wide chunk would make them 2 long
+_CHUNK_WIDTH = 256
+
 
 class NumericsError(RuntimeError):
     """Raised on non-finite solver inputs or results, or when a solver fails to converge.
@@ -42,6 +46,40 @@ def _validate_times(times) -> np.ndarray:
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("times must be strictly increasing")
     return t
+
+
+def _sector_blocks(lower: np.ndarray, n_times: int, bytes_per_point: int) -> list[slice]:
+    """Runs of whole chains covering the sector axis, sized so that time chunks stay wide.
+
+    ``lower`` is a SectorFamily's: a chain starts where it is negative.  A
+    block holds at most _CHUNK_BYTES // (bytes_per_point * min(n_times,
+    _CHUNK_WIDTH)) sectors, or one chain where a chain alone is longer, so a
+    (block, chunk) tile under the budget is about _CHUNK_WIDTH times wide, or
+    the whole grid where that is shorter.  Kernels carry the sector sum from
+    block to block through ``_add_rows``.
+    """
+    cap = max(1, _CHUNK_BYTES // (bytes_per_point * min(n_times, _CHUNK_WIDTH)))
+    blocks, lo, hi = [], 0, 0
+    for end in np.append(np.flatnonzero(lower < 0)[1:], lower.size):  # chain ends
+        if end - lo > cap and hi > lo:
+            blocks.append(slice(lo, hi))
+            lo = hi
+        hi = int(end)
+    blocks.append(slice(lo, hi))
+    return blocks
+
+
+def _add_rows(block: np.ndarray, acc: np.ndarray | None) -> np.ndarray:
+    """The running total ``acc`` (None before the first block) plus the rows of ``block``.
+
+    ``acc`` goes into the first row, so a sum over consecutive blocks adds
+    the rows in the order of one ``np.add.reduce`` over the whole table, bit
+    for bit (numpy reduces a C-ordered (rows, chunk) block row by row once
+    the chunk is at least 2 wide).  ``block`` is overwritten.
+    """
+    if acc is not None:
+        block[0] += acc
+    return np.add.reduce(block, axis=0)
 
 
 def _time_chunks(n_times: int, bytes_per_time: int):

@@ -20,6 +20,7 @@ from spinstar.cli import (
     method_filename,
     parse_config,
 )
+from spinstar.sectors import EXACT_BINOMIAL_MAX_N
 from spinstar.volterra import NumericsError
 
 BASE = """
@@ -350,8 +351,10 @@ _CAPPED_COMPARE = textwrap.dedent(
 
 def test_figure7_compare_fits_a_memory_cap(tmp_path, run_capped):
     # the figure-7 scenario on 6001 times: one (sectors, times) complex array
-    # of its 2652 jm sectors is 255 MB, so this passes only if neither TCL2
-    # nor report.csv's J_3^tot drift builds one
+    # of its 1892 kept jm sectors is 182 MB, most of the cap, so this pins the
+    # CLI's compare path with report.csv's J_3^tot drift; the memory bound
+    # itself is pinned where such an array is 5.5 GB, by
+    # tests/test_tail_cut.py::test_thousand_spins_on_16001_times_fit_a_memory_cap
     preset = FIGURE_PRESETS[7]
     cfg = write_config(tmp_path, f"""
 N = 101
@@ -375,6 +378,37 @@ coh_re = {preset["coh0"]}
     assert 0.0 <= float(rep["j3tot_drift"]) <= 1e-9
     assert 0.0 < float(rep["sup_err_coh"]) <= 0.1
     assert len((out / "tcl2_jm.csv").read_text().splitlines()) == 6002
+
+
+def test_ten_thousand_spins_end_to_end_under_a_memory_cap(tmp_path, run_capped):
+    # N = 10^4 takes the log-space weight path (N > EXACT_BINOMIAL_MAX_N); its
+    # whole jm table would be 25M sectors, the cut keeps 218089
+    N = 10_000
+    assert N > EXACT_BINOMIAL_MAX_N
+    cfg = write_config(tmp_path, f"""
+N = {N}
+omega0 = 1.0
+alpha = 0.1
+t_max = 200.0
+dt = 5.0
+methods = exact,tcl2
+projection = jm
+initial_p_plus = 0.7
+coh_re = 0.3
+coh_im = -0.2
+""")
+    out = tmp_path / "out"
+    proc = run_capped(_CAPPED_COMPARE.format(config=str(cfg), out=str(out)), cap_mib=256)
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    exact = np.loadtxt(out / "exact_none.csv", delimiter=",", skiprows=1)
+    assert exact.shape == (41, 6)
+    assert tuple(exact[0, [0, 1, 3, 4]]) == (0.0, 0.7, 0.3, -0.2)
+    lines = (out / "report.csv").read_text().splitlines()
+    rep = dict(zip(lines[-2].split(","), lines[-1].split(",")))
+    assert (rep["method_ref"], rep["method_other"]) == ("exact_none", "tcl2_jm")
+    assert float(rep["trace_drift"]) == 0.0
+    assert 0.0 <= float(rep["j3tot_drift"]) <= 1e-9
+    assert 0.0 < float(rep["sup_err_coh"]) <= 0.05
 
 
 def test_out_of_memory_exits_4(tmp_path, run_capped):

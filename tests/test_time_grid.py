@@ -19,7 +19,7 @@ from spinstar.masters import (
 )
 from spinstar import trajectory
 from spinstar.oracle import propagate
-from spinstar.sectors import SystemParams
+from spinstar.sectors import SystemParams, sector_family
 from spinstar.trajectory import Trajectory
 from spinstar.volterra import (
     KernelSpec,
@@ -99,3 +99,19 @@ def test_one_wide_tail_joins_the_last_chunk(monkeypatch):
         for part in ("p_plus", "coh"):
             if getattr(chunked, part) is not None:
                 np.testing.assert_array_equal(getattr(chunked, part), getattr(whole[name], part))
+
+
+def test_sector_blocks_are_runs_of_whole_chains(monkeypatch):
+    # jm chains of N = 10 hold 1, 3, 5, 7, 9 and 11 sectors; at 8 sectors per
+    # block a chain that would overflow starts the next block, and a chain
+    # longer than 8 is a block of its own
+    p = SystemParams(N=10, A=0.07, omega0=1.2)
+    jm, m = sector_family(p, "jm").lower, sector_family(p, "m").lower
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * trajectory._CHUNK_WIDTH * 8)
+    spans = [(b.start, b.stop) for b in trajectory._sector_blocks(jm, 300, 16)]
+    assert spans == [(0, 4), (4, 9), (9, 16), (16, 25), (25, 36)]
+    # the cap scales with the grid below _CHUNK_WIDTH times: 64 times allow 32 sectors
+    assert [(b.start, b.stop) for b in trajectory._sector_blocks(jm, 64, 16)] == [(0, 25),
+                                                                                  (25, 36)]
+    assert trajectory._sector_blocks(jm, 1, 16) == [slice(0, 36)]
+    assert trajectory._sector_blocks(m, 300, 16) == [slice(0, 11)]  # one chain
