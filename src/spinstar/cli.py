@@ -13,6 +13,10 @@ Config files are line-oriented ``key=value`` with ``#`` comments; the keys
 are the fields of :class:`ScenarioConfig` plus ``alpha``.  Exit codes: 0
 success, 2 config error, 3 numeric failure, 4 capacity exceeded (the oracle
 cap or an allocation that does not fit in memory).
+
+Reruns write byte-identical files.  Every file but ``oracle_none.csv`` and
+its ``report.csv`` row is also byte-identical across BLAS thread counts; the
+oracle's ``eigh`` is byte-identical only at a fixed BLAS thread count.
 """
 
 from __future__ import annotations

@@ -20,10 +20,13 @@ j of order sqrt(N).
 Half-integer quantum numbers are stored as doubled integers (``two_j``,
 ``two_m``) so that sector identities are exact and usable as keys.
 
-Binomials are evaluated with exact integer arithmetic up to
-``EXACT_BINOMIAL_MAX_N`` and in log space (``gammaln``) beyond that, using a
-cancellation-free product form of the multiplicity ``N_j`` instead of a
-difference of two nearly equal binomials.
+All weights come from one routine.  Up to ``EXACT_BINOMIAL_MAX_N`` the counts
+``N_m`` and ``N_j`` are exact integers from one binomial row ``C(N, 0..N)``
+(``N_j`` as a difference of neighbouring entries) and every weight is the
+correctly rounded quotient by 2^N.  Beyond that they are evaluated in log
+space (``gammaln``) through the cancellation-free product form
+``N_j = C(N, N/2+j) (2j+1)/(N/2+j+1)``, which ``multiplicity_j`` also uses as
+an exact-integer reference.
 
 All functions here are pure and thread-safe.
 """
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -60,9 +62,12 @@ __all__ = [
     "sector_family",
 ]
 
-#: largest N for which binomial weights are computed in exact integer
-#: arithmetic (cheap even for 600-digit binomials; the log-space fallback
-#: loses ~N eps of relative accuracy and is kept for truly huge baths only)
+#: largest N for which the weights are exact counts divided by 2^N, correctly
+#: rounded; the binomial row is cheap even with 1200-digit entries (about 10 ms
+#: per table at N = 4096).  Beyond, log space costs 0.01-0.05 s per table at
+#: N = 10^5..10^6, where the row takes seconds and grows as N^2, and loses 10-20
+#: N eps of relative accuracy: at most 1.2e-11 at N = 5000, 1.7e-11 at N = 10^4
+#: and 3.8e-10 at N = 10^5 over the central +-3 sqrt(N) entries of the m table
 EXACT_BINOMIAL_MAX_N = 4096
 
 _LOG2 = math.log(2.0)
@@ -76,6 +81,16 @@ _PSD_TOL = 1e-12
 #: most 2 |initial_coh| _TAIL_WEIGHT and any population by at most _TAIL_WEIGHT.
 #: No multiplet is dropped for N <= 66.
 _TAIL_WEIGHT = 2.0**-60
+
+#: relative slack of the cut test ``rest (1 + _TAIL_MARGIN) > _TAIL_WEIGHT`` on a
+#: float tail sum ``rest``, so that a dropped tail never exceeds _TAIL_WEIGHT.  Its
+#: terms (2j+1) N_j/2^N carry two roundings each, so the sum is accurate to
+#: (N/2+2) 2^-53 relative (2.3e-13 at N = 4096), and the log-space weights to
+#: 10-20 N eps (3.5e-10 on the kept ones at N = 10^5); both are far below
+#: 2^-20 = 9.5e-7.  Up to EXACT_BINOMIAL_MAX_N no exact tail sum lies within
+#: 9.2e-5 of _TAIL_WEIGHT, so the slack keeps the same multiplets as an exact
+#: comparison.
+_TAIL_MARGIN = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -180,22 +195,43 @@ def _check_two_j(N: int, two_j: int) -> None:
         raise ValueError(f"invalid J^2 sector: N={N}, two_j={two_j}")
 
 
-def _log_binom(n, k):
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+def _weights(N: int, two_q, count: str) -> np.ndarray:
+    """2^-N times the bath count ``count`` at each label ``two_q`` (an int sequence).
+
+    ``count`` is ``"m"`` for N_m = C(N, k) at two_q = two_m, ``"j"`` for
+    N_j = C(N, k) - C(N, k+1) and ``"p"`` for (2j+1) N_j at two_q = two_j, with
+    k = (N + two_q)/2.  For N <= EXACT_BINOMIAL_MAX_N the counts are exact
+    integers from one binomial row and int true division rounds each quotient
+    correctly; beyond, log space.
+    """
+    two_q = np.asarray(two_q, dtype=np.int64)
+    k = (N + two_q) // 2
+    if N <= EXACT_BINOMIAL_MAX_N:
+        row = [1]
+        for i in range(N):  # C(N, i+1) = C(N, i) (N-i)/(i+1)
+            row.append(row[-1] * (N - i) // (i + 1))
+        row.append(0)  # C(N, N+1), read by the top multiplet j = N/2
+        denom = 1 << N
+        out = []
+        for t, i in zip(two_q.tolist(), k.tolist()):
+            n = row[i] if count == "m" else row[i] - row[i + 1]
+            out.append((n * (t + 1) if count == "p" else n) / denom)
+        return np.array(out, dtype=float)
+    log_n = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(N - k + 1.0)
+    if count != "m":  # N_j = C(N, k)(2j+1)/(k+1); this operation order fixes the bits
+        log_n = log_n + np.log(two_q + 1.0) - np.log(k + 1.0)
+    if count == "p":
+        log_n = np.log(two_q + 1.0) + log_n
+    return np.exp(log_n - N * _LOG2)
 
 
 def weight_m(params: SystemParams, s: SectorM) -> float:
     """Sector weight w_m = N_m / 2^N, the fraction of bath states with J_3 = m.
 
-    N_m = C(N, N/2 + m) is the degeneracy of the eigenvalue m.  Exact
-    integer arithmetic for N <= EXACT_BINOMIAL_MAX_N, log space beyond.
+    N_m = C(N, N/2 + m) is the degeneracy of the eigenvalue m.
     """
-    N = params.N
-    _check_two_m(N, s.two_m)
-    k = (N + s.two_m) // 2
-    if N <= EXACT_BINOMIAL_MAX_N:
-        return float(Fraction(math.comb(N, k), 1 << N))
-    return float(np.exp(_log_binom(N, k) - N * _LOG2))
+    _check_two_m(params.N, s.two_m)
+    return float(_weights(params.N, [s.two_m], "m")[0])
 
 
 def multiplicity_j(N: int, two_j: int) -> int:
@@ -217,22 +253,14 @@ def multiplicity_j(N: int, two_j: int) -> int:
     return q
 
 
-def _log_multiplicity_j(N, two_j):
-    k = (N + np.asarray(two_j)) // 2
-    return _log_binom(N, k) + np.log(two_j + 1.0) - np.log(k + 1.0)
-
-
 def prob_j(params: SystemParams, two_j: int) -> float:
     """Probability p(j) = (2j+1) N_j / 2^N of finding total bath spin j.
 
     This is the weight that a maximally mixed bath assigns to the (2j+1)
     states of each j multiplet, summed over the N_j copies.
     """
-    N = params.N
-    _check_two_j(N, two_j)
-    if N <= EXACT_BINOMIAL_MAX_N:
-        return float(Fraction((two_j + 1) * multiplicity_j(N, two_j), 1 << N))
-    return float(np.exp(np.log(two_j + 1.0) + _log_multiplicity_j(N, two_j) - N * _LOG2))
+    _check_two_j(params.N, two_j)
+    return float(_weights(params.N, [two_j], "p")[0])
 
 
 def _omega_plus(omega0: float, A: float, two_m) -> float:
@@ -327,58 +355,29 @@ def jm_sector_table(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 def weights_m_array(N: int) -> np.ndarray:
     """Weights N_m / 2^N aligned with ``two_m_values(N)``."""
-    tm = two_m_values(N)
-    if N <= EXACT_BINOMIAL_MAX_N:
-        denom = 1 << N
-        return np.array(
-            [float(Fraction(math.comb(N, (N + t) // 2), denom)) for t in tm]
-        )
-    k = (N + tm) // 2
-    return np.exp(_log_binom(float(N), k.astype(float)) - N * _LOG2)
+    return _weights(N, two_m_values(N), "m")
 
 
 def prob_j_array(N: int) -> np.ndarray:
     """p(j) for two_j = N%2, N%2+2, ..., N (ascending)."""
-    tjs = _two_j_values(N)
-    if N <= EXACT_BINOMIAL_MAX_N:
-        denom = 1 << N
-        return np.array(
-            [
-                float(Fraction((int(t) + 1) * multiplicity_j(N, int(t)), denom))
-                for t in tjs
-            ]
-        )
-    return np.exp(
-        np.log(tjs + 1.0) + _log_multiplicity_j(float(N), tjs) - N * _LOG2
-    )
+    return _weights(N, _two_j_values(N), "p")
 
 
 def _multiplet_weights(N: int, tail: float) -> tuple[np.ndarray, np.ndarray]:
     """(two_j, N_j / 2^N) of the shortest ascending prefix of the j multiplets
     whose dropped rest has total probability sum p(j) <= ``tail`` (0: keep all).
 
-    The cut is decided on the N/2+1 multiplet weights, in exact arithmetic up
-    to EXACT_BINOMIAL_MAX_N and on log-space floats beyond.
+    The cut compares float tail sums with the relative slack _TAIL_MARGIN, so
+    the dropped rest is certified; it may keep one multiplet more than an
+    exact comparison only if a tail sum lies within that slack of ``tail``.
     """
     tjs = _two_j_values(N)
+    w = _weights(N, tjs, "j")
     keep = tjs.size
-    if N <= EXACT_BINOMIAL_MAX_N:
-        denom = 1 << N
-        n_j = [multiplicity_j(N, int(tj)) for tj in tjs]
-        dropped = 0
-        while keep > 1:
-            dropped += (int(tjs[keep - 1]) + 1) * n_j[keep - 1]
-            if Fraction(dropped, denom) > tail:
-                break
-            keep -= 1
-        w = np.array([float(Fraction(n, denom)) for n in n_j[:keep]])
-    else:
-        log_w = _log_multiplicity_j(float(N), tjs) - N * _LOG2
-        if tail > 0.0:  # tail[k] = sum_{i >= k} p(j_i), non-increasing in k
-            rest = np.cumsum(np.exp(np.log(tjs + 1.0) + log_w)[::-1])[::-1]
-            keep = max(1, int(np.count_nonzero(rest > tail)))
-        w = np.exp(log_w[:keep])
-    return tjs[:keep], w
+    if tail > 0.0:  # rest[k] = sum_{i >= k} p(j_i), non-increasing in k
+        rest = np.cumsum(((tjs + 1) * w)[::-1])[::-1]
+        keep = max(1, int(np.count_nonzero(rest * (1.0 + _TAIL_MARGIN) > tail)))
+    return tjs[:keep], w[:keep]
 
 
 def weights_jm_array(N: int) -> np.ndarray:

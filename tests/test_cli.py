@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from dataclasses import fields
 from pathlib import Path
@@ -337,6 +340,59 @@ def test_scenario_times_include_endpoint():
     t = cfg.times()
     assert t[0] == 0.0 and t[-1] == pytest.approx(1.0)
     assert t.size == 11
+
+
+_BLAS_SCENARIO = """
+N = 8
+omega0 = 1.0
+A = 0.05
+t_max = 100.0
+dt = 0.1
+"""
+
+_COMPARE_EACH = (
+    "import sys\n"
+    "from spinstar.cli import main\n"
+    "codes = [main(['compare', '--config', c, '--out', o])\n"
+    "         for c, o in zip(sys.argv[1::2], sys.argv[2::2])]\n"
+    "sys.exit(max(codes))\n"
+)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every CSV but the oracle's, and every report.csv row but the oracle's,
+    # has the same bytes at 1 and 2 BLAS threads; the oracle's eigh rounds
+    # differently at another thread count (a few of its 1001 rows move in the
+    # last bits), so its file and row hold only at a fixed count
+    jm = write_config(tmp_path, _BLAS_SCENARIO + """
+methods = exact,tcl2,nz2,oracle
+projection = jm
+initial_p_plus = 0.7
+coh_re = 0.3
+coh_im = 0.1
+""", "jm.cfg")
+    m = write_config(tmp_path, _BLAS_SCENARIO + """
+methods = standard,exact,tcl2,nz2
+projection = m
+""", "m.cfg")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        args = [str(jm), str(tmp_path / threads / "jm"), str(m), str(tmp_path / threads / "m")]
+        proc = subprocess.run([sys.executable, "-c", _COMPARE_EACH, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    for scenario, oracle_files in (("jm", {"oracle_none.csv"}), ("m", set())):
+        one, two = tmp_path / "1" / scenario, tmp_path / "2" / scenario
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in sorted(set(names) - oracle_files):
+            got, ref = (one / name).read_bytes(), (two / name).read_bytes()
+            if name == "report.csv" and oracle_files:
+                got, ref = ([l for l in text.splitlines() if b"oracle_none" not in l]
+                            for text in (got, ref))
+            assert got == ref, f"{scenario}/{name}"
 
 
 _CAPPED_COMPARE = textwrap.dedent(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinstar.exact import exact_trajectory
@@ -119,15 +119,20 @@ class TestWeights:
         assert abs(weights_m_array(N).sum() - 1.0) <= 1e-12
         assert abs(prob_j_array(N).sum() - 1.0) <= 1e-12
 
-    def test_log_space_path_matches_exact_ratio(self):
+    @pytest.mark.parametrize(
+        "N, bound",
+        # measured on these entries: 8.7e-12, 2.1e-12 and 1.8e-10; over the
+        # central +-3 sqrt(N) entries at most 1.7e-11 (N = 10^4), 3.8e-10 (10^5)
+        [(EXACT_BINOMIAL_MAX_N + 904, 1e-11), (10_000, 4e-11), (100_000, 1e-9)],
+    )
+    def test_log_space_path_matches_exact_ratio(self, N, bound):
         # beyond the exact cutoff the gammaln branch takes over; compare a few
         # entries against big-integer arithmetic
-        N = EXACT_BINOMIAL_MAX_N + 904  # an even N on the log-space path
         w = weights_m_array(N)
         tm = two_m_values(N)
         for i in (0, N // 4, N // 2, N // 2 + 1, N):
             exact = Fraction(math.comb(N, (N + int(tm[i])) // 2), 1 << N)
-            assert abs(w[i] - float(exact)) <= 1e-15 + 1e-11 * float(exact)
+            assert abs(w[i] - float(exact)) <= 1e-15 + bound * float(exact)
 
     def test_weights_jm_consistency(self):
         N = 12
@@ -247,6 +252,35 @@ def test_weights_sum_exactly_one_hypothesis(N):
     # exact-arithmetic branch: the float sum should be 1 to a few ulp
     assert abs(weights_m_array(N).sum() - 1.0) <= 5e-15
     assert abs(prob_j_array(N).sum() - 1.0) <= 5e-15
+
+
+@given(N=st.integers(1, EXACT_BINOMIAL_MAX_N), u=st.floats(0.0, 1.0))
+@example(N=EXACT_BINOMIAL_MAX_N, u=0.5)
+@settings(max_examples=20, deadline=None)
+def test_exact_weights_are_correctly_rounded_hypothesis(N, u):
+    """Up to EXACT_BINOMIAL_MAX_N every weight is its count over 2^N, correctly rounded.
+
+    The counts are independent big-integer binomials; the entries checked are
+    the edges, the centre and one drawn position of each table.
+    """
+
+    def rounded(count):
+        return float(Fraction(count, 2**N))
+
+    p = params(N=N)
+    w_m, p_j, w_jm = weights_m_array(N), prob_j_array(N), weights_jm_array(N)
+    table_two_j = jm_sector_table(N)[0]
+    for k in {0, round(u * N), N // 2, N}:
+        ref = rounded(math.comb(N, k))
+        assert w_m[k] == ref
+        assert weight_m(p, SectorM(2 * k - N)) == ref
+    for i in {0, round(u * (N // 2)), N // 2}:
+        two_j = N % 2 + 2 * i
+        k = (N + two_j) // 2
+        n_j = math.comb(N, k) - math.comb(N, k + 1)
+        assert p_j[i] == rounded((two_j + 1) * n_j)
+        assert prob_j(p, two_j) == rounded((two_j + 1) * n_j)
+        assert np.all(w_jm[table_two_j == two_j] == rounded(n_j))
 
 
 @given(
