@@ -18,10 +18,12 @@ from explicit projectors instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import trajectory
 from .sectors import SystemParams
 from .trajectory import Trajectory, _time_chunks, _validate_times
 from .volterra import SolveOptions, integrate_linear_ode
@@ -39,8 +41,9 @@ __all__ = [
     "check_plp_zero",
 ]
 
-#: hard cap for the blockwise spectral route (largest block ~6.4k states);
-#: 1001 times on one BLAS thread take 14 s at N = 12, 448 s and 4.5 GB at N = 14
+#: hard cap for the blockwise spectral route (largest block ~6.4k states); 1001 times
+#: with resolve="none" on one BLAS thread take 11 s and 376 MB peak RSS at N = 12, and
+#: took 448 s and 4.5 GB at N = 14 before the phase sums became real GEMMs
 MAX_BATH_SPINS = 14
 #: cap for the diagnostics that build full 2^(N+1)-dimensional matrices
 MAX_DENSE_BATH_SPINS = 8
@@ -182,21 +185,45 @@ def _build_blocks(params: SystemParams, couplings=None) -> dict[int, _Block]:
     return blocks
 
 
-def _phase_sum(times, e_left, w, e_right) -> np.ndarray:
-    """sum_{kl} e^{-i E^L_k t} W[k,l] e^{+i E^R_l t}, chunked over times."""
-    out = np.empty(times.size, dtype=complex)
-    for sl in _time_chunks(times.size, 16 * max(e_left.size, e_right.size)):
-        ph_l = np.exp(-1j * np.multiply.outer(times[sl], e_left))
-        ph_r = np.exp(1j * np.multiply.outer(times[sl], e_right))
-        out[sl] = np.add.reduce((ph_l @ w) * ph_r, axis=1)
-    return out
+#: real (chunk, D) arrays alive at once in one time chunk of ``propagate``: the four
+#: cos/sin tables, the two GEMM outputs and one phase argument (D is the larger
+#: block of the sector)
+_TABLES_PER_CHUNK = 7
 
 
-def _block_weights(blk: _Block, w_up: float, w_dn: float):
-    """(initial weights, Q_up, Q_dn) of a block in its eigenbasis, Q = V^H V per half."""
-    q_up = blk.v_up.conj().T @ blk.v_up
-    q_dn = blk.v_dn.conj().T @ blk.v_dn
-    return w_up * q_up + w_dn * q_dn, q_up, q_dn
+def _phase_table(times: np.ndarray, energies: np.ndarray):
+    """(C, S) = (cos(t E), sin(t E)) on a time chunk, so that e^{-i E t} = C - i S."""
+    arg = np.multiply.outer(times, energies)
+    return np.cos(arg), np.sin(arg)
+
+
+def _phase_sum(left, w: np.ndarray, right, imag: bool = True) -> np.ndarray:
+    """sum_{kl} e^{-i E^L_k t} W[k,l] e^{+i E^R_l t} for real W, from the (C, S) tables of both sides.
+
+    The real part is sum (C_L W) o C_R + (S_L W) o S_R and the imaginary part
+    sum (C_L W) o S_R - (S_L W) o C_R: two real GEMMs.  ``imag=False`` returns
+    the real part alone, which is the whole sum when W is symmetric and the
+    two sides are one block.
+    """
+    (c_l, s_l), (c_r, s_r) = left, right
+    cw, sw = c_l @ w, s_l @ w
+    re = np.einsum("ij,ij->i", cw, c_r) + np.einsum("ij,ij->i", sw, s_r)
+    if not imag:
+        return re
+    return re + 1j * (np.einsum("ij,ij->i", cw, s_r) - np.einsum("ij,ij->i", sw, c_r))
+
+
+def _weighted(q_block: np.ndarray, q: np.ndarray, w_up: float, w_dn: float) -> np.ndarray:
+    """(w_up Q + w_dn (I - Q)) o q, elementwise, for the Gram matrix Q = V_up^T V_up of a block.
+
+    The block's eigenvectors are real and orthonormal, so its |-> half is
+    V_dn^T V_dn = I - Q and w_up Q + w_dn (I - Q) is its initial state in
+    the eigenbasis.
+    """
+    w = q_block * q
+    w *= w_up - w_dn
+    w[np.diag_indices_from(w)] += w_dn * np.diagonal(q)
+    return w
 
 
 @dataclass
@@ -242,7 +269,11 @@ def propagate(
     The spectral route diagonalizes each J_3^tot block once and evaluates
     phase sums, so there is no integration error to control; the maximally
     mixed bath enters as uniform weights on the block projectors rather than
-    as 2^N separate pure-state propagations.
+    as 2^N separate pure-state propagations.  The eigenvectors are real, so
+    each phase sum is two real GEMMs against cos(t E) and sin(t E) tables.
+    These are computed once per block and time chunk for each group of
+    projectors whose weight matrices fit the chunk budget together: the
+    whole sector up to N = 8, one projector from N = 10.
     """
     _require_capacity(params.N, MAX_BATH_SPINS, "the spectral oracle")
     if resolve not in ("none", "m", "jm"):
@@ -268,34 +299,47 @@ def propagate(
     frame = np.exp(1j * params.omega0 * t)
 
     tjs, tms, pp, pm, cc = [], [], [], [], []
-    below = _block_weights(blocks[-N - 2], w_up, w_dn)
+    # Q = V_up^T V_up of the block below the sector (its |-> rows) and of the block above
+    q_below = blocks[-N - 2].v_up.T @ blocks[-N - 2].v_up
     for tm in range(-N, N + 1, 2):
         # bath sector tm sits on the |+> rows of block tm and the |-> rows of block tm - 2
         up, dn = blocks[tm], blocks[tm - 2]
-        here = _block_weights(up, w_up, w_dn)
-        (wm_up, q_sec_up, _), (wm_dn, _, q_sec_dn) = here, below
-        x = up.v_up.conj().T @ dn.v_dn
+        q_here = up.v_up.T @ up.v_up
+        x = up.v_up.T @ dn.v_dn
+        # per projector: (2j, its Gram matrices Y_up^T Y_up, Y_dn^T Y_dn and Y_up^T Y_dn),
+        # Y being the block eigenvectors' components on the projector's subspace
         if resolve == "jm":
-            projectors = sorted(_j2_eigenblocks(N, tm, states).items())
+            ys = [(tj, xj.T @ up.v_up, xj.T @ dn.v_dn)
+                  for tj, xj in sorted(_j2_eigenblocks(N, tm, states).items())]
+            grams = ((tj, y_up.T @ y_up, y_dn.T @ y_dn, y_up.T @ y_dn) for tj, y_up, y_dn in ys)
         else:
-            projectors = [(None, None)]
-        for tj, xj in projectors:
-            if xj is None:  # the whole sector
-                q_up, q_dn, z = q_sec_up, q_sec_dn, x
-            else:
-                y_up, y_dn = xj.conj().T @ up.v_up, xj.conj().T @ dn.v_dn
-                q_up, q_dn, z = y_up.conj().T @ y_up, y_dn.conj().T @ y_dn, y_up.conj().T @ y_dn
-            tjs.append(tj)
-            tms.append(tm)
-            pp.append(_phase_sum(t, up.energies, wm_up * q_up.conj(), up.energies).real)
-            pm.append(_phase_sum(t, dn.energies, wm_dn * q_dn.conj(), dn.energies).real)
-            if coh0 != 0.0:
-                cc.append(scale * _phase_sum(t, up.energies, x * z.conj(), dn.energies) * frame)
-            else:
-                cc.append(np.zeros(t.size, dtype=complex))
-        below = here
+            grams = iter([(None, q_here, np.eye(q_below.shape[0]) - q_below, x)])  # whole sector
+        weights = ((tj, _weighted(q_here, q_up, w_up, w_dn), _weighted(q_below, q_dn, w_up, w_dn),
+                    x * z if coh0 != 0.0 else None) for tj, q_up, q_dn, z in grams)
+        width = max(up.energies.size, dn.energies.size)
+        # the weight matrices of as many projectors as fit the budget share each
+        # time chunk's cos/sin tables; each group is freed before the next is built
+        per_group = max(1, trajectory._CHUNK_BYTES // (3 * 8 * width**2))
+        while group := list(itertools.islice(weights, per_group)):
+            g_pp, g_pm = np.empty((2, len(group), t.size))
+            g_cc = np.zeros((len(group), t.size), dtype=complex)
+            for sl in _time_chunks(t.size, 8 * _TABLES_PER_CHUNK * width):
+                tab_up, tab_dn = _phase_table(t[sl], up.energies), _phase_table(t[sl], dn.energies)
+                for k, (_, w_pp, w_pm, w_cc) in enumerate(group):
+                    g_pp[k, sl] = _phase_sum(tab_up, w_pp, tab_up, imag=False)
+                    g_pm[k, sl] = _phase_sum(tab_dn, w_pm, tab_dn, imag=False)
+                    if w_cc is not None:
+                        g_cc[k, sl] = scale * _phase_sum(tab_up, w_cc, tab_dn) * frame[sl]
+                del tab_up, tab_dn
+            tjs += [tj for tj, *_ in group]
+            tms += [tm] * len(group)
+            pp.append(g_pp)
+            pm.append(g_pm)
+            cc.append(g_cc)
+            del group
+        q_below = q_here
 
-    pp, pm, cc = np.asarray(pp), np.asarray(pm), np.asarray(cc)
+    pp, pm, cc = np.concatenate(pp), np.concatenate(pm), np.concatenate(cc)
     result = OracleResult(
         times=t,
         p_plus=np.add.reduce(pp, axis=0),
@@ -434,16 +478,22 @@ def projection_family(
     raise ValueError(f"unknown projection family {family!r}")
 
 
-def _apply_projection(pairs, x: np.ndarray, N: int, adjoint: bool = False) -> np.ndarray:
-    """Apply P (or its Hilbert-Schmidt adjoint) to a full-space operator."""
+def _stack_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The A_i and the B_i of a projection family, each stacked into one (n_pairs, d, d) array."""
+    return np.stack([a_i for a_i, _ in pairs]), np.stack([b_i for _, b_i in pairs])
+
+
+def _apply_projection(stacked, x: np.ndarray, N: int, adjoint: bool = False) -> np.ndarray:
+    """Apply P (or its Hilbert-Schmidt adjoint) to a full-space operator.
+
+    ``stacked`` is the (A, B) pair of ``_stack_pairs``.
+    """
     d = 1 << N
-    xr = x.reshape(2, d, 2, d)
-    out = np.zeros((2, d, 2, d), dtype=complex)
-    for a_i, b_i in pairs:
-        left, right = (a_i, b_i) if adjoint else (b_i, a_i)
-        # tr_E{(I (x) left) x}[a, b] = sum_{n,k} left[n,k] x[(a,k),(b,n)]
-        sys_part = np.einsum("nk,akbn->ab", left, xr)
-        out += np.einsum("ab,nm->anbm", sys_part, right.astype(complex))
+    a, b = stacked
+    left, right = (a, b) if adjoint else (b, a)
+    # tr_E{(I (x) left_i) x}[a, b] = sum_{n,k} left_i[n,k] x[(a,k),(b,n)]
+    sys_part = np.tensordot(left, x.reshape(2, d, 2, d), ([1, 2], [3, 1]))
+    out = np.tensordot(sys_part, right, (0, 0)).transpose(0, 2, 1, 3)
     return out.reshape(2 * d, 2 * d)
 
 
@@ -507,16 +557,13 @@ def check_projection_conditions(
             "sector-pair blocks of up to C(N, N/2)^2 states; N <= 6 only"
         )
     pairs = projection_family(N, family, corrupt_normalization)
+    stacked = a, b = _stack_pairs(pairs)
     d = 1 << N
 
-    n_pairs = len(pairs)
-    gram = np.empty((n_pairs, n_pairs))
-    for i, (_, b_i) in enumerate(pairs):
-        for j, (a_j, _) in enumerate(pairs):
-            gram[i, j] = np.trace(b_i @ a_j).real
-    idem = float(np.max(np.abs(gram - np.eye(n_pairs))))
+    gram = np.einsum("pkl,qlk->pq", b, a)  # tr(B_p A_q)
+    idem = float(np.max(np.abs(gram - np.eye(len(pairs)))))
 
-    resolution = sum(np.trace(a_i).real * b_i for a_i, b_i in pairs)
+    resolution = np.tensordot(np.trace(a, axis1=1, axis2=2), b, 1)  # sum_i tr(A_i) B_i
     trace_defect = float(np.max(np.abs(resolution - np.eye(d))))
 
     min_eig = _min_choi_eigenvalue(pairs, N)
@@ -525,7 +572,7 @@ def check_projection_conditions(
     two_m = _bath_two_m(N)
     j3tot = np.diag(np.concatenate([0.5 + 0.5 * two_m, -0.5 + 0.5 * two_m]))
     j3_defect = float(
-        np.max(np.abs(_apply_projection(pairs, j3tot, N, adjoint=True) - j3tot))
+        np.max(np.abs(_apply_projection(stacked, j3tot, N, adjoint=True) - j3tot))
     )
 
     j2_bath = np.zeros((d, d))
@@ -534,7 +581,7 @@ def check_projection_conditions(
         j2_bath[np.ix_(rows, rows)] = _j2_sector(N, tm, states)
     j2_full = np.kron(np.eye(2), j2_bath)
     j2_defect = float(
-        np.max(np.abs(_apply_projection(pairs, j2_full, N, adjoint=True) - j2_full))
+        np.max(np.abs(_apply_projection(stacked, j2_full, N, adjoint=True) - j2_full))
     )
 
     return ProjectionConditionReport(
@@ -575,7 +622,7 @@ def check_plp_zero(
         raise ValueError(f"unknown interaction {interaction!r}")
     N = params.N
     d = 1 << N
-    pairs = projection_family(N, family, product_bath=product_bath)
+    stacked = _stack_pairs(projection_family(N, family, product_bath=product_bath))
 
     h_full = build_hamiltonian(params)
     zsum = _zeeman_sums(N, np.full(N, params.A))
@@ -597,12 +644,15 @@ def check_plp_zero(
         g = 0.5 * (g + g.conj().T)  # Hermitian, like a (unnormalized) state
         samples.append(g)
 
+    h_ts = []
+    for t in _PLP_TIMES:
+        ph = np.exp(1j * h0_diag * t)
+        h_ts.append((ph[:, None] * h_int) * ph.conj()[None, :])
+
     worst = 0.0
     for x in samples:
-        px = _apply_projection(pairs, x, N)
-        for t in _PLP_TIMES:
-            ph = np.exp(1j * h0_diag * t)
-            h_t = (ph[:, None] * h_int) * ph.conj()[None, :]
+        px = _apply_projection(stacked, x, N)
+        for h_t in h_ts:
             lr = -1j * (h_t @ px - px @ h_t)
-            worst = max(worst, float(np.max(np.abs(_apply_projection(pairs, lr, N)))))
+            worst = max(worst, float(np.max(np.abs(_apply_projection(stacked, lr, N)))))
     return worst

@@ -12,7 +12,10 @@ from spinstar.oracle import (
     MAX_BATH_SPINS,
     MAX_DENSE_BATH_SPINS,
     CapacityError,
+    _apply_projection,
     _min_choi_eigenvalue,
+    _phase_sum,
+    _phase_table,
     build_hamiltonian,
     check_plp_zero,
     check_projection_conditions,
@@ -156,18 +159,41 @@ class TestPropagation:
                 atol=1e-12,
             )
 
-    def test_time_chunks_do_not_change_the_result(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "resolve, couplings",
+        [("none", None), ("m", None), ("jm", None), ("jm", [0.11, -0.07, 0.23, 0.18])],
+        ids=["none", "m", "jm", "jm-nonuniform"],
+    )
+    def test_time_chunks_do_not_change_the_result(self, monkeypatch, resolve, couplings):
         p = SystemParams(
             N=4, A=0.18, omega0=1.0, initial_p_plus=0.65, initial_coh=0.3 - 0.2j
         )
         t = np.linspace(0.0, 15.0, 60)
-        whole = propagate(p, t, resolve="jm")
+        whole = propagate(p, t, resolve=resolve, couplings=couplings)
         monkeypatch.setattr(spinstar.trajectory, "_CHUNK_BYTES", 16 * 10 * 7)
-        chunked = propagate(p, t, resolve="jm")  # blocks of dimension 10: 7 times per chunk
-        for name in ("p_plus", "p_minus", "coh", "sector_p_plus", "sector_p_minus", "sector_coh"):
+        # blocks of dimension 10: 2 times per chunk and one projector per group
+        chunked = propagate(p, t, resolve=resolve, couplings=couplings)
+        names = ("p_plus", "p_minus", "coh")
+        if resolve != "none":
+            names += ("sector_p_plus", "sector_p_minus", "sector_coh")
+        for name in names:
             np.testing.assert_allclose(
                 getattr(chunked, name), getattr(whole, name), rtol=0, atol=1e-15
             )
+
+    def test_zero_coherence_skips_only_the_coherence(self):
+        t = np.linspace(0.0, 15.0, 60)
+        coherent = propagate(
+            SystemParams(N=4, A=0.18, omega0=1.0, initial_p_plus=0.65, initial_coh=0.3 - 0.2j),
+            t, resolve="jm",
+        )
+        res = propagate(
+            SystemParams(N=4, A=0.18, omega0=1.0, initial_p_plus=0.65, initial_coh=0.0),
+            t, resolve="jm",
+        )
+        for name in ("p_plus", "p_minus", "sector_p_plus", "sector_p_minus"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(coherent, name))
+        assert not np.any(res.coh) and not np.any(res.sector_coh)
 
     def test_trajectory_wrapper(self):
         p = SystemParams(N=2, A=0.1, omega0=1.0)
@@ -189,6 +215,52 @@ class TestPropagation:
         p_mid = SystemParams(N=9, A=0.1, omega0=1.0)
         with pytest.raises(CapacityError):  # dense route is capped tighter
             propagate(p_mid, np.array([0.0, 1.0]), method="ode")
+
+
+class TestRealPhaseSum:
+    """The cos/sin phase sum against the direct double sum over both spectra."""
+
+    @staticmethod
+    def direct(t, e_left, w, e_right):
+        return np.array([
+            np.exp(-1j * e_left * s) @ w @ np.exp(1j * e_right * s) for s in t
+        ])
+
+    @staticmethod
+    def chunked(t, e_left, w, e_right, imag=True):
+        out = np.empty(t.size, dtype=complex if imag else float)
+        chunks = list(spinstar.trajectory._time_chunks(t.size, 8 * max(e_left.size, e_right.size)))
+        assert len(chunks) > 1
+        for sl in chunks:
+            out[sl] = _phase_sum(
+                _phase_table(t[sl], e_left), w, _phase_table(t[sl], e_right), imag=imag
+            )
+        return out
+
+    T = np.cumsum(np.random.default_rng(3).uniform(0.01, 0.7, 41))  # non-uniform grid
+
+    def test_unsymmetric_weights_between_two_spectra(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        e_left, e_right = rng.uniform(-2.0, 2.0, 7), rng.uniform(-2.0, 2.0, 5)
+        w = rng.uniform(-1.0, 1.0, (7, 5)) / 7
+        monkeypatch.setattr(spinstar.trajectory, "_CHUNK_BYTES", 8 * 7 * 6)  # 6 times per chunk
+        np.testing.assert_allclose(
+            self.chunked(self.T, e_left, w, e_right),
+            self.direct(self.T, e_left, w, e_right), rtol=0, atol=1e-14,
+        )
+
+    def test_symmetric_weights_on_one_spectrum_are_real(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        e = rng.uniform(-2.0, 2.0, 6)
+        w = rng.uniform(-1.0, 1.0, (6, 6)) / 6
+        w = w + w.T
+        monkeypatch.setattr(spinstar.trajectory, "_CHUNK_BYTES", 8 * 6 * 5)  # 5 times per chunk
+        ref = self.direct(self.T, e, w, e)
+        np.testing.assert_allclose(ref.imag, 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            self.chunked(self.T, e, w, e, imag=False), ref.real, rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(self.chunked(self.T, e, w, e), ref, rtol=0, atol=1e-14)
 
 
 class TestProjectionConditions:
@@ -221,6 +293,22 @@ class TestProjectionConditions:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             projection_family(2, "bogus")
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_stacked_projection_matches_the_partial_trace_definition(adjoint):
+    # unsymmetric pairs, so that a transposed contraction cannot pass
+    N, d = 2, 4
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 3, d, d))
+    x = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+    ref = sum(
+        # P x = sum_i tr_E{(I (x) B_i) x} (x) A_i, and the adjoint swaps A_i and B_i
+        np.kron(reduce_central(np.kron(np.eye(2), left) @ x, N), right)
+        for left, right in (zip(a, b) if adjoint else zip(b, a))
+    )
+    np.testing.assert_allclose(_apply_projection((a, b), x, N, adjoint=adjoint), ref,
+                               rtol=0, atol=1e-13)
 
 
 class TestBlockChoiSpectrum:
