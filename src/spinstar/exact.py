@@ -8,6 +8,14 @@ branch of sector (j, m) is the pair of (j, m-1), so each pair is evaluated once.
 
 Everything is reported in the rotating frame of the central spin; the A=0
 limit therefore leaves both populations and coherence constant.
+
+Two routes evaluate the sector sums, both in memory bounded by
+trajectory._CHUNK_BYTES.  On a uniform grid (trajectory._uniform_step) of at
+least trajectory._EXP_SUM_MIN_TIMES times, ``_uniform_pass`` writes them as
+sums of exponentials in time and evaluates them by the baby-step/giant-step
+GEMM of trajectory._exp_sum.  On any other grid ``_sector_pass`` sweeps
+(sector block, time chunk) tiles of sines and cosines; it is also the
+reference the uniform route is tested against.
 """
 
 from __future__ import annotations
@@ -15,14 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, sector_family
-from .trajectory import (Trajectory, _add_rows, _sector_blocks, _time_chunks, _trajectory,
-                         _validate_times)
+from .trajectory import (_EXP_SUM_MIN_TIMES, Trajectory, _add_rows, _exp_sum, _sector_blocks,
+                         _tile, _time_chunks, _trajectory, _uniform_step, _validate_times)
 
 __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
 
 
 def _pair_rows(fam: SectorFamily):
-    """(mu, mu == 0, sin(mu t)/mu divisor, w 4A^2 b_+, i Omega/2, |-> row) of the pair rows.
+    """(Omega, mu, |-> row) of the pair rows.
 
     The rows are the |+> branch of every sector, then the |-> branch of each
     chain bottom m = -j.  The |-> branch of any other sector is row ``lower``,
@@ -32,14 +40,7 @@ def _pair_rows(fam: SectorFamily):
     om = np.concatenate([fam.om_p, -fam.om_m[bottom]])
     mu = np.sqrt(0.25 * om * om + np.concatenate([fam.b_p, fam.b_m[bottom]]))
     minus = np.where(fam.lower >= 0, fam.lower, size + np.cumsum(fam.lower < 0) - 1)
-    small = mu < 1e-300
-    return (mu, small, np.where(small, 1.0, mu)[:, None], (fam.w * fam.b_p)[:, None],
-            0.5j * om[:, None], minus)
-
-
-def _tile(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """A C-ordered (rows, n) view of the front of the flat buffer ``buf``."""
-    return buf[:rows * n].reshape(rows, n)
+    return om, mu, minus
 
 
 def _sector_pass(params: SystemParams, fam: SectorFamily, t, coherence: bool):
@@ -55,8 +56,12 @@ def _sector_pass(params: SystemParams, fam: SectorFamily, t, coherence: bool):
     computed in one set of buffers, allocated once for the largest tile, so
     the heap a run leaves behind does not depend on the tile shapes.
     """
-    blocks = [(sub, _pair_rows(sub)) for sub in
-              (fam.block(blk) for blk in _sector_blocks(fam.lower, t.size, 16))]
+    blocks = []
+    for sub in (fam.block(blk) for blk in _sector_blocks(fam.lower, t.size, 16)):
+        om, mu, minus = _pair_rows(sub)
+        small = mu < 1e-300
+        blocks.append((sub, (mu, small, np.where(small, 1.0, mu)[:, None],
+                             (sub.w * sub.b_p)[:, None], 0.5j * om[:, None], minus)))
     rows = max(pair[0].size for _, pair in blocks)
     chunks = list(_time_chunks(t.size, 16 * rows))  # one complex (rows, chunk) block
     cells = rows * max(sl.stop - sl.start for sl in chunks)
@@ -96,14 +101,51 @@ def _sector_pass(params: SystemParams, fam: SectorFamily, t, coherence: bool):
     return surv, coh
 
 
+def _uniform_pass(params: SystemParams, fam: SectorFamily, t, dt: float, populations: bool,
+                  coherence: bool):
+    """(survival of |+> or None, rho_{+-}(t) or None) on the uniform grid t, by _exp_sum.
+
+    Survival is 1 - sum_s a_s (1 - cos 2 mu_s t) with a_s = w_s 4A^2 b_s /
+    (2 mu_s^2) <= w_s.  With alpha = Omega/(2 mu), |alpha| <= 1, each pair
+    amplitude cos(mu t) - i alpha sin(mu t) is ((1 - alpha) e^{i mu t} +
+    (1 + alpha) e^{-i mu t})/2, so the coherence term w e^{i omega0 t} br_+
+    br_- splits into four exponentials of frequency omega0 +- mu_+ +- mu_-
+    and amplitude w (1 -+ alpha_+)(1 -+ alpha_-)/4, none of them cancelling.
+    A row with mu = 0 has br = 1 and takes alpha = 0.  Both totals are
+    written as E(t) - E(0) from one GEMM, so they are exact at t = 0; at
+    A = 0 every survival amplitude is 0 and every coherence term of nonzero
+    amplitude has frequency 0.
+    """
+    om, mu, minus = _pair_rows(fam)
+    size, nonzero = fam.w.size, mu >= 1e-300
+    surv = coh = None
+    if populations:
+        a = np.divide(fam.w * fam.b_p, 2.0 * mu[:size] ** 2, out=np.zeros(size),
+                      where=nonzero[:size])
+        surv = 1.0 + _exp_sum([(a, 2.0 * mu[:size])], t[0], dt, t.size).real
+    if coherence:
+        alpha = np.divide(om, 2.0 * mu, out=np.zeros(mu.size), where=nonzero)
+        alpha_p, alpha_m, mu_p, mu_m = alpha[:size], alpha[minus], mu[:size], mu[minus]
+        # one sign pair at a time: (1 - sign alpha)/2 multiplies e^{i sign mu t}
+        terms = ((0.25 * fam.w * (1.0 - sign_p * alpha_p) * (1.0 - sign_m * alpha_m),
+                  params.omega0 + sign_p * mu_p + sign_m * mu_m)
+                 for sign_p in (1.0, -1.0) for sign_m in (1.0, -1.0))
+        coh = complex(params.initial_coh) * (1.0 + _exp_sum(terms, t[0], dt, t.size))
+    return surv, coh
+
+
 def _exact(params: SystemParams, times, populations: bool, coherence: bool) -> Trajectory:
     """The exact trajectory with populations and/or coherence, from one jm sector table.
 
     Arbitrary initial_p_plus is handled by linearity between the solution
     started in |+> and its mirror started in |->.
     """
-    t = _validate_times(times)
-    surv, coh = _sector_pass(params, sector_family(params, "jm"), t, coherence)
+    t, fam = _validate_times(times), sector_family(params, "jm")
+    dt = _uniform_step(t) if t.size >= _EXP_SUM_MIN_TIMES else None
+    if dt is None:
+        surv, coh = _sector_pass(params, fam, t, coherence)
+    else:
+        surv, coh = _uniform_pass(params, fam, t, dt, populations, coherence)
     p_plus = None
     if populations:
         p0 = params.initial_p_plus

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
-from .trajectory import (Trajectory, _add_rows, _sector_blocks, _time_chunks, _trajectory,
-                         _validate_times)
+from .trajectory import (Trajectory, _add_rows, _sector_blocks, _tile, _time_chunks,
+                         _trajectory, _validate_times)
 from .volterra import SolveOptions, solve_volterra_batch, integrate_linear_ode
 
 __all__ = [
@@ -134,24 +134,39 @@ def _tcl2(params: SystemParams, fam: SectorFamily, t, populations: bool, coheren
     """
     coh0, lo = complex(params.initial_coh), int(fam.two_m.min())
     om = _omega_plus(params.omega0, params.A, np.arange(lo - 2, int(fam.two_m.max()) + 1, 2))
-    blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 16)]
+    # the tile buffers, a complex f and a real term, take 24 bytes per sector-time point
+    blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 24)]
     table_rows = [(sub.two_m - lo) // 2 + 1 for _, sub in blocks]
     coh = np.empty(t.size, complex) if coherence else None
     sector_coh = np.empty((fam.w.size, t.size), complex) if coherence and sectors else None
     p_plus = np.empty(t.size) if populations else None
     sector_p = np.empty((fam.w.size, t.size)) if populations and sectors else None
     j3 = np.empty(t.size) if populations and j3tot else None
-    for sl in _time_chunks(t.size, 16 * max(sub.w.size for _, sub in blocks)):
+    rows = max(sub.w.size for _, sub in blocks)
+    chunks = list(_time_chunks(t.size, 24 * rows))
+    cells = rows * max(sl.stop - sl.start for sl in chunks)
+    # one set of tile buffers for every (block, chunk) tile, as in exact._sector_pass:
+    # f and term for the coherence, then the real halves of f's buffer for the
+    # populations' exponent and sector values
+    f_buf, term_buf = np.empty(cells, complex), np.empty(cells) if coherence else None
+    lam_buf, sp_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
+    for sl in chunks:
         t2 = t[sl] * t[sl]
         re, im = _g_table(om, t[sl])
         acc_coh = acc_p = acc_j3 = None
         for (blk, sub), k in zip(blocks, table_rows):
+            size = sub.w.size
             if coherence:  # each term of Lambda as (g coef) t^2, the B_+ term first
-                f = np.zeros((sub.w.size, t2.size), complex)
+                f, term = _tile(f_buf, size, t2.size), _tile(term_buf, size, t2.size)
+                f.fill(0.0)
                 for r, b in ((k, sub.b_p), (k - 1, sub.b_m)):
-                    f.real += re[r] * (0.5 * b)[:, None] * t2
-                    f.imag += im[r] * b[:, None] * t2
-                f.imag += np.multiply.outer(2.0 * params.A * sub.two_m, t[sl])
+                    for part, g, coef in ((f.real, re, 0.5 * b), (f.imag, im, b)):
+                        # mode="clip" fills out= directly; the rows are in range
+                        np.take(g, r, axis=0, out=term, mode="clip")
+                        term *= coef[:, None]
+                        term *= t2
+                        part += term
+                f.imag += np.multiply.outer(2.0 * params.A * sub.two_m, t[sl], out=term)
                 np.negative(f, out=f)
                 np.exp(f, out=f)
                 if sectors:
@@ -159,12 +174,15 @@ def _tcl2(params: SystemParams, fam: SectorFamily, t, populations: bool, coheren
                 f -= 1.0
                 f *= sub.w[:, None]
                 acc_coh = _add_rows(f, acc_coh)
-                del f  # before the population step makes its own temporaries
             if populations:
-                lam = re[k] * (0.5 * sub.pair_coef)[:, None] * t2
+                lam = np.take(re, k, axis=0, out=_tile(lam_buf, size, t2.size), mode="clip")
+                lam *= (0.5 * sub.pair_coef)[:, None]
+                lam *= t2
                 np.negative(lam, out=lam)
-                if sectors or j3tot:
-                    sp = sub.steady[:, None] + sub.y0[:, None] * np.exp(lam)
+                if sectors or j3tot:  # steady + y0 e^{-Lambda}
+                    sp = np.exp(lam, out=_tile(sp_buf, size, t2.size))
+                    sp *= sub.y0[:, None]
+                    sp += sub.steady[:, None]
                     if sectors:
                         sector_p[blk, sl] = sp
                     if j3tot:

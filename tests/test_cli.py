@@ -395,6 +395,41 @@ projection = m
             assert got == ref, f"{scenario}/{name}"
 
 
+_EXACT_BYTES = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    from spinstar.exact import exact_trajectory
+    from spinstar.sectors import SystemParams
+
+    n = int(sys.argv[1])
+    p = SystemParams(N=n, A=0.05 / n, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
+    traj = exact_trajectory(p, 0.5 * np.arange(2001))
+    sys.stdout.buffer.write(traj.p_plus.tobytes() + traj.coh.tobytes())
+    """
+)
+
+
+@pytest.mark.parametrize("n", [101, 96])
+def test_exact_kernel_does_not_depend_on_the_blas_thread_count(n):
+    # the test above runs N = 8, whose exponential-sum GEMMs are too small for
+    # BLAS to split over threads; on 2001 uniform times N = 101 makes them
+    # (46 x 1896) @ (1896 x 45), where a real dgemm split rounds differently
+    # at 1 and 2 threads, and N = 96 keeps 1849 sectors, a K that is no
+    # multiple of 8 unless padded
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _EXACT_BYTES, str(n)], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out.append(proc.stdout)
+    assert len(out[0]) == 2001 * 24
+    assert out[0] == out[1]
+
+
 _CAPPED_COMPARE = textwrap.dedent(
     """
     import sys

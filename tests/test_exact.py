@@ -239,6 +239,48 @@ def test_buffers_equal_fresh_temporaries(monkeypatch, n, budget):
     np.testing.assert_array_equal(traj.coh, coh)
 
 
+def _resonant_omega0(n, a):
+    """omega0 that puts Omega_+(m) = 0 bit for bit at the top sector two_m = N (N = 2: 0)."""
+    return -(2.0 * a * ((0 if n == 2 else n) + 1.0))
+
+
+ROUTE_CASES = {
+    "1": (1, -0.13, 0.9),
+    "2": (2, -0.13, 0.9),
+    "5": (5, -0.13, 0.9),
+    "101": (101, 0.1 / 202, 1.0),
+    "101-strong": (101, -0.5 / 202, 0.7),
+    "1-resonant": (1, -0.13, _resonant_omega0(1, -0.13)),
+    "2-resonant": (2, -0.13, _resonant_omega0(2, -0.13)),
+    "5-resonant": (5, -0.13, _resonant_omega0(5, -0.13)),
+    # mu = 0 at (j, m) = (1/2, 1/2)
+    "3-zero-mu": (3, -0.25, 1.0),
+    "9-decoupled": (9, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("n, a, omega0", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
+def test_uniform_route_agrees_with_the_sector_pass(n, a, omega0):
+    # a uniform grid takes _exp_sum; _sector_pass, the route of every other
+    # grid, is the reference on the same grid
+    p = SystemParams(N=n, A=a, omega0=omega0, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
+    t = 0.1 * np.arange(1001)
+    assert trajectory._uniform_step(t) is not None
+    fam = sector_family(p, "jm")
+    om, mu, _ = exact._pair_rows(fam)
+    if omega0 == _resonant_omega0(n, a):
+        assert np.any(om == 0.0)
+    if (n, a) == (3, -0.25):
+        assert np.any(mu == 0.0)
+    surv, coh = exact._sector_pass(p, fam, t, True)
+    traj = exact_trajectory(p, t)
+    np.testing.assert_allclose(traj.p_plus, 0.35 * surv + 0.65 * (1.0 - surv), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(traj.coh, coh, rtol=0, atol=1e-13)
+    assert traj.p_plus[0] == 0.35 and traj.coh[0] == 0.2 - 0.3j
+    if a == 0.0:
+        np.testing.assert_array_equal(traj.p_plus, 0.35)
+
+
 _CAPPED_CHILD = textwrap.dedent(
     """
     import numpy as np

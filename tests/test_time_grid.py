@@ -115,3 +115,50 @@ def test_sector_blocks_are_runs_of_whole_chains(monkeypatch):
                                                                                   (25, 36)]
     assert trajectory._sector_blocks(jm, 1, 16) == [slice(0, 36)]
     assert trajectory._sector_blocks(m, 300, 16) == [slice(0, 11)]  # one chain
+
+
+UNIFORM_GRIDS = {
+    "cli": (0.5 * np.arange(2001), 0.5),  # dt * arange, as the CLI builds it
+    "linspace": (np.linspace(0.0, 10.0, 101), 0.1),
+    "shifted": (3.7 + 0.1 * np.arange(60), 0.1),
+    "negative-start": (np.linspace(-2.0, 5.0, 71), 0.1),
+    "one-point": (np.array([4.2]), 0.0),
+    "two-points": (np.array([1.0, 2.5]), 1.5),
+}
+
+
+@pytest.mark.parametrize("t, dt", UNIFORM_GRIDS.values(), ids=UNIFORM_GRIDS.keys())
+def test_uniform_step_of_a_uniform_grid(t, dt):
+    assert trajectory._uniform_step(t) == pytest.approx(dt, rel=1e-14, abs=0.0)
+
+
+def test_uniform_step_of_a_non_uniform_grid_is_none():
+    geometric = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)])
+    assert trajectory._uniform_step(geometric) is None
+    moved = np.linspace(0.0, 10.0, 101)
+    moved[37] += 1e-12
+    assert trajectory._uniform_step(moved) is None
+
+
+def _direct_exp_sum(amp, nu, t):
+    """sum_k amp_k (exp(i nu_k t) - 1), one time at a time."""
+    return np.array([np.sum(amp * (np.exp(1j * nu * tn) - 1.0)) for tn in t])
+
+
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+@pytest.mark.parametrize("n", [1, 2, 3, 97, 100, 2001])
+def test_exp_sum_equals_the_direct_sum(monkeypatch, n, t0):
+    rng = np.random.default_rng(n)
+    amp = rng.uniform(-1.0, 1.0, 700) / 700
+    nu = rng.uniform(-2.0, 2.0, 700)
+    dt = 0.05
+    direct = _direct_exp_sum(amp, nu, t0 + dt * np.arange(n))
+    whole = trajectory._exp_sum([(amp, nu)], t0, dt, n)
+    # K blocks of 8 terms, the least width, over two pairs of 300 and 400 terms
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
+    blocked = trajectory._exp_sum([(amp[:300], nu[:300]), (amp[300:], nu[300:])], t0, dt, n)
+    for got in (whole, blocked):
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
+        if t0 == 0.0:
+            assert got[0] == 0.0  # E(0) - E(0) from the same GEMM element
