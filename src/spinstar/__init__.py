@@ -38,14 +38,7 @@ from .sectors import (
     weight_m,
 )
 from .trajectory import ErrorReport, Trajectory, compare_trajectories
-from .volterra import (
-    KernelSpec,
-    NumericsError,
-    SolveOptions,
-    integrate_linear_ode,
-    solve_volterra,
-    solve_volterra_batch,
-)
+from .volterra import NumericsError, SolveOptions, integrate_linear_ode, solve_volterra_batch
 
 __version__ = "0.1.0"
 
@@ -58,8 +51,7 @@ __all__ = [
     "nz2_population_m", "tcl2_jm", "nz2_jm",
     "standard_projection_population",
     "SectorBundle", "j3tot_expectation",
-    "KernelSpec", "SolveOptions", "NumericsError",
-    "solve_volterra", "solve_volterra_batch", "integrate_linear_ode",
+    "SolveOptions", "NumericsError", "solve_volterra_batch", "integrate_linear_ode",
     "CapacityError", "OracleResult", "propagate",
     "build_hamiltonian", "check_projection_conditions", "check_plp_zero",
     "__version__",

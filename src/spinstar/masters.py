@@ -13,26 +13,28 @@ coefficients are one table, ``sectors.sector_family(params, "m" | "jm")``:
 labels ``two_j``/``two_m``, weights ``w``, detunings ``om_p``/``om_m``,
 coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
 ``c`` with its ``steady`` value and ``y0``, and ``c_prev``/``lower`` to
-rebuild P_- from P_+.  One kernel per method reads it, blind to the family:
+rebuild P_- from P_+.  Both methods run through one tile loop, ``_tiles``,
+blind to the family: per (sector block, time chunk) tile a method fills the
+sector factors f and g, and the loop sums the totals, the sector arrays and
+the J_3^tot series, so that memory does not grow with sectors x times:
 
-* ``_tcl2``: closed forms exp(-Lambda), behind ``tcl2_coherence_m``,
-  ``tcl2_population_m`` and ``tcl2_jm``, evaluated per (sector block, time
-  chunk) tile so that memory does not grow with sectors x times.  Every
-  exponent is read from one table of g(Omega, t) on the detunings
-  Omega_+(m) of the table, plus the one below its lowest m: the |-> branch
-  of sector m is the |+> branch of m-1, Omega_-(m) = -Omega_+(m-1);
-* ``_nz2``: one scalar Volterra equation per sector, behind
+* ``_tcl2_fill``: closed forms exp(-Lambda), behind ``tcl2_coherence_m``,
+  ``tcl2_population_m`` and ``tcl2_jm``.  Every exponent is read from one
+  table of g(Omega, t) on the detunings Omega_+(m) of the table, plus the
+  one below its lowest m: the |-> branch of sector m is the |+> branch of
+  m-1, Omega_-(m) = -Omega_+(m-1);
+* ``_nz2_fill``: one scalar Volterra equation per sector, behind
   ``nz2_coherence_m``, ``nz2_population_m`` and ``nz2_jm``.
   Shifting to the steady value removes the constant forcing of the pairwise
   closure and keeps trace and J_3^tot conservation exact by construction.
   Every NZ2 kernel has amplitudes >= 0 and rates +-i Omega, so with
   ``opts=None`` the Volterra engine solves them exactly by its spectral
-  route; an explicit ``SolveOptions`` selects the RK4 (``aux_ode``) or the
-  ``quadrature`` verifier route instead.
+  route, tile by tile; an explicit ``SolveOptions`` selects the RK4
+  (``aux_ode``) or the ``quadrature`` verifier route, whose whole-grid
+  solution the tiles slice.
 
 Every public solver and the CLI go through ``_solve``, which can also return
-the J_3^tot series, reduced per time chunk next to the totals, without
-sector-resolved arrays.
+the J_3^tot series without sector-resolved arrays.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
 with RK4, as an independent check of the closed forms.  Public trajectories
@@ -49,7 +51,7 @@ import numpy as np
 from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
 from .trajectory import (Trajectory, _add_rows, _sector_blocks, _tile, _time_chunks,
                          _trajectory, _validate_times)
-from .volterra import SolveOptions, solve_volterra_batch, integrate_linear_ode
+from .volterra import SolveOptions, _unit_solutions, integrate_linear_ode
 
 __all__ = [
     "SectorBundle",
@@ -112,84 +114,61 @@ def _frame_phase(params: SystemParams, two_m, t):
 
 
 # ---------------------------------------------------------------------------
-# family-generic kernels: (coh, sector coh, P_+, sector P_+, J_3^tot), None if not asked
+# the tile loop and its two fills, TCL2 and NZ2
 # ---------------------------------------------------------------------------
-#
-# The TCL2 kernel runs per time chunk of trajectory._time_chunks, so its
-# temporaries are (sectors, chunk) blocks.  Each time column is reduced over
-# sectors in the same order as a whole (sectors, times) array would be, so
-# chunking changes no bit of the totals, the sector arrays or J_3^tot.
 
 
-def _tcl2(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
-          sectors: bool, j3tot: bool):
-    """Closed forms exp(-Lambda), every g(Omega, t) read from one table per time chunk.
+def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
+           sectors: bool, j3tot: bool, fill):
+    """(coh, sector coh, P_+, sector P_+, J_3^tot), None if not asked, per (block, chunk) tile.
 
-    The table holds the detunings Omega_+(m) from two_m = min(two_m) - 2 to
-    max(two_m): the row of a sector is Omega_+(m), the row before it
-    Omega_+(m-1) = -Omega_-(m).  The sectors run in blocks of whole chains
-    (trajectory._sector_blocks), and the sums carry over from block to block.
-    Coherence: rho_{+-}(0) sum_s w_s exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)].
-    Populations: steady + y0 exp(-pair_coef Re g(Omega_+, t)).
+    ``fill(sl)`` gives the fills of the tiles of time chunk ``sl``: ``coherence(sub,
+    blk, f, scratch)`` writes f of rho^s_{+-} = rho_{+-}(0) w_s f_s (rotating frame)
+    into the complex tile ``f``, ``population(sub, blk, gm1, g, scratch)`` g - 1 of
+    P^s_+ = steady + y0 g into the real tile ``gm1``, and g unless ``g`` is None.
+    The totals coh0 (1 + sum w (f - 1)) and P_+(0) + sum y0 (g - 1) add the sectors
+    in the order of one sum over a whole (sectors, times) array, so the tiling
+    changes no bit of them, of the sector arrays or of J_3^tot.
     """
-    coh0, lo = complex(params.initial_coh), int(fam.two_m.min())
-    om = _omega_plus(params.omega0, params.A, np.arange(lo - 2, int(fam.two_m.max()) + 1, 2))
-    # the tile buffers, a complex f and a real term, take 24 bytes per sector-time point
-    blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 24)]
-    table_rows = [(sub.two_m - lo) // 2 + 1 for _, sub in blocks]
+    coh0 = complex(params.initial_coh)
+    blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 32)]
     coh = np.empty(t.size, complex) if coherence else None
     sector_coh = np.empty((fam.w.size, t.size), complex) if coherence and sectors else None
     p_plus = np.empty(t.size) if populations else None
     sector_p = np.empty((fam.w.size, t.size)) if populations and sectors else None
     j3 = np.empty(t.size) if populations and j3tot else None
     rows = max(sub.w.size for _, sub in blocks)
-    chunks = list(_time_chunks(t.size, 24 * rows))
+    chunks = list(_time_chunks(t.size, 32 * rows))
     cells = rows * max(sl.stop - sl.start for sl in chunks)
-    # one set of tile buffers for every (block, chunk) tile, as in exact._sector_pass:
-    # f and term for the coherence, then the real halves of f's buffer for the
-    # populations' exponent and sector values
-    f_buf, term_buf = np.empty(cells, complex), np.empty(cells) if coherence else None
-    lam_buf, sp_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
+    # one set of tile buffers, 32 bytes per sector-time point, for every tile as in
+    # exact._sector_pass: f and a flat scratch, and the real halves of f's for g - 1 and g
+    f_buf, scratch = np.empty(cells, complex), np.empty(cells, complex)
+    gm1_buf, g_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
     for sl in chunks:
-        t2 = t[sl] * t[sl]
-        re, im = _g_table(om, t[sl])
+        fill_coh, fill_pop = fill(sl)
         acc_coh = acc_p = acc_j3 = None
-        for (blk, sub), k in zip(blocks, table_rows):
-            size = sub.w.size
-            if coherence:  # each term of Lambda as (g coef) t^2, the B_+ term first
-                f, term = _tile(f_buf, size, t2.size), _tile(term_buf, size, t2.size)
-                f.fill(0.0)
-                for r, b in ((k, sub.b_p), (k - 1, sub.b_m)):
-                    for part, g, coef in ((f.real, re, 0.5 * b), (f.imag, im, b)):
-                        # mode="clip" fills out= directly; the rows are in range
-                        np.take(g, r, axis=0, out=term, mode="clip")
-                        term *= coef[:, None]
-                        term *= t2
-                        part += term
-                f.imag += np.multiply.outer(2.0 * params.A * sub.two_m, t[sl], out=term)
-                np.negative(f, out=f)
-                np.exp(f, out=f)
+        for blk, sub in blocks:
+            shape = (sub.w.size, sl.stop - sl.start)
+            if coherence:
+                fill_coh(sub, blk, f := _tile(f_buf, *shape), scratch)
                 if sectors:
                     sector_coh[blk, sl] = coh0 * sub.w[:, None] * f
                 f -= 1.0
                 f *= sub.w[:, None]
                 acc_coh = _add_rows(f, acc_coh)
             if populations:
-                lam = np.take(re, k, axis=0, out=_tile(lam_buf, size, t2.size), mode="clip")
-                lam *= (0.5 * sub.pair_coef)[:, None]
-                lam *= t2
-                np.negative(lam, out=lam)
-                if sectors or j3tot:  # steady + y0 e^{-Lambda}
-                    sp = np.exp(lam, out=_tile(sp_buf, size, t2.size))
-                    sp *= sub.y0[:, None]
-                    sp += sub.steady[:, None]
+                gm1, g = _tile(gm1_buf, *shape), _tile(g_buf, *shape)
+                fill_pop(sub, blk, gm1, g if sectors or j3tot else None, scratch)
+                if sectors or j3tot:  # steady + y0 g
+                    g *= sub.y0[:, None]
+                    g += sub.steady[:, None]
                     if sectors:
-                        sector_p[blk, sl] = sp
-                    if j3tot:
-                        acc_j3 = _sector_j3tot(sub, sp, acc_j3)
-                np.expm1(lam, out=lam)
-                lam *= sub.y0[:, None]
-                acc_p = _add_rows(lam, acc_p)
+                        sector_p[blk, sl] = g
+                    if j3tot:  # j3tot_expectation of the sector populations g
+                        terms = _j3tot_terms(sub.two_m, g, _sector_p_minus(sub, g))
+                        acc_j3 = _add_rows(terms, acc_j3)
+                gm1 *= sub.y0[:, None]
+                acc_p = _add_rows(gm1, acc_p)
         if coherence:
             coh[sl] = coh0 * (1.0 + acc_coh)
         if populations:
@@ -199,37 +178,70 @@ def _tcl2(params: SystemParams, fam: SectorFamily, t, populations: bool, coheren
     return coh, sector_coh, p_plus, sector_p, j3
 
 
-def _coherence_totals(params: SystemParams, fam: SectorFamily, t, x):
-    """Total and sector coherence from the interaction-picture sector solutions x."""
-    coh0 = complex(params.initial_coh)
-    sector_coh = x * _frame_phase(params, fam.two_m, t)
-    return coh0 + np.add.reduce(sector_coh - (fam.w * coh0)[:, None], axis=0), sector_coh
+def _tcl2_fill(params: SystemParams, fam: SectorFamily, t):
+    """Closed forms f = exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)] and
+    g = exp(-pair_coef Re g(Omega_+, t)), with g(Omega, t) read from one table per chunk
+    of the Omega_+(m) from two_m = min(two_m) - 2 to max(two_m): the row of a sector
+    is Omega_+(m), the row before it Omega_+(m-1) = -Omega_-(m)."""
+    lo = int(fam.two_m.min())
+    om = _omega_plus(params.omega0, params.A, np.arange(lo - 2, int(fam.two_m.max()) + 1, 2))
+
+    def chunk(sl):
+        t2, (re, im) = t[sl] * t[sl], _g_table(om, t[sl])
+
+        def coherence(sub, blk, f, scratch):  # each term of Lambda as (g coef) t^2, B_+ first
+            k, term = (sub.two_m - lo) // 2 + 1, _tile(scratch.view(float), *f.shape)
+            f.fill(0.0)
+            for r, b in ((k, sub.b_p), (k - 1, sub.b_m)):
+                for part, g, coef in ((f.real, re, 0.5 * b), (f.imag, im, b)):
+                    # mode="clip" fills out= directly; the rows are in range
+                    np.take(g, r, axis=0, out=term, mode="clip")
+                    term *= coef[:, None]
+                    term *= t2
+                    part += term
+            f.imag += np.multiply.outer(2.0 * params.A * sub.two_m, t[sl], out=term)
+            np.negative(f, out=f)
+            np.exp(f, out=f)
+
+        def population(sub, blk, gm1, g, scratch):
+            lam = np.take(re, (sub.two_m - lo) // 2 + 1, axis=0, out=gm1, mode="clip")
+            lam *= (0.5 * sub.pair_coef)[:, None]
+            lam *= t2
+            np.negative(lam, out=lam)
+            if g is not None:
+                np.exp(lam, out=g)
+            np.expm1(lam, out=lam)
+
+        return coherence, population
+
+    return chunk
 
 
-def _nz2(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
-         sectors: bool, j3tot: bool, opts):
-    """Scalar Volterra solves per sector: coherence with the kernel B_+ e^{i Omega_+ tau} +
-    B_- e^{-i Omega_- tau}, then populations with pair_coef cos(Omega_+ tau) around steady."""
-    coh = sector_coh = p_plus = sector_p = j3 = None
-    if coherence:
-        amps = np.stack([fam.b_p, fam.b_m], axis=1).astype(complex)
-        rates = np.stack([1j * fam.om_p, -1j * fam.om_m], axis=1)
-        coh, sector_coh = _coherence_totals(params, fam, t, solve_volterra_batch(
-            fam.w * complex(params.initial_coh), amps, rates, t, opts=opts))
-        if not sectors:  # free it before the population solve
-            sector_coh = None
-    if populations:
-        half = 0.5 * fam.pair_coef  # cosine kernel split into e^{+-i Omega_+ tau}/2
-        amps = np.stack([half, half], axis=1).astype(complex)
-        rates = np.stack([1j * fam.om_p, -1j * fam.om_p], axis=1)
-        y = solve_volterra_batch(fam.y0.astype(complex), amps, rates, t, opts=opts).real
-        p_plus = params.initial_p_plus + np.add.reduce(y - fam.y0[:, None], axis=0)
-        if j3tot:  # per time chunk: no (sectors, times) array besides the solution
-            j3 = np.empty(t.size)
-            for sl in _time_chunks(t.size, 16 * fam.w.size):
-                j3[sl] = _sector_j3tot(fam, fam.steady[:, None] + y[:, sl])
-        sector_p = fam.steady[:, None] + y if sectors else None
-    return coh, sector_coh, p_plus, sector_p, j3
+def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
+              coherence: bool, opts):
+    """Scalar Volterra solutions x_s(t), x_s(0) = 1, per sector: f = x e^{-2iA two_m t} for
+    the kernel B_+ e^{i Omega_+ tau} + B_- e^{-i Omega_- tau}, and g = x for the kernel
+    pair_coef cos(Omega_+ tau), split into e^{+-i Omega_+ tau}/2."""
+    half = 0.5 * fam.pair_coef
+    coh_x = _unit_solutions(np.stack([fam.b_p, fam.b_m], axis=1), np.stack(
+        [1j * fam.om_p, -1j * fam.om_m], axis=1), t, opts) if coherence else None
+    pop_x = _unit_solutions(np.stack([half, half], axis=1), np.stack(
+        [1j * fam.om_p, -1j * fam.om_p], axis=1), t, opts) if populations else None
+
+    def chunk(sl):
+        def coherence(sub, blk, f, scratch):
+            coh_x(blk, sl, f, _tile(scratch, *f.shape))
+            f += 1.0
+            f *= _frame_phase(params, sub.two_m, t[sl])
+
+        def population(sub, blk, gm1, g, scratch):
+            pop_x(blk, sl, gm1, _tile(scratch, *gm1.shape))
+            if g is not None:
+                np.add(gm1, 1.0, out=g)
+
+        return coherence, population
+
+    return chunk
 
 
 def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
@@ -237,14 +249,6 @@ def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
     below, inner = np.zeros_like(p_plus), fam.lower >= 0
     below[inner] = p_plus[fam.lower[inner]]
     return fam.c_prev[:, None] - below
-
-
-def _sector_j3tot(fam: SectorFamily, sector_p: np.ndarray, acc=None) -> np.ndarray:
-    """``j3tot_expectation`` of the sector populations P^s_+ on any slice of the times.
-
-    ``acc`` is the sum over the blocks of the table before ``fam``, if any.
-    """
-    return _add_rows(_j3tot_terms(fam.two_m, sector_p, _sector_p_minus(fam, sector_p)), acc)
 
 
 def _solve(
@@ -261,15 +265,14 @@ def _solve(
     without building the bundle.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    args = (params, fam, t, populations, coherence, sectors, j3tot)
-    coh, sector_coh, p_plus, sector_p, j3 = _tcl2(*args) if method == "tcl2" else _nz2(*args, opts)
-    bundle = None
-    if sectors:
-        bundle = SectorBundle(
-            two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p,
-            p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
-            coh=sector_coh,
-        )
+    fill = (_tcl2_fill(params, fam, t) if method == "tcl2"
+            else _nz2_fill(params, fam, t, populations, coherence, opts))
+    coh, sector_coh, p_plus, sector_p, j3 = _tiles(params, fam, t, populations, coherence,
+                                                   sectors, j3tot, fill)
+    bundle = SectorBundle(
+        two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p, coh=sector_coh,
+        p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
+    ) if sectors else None
     return _trajectory(params, t, method, family, p_plus, coh), bundle, j3
 
 
@@ -418,7 +421,9 @@ def tcl2_coherence_via_ode(
         return -_integrated_kernel(fam, tt) * x
 
     xs = integrate_linear_ode(x0, rhs, t, opts or SolveOptions(step=0.01))
-    coh, _ = _coherence_totals(params, fam, t, xs.T)
+    coh0 = complex(params.initial_coh)
+    sector_coh = xs.T * _frame_phase(params, fam.two_m, t)
+    coh = coh0 + np.add.reduce(sector_coh - (fam.w * coh0)[:, None], axis=0)
     return _trajectory(params, t, "tcl2_ode", family, None, coh)
 
 

@@ -17,8 +17,9 @@ k(tau) = sum_i a_i exp(r_i tau), by three routes:
   grid with an implicit-trapezoid step, kept deliberately simple and
   independent of the reductions above.
 
-All routes accept batches of independent scalar problems (the sector
-equations of the master solvers) as leading array dimensions.
+``solve_volterra_batch``, the one public entry, solves a batch of
+independent scalar problems (a single problem is a batch of one); the NZ2
+solvers read the same solutions tile by tile through ``_unit_solutions``.
 """
 
 from __future__ import annotations
@@ -29,34 +30,7 @@ import numpy as np
 
 from .trajectory import NumericsError, _validate_times
 
-__all__ = [
-    "KernelSpec",
-    "SolveOptions",
-    "NumericsError",
-    "solve_volterra",
-    "solve_volterra_batch",
-    "integrate_linear_ode",
-]
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Memory kernel k(tau) = sum_i a_i exp(r_i tau)."""
-
-    terms: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self):
-        for a, r in self.terms:
-            if not (np.isfinite(complex(a)) and np.isfinite(complex(r))):
-                raise ValueError("kernel amplitudes and rates must be finite")
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([a for a, _ in self.terms], dtype=complex)
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([r for _, r in self.terms], dtype=complex)
+__all__ = ["SolveOptions", "NumericsError", "solve_volterra_batch", "integrate_linear_ode"]
 
 
 @dataclass(frozen=True)
@@ -68,9 +42,10 @@ class SolveOptions:
 
     ``step`` is the internal step bound (output intervals are subdivided to
     respect it).  ``tolerance=None`` means a single fixed-step pass; a float
-    enables step-halving control: the step is halved until two successive
-    refinements agree to the tolerance (sup norm over all outputs), failing
-    with NumericsError after ``max_halvings``.
+    enables step-halving control on the RK4 route (the quadrature route
+    rejects it): the step is halved until two successive refinements agree
+    to the tolerance (sup norm over all outputs), failing with NumericsError
+    after ``max_halvings``.
     """
 
     step: float = 0.005
@@ -85,6 +60,8 @@ class SolveOptions:
             raise ValueError(f"unknown method {self.method!r}")
         if self.tolerance is not None and not (self.tolerance > 0.0):
             raise ValueError("tolerance must be positive")
+        if self.tolerance is not None and self.method == "quadrature":
+            raise ValueError("the quadrature method runs one fixed-step pass: no tolerance")
 
 
 def _rk4_fixed(rhs, y0: np.ndarray, times: np.ndarray, step: float) -> np.ndarray:
@@ -155,14 +132,16 @@ def integrate_linear_ode(y0, generator, times, opts: SolveOptions | None = None)
 
 
 def _aux_ode_solve(x0, amps, rates, times, opts: SolveOptions):
+    """RK4 on y = (x, u_1..u_K), y' = M y, with one generator M per problem."""
     n_prob, n_terms = amps.shape
+    gen = np.zeros((n_prob, n_terms + 1, n_terms + 1), dtype=complex)
+    gen[:, 0, 1:] = -amps  # x' = -sum_i a_i u_i
+    gen[:, 1:, 0] = 1.0  # u_i' = r_i u_i + x
+    diag = np.arange(1, n_terms + 1)
+    gen[:, diag, diag] = rates
 
     def rhs(t, y):
-        x = y[:, 0]
-        u = y[:, 1:]
-        dx = -np.add.reduce(amps * u, axis=1)
-        du = rates * u + x[:, None]
-        return np.concatenate((dx[:, None], du), axis=1)
+        return np.einsum("pij,pj->pi", gen, y)
 
     y0 = np.zeros((n_prob, n_terms + 1), dtype=complex)
     y0[:, 0] = x0
@@ -172,8 +151,6 @@ def _aux_ode_solve(x0, amps, rates, times, opts: SolveOptions):
 
 def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions):
     """Implicit-trapezoid stepping with trapezoidal memory sums (order 2)."""
-    if times.size == 1:
-        return x0[:, None].copy()
     dt_out = np.diff(times)
     if not np.allclose(dt_out, dt_out[0], rtol=1e-9, atol=0.0):
         raise ValueError("quadrature method requires a uniform output grid")
@@ -211,43 +188,77 @@ def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions):
 
 
 def _arrowhead_spectrum(amps, rates):
-    """Eigenvalues lambda_k and weights |V_0k|^2, shape (P, K+1) each, of every arrowhead H."""
+    """Eigenvalues lambda_k and weights |V_0k|^2, shape (P, K+1) each, of every arrowhead H.
+
+    H = [[0, -i sqrt(a)^T], [i sqrt(a), -diag(w)]] is D S D^* with D = diag(1, i, ..., i)
+    and the real S = [[0, sqrt(a)^T], [sqrt(a), -diag(w)]], so H has the eigenvalues
+    of S and |V_0k|^2 = U_0k^2.  The weights sum to 1; a defect above 1e-12 raises.
+    """
     n_prob, n_terms = amps.shape
     root = np.sqrt(amps.real)
-    h = np.zeros((n_prob, n_terms + 1, n_terms + 1), dtype=complex)
-    h[:, 0, 1:] = -1j * root
-    h[:, 1:, 0] = 1j * root
+    s = np.zeros((n_prob, n_terms + 1, n_terms + 1))
+    s[:, 0, 1:] = root
+    s[:, 1:, 0] = root
     diag = np.arange(1, n_terms + 1)
-    h[:, diag, diag] = -rates.imag
-    lam, vec = np.linalg.eigh(h)
-    return lam, np.abs(vec[:, 0, :]) ** 2
+    s[:, diag, diag] = -rates.imag
+    lam, vec = np.linalg.eigh(s)
+    wts = vec[:, 0, :] ** 2
+    defect = float(np.max(np.abs(np.add.reduce(wts, axis=1) - 1.0), initial=0.0))
+    if not defect <= 1e-12:
+        raise NumericsError(
+            f"spectral solve failed: eigenvector weight-sum defect {defect:.3g}",
+            route="spectral", error=defect,
+        )
+    return lam, wts
+
+
+def _expm1_sum(lam, wts, t, out, term):
+    """out = sum_k wts_k expm1(-i lam_k t), its real part if ``out`` is real, one k at a time.
+
+    ``out`` and the complex scratch ``term`` are (P, T) tiles: no (P, K+1, T) array."""
+    out.fill(0.0)
+    for k in range(lam.shape[1]):
+        np.multiply.outer(lam[:, k], t, out=term)
+        term *= -1j
+        np.expm1(term, out=term)
+        term *= wts[:, k, None]
+        out += term if out.dtype == term.dtype else term.real
+    return out
 
 
 def _spectral_solve(x0, amps, rates, times):
     """Exact solve for kernels with a_i >= 0 and r_i = i w_i (see the module docstring).
 
-    H = [[0, -i sqrt(a)^T], [i sqrt(a), -diag(w)]] per problem, and
-    x(t) = x0 [1 + sum_k |V_0k|^2 expm1(-i lambda_k t)], which is
-    x0 sum_k |V_0k|^2 exp(-i lambda_k t) because the weights sum to 1, and
-    keeps x(0) == x0 exactly.  The weight-sum defect is the runtime check.
-    """
+    x(t) = x0 [1 + sum_k |V_0k|^2 expm1(-i lambda_k t)], which is x0 sum_k |V_0k|^2
+    exp(-i lambda_k t) because the weights sum to 1, and keeps x(0) == x0 exactly."""
     lam, wts = _arrowhead_spectrum(amps, rates)
-    n_prob, n_eig = lam.shape
-    defect = float(np.max(np.abs(np.add.reduce(wts, axis=1) - 1.0), initial=0.0))
-
-    x = np.ones((n_prob, times.size), dtype=complex)
-    for k in range(n_eig):  # one eigenvalue at a time: no (P, K+1, T) array
-        term = -1j * np.multiply.outer(lam[:, k], times)
-        np.expm1(term, out=term)
-        term *= wts[:, k, None]
-        x += term
+    x = _expm1_sum(lam, wts, times, *np.empty((2, x0.size, times.size), complex))
+    x += 1.0
     x *= x0[:, None]
-    if not (defect <= 1e-12 and np.all(np.isfinite(x.view(float)))):
-        raise NumericsError(
-            f"spectral solve failed: eigenvector weight-sum defect {defect:.3g}",
-            route="spectral", error=defect,
-        )
+    if not np.all(np.isfinite(x.view(float))):
+        raise NumericsError("spectral solve failed: non-finite values", route="spectral")
     return x
+
+
+def _checked(x0, amplitudes, rates, times):
+    """(x0, amplitudes, rates, times) of a batch as arrays, checked (see solve_volterra_batch)."""
+    t = _validate_times(times)
+    if abs(t[0]) > 1e-14:
+        raise ValueError("times must start at 0 (the memory integral starts there)")
+    x0 = np.asarray(x0, dtype=complex)
+    amps = np.asarray(amplitudes, dtype=complex)
+    rts = np.asarray(rates, dtype=complex)
+    if x0.ndim != 1 or amps.shape != rts.shape or amps.shape[0] != x0.shape[0]:
+        raise ValueError("inconsistent batch shapes")
+    if not all(np.all(np.isfinite(a)) for a in (x0, amps, rts)):
+        raise NumericsError("non-finite initial value, kernel amplitude or rate")
+    return x0, amps, rts, t
+
+
+def _spectral(amps, rates, opts) -> bool:
+    """Whether the spectral route runs: no ``opts``, amplitudes >= 0, imaginary rates."""
+    return (opts is None and np.all(amps.imag == 0.0) and np.all(amps.real >= 0.0)
+            and np.all(rates.real == 0.0))
 
 
 def solve_volterra_batch(
@@ -266,39 +277,30 @@ def solve_volterra_batch(
     runs ``opts.method``.  A non-finite ``x0``, amplitude or rate raises
     NumericsError before any route runs.
     """
-    t = _validate_times(times)
-    if abs(t[0]) > 1e-14:
-        raise ValueError("times must start at 0 (the memory integral starts there)")
-    x0 = np.asarray(x0, dtype=complex)
-    amps = np.asarray(amplitudes, dtype=complex)
-    rts = np.asarray(rates, dtype=complex)
-    if x0.ndim != 1 or amps.shape != rts.shape or amps.shape[0] != x0.shape[0]:
-        raise ValueError("inconsistent batch shapes")
-    if not all(np.all(np.isfinite(a)) for a in (x0, amps, rts)):
-        raise NumericsError("non-finite initial value, kernel amplitude or rate")
+    x0, amps, rts, t = _checked(x0, amplitudes, rates, times)
     if t.size == 1:
         return x0[:, None].copy()
-    if opts is None:
-        if np.all(amps.imag == 0.0) and np.all(amps.real >= 0.0) and np.all(rts.real == 0.0):
-            return _spectral_solve(x0, amps, rts, t)
-        opts = SolveOptions()
+    if _spectral(amps, rts, opts):
+        return _spectral_solve(x0, amps, rts, t)
+    opts = opts or SolveOptions()
     if opts.method == "aux_ode":
         return _aux_ode_solve(x0, amps, rts, t, opts)
     return _quadrature_solve(x0, amps, rts, t, opts)
 
 
-def solve_volterra(
-    x0: complex,
-    kernel: KernelSpec,
-    times,
-    opts: SolveOptions | None = None,
-) -> np.ndarray:
-    """Solve a single scalar problem; see :func:`solve_volterra_batch`."""
-    out = solve_volterra_batch(
-        np.array([x0], dtype=complex),
-        kernel.amplitudes[None, :],
-        kernel.rates[None, :],
-        times,
-        opts=opts,
-    )
-    return out[0]
+def _unit_solutions(amplitudes, rates, times, opts: SolveOptions | None):
+    """``part(rows, sl, out, term)``, which writes x[rows, sl] - 1 into the tile ``out``.
+
+    x solves the problems of ``solve_volterra_batch``, with its checks and
+    route, from x(0) = 1; a real ``out`` takes the real part, and ``term`` is
+    a complex scratch tile.  On the spectral route each tile is evaluated from
+    the spectrum, so nothing grows with problems x times; on the others the
+    whole-grid solution is sliced.
+    """
+    x0, amps, rts, t = _checked(np.ones(len(amplitudes)), amplitudes, rates, times)
+    if t.size > 1 and _spectral(amps, rts, opts):
+        lam, wts = _arrowhead_spectrum(amps, rts)
+        return lambda rows, sl, out, term: _expm1_sum(lam[rows], wts[rows], t[sl], out, term)
+    x = solve_volterra_batch(x0, amps, rts, t, opts)
+    return lambda rows, sl, out, term: np.subtract(
+        x[rows, sl] if out.dtype == x.dtype else x.real[rows, sl], 1.0, out=out)

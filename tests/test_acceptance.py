@@ -41,7 +41,7 @@ from spinstar.sectors import (
     prob_j_array,
     weights_m_array,
 )
-from spinstar.volterra import KernelSpec, SolveOptions, solve_volterra
+from spinstar.volterra import SolveOptions, solve_volterra_batch
 
 
 def verdict(num, ok, description, detail):
@@ -282,13 +282,13 @@ def test_criterion_7_volterra_engine():
     tc = np.linspace(0.0, 5.0, 51)
     s2 = omega**2 + big_k
     analytic = omega**2 / s2 + (big_k / s2) * np.cos(np.sqrt(s2) * tc)
-    spec = KernelSpec(terms=((0.5 * big_k, 1j * omega), (0.5 * big_k, -1j * omega)))
+    amps, rates = [[0.5 * big_k, 0.5 * big_k]], [[1j * omega, -1j * omega]]
     min_factor = np.inf
     for method in ("aux_ode", "quadrature"):
         errs = [
             float(np.max(np.abs(
-                solve_volterra(1.0, spec, tc, SolveOptions(step=h, method=method))
-                - analytic
+                solve_volterra_batch([1.0], amps, rates, tc,
+                                     SolveOptions(step=h, method=method))[0] - analytic
             )))
             for h in (0.05, 0.025, 0.0125, 0.00625)
         ]

@@ -366,10 +366,11 @@ def test_decoupled_bath_leaves_the_state_constant(n):
 
 
 class TestTimeChunks:
-    """The TCL2 closed forms run per time chunk; no chunking changes a bit."""
+    """TCL2 and NZ2 (default route) run per time chunk; no chunking changes a bit."""
 
     CLOSED_FORMS = {"tcl2_jm": tcl2_jm, "tcl2_coherence_m": tcl2_coherence_m,
-                    "tcl2_population_m": tcl2_population_m}
+                    "tcl2_population_m": tcl2_population_m, "nz2_jm": nz2_jm,
+                    "nz2_coherence_m": nz2_coherence_m, "nz2_population_m": nz2_population_m}
     T = np.linspace(0.0, 25.0, 127)
 
     @pytest.mark.parametrize("return_sectors", [False, True])
@@ -491,18 +492,19 @@ class TestDetuningTableEqualsDirectEvaluation:
 _CAPPED_CHILD = textwrap.dedent(
     """
     import numpy as np
-    from spinstar.masters import tcl2_population_m
+    from spinstar.masters import {solver}
     from spinstar.sectors import SystemParams
 
     p = SystemParams(N=1000, A=0.1 / 2000, omega0=1.0, initial_p_plus=0.7)
-    traj = tcl2_population_m(p, 0.5 * np.arange(16001))
+    traj = {solver}(p, 0.5 * np.arange(16001))
     assert traj.p_plus[0] == 0.7 and np.all(np.abs(traj.p_plus - 0.5) <= 0.2)
     """
 )
 
 
-def test_large_bath_population_fits_a_memory_cap(run_capped):
+@pytest.mark.parametrize("solver", ["tcl2_population_m", "nz2_population_m"])
+def test_large_bath_population_fits_a_memory_cap(run_capped, solver):
     # 1001 m sectors x 16001 times: one (sectors, times) float temporary is
-    # 128 MB and the unchunked closed form needs three of them at once
-    proc = run_capped(_CAPPED_CHILD, cap_mib=256)
+    # 128 MB, and a whole-grid solution or closed form needs several at once
+    proc = run_capped(_CAPPED_CHILD.format(solver=solver), cap_mib=256)
     assert proc.returncode == 0, proc.stderr[-2000:]

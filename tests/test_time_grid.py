@@ -21,12 +21,7 @@ from spinstar import trajectory
 from spinstar.oracle import propagate
 from spinstar.sectors import SystemParams, sector_family
 from spinstar.trajectory import Trajectory
-from spinstar.volterra import (
-    KernelSpec,
-    integrate_linear_ode,
-    solve_volterra,
-    solve_volterra_batch,
-)
+from spinstar.volterra import integrate_linear_ode, solve_volterra_batch
 
 P = SystemParams(N=2, A=0.1, omega0=1.0, initial_coh=0.0)
 ONE = np.ones(1)
@@ -49,7 +44,6 @@ ENTRY_POINTS = {
     "tcl2_coherence_via_ode": lambda t: tcl2_coherence_via_ode(P, t, "jm"),
     "tcl2_population_via_ode": lambda t: tcl2_population_via_ode(P, t, "jm"),
     "solve_volterra_batch": lambda t: solve_volterra_batch(ONE, [[1.0]], [[0.0]], t),
-    "solve_volterra": lambda t: solve_volterra(1.0, KernelSpec(terms=((1.0, 0.0),)), t),
     "integrate_linear_ode": lambda t: integrate_linear_ode(ONE, lambda tt, y: -y, t),
     "propagate": lambda t: propagate(P, t),
     "propagate_ode": lambda t: propagate(P, t, method="ode"),

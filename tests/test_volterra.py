@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from spinstar import masters, volterra
 from spinstar.sectors import SystemParams, coupling_from_alpha
 from spinstar.volterra import (
-    KernelSpec,
     NumericsError,
     SolveOptions,
     integrate_linear_ode,
-    solve_volterra,
     solve_volterra_batch,
 )
 
@@ -25,7 +23,14 @@ def cosine_kernel_solution(x0, big_k, omega, t):
 
 
 def cosine_spec(big_k, omega):
-    return KernelSpec(terms=((0.5 * big_k, 1j * omega), (0.5 * big_k, -1j * omega)))
+    """The terms (a_i, r_i) of k(tau) = K cos(Omega tau)."""
+    return ((0.5 * big_k, 1j * omega), (0.5 * big_k, -1j * omega))
+
+
+def solve_one(x0, terms, times, opts=None):
+    """``solve_volterra_batch`` on a batch of one problem with the kernel terms (a_i, r_i)."""
+    amps, rates = zip(*terms)
+    return solve_volterra_batch([x0], [amps], [rates], times, opts)[0]
 
 
 T_GRID = np.linspace(0.0, 5.0, 51)
@@ -33,17 +38,17 @@ T_GRID = np.linspace(0.0, 5.0, 51)
 
 class TestAnalyticCases:
     def test_zero_kernel_is_constant(self):
-        spec = KernelSpec(terms=((0.0, 0.0),))
+        spec = ((0.0, 0.0),)
         for method in ("aux_ode", "quadrature"):
-            x = solve_volterra(1.7 - 0.3j, spec, T_GRID, SolveOptions(method=method))
+            x = solve_one(1.7 - 0.3j, spec, T_GRID, SolveOptions(method=method))
             np.testing.assert_allclose(x, 1.7 - 0.3j, rtol=0, atol=1e-12)
 
     def test_constant_kernel_gives_cosine(self):
         # k(tau) = a  =>  x'' = -a x  =>  x = x0 cos(sqrt(a) t)
         a = 2.3
-        spec = KernelSpec(terms=((a, 0.0),))
+        spec = ((a, 0.0),)
         for method in ("aux_ode", "quadrature"):
-            x = solve_volterra(
+            x = solve_one(
                 1.0, spec, T_GRID, SolveOptions(step=0.002, method=method)
             )
             np.testing.assert_allclose(
@@ -54,7 +59,7 @@ class TestAnalyticCases:
     @pytest.mark.parametrize("method", ["aux_ode", "quadrature"])
     def test_cosine_kernel_laplace_oracle(self, method):
         big_k, omega = 0.7, 1.3
-        x = solve_volterra(
+        x = solve_one(
             1.0, cosine_spec(big_k, omega), T_GRID,
             SolveOptions(step=0.001, method=method),
         )
@@ -74,7 +79,7 @@ class TestConvergence:
         expected = cosine_kernel_solution(1.0, big_k, omega, t)
         errs = []
         for h in self.STEPS:
-            x = solve_volterra(
+            x = solve_one(
                 1.0, cosine_spec(big_k, omega), t,
                 SolveOptions(step=h, method=method),
             )
@@ -95,11 +100,11 @@ class TestConvergence:
 class TestCrossMethod:
     def test_aux_vs_quadrature_complex_rates(self):
         # coherence-type kernel: two complex exponentials, complex x0
-        spec = KernelSpec(terms=((0.02, 1.2j), (0.05, -0.8j)))
-        xa = solve_volterra(
+        spec = ((0.02, 1.2j), (0.05, -0.8j))
+        xa = solve_one(
             0.5 + 0.5j, spec, T_GRID, SolveOptions(step=0.002, method="aux_ode")
         )
-        xq = solve_volterra(
+        xq = solve_one(
             0.5 + 0.5j, spec, T_GRID, SolveOptions(step=0.002, method="quadrature")
         )
         np.testing.assert_allclose(xa, xq, rtol=0, atol=1e-7)
@@ -112,20 +117,51 @@ class TestBatchSemantics:
         x0 = np.array([1.0, 0.5 + 0.5j])
         xb = solve_volterra_batch(x0, amps, rates, T_GRID, SolveOptions(step=0.01))
         for p in range(2):
-            spec = KernelSpec(terms=tuple(zip(amps[p], rates[p])))
-            xs = solve_volterra(x0[p], spec, T_GRID, SolveOptions(step=0.01))
+            spec = tuple(zip(amps[p], rates[p]))
+            xs = solve_one(x0[p], spec, T_GRID, SolveOptions(step=0.01))
             np.testing.assert_allclose(xb[p], xs, rtol=0, atol=1e-13)
 
     def test_linearity(self):
-        spec = KernelSpec(terms=((0.35, 1.3j), (0.35, -1.3j)))
+        spec = ((0.35, 1.3j), (0.35, -1.3j))
         opts = SolveOptions(step=0.01)
-        x1 = solve_volterra(1.0, spec, T_GRID, opts)
-        x2 = solve_volterra(2.0 - 1.0j, spec, T_GRID, opts)
+        x1 = solve_one(1.0, spec, T_GRID, opts)
+        x2 = solve_one(2.0 - 1.0j, spec, T_GRID, opts)
         np.testing.assert_allclose(x2, (2.0 - 1.0j) * x1, rtol=1e-12, atol=1e-13)
 
     def test_single_time_point(self):
-        x = solve_volterra(0.3j, cosine_spec(1.0, 1.0), np.array([0.0]))
+        x = solve_one(0.3j, cosine_spec(1.0, 1.0), np.array([0.0]))
         np.testing.assert_array_equal(x, [0.3j])
+
+
+@pytest.mark.parametrize("nz2_shaped", [True, False], ids=["nz2-shaped", "general"])
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+def test_aux_ode_generator_equals_the_term_by_term_rhs(n_terms, nz2_shaped):
+    # the aux-ODE route applies one (K+1) x (K+1) generator per problem; the
+    # reference forms x' = -sum_i a_i u_i and u_i' = r_i u_i + x term by term.
+    # On NZ2's kernels (a_i >= 0, r_i imaginary) every product rounds the same,
+    # so the bits agree; on general complex kernels they agree to rounding.
+    rng = np.random.default_rng(n_terms)
+    amps = rng.uniform(0.0, 1.0, (4, n_terms)) + 0j
+    rates = 1j * rng.uniform(-2.0, 2.0, (4, n_terms))
+    if not nz2_shaped:
+        amps += 1j * rng.uniform(-0.1, 0.1, (4, n_terms))
+        rates += rng.uniform(-0.2, 0.0, (4, n_terms))
+    x0 = rng.uniform(-1.0, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
+
+    def rhs(t, y):
+        u = y[:, 1:]
+        du = rates * u + y[:, :1]
+        return np.concatenate((-np.add.reduce(amps * u, axis=1)[:, None], du), axis=1)
+
+    y0 = np.zeros((4, n_terms + 1), dtype=complex)
+    y0[:, 0] = x0
+    opts = SolveOptions(step=0.01)
+    reference = integrate_linear_ode(y0, rhs, T_GRID, opts)[:, :, 0].T
+    x = solve_volterra_batch(x0, amps, rates, T_GRID, opts)
+    if nz2_shaped:
+        np.testing.assert_array_equal(x, reference)
+    else:
+        np.testing.assert_allclose(x, reference, rtol=0, atol=1e-14)
 
 
 def test_phase_norm_drift_over_many_periods():
@@ -143,7 +179,7 @@ class TestStepControl:
     def test_tolerance_refines_and_converges(self):
         big_k, omega = 0.7, 1.3
         t = np.linspace(0.0, 5.0, 26)
-        x = solve_volterra(
+        x = solve_one(
             1.0, cosine_spec(big_k, omega), t,
             SolveOptions(step=0.1, tolerance=1e-9),
         )
@@ -152,7 +188,7 @@ class TestStepControl:
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(NumericsError, match="halving"):
-            solve_volterra(
+            solve_one(
                 1.0, cosine_spec(0.7, 1.3), np.linspace(0.0, 1.0, 3),
                 SolveOptions(step=0.5, tolerance=1e-30, max_halvings=3),
             )
@@ -161,7 +197,7 @@ class TestStepControl:
         # a step far wider than the grid must not bypass the error control
         big_k, omega = 0.7, 1.3
         t = np.linspace(0.0, 5.0, 51)
-        x = solve_volterra(
+        x = solve_one(
             1.0, cosine_spec(big_k, omega), t,
             SolveOptions(step=50.0, tolerance=1e-9),
         )
@@ -171,9 +207,9 @@ class TestStepControl:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["aux_ode", "quadrature"])
     def test_overflowing_kernel_raises(self, method):
-        spec = KernelSpec(terms=((1.0, 500.0),))  # e^{500 tau}: overflows fast
+        spec = ((1.0, 500.0),)  # e^{500 tau}: overflows fast
         with pytest.raises(NumericsError):
-            solve_volterra(
+            solve_one(
                 1.0, spec, np.linspace(0.0, 40.0, 11),
                 SolveOptions(step=0.5, method=method),
             )
@@ -182,16 +218,16 @@ class TestStepControl:
 class TestValidation:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError, match="start at 0"):
-            solve_volterra(1.0, cosine_spec(1.0, 1.0), np.array([1.0, 2.0]))
+            solve_one(1.0, cosine_spec(1.0, 1.0), np.array([1.0, 2.0]))
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
-            solve_volterra(1.0, cosine_spec(1.0, 1.0), np.array([0.0, 2.0, 1.0]))
+            solve_one(1.0, cosine_spec(1.0, 1.0), np.array([0.0, 2.0, 1.0]))
 
     def test_quadrature_requires_uniform_grid(self):
         t = np.array([0.0, 0.1, 0.3, 0.35])
         with pytest.raises(ValueError, match="uniform"):
-            solve_volterra(
+            solve_one(
                 1.0, cosine_spec(1.0, 1.0), t, SolveOptions(method="quadrature")
             )
 
@@ -203,11 +239,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             SolveOptions(tolerance=-1.0)
 
-    def test_kernel_spec_validation(self):
-        with pytest.raises(ValueError):
-            KernelSpec(terms=((np.inf, 0.0),))
-        with pytest.raises(ValueError):
-            KernelSpec(terms=((1.0, np.nan),))
+    def test_quadrature_rejects_a_tolerance(self):
+        # the quadrature route runs one fixed-step pass and has no step halving
+        with pytest.raises(ValueError, match="tolerance"):
+            SolveOptions(method="quadrature", tolerance=1e-8)
+        assert SolveOptions(method="quadrature").tolerance is None
+
+    def test_non_finite_kernel_terms_raise(self):
+        # a non-finite term is a numeric failure of the batch, before any route runs
+        with pytest.raises(NumericsError, match="non-finite"):
+            solve_one(1.0, ((np.inf, 0.0),), T_GRID)
+        with pytest.raises(NumericsError, match="non-finite"):
+            solve_one(1.0, ((1.0, np.nan),), T_GRID)
 
     def test_batch_shape_mismatch(self):
         with pytest.raises(ValueError, match="batch"):
@@ -235,7 +278,7 @@ class TestSpectralRoute:
 
     def test_cosine_kernel_laplace_oracle(self):
         big_k, omega = 0.7, 1.3
-        x = solve_volterra(1.0, cosine_spec(big_k, omega), T_GRID)
+        x = solve_one(1.0, cosine_spec(big_k, omega), T_GRID)
         expected = cosine_kernel_solution(1.0, big_k, omega, T_GRID)
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13)
 
@@ -253,30 +296,30 @@ class TestSpectralRoute:
         np.testing.assert_allclose(spectral, quad, rtol=0, atol=1e-8)
 
     def test_geometric_grid_agrees_with_uniform_grid(self):
-        spec = KernelSpec(terms=((0.02, 1.2j), (0.05, -0.8j), (0.3, 0.0j)))
+        spec = ((0.02, 1.2j), (0.05, -0.8j), (0.3, 0.0j))
         uniform = 0.1 * np.arange(65)
         geometric = np.concatenate(([0.0], 0.1 * 2.0 ** np.arange(7)))  # 0.1 .. 6.4
-        xu = solve_volterra(0.5 + 0.5j, spec, uniform)
-        xg = solve_volterra(0.5 + 0.5j, spec, geometric)
+        xu = solve_one(0.5 + 0.5j, spec, uniform)
+        xg = solve_one(0.5 + 0.5j, spec, geometric)
         shared = np.searchsorted(uniform, geometric)
         np.testing.assert_array_equal(uniform[shared], geometric)
         np.testing.assert_array_equal(xg, xu[shared])
 
     def test_zero_kernel_is_exactly_constant(self):
-        spec = KernelSpec(terms=((0.0, 1.3j), (0.0, -0.4j)))
-        np.testing.assert_array_equal(solve_volterra(1.7 - 0.3j, spec, T_GRID), 1.7 - 0.3j)
+        spec = ((0.0, 1.3j), (0.0, -0.4j))
+        np.testing.assert_array_equal(solve_one(1.7 - 0.3j, spec, T_GRID), 1.7 - 0.3j)
 
     @pytest.mark.parametrize("terms", [((2.3, 0j),), ((1.15, 0j), (1.15, 0j))])
     def test_exact_resonance_gives_cosine(self, terms):
         # k(tau) = 2.3 at w = 0, also split into two degenerate terms
-        x = solve_volterra(1.0, KernelSpec(terms=terms), T_GRID)
+        x = solve_one(1.0, terms, T_GRID)
         np.testing.assert_allclose(x, np.cos(np.sqrt(2.3) * T_GRID), rtol=0, atol=1e-14)
 
     def test_zero_amplitude_terms_drop_out(self):
         base = cosine_spec(0.7, 1.3)
-        padded = KernelSpec(terms=base.terms + ((0.0, 0.7j), (0.0, 0j)))
+        padded = base + ((0.0, 0.7j), (0.0, 0j))
         np.testing.assert_allclose(
-            solve_volterra(1.0, padded, T_GRID), solve_volterra(1.0, base, T_GRID),
+            solve_one(1.0, padded, T_GRID), solve_one(1.0, base, T_GRID),
             rtol=0, atol=1e-14,
         )
 
@@ -290,10 +333,9 @@ class TestSpectralRoute:
     @pytest.mark.parametrize("terms", [((0.3, -0.2 + 1.0j),), ((-0.3, 1.0j), (0.2, -1.0j)),
                                        ((0.3 + 0.1j, 1.0j),)])
     def test_other_kernels_keep_the_rk4_default(self, terms):
-        spec = KernelSpec(terms=terms)
         np.testing.assert_array_equal(
-            solve_volterra(0.5 + 0.5j, spec, T_GRID),
-            solve_volterra(0.5 + 0.5j, spec, T_GRID, SolveOptions()),
+            solve_one(0.5 + 0.5j, terms, T_GRID),
+            solve_one(0.5 + 0.5j, terms, T_GRID, SolveOptions()),
         )
 
     def test_non_orthonormal_eigenvectors_raise(self, monkeypatch):
@@ -305,7 +347,7 @@ class TestSpectralRoute:
 
         monkeypatch.setattr(np.linalg, "eigh", skewed)
         with pytest.raises(NumericsError, match="weight-sum") as info:
-            solve_volterra(1.0, cosine_spec(0.7, 1.3), T_GRID)
+            solve_one(1.0, cosine_spec(0.7, 1.3), T_GRID)
         assert info.value.route == "spectral"
         assert info.value.error == pytest.approx(0.0201, rel=1e-6)
         assert info.value.step is None and info.value.halvings is None
