@@ -13,9 +13,11 @@ Two routes evaluate the sector sums, both in memory bounded by
 trajectory._CHUNK_BYTES.  On a uniform grid (trajectory._uniform_step) of at
 least trajectory._EXP_SUM_MIN_TIMES times, ``_uniform_pass`` writes them as
 sums of exponentials in time and evaluates them by the baby-step/giant-step
-GEMM of trajectory._exp_sum.  On any other grid ``_sector_pass`` sweeps
-(sector block, time chunk) tiles of sines and cosines; it is also the
-reference the uniform route is tested against.
+GEMM of trajectory._exp_sum, in K blocks of a fixed
+trajectory._EXP_SUM_BLOCK terms, so that the budget moves no bit of them.
+On any other grid ``_sector_pass`` sweeps (sector block, time chunk) tiles
+of sines and cosines; it is also the reference the uniform route is tested
+against.
 """
 
 from __future__ import annotations
@@ -23,10 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, sector_family
-from .trajectory import (_EXP_SUM_MIN_TIMES, Trajectory, _add_rows, _exp_sum, _sector_blocks,
-                         _tile, _time_chunks, _trajectory, _uniform_step, _validate_times)
+from .trajectory import (_EXP_SUM_BLOCK, _EXP_SUM_MIN_TIMES, Trajectory, _add_rows, _exp_sum,
+                         _sector_blocks, _tile, _time_chunks, _trajectory, _uniform_step,
+                         _validate_times)
 
 __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
+
+#: sectors per slice of the terms that ``_uniform_pass`` gives ``_exp_sum``: a
+#: multiple of its K block, so that the slices block K as one whole pair would,
+#: and fixed, so that no bit depends on the memory budget
+_TERM_SLICE = 16 * _EXP_SUM_BLOCK
 
 
 def _pair_rows(fam: SectorFamily):
@@ -114,22 +122,28 @@ def _uniform_pass(params: SystemParams, fam: SectorFamily, t, dt: float, populat
     A row with mu = 0 has br = 1 and takes alpha = 0.  Both totals are
     written as E(t) - E(0) from one GEMM, so they are exact at t = 0; at
     A = 0 every survival amplitude is 0 and every coherence term of nonzero
-    amplitude has frequency 0.
+    amplitude has frequency 0.  The terms go to _exp_sum in slices of
+    _TERM_SLICE sectors, so no (amp, nu) array spans the table.
     """
     om, mu, minus = _pair_rows(fam)
     size, nonzero = fam.w.size, mu >= 1e-300
+    slices = [np.arange(lo, min(lo + _TERM_SLICE, size)) for lo in range(0, size, _TERM_SLICE)]
+
+    def ratio(num, den, rows):  # num/den on the pair rows ``rows``, 0 where mu = 0
+        return np.divide(num, den, out=np.zeros(rows.size), where=nonzero[rows])
+
     surv = coh = None
     if populations:
-        a = np.divide(fam.w * fam.b_p, 2.0 * mu[:size] ** 2, out=np.zeros(size),
-                      where=nonzero[:size])
-        surv = 1.0 + _exp_sum([(a, 2.0 * mu[:size])], t[0], dt, t.size).real
+        terms = ((ratio(fam.w[s] * fam.b_p[s], 2.0 * mu[s] ** 2, s), 2.0 * mu[s]) for s in slices)
+        surv = 1.0 + _exp_sum(terms, t[0], dt, t.size).real
     if coherence:
-        alpha = np.divide(om, 2.0 * mu, out=np.zeros(mu.size), where=nonzero)
-        alpha_p, alpha_m, mu_p, mu_m = alpha[:size], alpha[minus], mu[:size], mu[minus]
+        def alpha(rows):
+            return ratio(om[rows], 2.0 * mu[rows], rows)
+
         # one sign pair at a time: (1 - sign alpha)/2 multiplies e^{i sign mu t}
-        terms = ((0.25 * fam.w * (1.0 - sign_p * alpha_p) * (1.0 - sign_m * alpha_m),
-                  params.omega0 + sign_p * mu_p + sign_m * mu_m)
-                 for sign_p in (1.0, -1.0) for sign_m in (1.0, -1.0))
+        terms = ((0.25 * fam.w[s] * (1.0 - sign_p * alpha(s)) * (1.0 - sign_m * alpha(minus[s])),
+                  params.omega0 + sign_p * mu[s] + sign_m * mu[minus[s]])
+                 for sign_p in (1.0, -1.0) for sign_m in (1.0, -1.0) for s in slices)
         coh = complex(params.initial_coh) * (1.0 + _exp_sum(terms, t[0], dt, t.size))
     return surv, coh
 

@@ -33,6 +33,14 @@ the J_3^tot series, so that memory does not grow with sectors x times:
   (``aux_ode``) or the ``quadrature`` verifier route, whose whole-grid
   solution the tiles slice.
 
+On the spectral route each sector solution is a sum of 3 exponentials,
+x_s(t) = sum_k |V_sk|^2 e^{-i lambda_sk t}, so both NZ2 totals are
+exponential sums.  On a uniform grid of at least
+trajectory._EXP_SUM_MIN_TIMES times ``_nz2_totals`` evaluates them by the
+baby-step/giant-step GEMM of trajectory._exp_sum, as exact._uniform_pass
+does, and the tiles run only for what a total cannot give: the sector
+arrays and the J_3^tot series (population tiles only).
+
 Every public solver and the CLI go through ``_solve``, which can also return
 the J_3^tot series without sector-resolved arrays.
 
@@ -49,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
-from .trajectory import (Trajectory, _add_rows, _sector_blocks, _tile, _time_chunks,
-                         _trajectory, _validate_times)
+from .trajectory import (_EXP_SUM_MIN_TIMES, Trajectory, _add_rows, _exp_sum, _sector_blocks,
+                         _tile, _time_chunks, _trajectory, _uniform_step, _validate_times)
 from .volterra import SolveOptions, _unit_solutions, integrate_linear_ode
 
 __all__ = [
@@ -141,9 +149,11 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
     chunks = list(_time_chunks(t.size, 32 * rows))
     cells = rows * max(sl.stop - sl.start for sl in chunks)
     # one set of tile buffers, 32 bytes per sector-time point, for every tile as in
-    # exact._sector_pass: f and a flat scratch, and the real halves of f's for g - 1 and g
+    # exact._sector_pass: f and a flat scratch, the real halves of f's for g - 1 and g,
+    # and those of the scratch's for P_- and the J_3^tot terms once a fill is done
     f_buf, scratch = np.empty(cells, complex), np.empty(cells, complex)
     gm1_buf, g_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
+    pm_buf, terms_buf = scratch.view(float)[:cells], scratch.view(float)[cells:]
     for sl in chunks:
         fill_coh, fill_pop = fill(sl)
         acc_coh = acc_p = acc_j3 = None
@@ -165,7 +175,8 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
                     if sectors:
                         sector_p[blk, sl] = g
                     if j3tot:  # j3tot_expectation of the sector populations g
-                        terms = _j3tot_terms(sub.two_m, g, _sector_p_minus(sub, g))
+                        p_minus = _sector_p_minus(sub, g, _tile(pm_buf, *shape))
+                        terms = _j3tot_terms(sub.two_m, g, p_minus, _tile(terms_buf, *shape))
                         acc_j3 = _add_rows(terms, acc_j3)
                 gm1 *= sub.y0[:, None]
                 acc_p = _add_rows(gm1, acc_p)
@@ -219,14 +230,19 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t):
 
 def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
               coherence: bool, opts):
-    """Scalar Volterra solutions x_s(t), x_s(0) = 1, per sector: f = x e^{-2iA two_m t} for
+    """(fill, coherence spectrum, population spectrum) of the NZ2 sector equations.
+
+    Scalar Volterra solutions x_s(t), x_s(0) = 1, per sector: f = x e^{-2iA two_m t} for
     the kernel B_+ e^{i Omega_+ tau} + B_- e^{-i Omega_- tau}, and g = x for the kernel
-    pair_coef cos(Omega_+ tau), split into e^{+-i Omega_+ tau}/2."""
+    pair_coef cos(Omega_+ tau), split into e^{+-i Omega_+ tau}/2.  A spectrum is
+    (lambda_sk, |V_sk|^2) with x_s = sum_k |V_sk|^2 e^{-i lambda_sk t}, None where the
+    Volterra engine takes another route or the part is not asked for.
+    """
     half = 0.5 * fam.pair_coef
-    coh_x = _unit_solutions(np.stack([fam.b_p, fam.b_m], axis=1), np.stack(
-        [1j * fam.om_p, -1j * fam.om_m], axis=1), t, opts) if coherence else None
-    pop_x = _unit_solutions(np.stack([half, half], axis=1), np.stack(
-        [1j * fam.om_p, -1j * fam.om_p], axis=1), t, opts) if populations else None
+    coh_x, coh_spec = _unit_solutions(np.stack([fam.b_p, fam.b_m], axis=1), np.stack(
+        [1j * fam.om_p, -1j * fam.om_m], axis=1), t, opts) if coherence else (None, None)
+    pop_x, pop_spec = _unit_solutions(np.stack([half, half], axis=1), np.stack(
+        [1j * fam.om_p, -1j * fam.om_p], axis=1), t, opts) if populations else (None, None)
 
     def chunk(sl):
         def coherence(sub, blk, f, scratch):
@@ -241,14 +257,37 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
         return coherence, population
 
-    return chunk
+    return chunk, coh_spec, pop_spec
 
 
-def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
+def _nz2_totals(params: SystemParams, fam: SectorFamily, t, dt: float, coh_spec, pop_spec):
+    """(coh, P_+) of NZ2 on the uniform grid t by trajectory._exp_sum, None where not asked.
+
+    Each total is an exponential sum over the spectra, 3 terms per sector:
+    coh0 (1 + E(t) - E(0)) with amplitudes w_s |V_sk|^2 and frequencies
+    -(lambda_sk + 2A two_m_s), and P_+(0) + Re(E_p(t) - E_p(0)) with amplitudes
+    y0_s |V_sk|^2 and frequencies -lambda_sk, so coh(0) == initial_coh and
+    P_+(0) == initial_p_plus exactly.
+    """
+    coh = p_plus = None
+    if coh_spec is not None:
+        lam, wts = coh_spec
+        nu = -(lam + (2.0 * params.A * fam.two_m)[:, None])
+        e = _exp_sum([((fam.w[:, None] * wts).ravel(), nu.ravel())], t[0], dt, t.size)
+        coh = complex(params.initial_coh) * (1.0 + e)
+    if pop_spec is not None:
+        lam, wts = pop_spec
+        e = _exp_sum([((fam.y0[:, None] * wts).ravel(), -lam.ravel())], t[0], dt, t.size)
+        p_plus = params.initial_p_plus + e.real
+    return coh, p_plus
+
+
+def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray, out=None) -> np.ndarray:
     """P^m_-(t) = C_{m-1} - P^{m-1}_+(t) along each chain, P_+ = 0 below its edge."""
-    below, inner = np.zeros_like(p_plus), fam.lower >= 0
-    below[inner] = p_plus[fam.lower[inner]]
-    return fam.c_prev[:, None] - below
+    # mode="clip" fills out= directly; the rows of the edges, lower = -1, are then zeroed
+    below = np.take(p_plus, fam.lower, axis=0, out=out, mode="clip")
+    below[fam.lower < 0] = 0.0
+    return np.subtract(fam.c_prev[:, None], below, out=below)
 
 
 def _solve(
@@ -265,10 +304,21 @@ def _solve(
     without building the bundle.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    fill = (_tcl2_fill(params, fam, t) if method == "tcl2"
-            else _nz2_fill(params, fam, t, populations, coherence, opts))
-    coh, sector_coh, p_plus, sector_p, j3 = _tiles(params, fam, t, populations, coherence,
-                                                   sectors, j3tot, fill)
+    if method == "tcl2":
+        fill, kernel = _tcl2_fill(params, fam, t), False
+    else:
+        fill, coh_spec, pop_spec = _nz2_fill(params, fam, t, populations, coherence, opts)
+        dt = _uniform_step(t) if opts is None and t.size >= _EXP_SUM_MIN_TIMES else None
+        kernel = dt is not None
+    # on the kernel route the tiles run only for what a total cannot give
+    tile_coh = coherence and (sectors or not kernel)
+    tile_pop = populations and (sectors or j3tot or not kernel)
+    coh = sector_coh = p_plus = sector_p = j3 = None
+    if tile_coh or tile_pop:
+        coh, sector_coh, p_plus, sector_p, j3 = _tiles(params, fam, t, tile_pop, tile_coh,
+                                                       sectors, j3tot, fill)
+    if kernel:
+        coh, p_plus = _nz2_totals(params, fam, t, dt, coh_spec, pop_spec)
     bundle = SectorBundle(
         two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p, coh=sector_coh,
         p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
@@ -383,13 +433,20 @@ def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:
     """
     if bundle.p_plus is None or bundle.p_minus is None:
         raise ValueError("sector populations required")
-    return _add_rows(_j3tot_terms(bundle.two_m, bundle.p_plus, bundle.p_minus), None)
+    terms = np.empty(bundle.p_plus.shape)
+    return _add_rows(_j3tot_terms(bundle.two_m, bundle.p_plus, bundle.p_minus.copy(), terms),
+                     None)
 
 
-def _j3tot_terms(two_m, p_plus, p_minus) -> np.ndarray:
-    """(m + 1/2) P^m_+ + (m - 1/2) P^m_- per sector, C-ordered."""
+def _j3tot_terms(two_m, p_plus, p_minus, out) -> np.ndarray:
+    """(m + 1/2) P^m_+ + (m - 1/2) P^m_- per sector into the C-ordered ``out``.
+
+    ``p_minus`` is overwritten."""
     m = 0.5 * two_m.astype(float)
-    return np.ascontiguousarray((m + 0.5)[:, None] * p_plus + (m - 0.5)[:, None] * p_minus)
+    np.multiply((m + 0.5)[:, None], p_plus, out=out)
+    p_minus *= (m - 0.5)[:, None]
+    out += p_minus
+    return out
 
 
 # ---------------------------------------------------------------------------

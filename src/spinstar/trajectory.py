@@ -34,6 +34,10 @@ _CHUNK_WIDTH = 256
 #: 48-64 times)
 _EXP_SUM_MIN_TIMES = 64
 
+#: terms per K block of ``_exp_sum``: fixed, so that no bit depends on the memory
+#: budget, and a multiple of 8, so that none depends on the BLAS thread count
+_EXP_SUM_BLOCK = 256
+
 
 class NumericsError(RuntimeError):
     """Raised on non-finite solver inputs or results, or when a solver fails to converge.
@@ -119,36 +123,46 @@ def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
     (Q x K) @ (K x C) of the giant steps amp_k exp(i nu_k (t0 + q C dt)) and
     the baby steps exp(i nu_k r dt), so it takes K (Q + C) sines and cosines
     instead of K n.  A last giant row at t = 0 gives E(0) from the same GEMM;
-    where t0 = 0 the first row does, so the result is exactly 0 there.  The K
-    axis runs in blocks whose two tables each fit _CHUNK_BYTES.
+    where t0 = 0 the first row does, so the result is exactly 0 there.
 
-    The bits do not depend on the BLAS thread count as long as every GEMM
-    is complex, at least 2 rows tall (the t = 0 row sees to that) and has a
-    K that is a multiple of 8 (zero terms pad K).  Measured with OpenBLAS
-    0.3.31 at 1 to 4 threads: a K of 5825 or a single row changes bits, and
-    so do real GEMMs on the real and imaginary parts.
+    The K axis runs in blocks of _EXP_SUM_BLOCK terms of each pair, and the
+    giant-step rows of each block in chunks whose table fits _CHUNK_BYTES.
+    Every element then adds the same block products in the same order
+    whatever the budget, so the bits do not depend on it: splitting a GEMM
+    by rows moves no bit, splitting K would.  Nor do they depend on the BLAS
+    thread count, as long as every GEMM is complex, at least 2 rows tall
+    (``_time_chunks`` and the t = 0 row see to that) and has a K that is a
+    multiple of 8 (zero terms pad the last block of a pair).  Measured with
+    OpenBLAS 0.3.31 at 1 to 4 threads: a K of 5825 or a single row changes
+    bits, and so do real GEMMs on the real and imaginary parts.
     """
     cols = math.isqrt(n - 1) + 1  # C
     giant = np.append(t0 + (cols * dt) * np.arange(-(-n // cols)), 0.0)  # Q rows, then t = 0
     baby = dt * np.arange(cols)
-    width = max(8, _CHUNK_BYTES // (16 * max(giant.size, cols)) // 8 * 8)
-    g_buf, b_buf = np.empty(giant.size * width, complex), np.empty(cols * width, complex)
+    chunks = list(_time_chunks(giant.size, 16 * _EXP_SUM_BLOCK))
+    g_buf = np.empty(max(sl.stop - sl.start for sl in chunks) * _EXP_SUM_BLOCK, complex)
+    b_buf = np.empty(_EXP_SUM_BLOCK * cols, complex)
     total = np.zeros((giant.size, cols), complex)
     for amp, nu in terms:
-        pad = -nu.size % 8
-        amp, nu = np.append(amp, np.zeros(pad)), np.append(nu, np.zeros(pad))
-        for lo in range(0, nu.size, width):
-            k = slice(lo, lo + width)
-            size = nu[k].size
-            g, b = _tile(g_buf, giant.size, size), _tile(b_buf, size, cols)
-            for table, outer in ((g, (giant, nu[k])), (b, (nu[k], baby))):
-                phase = np.multiply.outer(*outer, out=table.real)  # no scratch array
-                np.sin(phase, out=table.imag)
-                np.cos(phase, out=phase)
-            g *= amp[k]
-            total += g @ b
+        for lo in range(0, nu.size, _EXP_SUM_BLOCK):
+            k = slice(lo, lo + _EXP_SUM_BLOCK)
+            pad = -nu[k].size % 8
+            amp_k, nu_k = np.append(amp[k], np.zeros(pad)), np.append(nu[k], np.zeros(pad))
+            b = _phases(_tile(b_buf, nu_k.size, cols), nu_k, baby)
+            for sl in chunks:
+                g = _phases(_tile(g_buf, sl.stop - sl.start, nu_k.size), giant[sl], nu_k)
+                g *= amp_k
+                total[sl] += g @ b
     total -= total[0 if t0 == 0.0 else -1, 0]
     return total.ravel()[:n]
+
+
+def _phases(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(i a_r b_c) into the complex (rows, cols) ``table``, with no scratch array."""
+    phase = np.multiply.outer(a, b, out=table.real)
+    np.sin(phase, out=table.imag)
+    np.cos(phase, out=phase)
+    return table
 
 
 def _tile(buf: np.ndarray, rows: int, n: int) -> np.ndarray:

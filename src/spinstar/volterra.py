@@ -19,7 +19,8 @@ k(tau) = sum_i a_i exp(r_i tau), by three routes:
 
 ``solve_volterra_batch``, the one public entry, solves a batch of
 independent scalar problems (a single problem is a batch of one); the NZ2
-solvers read the same solutions tile by tile through ``_unit_solutions``.
+solvers read the same solutions tile by tile, or their spectra, through
+``_unit_solutions``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import NumericsError, _validate_times
+from .trajectory import NumericsError, _tile, _validate_times
 
 __all__ = ["SolveOptions", "NumericsError", "solve_volterra_batch", "integrate_linear_ode"]
 
@@ -215,14 +216,25 @@ def _arrowhead_spectrum(amps, rates):
 def _expm1_sum(lam, wts, t, out, term):
     """out = sum_k wts_k expm1(-i lam_k t), its real part if ``out`` is real, one k at a time.
 
-    ``out`` and the complex scratch ``term`` are (P, T) tiles: no (P, K+1, T) array."""
+    ``out`` and the complex scratch ``term`` are (P, T) tiles: no (P, K+1, T) array.  For
+    a real ``out`` the sum runs in real arithmetic in the memory of ``term``: the real
+    part of expm1(-i y) is -2 sin^2(y/2), which numpy's complex expm1 gives bit for bit."""
     out.fill(0.0)
+    real = out.dtype != term.dtype
+    if real:
+        term = _tile(term.reshape(-1).view(float), *out.shape)
     for k in range(lam.shape[1]):
         np.multiply.outer(lam[:, k], t, out=term)
-        term *= -1j
-        np.expm1(term, out=term)
+        if real:
+            term *= -0.5
+            np.sin(term, out=term)
+            term *= term
+            term *= -2.0
+        else:
+            term *= -1j
+            np.expm1(term, out=term)
         term *= wts[:, k, None]
-        out += term if out.dtype == term.dtype else term.real
+        out += term
     return out
 
 
@@ -289,18 +301,20 @@ def solve_volterra_batch(
 
 
 def _unit_solutions(amplitudes, rates, times, opts: SolveOptions | None):
-    """``part(rows, sl, out, term)``, which writes x[rows, sl] - 1 into the tile ``out``.
+    """(part, spectrum) of the problems of ``solve_volterra_batch`` from x(0) = 1.
 
-    x solves the problems of ``solve_volterra_batch``, with its checks and
-    route, from x(0) = 1; a real ``out`` takes the real part, and ``term`` is
-    a complex scratch tile.  On the spectral route each tile is evaluated from
-    the spectrum, so nothing grows with problems x times; on the others the
-    whole-grid solution is sliced.
+    The batch runs that function's checks and takes its route.
+    ``part(rows, sl, out, term)`` writes x[rows, sl] - 1 into the tile ``out``,
+    its real part if ``out`` is real, with ``term`` a complex scratch tile.
+    On the spectral route ``spectrum`` is (lambda, |V_0k|^2) of every problem,
+    from which each tile is evaluated, so nothing grows with problems x times;
+    on the others it is None and the whole-grid solution is sliced.
     """
     x0, amps, rts, t = _checked(np.ones(len(amplitudes)), amplitudes, rates, times)
-    if t.size > 1 and _spectral(amps, rts, opts):
+    if _spectral(amps, rts, opts):
         lam, wts = _arrowhead_spectrum(amps, rts)
-        return lambda rows, sl, out, term: _expm1_sum(lam[rows], wts[rows], t[sl], out, term)
+        return (lambda rows, sl, out, term: _expm1_sum(lam[rows], wts[rows], t[sl], out, term),
+                (lam, wts))
     x = solve_volterra_batch(x0, amps, rts, t, opts)
-    return lambda rows, sl, out, term: np.subtract(
-        x[rows, sl] if out.dtype == x.dtype else x.real[rows, sl], 1.0, out=out)
+    return (lambda rows, sl, out, term: np.subtract(
+        x[rows, sl] if out.dtype == x.dtype else x.real[rows, sl], 1.0, out=out)), None

@@ -314,6 +314,30 @@ coh_re = 0.5
         assert float(oracle_row[4]) <= 1e-12  # sup_err_coh
 
 
+@pytest.mark.parametrize("projection", ["m", "jm"])
+def test_run_and_compare_write_the_same_nz2_file(tmp_path, projection):
+    # on 101 uniform times NZ2's totals come from the exponential-sum kernel
+    # in both commands; compare also runs the population tiles for J_3^tot
+    cfg = write_config(tmp_path, f"""
+N = 12
+omega0 = 1.0
+alpha = 0.5
+t_max = 50.0
+dt = 0.5
+methods = exact,nz2
+projection = {projection}
+initial_p_plus = 0.8
+coh_re = 0.3
+coh_im = -0.1
+""")
+    run, cmp = tmp_path / "run", tmp_path / "cmp"
+    assert main(["run", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+    assert main(["compare", "--config", str(cfg), "--out", str(cmp)]) == EXIT_OK
+    name = f"nz2_{projection}.csv"
+    assert len((run / name).read_text().splitlines()) == 102
+    assert (run / name).read_bytes() == (cmp / name).read_bytes()
+
+
 class TestFigurePresets:
     def test_presets_cover_published_range(self):
         assert sorted(FIGURE_PRESETS) == [2, 3, 4, 5, 6, 7]
@@ -474,6 +498,17 @@ coh_re = {preset["coh0"]}
 def test_ten_thousand_spins_end_to_end_under_a_memory_cap(tmp_path, run_capped):
     # N = 10^4 takes the log-space weight path (N > EXACT_BINOMIAL_MAX_N); its
     # whole jm table would be 25M sectors, the cut keeps 218089
+    _ten_thousand_spins(tmp_path, run_capped, dt=5.0, n_times=41)
+
+
+def test_ten_thousand_spins_on_a_uniform_grid_under_a_memory_cap(tmp_path, run_capped):
+    # 65 uniform times take exact's exponential-sum kernel, whose terms go in
+    # slices of the sector table
+    _ten_thousand_spins(tmp_path, run_capped, dt=3.125, n_times=65)
+
+
+def _ten_thousand_spins(tmp_path, run_capped, dt, n_times):
+    """compare of exact and TCL2 (jm) at N = 10^4 on n_times times, under a 256 MiB cap."""
     N = 10_000
     assert N > EXACT_BINOMIAL_MAX_N
     cfg = write_config(tmp_path, f"""
@@ -481,7 +516,7 @@ N = {N}
 omega0 = 1.0
 alpha = 0.1
 t_max = 200.0
-dt = 5.0
+dt = {dt}
 methods = exact,tcl2
 projection = jm
 initial_p_plus = 0.7
@@ -492,7 +527,7 @@ coh_im = -0.2
     proc = run_capped(_CAPPED_COMPARE.format(config=str(cfg), out=str(out)), cap_mib=256)
     assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
     exact = np.loadtxt(out / "exact_none.csv", delimiter=",", skiprows=1)
-    assert exact.shape == (41, 6)
+    assert exact.shape == (n_times, 6)
     assert tuple(exact[0, [0, 1, 3, 4]]) == (0.0, 0.7, 0.3, -0.2)
     lines = (out / "report.csv").read_text().splitlines()
     rep = dict(zip(lines[-2].split(","), lines[-1].split(",")))

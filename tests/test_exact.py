@@ -281,6 +281,19 @@ def test_uniform_route_agrees_with_the_sector_pass(n, a, omega0):
         np.testing.assert_array_equal(traj.p_plus, 0.35)
 
 
+def test_uniform_route_bits_do_not_depend_on_the_budget_or_the_term_slices(monkeypatch):
+    # 1892 kept jm sectors of N = 101: 8 slices of 256 sectors against one
+    # slice, and 2 giant-step rows per GEMM against all 46 of 2001 times
+    p = SystemParams(N=101, A=0.05 / 101, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
+    t = 0.5 * np.arange(2001)
+    whole = exact_trajectory(p, t)
+    monkeypatch.setattr(exact, "_TERM_SLICE", trajectory._EXP_SUM_BLOCK)
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
+    sliced = exact_trajectory(p, t)
+    np.testing.assert_array_equal(sliced.p_plus, whole.p_plus)
+    np.testing.assert_array_equal(sliced.coh, whole.coh)
+
+
 _CAPPED_CHILD = textwrap.dedent(
     """
     import numpy as np

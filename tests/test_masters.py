@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinstar import trajectory
+from spinstar import masters, trajectory
 from spinstar.exact import exact_population_plus, exact_trajectory
 from spinstar.masters import (
     _SIN_SERIES,
@@ -405,6 +405,90 @@ class TestTimeChunks:
         np.testing.assert_array_equal(q, j3tot_expectation(bundle))
         assert traj.p_plus is not None and traj.coh is not None
         assert _solve(PARAMS, self.T, method, family)[2] is None
+
+
+def _tile_totals(monkeypatch, p, t, family):
+    """NZ2 of ``family`` with its totals from the tiles, as on a grid too short for the kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(masters, "_EXP_SUM_MIN_TIMES", t.size + 1)
+        return _solve(p, t, "nz2", family)[0]
+
+
+class TestKernelRoute:
+    """NZ2 totals by trajectory._exp_sum on a uniform grid of at least _EXP_SUM_MIN_TIMES."""
+
+    T = 0.5 * np.arange(601)
+    # N <= 40 at A = -0.13 (resonant: Omega_+(m) = 0 at one sector); N = 101 at
+    # the coupling of the figure presets, alpha = 0.1
+    CASES = {
+        "1-m": (1, "m", False), "1-jm": (1, "jm", False), "5-jm": (5, "jm", False),
+        "5-m-resonant": (5, "m", True), "5-jm-resonant": (5, "jm", True),
+        "40-jm": (40, "jm", False), "101-m": (101, "m", None), "101-jm": (101, "jm", None),
+    }
+
+    @pytest.mark.parametrize("n, family, resonant", CASES.values(), ids=CASES.keys())
+    def test_totals_equal_the_tile_totals(self, monkeypatch, n, family, resonant):
+        p = (_generic_or_resonant(n, resonant) if resonant is not None else SystemParams(
+            N=n, A=coupling_from_alpha(n, 1.0, 0.1), omega0=1.0, initial_p_plus=0.8,
+            initial_coh=0.3 - 0.1j))
+        if resonant:
+            assert np.any(sector_family(p, family).om_p == 0.0)
+        kernel = _solve(p, self.T, "nz2", family)[0]
+        tiles = _tile_totals(monkeypatch, p, self.T, family)
+        np.testing.assert_allclose(kernel.coh, tiles.coh, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(kernel.p_plus, tiles.p_plus, rtol=0, atol=1e-14)
+        assert kernel.coh[0] == p.initial_coh and kernel.p_plus[0] == p.initial_p_plus
+
+    @pytest.mark.parametrize("fn", [nz2_jm, nz2_coherence_m, nz2_population_m])
+    def test_start_is_exact_and_a_decoupled_bath_is_constant(self, fn):
+        for a in (0.08, -0.2, 0.0):
+            p = dataclasses.replace(PARAMS, A=a)
+            traj = fn(p, self.T)
+            if traj.coh is not None:
+                assert traj.coh[0] == PARAMS.initial_coh
+            if traj.p_plus is not None:
+                assert traj.p_plus[0] == PARAMS.initial_p_plus
+            if a == 0.0:
+                for got, start in ((traj.coh, PARAMS.initial_coh),
+                                   (traj.p_plus, PARAMS.initial_p_plus)):
+                    if got is not None:
+                        np.testing.assert_array_equal(got, start)
+
+    def test_tiles_run_only_for_bundles_and_j3tot(self, monkeypatch):
+        calls = []
+        tiles = masters._tiles
+
+        def spy(params, fam, t, populations, coherence, *rest):
+            calls.append((populations, coherence))
+            return tiles(params, fam, t, populations, coherence, *rest)
+
+        monkeypatch.setattr(masters, "_tiles", spy)
+        plain = _solve(PARAMS, self.T, "nz2", "jm")[0]
+        assert calls == []  # as in ``spinstar run``
+        traj, _, q = _solve(PARAMS, self.T, "nz2", "jm", j3tot=True)
+        assert calls == [(True, False)]  # as in ``spinstar compare``: population tiles
+        _solve(PARAMS, self.T, "nz2", "jm", sectors=True)
+        assert calls[-1] == (True, True)
+        np.testing.assert_array_equal(traj.coh, plain.coh)
+        np.testing.assert_array_equal(traj.p_plus, plain.p_plus)
+        np.testing.assert_allclose(q, q[0], rtol=0, atol=1e-12)  # J_3^tot is conserved
+
+    def test_other_grids_and_explicit_options_take_the_tiles(self, monkeypatch):
+        monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
+        geometric = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)])
+        assert trajectory._uniform_step(geometric) is None
+        nz2_jm(PARAMS, geometric)
+        nz2_jm(PARAMS, self.T[:trajectory._EXP_SUM_MIN_TIMES - 1])
+        nz2_jm(PARAMS, self.T[:101], opts=SolveOptions(step=0.01))
+        with pytest.raises(TypeError):
+            nz2_jm(PARAMS, self.T)
+
+    def test_a_grid_that_does_not_start_at_zero_still_fails(self):
+        shifted = 3.7 + 0.5 * np.arange(100)
+        assert trajectory._uniform_step(shifted) is not None
+        for fn in (nz2_jm, nz2_coherence_m, nz2_population_m):
+            with pytest.raises(ValueError, match="start at 0"):
+                fn(PARAMS, shifted)
 
 
 def _direct_exponent(terms, t, imag: bool):

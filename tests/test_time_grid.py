@@ -148,7 +148,7 @@ def test_exp_sum_equals_the_direct_sum(monkeypatch, n, t0):
     dt = 0.05
     direct = _direct_exp_sum(amp, nu, t0 + dt * np.arange(n))
     whole = trajectory._exp_sum([(amp, nu)], t0, dt, n)
-    # K blocks of 8 terms, the least width, over two pairs of 300 and 400 terms
+    # giant-step rows in chunks of 2, the least height, over two pairs of 300 and 400 terms
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
     blocked = trajectory._exp_sum([(amp[:300], nu[:300]), (amp[300:], nu[300:])], t0, dt, n)
     for got in (whole, blocked):
@@ -156,3 +156,18 @@ def test_exp_sum_equals_the_direct_sum(monkeypatch, n, t0):
         np.testing.assert_allclose(got, direct, rtol=0, atol=1e-14)
         if t0 == 0.0:
             assert got[0] == 0.0  # E(0) - E(0) from the same GEMM element
+
+
+def test_exp_sum_bits_do_not_depend_on_the_budget(monkeypatch):
+    # K blocks of a fixed _EXP_SUM_BLOCK terms; only the 46 giant-step rows are
+    # chunked under the budget: 2 rows at 1 B, 4 at 16 KiB, all of them by default
+    rng = np.random.default_rng(7)
+    amp, nu = rng.uniform(-1.0, 1.0, 700) / 700, rng.uniform(-2.0, 2.0, 700)
+    terms = [(amp[:300], nu[:300]), (amp[300:], nu[300:])]
+    runs = []
+    for budget in (trajectory._CHUNK_BYTES, 2**14, 1):
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", budget)
+        runs.append(trajectory._exp_sum(iter(terms), 0.0, 0.05, 2001))
+    assert len(list(trajectory._time_chunks(46, 16 * trajectory._EXP_SUM_BLOCK))) == 23
+    for got in runs[1:]:
+        np.testing.assert_array_equal(got, runs[0])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinstar import masters, volterra
-from spinstar.sectors import SystemParams, coupling_from_alpha
+from spinstar.sectors import SystemParams, coupling_from_alpha, sector_family
 from spinstar.volterra import (
     NumericsError,
     SolveOptions,
@@ -351,6 +351,27 @@ class TestSpectralRoute:
         assert info.value.route == "spectral"
         assert info.value.error == pytest.approx(0.0201, rel=1e-6)
         assert info.value.step is None and info.value.halvings is None
+
+
+GRIDS = {"uniform": 0.5 * np.arange(2001),
+         "geometric": np.concatenate([[0.0], np.geomspace(0.01, 900.0, 500)])}
+
+
+@pytest.mark.parametrize("t", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("family", ["m", "jm"])
+@pytest.mark.parametrize("n", [1, 5, 101])
+def test_real_expm1_sum_equals_the_real_part_of_the_complex_one(n, family, t):
+    # the population tiles sum -2 sin^2(y/2), the real part of expm1(-i y), in real arithmetic
+    p = SystemParams(N=n, A=coupling_from_alpha(n, 1.0, 0.5), omega0=1.0)
+    fam = sector_family(p, family)
+    half = 0.5 * fam.pair_coef
+    amps = np.stack([half, half], axis=1).astype(complex)
+    lam, wts = volterra._arrowhead_spectrum(amps, np.stack([1j * fam.om_p, -1j * fam.om_p], 1))
+    shape = (fam.w.size, t.size)
+    complex_sum = volterra._expm1_sum(lam, wts, t, np.empty(shape, complex),
+                                      np.empty(shape, complex))
+    real_sum = volterra._expm1_sum(lam, wts, t, np.empty(shape), np.empty(shape, complex))
+    np.testing.assert_array_equal(real_sum, complex_sum.real)
 
 
 @settings(max_examples=80, deadline=None)
