@@ -25,26 +25,14 @@ from .oracle import (
     check_projection_conditions,
     propagate,
 )
-from .sectors import (
-    SectorJM,
-    SectorM,
-    SystemParams,
-    alpha,
-    b_coeff,
-    coupling_from_alpha,
-    mu,
-    prob_j,
-    sector_frequencies,
-    weight_m,
-)
+from .sectors import SystemParams, coupling_from_alpha
 from .trajectory import ErrorReport, Trajectory, compare_trajectories
 from .volterra import NumericsError, SolveOptions, integrate_linear_ode, solve_volterra_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SystemParams", "SectorM", "SectorJM", "weight_m", "prob_j",
-    "sector_frequencies", "mu", "alpha", "coupling_from_alpha", "b_coeff",
+    "SystemParams", "coupling_from_alpha",
     "Trajectory", "ErrorReport", "compare_trajectories",
     "exact_population_plus", "exact_coherence", "exact_trajectory",
     "tcl2_coherence_m", "tcl2_population_m", "nz2_coherence_m",

@@ -4,18 +4,16 @@ A central spin-1/2 with level splitting ``omega0`` couples to ``N`` bath
 spins with a uniform Heisenberg exchange constant ``A``.  The bath Hilbert
 space decomposes into sectors labelled either by the eigenvalue ``m`` of the
 collective bath operator J_3, or by the simultaneous eigenvalues ``(j, m)``
-of J^2 and J_3.  Everything downstream (the exact solution and the sector
-master equations) consumes only
-
-* the sector weights ``N_m / 2^N`` and probabilities ``p(j)``,
-* the detuning frequencies ``Omega_+(m)``, ``Omega_-(m)``,
-* the Rabi frequencies ``mu_+(j, m)``, ``mu_-(j, m)``,
-* the flip coefficients ``b(j, +-m) = j(j+1) - m(m +- 1)``,
-
-gathered per sector of the ``m`` or ``jm`` family by ``sector_family``.  The
+of J^2 and J_3.  Every route (the exact solution and the sector master
+equations) reads one table per family, built by ``sector_family``: per sector
+the weight ``N_m / 2^N`` or ``N_j / 2^N``, the detuning frequencies
+``Omega_+(m)``, ``Omega_-(m)`` and the kernel coefficients: 4A^2 (N/2 -+ m)
+for ``m``, and 4A^2 times the flip coefficients
+``b(j, +-m) = j(j+1) - m(m +- 1)`` for ``jm``, from which exact.py forms the
+Rabi frequencies ``mu_+-(j, m) = sqrt(Omega_+-^2/4 + 4A^2 b(j, +-m))``.  The
 ``jm`` family leaves out the j multiplets of a certified-negligible tail of
-p(j) (total weight <= 2^-60), which a maximally mixed bath concentrates on
-j of order sqrt(N).
+p(j) = (2j+1) N_j / 2^N (total weight <= 2^-60), which a maximally mixed bath
+concentrates on j of order sqrt(N).
 
 Half-integer quantum numbers are stored as doubled integers (``two_j``,
 ``two_m``) so that sector identities are exact and usable as keys.
@@ -25,8 +23,7 @@ All weights come from one routine.  Up to ``EXACT_BINOMIAL_MAX_N`` the counts
 (``N_j`` as a difference of neighbouring entries) and every weight is the
 correctly rounded quotient by 2^N.  Beyond that they are evaluated in log
 space (``gammaln``) through the cancellation-free product form
-``N_j = C(N, N/2+j) (2j+1)/(N/2+j+1)``, which ``multiplicity_j`` also uses as
-an exact-integer reference.
+``N_j = C(N, N/2+j) (2j+1)/(N/2+j+1)``.
 
 All functions here are pure and thread-safe.
 """
@@ -42,17 +39,8 @@ from scipy.special import gammaln
 
 __all__ = [
     "SystemParams",
-    "SectorM",
-    "SectorJM",
     "EXACT_BINOMIAL_MAX_N",
-    "weight_m",
-    "multiplicity_j",
-    "prob_j",
-    "sector_frequencies",
-    "mu",
-    "alpha",
     "coupling_from_alpha",
-    "b_coeff",
     "two_m_values",
     "jm_sector_table",
     "weights_m_array",
@@ -152,49 +140,6 @@ class SystemParams:
         return np.array([[p, c], [c.conjugate(), 1.0 - p]], dtype=complex)
 
 
-@dataclass(frozen=True, order=True)
-class SectorM:
-    """A J_3 sector of the bath; ``two_m`` is twice the eigenvalue m."""
-
-    two_m: int
-
-    @property
-    def m(self) -> float:
-        return 0.5 * self.two_m
-
-
-@dataclass(frozen=True, order=True)
-class SectorJM:
-    """A simultaneous (J^2, J_3) sector; doubled integers keep half-integers exact."""
-
-    two_j: int
-    two_m: int
-
-    def __post_init__(self):
-        if self.two_j < 0:
-            raise ValueError(f"two_j must be >= 0, got {self.two_j}")
-        if abs(self.two_m) > self.two_j or (self.two_m - self.two_j) % 2 != 0:
-            raise ValueError(f"invalid m for j: two_j={self.two_j}, two_m={self.two_m}")
-
-    @property
-    def j(self) -> float:
-        return 0.5 * self.two_j
-
-    @property
-    def m(self) -> float:
-        return 0.5 * self.two_m
-
-
-def _check_two_m(N: int, two_m: int) -> None:
-    if abs(two_m) > N or (two_m - N) % 2 != 0:
-        raise ValueError(f"invalid J_3 sector: N={N}, two_m={two_m}")
-
-
-def _check_two_j(N: int, two_j: int) -> None:
-    if not (0 <= two_j <= N) or (two_j - N) % 2 != 0:
-        raise ValueError(f"invalid J^2 sector: N={N}, two_j={two_j}")
-
-
 def _weights(N: int, two_q, count: str) -> np.ndarray:
     """2^-N times the bath count ``count`` at each label ``two_q`` (an int sequence).
 
@@ -225,97 +170,9 @@ def _weights(N: int, two_q, count: str) -> np.ndarray:
     return np.exp(log_n - N * _LOG2)
 
 
-def weight_m(params: SystemParams, s: SectorM) -> float:
-    """Sector weight w_m = N_m / 2^N, the fraction of bath states with J_3 = m.
-
-    N_m = C(N, N/2 + m) is the degeneracy of the eigenvalue m.
-    """
-    _check_two_m(params.N, s.two_m)
-    return float(_weights(params.N, [s.two_m], "m")[0])
-
-
-def multiplicity_j(N: int, two_j: int) -> int:
-    """Multiplicity N_j: how often total bath spin j occurs in the N-spin decomposition.
-
-    Evaluated through the cancellation-free identity
-    ``N_j = C(N, N/2 + j) * (2j + 1) / (N/2 + j + 1)``, which is exactly the
-    binomial difference ``C(N, N/2+j) - C(N, N/2+j+1)`` without subtractive
-    cancellation.  Exact integers only (N must be <= a few thousand for this
-    to stay fast; the result is arbitrary precision).
-    """
-    _check_two_j(N, two_j)
-    k = (N + two_j) // 2
-    num = math.comb(N, k) * (two_j + 1)
-    den = k + 1
-    q, r = divmod(num, den)
-    if r != 0:  # cannot happen: N_j is an integer by construction
-        raise AssertionError(f"non-integer multiplicity for N={N}, two_j={two_j}")
-    return q
-
-
-def prob_j(params: SystemParams, two_j: int) -> float:
-    """Probability p(j) = (2j+1) N_j / 2^N of finding total bath spin j.
-
-    This is the weight that a maximally mixed bath assigns to the (2j+1)
-    states of each j multiplet, summed over the N_j copies.
-    """
-    _check_two_j(params.N, two_j)
-    return float(_weights(params.N, [two_j], "p")[0])
-
-
 def _omega_plus(omega0: float, A: float, two_m) -> float:
     # Omega_+(m) = omega0 + 4A(m + 1/2) = omega0 + 2A(two_m + 1)
     return omega0 + 2.0 * A * (np.asarray(two_m, dtype=float) + 1.0)
-
-
-def _omega_minus(omega0: float, A: float, two_m) -> float:
-    # Omega_-(m) = -omega0 + 4A(-m + 1/2) = -Omega_+(m - 1): the |-> branch of
-    # sector m is the |+> branch of m - 1, bit for bit by construction
-    return -_omega_plus(omega0, A, np.asarray(two_m) - 2)
-
-
-def sector_frequencies(params: SystemParams, s: SectorM) -> tuple[float, float]:
-    """Detuning frequencies (Omega_+(m), Omega_-(m)) of the sector m.
-
-    Omega_+-(m) = +-omega0 + 4A(+-m + 1/2).
-    """
-    _check_two_m(params.N, s.two_m)
-    return (
-        float(_omega_plus(params.omega0, params.A, s.two_m)),
-        float(_omega_minus(params.omega0, params.A, s.two_m)),
-    )
-
-
-def b_coeff(s: SectorJM, sign: int = +1) -> float:
-    """Flip coefficient b(j, +-m) = j(j+1) - m(m +- 1); always >= 0 for valid sectors.
-
-    ``sign=+1`` gives b(j, m) = j(j+1) - m(m+1); ``sign=-1`` gives
-    b(j, -m) = j(j+1) - m(m-1).
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    tj, tm = s.two_j, s.two_m
-    # j(j+1) - m(m+sign) = [two_j(two_j+2) - two_m(two_m + 2*sign)] / 4, exact
-    num = tj * (tj + 2) - tm * (tm + 2 * sign)
-    return num / 4.0
-
-
-def mu(params: SystemParams, s: SectorJM, branch: int = +1) -> float:
-    """Rabi frequency mu_+-(j, m) = sqrt(Omega_+-^2/4 + 4 A^2 b(j, +-m)) >= 0."""
-    _check_two_j(params.N, s.two_j)
-    if branch == +1:
-        om = _omega_plus(params.omega0, params.A, s.two_m)
-    elif branch == -1:
-        om = _omega_minus(params.omega0, params.A, s.two_m)
-    else:
-        raise ValueError("branch must be +1 or -1")
-    b = b_coeff(s, branch)
-    return float(np.sqrt(0.25 * om * om + 4.0 * params.A * params.A * b))
-
-
-def alpha(params: SystemParams) -> float:
-    """Dimensionless perturbation parameter alpha = 2 A N / omega0."""
-    return 2.0 * params.A * params.N / params.omega0
 
 
 def coupling_from_alpha(N: int, omega0: float, alpha_value: float) -> float:
@@ -457,7 +314,9 @@ def sector_family(params: SystemParams, family: str) -> SectorFamily:
     return SectorFamily(
         two_j=two_j, two_m=two_m, w=w,
         om_p=_omega_plus(params.omega0, A, two_m),
-        om_m=_omega_minus(params.omega0, A, two_m),
+        # Omega_-(m) = -omega0 + 4A(-m + 1/2) = -Omega_+(m - 1): the |-> branch of
+        # sector m is the |+> branch of m - 1, bit for bit by construction
+        om_m=-_omega_plus(params.omega0, A, two_m - 2),
         b_p=b_p, b_m=b_m, pair_coef=pair_coef, c=c, steady=steady,
         y0=w * p0 - steady, c_prev=w_low * p0 + w * (1.0 - p0), lower=lower,
     )

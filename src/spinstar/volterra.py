@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import NumericsError, _tile, _validate_times
+from .trajectory import NumericsError, _tile, _uniform_step, _validate_times
 
 __all__ = ["SolveOptions", "NumericsError", "solve_volterra_batch", "integrate_linear_ode"]
 
@@ -152,11 +152,11 @@ def _aux_ode_solve(x0, amps, rates, times, opts: SolveOptions):
 
 def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions):
     """Implicit-trapezoid stepping with trapezoidal memory sums (order 2)."""
-    dt_out = np.diff(times)
-    if not np.allclose(dt_out, dt_out[0], rtol=1e-9, atol=0.0):
+    dt = _uniform_step(times)
+    if dt is None:
         raise ValueError("quadrature method requires a uniform output grid")
-    nsub = max(1, int(np.ceil(dt_out[0] / opts.step - 1e-12)))
-    h = dt_out[0] / nsub
+    nsub = max(1, int(np.ceil(dt / opts.step - 1e-12)))
+    h = dt / nsub
     n_steps = nsub * (times.size - 1)
     n_prob = x0.shape[0]
 

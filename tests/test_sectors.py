@@ -7,24 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinstar.exact import exact_trajectory
+from spinstar.exact import _pair_rows, exact_trajectory
 from spinstar.sectors import (
     EXACT_BINOMIAL_MAX_N,
-    SectorJM,
-    SectorM,
     SystemParams,
-    alpha,
-    b_coeff,
+    _multiplet_weights,
     coupling_from_alpha,
     jm_sector_table,
-    mu,
-    multiplicity_j,
-    prob_j,
     prob_j_array,
     sector_family,
-    sector_frequencies,
     two_m_values,
-    weight_m,
     weights_jm_array,
     weights_m_array,
 )
@@ -32,6 +24,14 @@ from spinstar.sectors import (
 
 def params(N=4, A=0.1, omega0=1.0, **kw):
     return SystemParams(N=N, A=A, omega0=omega0, **kw)
+
+
+def n_j(N, two_j):
+    """N_j by the product form C(N, k)(2j+1)/(k+1), k = N/2 + j, of the log-space weights."""
+    k = (N + two_j) // 2
+    q, r = divmod(math.comb(N, k) * (two_j + 1), k + 1)
+    assert r == 0
+    return q
 
 
 class TestSystemParams:
@@ -80,21 +80,14 @@ class TestSystemParams:
 
 class TestWeights:
     def test_weight_m_small(self):
-        p = params(N=4)
-        assert weight_m(p, SectorM(0)) == 6 / 16
-        assert weight_m(p, SectorM(4)) == 1 / 16
-
-    def test_weight_m_invalid_sector(self):
-        p = params(N=4)
-        with pytest.raises(ValueError):
-            weight_m(p, SectorM(1))  # parity mismatch
-        with pytest.raises(ValueError):
-            weight_m(p, SectorM(6))  # out of range
+        w = weights_m_array(4)  # two_m = -4, -2, 0, 2, 4
+        assert w[2] == 6 / 16
+        assert w[4] == 1 / 16
 
     def test_prob_j_examples(self):
-        assert prob_j(params(N=2), 2) == 0.75
-        assert prob_j(params(N=6), 2) == 3 * 9 / 64
-        total = sum(prob_j(params(N=4), tj) for tj in (0, 2, 4))
+        assert prob_j_array(2)[1] == 0.75  # two_j = 2
+        assert prob_j_array(6)[1] == 3 * 9 / 64
+        total = sum(prob_j_array(4).tolist())  # two_j = 0, 2, 4
         assert total == (2 + 9 + 5) / 16 == 1.0
 
     def test_multiplicity_matches_binomial_difference(self):
@@ -102,17 +95,15 @@ class TestWeights:
         for N in range(1, 41):
             for tj in range(N % 2, N + 1, 2):
                 k = (N + tj) // 2
-                direct = math.comb(N, k) - (math.comb(N, k + 1) if k + 1 <= N else 0)
-                assert multiplicity_j(N, tj) == direct
+                assert n_j(N, tj) == math.comb(N, k) - math.comb(N, k + 1)
 
     def test_multiplicity_sum_telescopes_to_weight(self):
         # sum_{j >= |m|} N_j = N_m, exact integer arithmetic
         for N in (3, 8, 17, 40):
-            for tm in range(-N, N + 1, 2):
-                total = sum(
-                    multiplicity_j(N, tj) for tj in range(abs(tm), N + 1, 2)
-                )
+            for i, tm in enumerate(range(-N, N + 1, 2)):
+                total = sum(n_j(N, tj) for tj in range(abs(tm), N + 1, 2))
                 assert total == math.comb(N, (N + tm) // 2)
+                assert weights_m_array(N)[i] == total / 2**N
 
     @pytest.mark.parametrize("N", [1, 2, 7, 60, 61, 101, 200, 500, 1000, 2000])
     def test_normalization(self, N):
@@ -133,6 +124,16 @@ class TestWeights:
         for i in (0, N // 4, N // 2, N // 2 + 1, N):
             exact = Fraction(math.comb(N, (N + int(tm[i])) // 2), 1 << N)
             assert abs(w[i] - float(exact)) <= 1e-15 + bound * float(exact)
+        # p(j) and N_j/2^N (the per-multiplet weights that weights_jm_array
+        # repeats) at j <= 3 sqrt(N), to the documented 20 N eps
+        p_j, w_j = prob_j_array(N), _multiplet_weights(N, 0.0)[1]
+        for i in (0, 1, math.isqrt(N), 3 * math.isqrt(N)):
+            two_j = N % 2 + 2 * i
+            k = (N + two_j) // 2
+            n = math.comb(N, k) - math.comb(N, k + 1)
+            for got, count in ((p_j[i], (two_j + 1) * n), (w_j[i], n)):
+                exact = float(Fraction(count, 1 << N))
+                assert abs(got - exact) <= 20 * N * np.finfo(float).eps * exact
 
     def test_weights_jm_consistency(self):
         N = 12
@@ -142,108 +143,86 @@ class TestWeights:
         for j in np.unique(tj):
             vals = w[tj == j]
             assert np.all(vals == vals[0])
-            assert vals[0] == multiplicity_j(N, int(j)) / (1 << N)
+            assert vals[0] == n_j(N, int(j)) / (1 << N)
         # summing (2j+1) copies reproduces p(j)
-        p = params(N=N)
         for j in np.unique(tj):
-            np.testing.assert_allclose(
-                w[tj == j].sum(), prob_j(p, int(j)), rtol=1e-14
-            )
+            np.testing.assert_allclose(w[tj == j].sum(), prob_j_array(N)[j // 2], rtol=1e-14)
 
 
 class TestFrequencies:
     def test_examples(self):
-        p = params(N=4, A=0.1, omega0=1.0)
-        assert sector_frequencies(p, SectorM(0)) == (1.2, -0.8)
-        p0 = params(N=4, A=0.0)
-        assert sector_frequencies(p0, SectorM(2)) == (1.0, -1.0)
+        fam = sector_family(params(N=4, A=0.1, omega0=1.0), "m")  # two_m = -4 ... 4
+        assert (fam.om_p[2], fam.om_m[2]) == (1.2, -0.8)
+        fam0 = sector_family(params(N=4, A=0.0), "m")
+        assert (fam0.om_p[3], fam0.om_m[3]) == (1.0, -1.0)
 
     def test_antisymmetry_bit_exact(self):
         # Omega_-(m+1) == -Omega_+(m) must hold exactly, not just closely
         for A in (0.1, -0.37, 1e-3, 123.456):
-            p = params(N=30, A=A, omega0=0.77)
-            for tm in range(-30, 29, 2):
-                om_p, _ = sector_frequencies(p, SectorM(tm))
-                _, om_m_next = sector_frequencies(p, SectorM(tm + 2))
-                assert om_m_next == -om_p
+            fam = sector_family(params(N=30, A=A, omega0=0.77), "m")
+            assert np.all(fam.om_m[1:] == -fam.om_p[:-1])
 
     def test_mu_examples(self):
-        p = params(N=4, A=0.1, omega0=1.0)
-        np.testing.assert_allclose(mu(p, SectorJM(2, 0), +1), np.sqrt(0.36 + 0.08))
-        assert mu(p, SectorJM(2, 2), +1) == 0.8  # stretched: b = 0
-        np.testing.assert_allclose(mu(p, SectorJM(2, -2), +1), np.sqrt(0.16 + 0.08))
-
-    def test_mu_identity(self):
-        # mu^2 - Omega^2/4 = 4A^2 b(j, +-m) to relative 1e-12
-        p = params(N=9, A=0.23, omega0=1.3)
-        tj, tm = jm_sector_table(9)
-        for a, b in zip(tj, tm):
-            s = SectorJM(int(a), int(b))
-            for branch in (+1, -1):
-                om = sector_frequencies(p, SectorM(int(b)))[0 if branch == 1 else 1]
-                lhs = mu(p, s, branch) ** 2 - 0.25 * om**2
-                rhs = 4.0 * p.A**2 * b_coeff(s, branch)
-                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        # jm rows 1, 2, 3 are (j, m) = (1, -1), (1, 0), (1, 1)
+        _, mu, _ = _pair_rows(sector_family(params(N=4, A=0.1, omega0=1.0), "jm"))
+        np.testing.assert_allclose(mu[2], np.sqrt(0.36 + 0.08))
+        assert mu[3] == 0.8  # stretched: b = 0
+        np.testing.assert_allclose(mu[1], np.sqrt(0.16 + 0.08))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("coupling", [0.23, 1e160], ids=["A=0.23", "A^2-overflows"])
-    def test_mu_agrees_with_the_sector_table(self, coupling):
-        # the scalar mu and the Rabi frequencies of the jm table (as exact.py
-        # forms them), bit for bit; at A = 1e160, A^2 overflows to inf in both
-        p = params(N=4, A=coupling, omega0=1.0)
-        fam = sector_family(p, "jm")
-        for branch, om, b4 in ((+1, fam.om_p, fam.b_p), (-1, fam.om_m, fam.b_m)):
-            scalar = [mu(p, SectorJM(int(tj), int(tm)), branch)
-                      for tj, tm in zip(fam.two_j, fam.two_m)]
-            np.testing.assert_array_equal(scalar, np.sqrt(0.25 * om * om + b4))
+    @pytest.mark.parametrize("N", [1, 2, 4, 9, 40, 101])
+    @pytest.mark.parametrize("coupling", [0.23, -0.13, 0.0, 1e160],
+                             ids=["A=0.23", "A=-0.13", "A=0", "A^2-overflows"])
+    def test_mu_agrees_with_the_sector_table(self, N, coupling):
+        # mu_+-(j, m) = sqrt(Omega_+-^2/4 + 4A^2 b(j, +-m)) against the pair rows,
+        # bit for bit, the |-> branch read through ``minus``; at A = 1e160, A^2
+        # overflows and inf and nan fall on the same rows
+        A, omega0 = coupling, 1.3
+        fam = sector_family(params(N=N, A=A, omega0=omega0), "jm")
+        _, mu, minus = _pair_rows(fam)
+        tj, tm = fam.two_j, fam.two_m
+        for sign, rows in ((+1, mu[:tm.size]), (-1, mu[minus])):
+            om = omega0 + 4 * A * (tm / 2 + sign * 0.5)  # +-Omega_+-(m)
+            b = (tj * (tj + 2) - tm * (tm + 2 * sign)) / 4
+            np.testing.assert_array_equal(rows, np.sqrt(0.25 * om * om + 4.0 * A * A * b))
         if coupling == 1e160:
-            assert mu(p, SectorJM(2, 0)) == np.inf
+            assert np.isinf(mu).any() and np.isnan(mu).any()
 
 
 class TestBCoeff:
+    # at A = 0.5 the jm table's b_p/b_m = 4A^2 b(j, +-m) are b(j, +-m) exactly
+
     def test_examples(self):
-        assert b_coeff(SectorJM(2, 0), +1) == 2.0
-        assert b_coeff(SectorJM(2, 2), +1) == 0.0
-        assert b_coeff(SectorJM(3, 1), +1) == 3.0  # j=3/2, m=1/2
+        fam = sector_family(params(N=4, A=0.5), "jm")
+        assert (fam.two_j[2], fam.two_m[2], fam.b_p[2]) == (2, 0, 2.0)
+        assert (fam.two_j[3], fam.two_m[3], fam.b_p[3]) == (2, 2, 0.0)
+        fam = sector_family(params(N=3, A=0.5), "jm")
+        assert (fam.two_j[4], fam.two_m[4], fam.b_p[4]) == (3, 1, 3.0)  # j=3/2, m=1/2
 
     def test_nonnegative(self):
         for N in (5, 12):
-            tj, tm = jm_sector_table(N)
-            for a, b in zip(tj, tm):
-                assert b_coeff(SectorJM(int(a), int(b)), +1) >= 0.0
-                assert b_coeff(SectorJM(int(a), int(b)), -1) >= 0.0
+            fam = sector_family(params(N=N, A=0.5), "jm")
+            tj, tm = fam.two_j, fam.two_m
+            np.testing.assert_array_equal(fam.b_p, (tj * (tj + 2) - tm * (tm + 2)) / 4)
+            np.testing.assert_array_equal(fam.b_m, (tj * (tj + 2) - tm * (tm - 2)) / 4)
+            assert np.all(fam.b_p >= 0.0) and np.all(fam.b_m >= 0.0)
 
     def test_pairing_identity(self):
         # b evaluated downward from sector m+1 equals b evaluated upward from
         # sector m: the identity behind the pairwise population closure
-        tj, tm = jm_sector_table(11)
-        for a, b in zip(tj, tm):
-            if b + 2 <= a:
-                assert b_coeff(SectorJM(int(a), int(b)), +1) == b_coeff(
-                    SectorJM(int(a), int(b) + 2), -1
-                )
-
-    def test_invalid_sector(self):
-        with pytest.raises(ValueError):
-            SectorJM(2, 3)
-        with pytest.raises(ValueError):
-            SectorJM(2, 1)  # parity mismatch
-        with pytest.raises(ValueError):
-            b_coeff(SectorJM(2, 0), 2)
+        fam = sector_family(params(N=11, A=0.5), "jm")
+        inner = fam.lower >= 0
+        assert np.all(fam.b_m[inner] == fam.b_p[fam.lower[inner]])
 
 
 class TestAlpha:
     def test_round_trip(self):
         a = coupling_from_alpha(101, 1.0, 0.1)
         np.testing.assert_allclose(a, 0.1 / 202, rtol=1e-15)
-        p = SystemParams(N=101, A=a, omega0=1.0)
-        np.testing.assert_allclose(alpha(p), 0.1, rtol=1e-15)
+        np.testing.assert_allclose(2.0 * a * 101 / 1.0, 0.1, rtol=1e-15)  # alpha = 2AN/omega0
         np.testing.assert_allclose(
             coupling_from_alpha(101, 1.0, 0.5), 0.5 / 202, rtol=1e-15
         )
-
-    def test_zero(self):
-        assert alpha(params(A=0.0)) == 0.0
 
 
 @given(st.integers(min_value=1, max_value=min(EXACT_BINOMIAL_MAX_N, 200)))
@@ -267,20 +246,17 @@ def test_exact_weights_are_correctly_rounded_hypothesis(N, u):
     def rounded(count):
         return float(Fraction(count, 2**N))
 
-    p = params(N=N)
     w_m, p_j, w_jm = weights_m_array(N), prob_j_array(N), weights_jm_array(N)
     table_two_j = jm_sector_table(N)[0]
     for k in {0, round(u * N), N // 2, N}:
         ref = rounded(math.comb(N, k))
         assert w_m[k] == ref
-        assert weight_m(p, SectorM(2 * k - N)) == ref
     for i in {0, round(u * (N // 2)), N // 2}:
         two_j = N % 2 + 2 * i
         k = (N + two_j) // 2
-        n_j = math.comb(N, k) - math.comb(N, k + 1)
-        assert p_j[i] == rounded((two_j + 1) * n_j)
-        assert prob_j(p, two_j) == rounded((two_j + 1) * n_j)
-        assert np.all(w_jm[table_two_j == two_j] == rounded(n_j))
+        count = math.comb(N, k) - math.comb(N, k + 1)
+        assert p_j[i] == rounded((two_j + 1) * count)
+        assert np.all(w_jm[table_two_j == two_j] == rounded(count))
 
 
 @given(
@@ -292,8 +268,8 @@ def test_sector_table_consistency_hypothesis(N, idx):
     tj, tm = jm_sector_table(N)
     assert tj.size == tm.size
     i = idx % tj.size
-    s = SectorJM(int(tj[i]), int(tm[i]))  # every table entry is a valid sector
-    assert abs(s.two_m) <= s.two_j
+    # every table entry is a valid sector
+    assert abs(tm[i]) <= tj[i] and (tj[i] - tm[i]) % 2 == 0
     # table is sorted ascending two_j then two_m and has no duplicates
     keys = list(zip(tj.tolist(), tm.tolist()))
     assert keys == sorted(set(keys))
@@ -338,29 +314,33 @@ def test_pairing_identities_bit_for_bit_hypothesis(data):
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 8, 60, 61])
-def test_sector_family_matches_scalar_api(N):
-    """The shared m/jm table against the scalar sector functions, sector by sector."""
-    p = params(N=N, A=-0.13, omega0=0.9, initial_p_plus=0.35)
+def test_sector_family_matches_the_formulas(N):
+    """The shared m/jm table against the counts and formulas of each sector."""
+    A, omega0 = -0.13, 0.9
+    p = params(N=N, A=A, omega0=omega0, initial_p_plus=0.35)
     p0 = p.initial_p_plus
     for family in ("m", "jm"):
         fam = sector_family(p, family)
         two_j = [N] * fam.two_m.size if fam.two_j is None else fam.two_j.tolist()
         index = {(j, m): i for i, (j, m) in enumerate(zip(two_j, fam.two_m.tolist()))}
         for (j, m), i in index.items():
+            k = (N + m) // 2 if family == "m" else (N + j) // 2
             if family == "m":
-                w = weight_m(p, SectorM(m))
+                count = math.comb(N, k)
                 b_p, b_m = 2 * (N - m), 2 * (N + m)  # 4(N/2 -+ m)
                 pair = 8 * (N + 1)
                 steady_ratio = ((N + m) // 2 + 1) / (N + 1)
             else:
-                s = SectorJM(j, m)
-                w = prob_j(p, j) / (j + 1)
-                b_p, b_m = 4 * b_coeff(s, +1), 4 * b_coeff(s, -1)
+                count = math.comb(N, k) - math.comb(N, k + 1)
+                b_p, b_m = j * (j + 2) - m * (m + 2), j * (j + 2) - m * (m - 2)  # 4 b(j, +-m)
                 pair = 4 * b_p
                 steady_ratio = 0.5
             a2 = p.A**2
-            assert fam.w[i] == pytest.approx(w, rel=1e-15)
-            assert (fam.om_p[i], fam.om_m[i]) == sector_frequencies(p, SectorM(m))
+            w = float(Fraction(count, 2**N))
+            assert fam.w[i] == w
+            # Omega_+-(m) = +-omega0 + 4A(+-m + 1/2)
+            assert (fam.om_p[i], fam.om_m[i]) == (omega0 + 4 * A * (m / 2 + 0.5),
+                                                  -omega0 + 4 * A * (0.5 - m / 2))
             assert fam.b_p[i] == pytest.approx(a2 * b_p, rel=1e-15, abs=1e-300)
             assert fam.b_m[i] == pytest.approx(a2 * b_m, rel=1e-15, abs=1e-300)
             assert fam.pair_coef[i] == pytest.approx(a2 * pair, rel=1e-15, abs=1e-300)

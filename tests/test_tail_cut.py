@@ -25,7 +25,6 @@ from spinstar.sectors import (
     EXACT_BINOMIAL_MAX_N,
     SystemParams,
     jm_sector_table,
-    multiplicity_j,
     sector_family,
     weights_jm_array,
 )
@@ -63,7 +62,8 @@ def test_dropped_tail_is_certified_and_minimal(N):
     top = int(sector_family(_params(N), "jm").two_j[-1])
 
     def p_num(two_j):  # 2^N p(j)
-        return (two_j + 1) * multiplicity_j(N, two_j)
+        k = (N + two_j) // 2
+        return (two_j + 1) * (math.comb(N, k) - math.comb(N, k + 1))
 
     dropped = sum(p_num(tj) for tj in range(top + 2, N + 1, 2))
     assert dropped > 0
