@@ -10,8 +10,8 @@ Everything is reported in the rotating frame of the central spin; the A=0
 limit therefore leaves both populations and coherence constant.
 
 Two routes evaluate the sector sums, both in memory bounded by
-trajectory._CHUNK_BYTES.  On a uniform grid (trajectory._uniform_step) of at
-least trajectory._EXP_SUM_MIN_TIMES times, ``_uniform_pass`` writes them as
+trajectory._CHUNK_BYTES.  Where trajectory._exp_sum_step finds a uniform grid
+of at least _EXP_SUM_MIN_TIMES times, ``_uniform_pass`` writes them as
 sums of exponentials in time and evaluates them by the baby-step/giant-step
 GEMM of trajectory._exp_sum, in K blocks of a fixed
 trajectory._EXP_SUM_BLOCK terms, so that the budget moves no bit of them.
@@ -25,9 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, sector_family
-from .trajectory import (_EXP_SUM_BLOCK, _EXP_SUM_MIN_TIMES, Trajectory, _add_rows, _exp_sum,
-                         _sector_blocks, _tile, _time_chunks, _trajectory, _uniform_step,
-                         _validate_times)
+from .trajectory import (_EXP_SUM_BLOCK, Trajectory, _add_rows, _exp_sum, _exp_sum_step,
+                         _sector_blocks, _tile, _time_chunks, _trajectory, _validate_times)
 
 __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
 
@@ -155,7 +154,7 @@ def _exact(params: SystemParams, times, populations: bool, coherence: bool) -> T
     started in |+> and its mirror started in |->.
     """
     t, fam = _validate_times(times), sector_family(params, "jm")
-    dt = _uniform_step(t) if t.size >= _EXP_SUM_MIN_TIMES else None
+    dt = _exp_sum_step(t)
     if dt is None:
         surv, coh = _sector_pass(params, fam, t, coherence)
     else:

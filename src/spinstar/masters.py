@@ -35,8 +35,8 @@ the J_3^tot series, so that memory does not grow with sectors x times:
 
 On the spectral route each sector solution is a sum of 3 exponentials,
 x_s(t) = sum_k |V_sk|^2 e^{-i lambda_sk t}, so both NZ2 totals are
-exponential sums.  On a uniform grid of at least
-trajectory._EXP_SUM_MIN_TIMES times ``_nz2_totals`` evaluates them by the
+exponential sums.  Where trajectory._exp_sum_step finds a uniform grid of
+at least _EXP_SUM_MIN_TIMES times, ``_nz2_totals`` evaluates them by the
 baby-step/giant-step GEMM of trajectory._exp_sum, as exact._uniform_pass
 does, and the tiles run only for what a total cannot give: the sector
 arrays and the J_3^tot series (population tiles only).
@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
-from .trajectory import (_EXP_SUM_MIN_TIMES, Trajectory, _add_rows, _exp_sum, _sector_blocks,
-                         _tile, _time_chunks, _trajectory, _uniform_step, _validate_times)
+from .trajectory import (Trajectory, _add_rows, _exp_sum, _exp_sum_step, _sector_blocks, _tile,
+                         _time_chunks, _trajectory, _validate_times)
 from .volterra import SolveOptions, _unit_solutions, integrate_linear_ode
 
 __all__ = [
@@ -112,7 +112,7 @@ def _g_table(om, t):
     im = np.subtract(x, np.sin(x))
     np.divide(im, x * x, out=im, where=~small)
     xs = x[small]
-    im[small] = xs * np.polynomial.polynomial.polyval(xs * xs, _SIN_SERIES)
+    im[small] = xs * np.polyval(_SIN_SERIES[::-1], xs * xs)
     return re, im
 
 
@@ -308,7 +308,7 @@ def _solve(
         fill, kernel = _tcl2_fill(params, fam, t), False
     else:
         fill, coh_spec, pop_spec = _nz2_fill(params, fam, t, populations, coherence, opts)
-        dt = _uniform_step(t) if opts is None and t.size >= _EXP_SUM_MIN_TIMES else None
+        dt = _exp_sum_step(t) if opts is None else None
         kernel = dt is not None
     # on the kernel route the tiles run only for what a total cannot give
     tile_coh = coherence and (sectors or not kernel)

@@ -22,8 +22,8 @@ All weights come from one routine.  Up to ``EXACT_BINOMIAL_MAX_N`` the counts
 ``N_m`` and ``N_j`` are exact integers from one binomial row ``C(N, 0..N)``
 (``N_j`` as a difference of neighbouring entries) and every weight is the
 correctly rounded quotient by 2^N.  Beyond that they are evaluated in log
-space (``gammaln``) through the cancellation-free product form
-``N_j = C(N, N/2+j) (2j+1)/(N/2+j+1)``.
+space, from one table of log i! (``math.lgamma``), through the
+cancellation-free product form ``N_j = C(N, N/2+j) (2j+1)/(N/2+j+1)``.
 
 All functions here are pure and thread-safe.
 """
@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "SystemParams",
@@ -52,10 +51,11 @@ __all__ = [
 
 #: largest N for which the weights are exact counts divided by 2^N, correctly
 #: rounded; the binomial row is cheap even with 1200-digit entries (about 10 ms
-#: per table at N = 4096).  Beyond, log space costs 0.01-0.05 s per table at
-#: N = 10^5..10^6, where the row takes seconds and grows as N^2, and loses 10-20
-#: N eps of relative accuracy: at most 1.2e-11 at N = 5000, 1.7e-11 at N = 10^4
-#: and 3.8e-10 at N = 10^5 over the central +-3 sqrt(N) entries of the m table
+#: per table at N = 4096).  Beyond, log space costs 2.5 ms, 20-23 ms and 0.21-0.22 s
+#: per table at N = 10^4, 10^5 and 10^6 (one lgamma per i <= N), where the row
+#: takes seconds and grows as N^2, and loses 5-16 N eps of relative accuracy:
+#: over every central +-3 sqrt(N) entry of the m table at most 4.7e-12 at N = 4097,
+#: 7.5e-12 at 5000, 2.5e-11 at 10^4, 3.5e-10 at 10^5 and 2.7e-9 at 10^6
 EXACT_BINOMIAL_MAX_N = 4096
 
 _LOG2 = math.log(2.0)
@@ -74,7 +74,7 @@ _TAIL_WEIGHT = 2.0**-60
 #: float tail sum ``rest``, so that a dropped tail never exceeds _TAIL_WEIGHT.  Its
 #: terms (2j+1) N_j/2^N carry two roundings each, so the sum is accurate to
 #: (N/2+2) 2^-53 relative (2.3e-13 at N = 4096), and the log-space weights to
-#: 10-20 N eps (3.5e-10 on the kept ones at N = 10^5); both are far below
+#: 5-16 N eps (3.4e-10 on the kept ones at N = 10^5); both are far below
 #: 2^-20 = 9.5e-7.  Up to EXACT_BINOMIAL_MAX_N no exact tail sum lies within
 #: 9.2e-5 of _TAIL_WEIGHT, so the slack keeps the same multiplets as an exact
 #: comparison.
@@ -162,7 +162,8 @@ def _weights(N: int, two_q, count: str) -> np.ndarray:
             n = row[i] if count == "m" else row[i] - row[i + 1]
             out.append((n * (t + 1) if count == "p" else n) / denom)
         return np.array(out, dtype=float)
-    log_n = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(N - k + 1.0)
+    lg = np.fromiter(map(math.lgamma, range(1, N + 2)), float, N + 1)  # log i!
+    log_n = lg[N] - lg[k] - lg[N - k]
     if count != "m":  # N_j = C(N, k)(2j+1)/(k+1); this operation order fixes the bits
         log_n = log_n + np.log(two_q + 1.0) - np.log(k + 1.0)
     if count == "p":

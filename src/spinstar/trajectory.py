@@ -114,6 +114,12 @@ def _uniform_step(t: np.ndarray) -> float | None:
     return dt if np.max(np.abs(t - (t[0] + dt * np.arange(t.size)))) <= tol else None
 
 
+def _exp_sum_step(t: np.ndarray) -> float | None:
+    """The step that ``_exp_sum`` takes on ``t``, or None where a sweep is cheaper or
+    ``t`` is not uniform: the uniform step of a grid of at least _EXP_SUM_MIN_TIMES."""
+    return _uniform_step(t) if t.size >= _EXP_SUM_MIN_TIMES else None
+
+
 def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
     """E(t0 + j dt) - E(0) for j < n, where E(t) = sum_k amp_k exp(i nu_k t).
 

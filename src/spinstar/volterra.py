@@ -104,26 +104,20 @@ def integrate_linear_ode(y0, generator, times, opts: SolveOptions | None = None)
     if t.size > 1:
         step = min(step, float(np.max(np.diff(t))))
 
-    sol = _rk4_fixed(generator, y0, t, step)
-    if not np.all(np.isfinite(sol.view(float))):
-        raise NumericsError(
-            f"non-finite values during RK4 integration at step {step:g}",
-            route="rk4", step=step, halvings=0,
-        )
-    if opts.tolerance is None:
-        return sol
-    err = None
-    for halvings in range(1, opts.max_halvings + 1):
-        step *= 0.5
+    sol = err = None
+    for halvings in range(opts.max_halvings + 1):
+        if halvings:
+            step *= 0.5
         finer = _rk4_fixed(generator, y0, t, step)
         if not np.all(np.isfinite(finer.view(float))):
             raise NumericsError(
                 f"non-finite values during RK4 integration at step {step:g}",
                 route="rk4", step=step, halvings=halvings, error=err,
             )
-        err = float(np.max(np.abs(finer - sol)))
+        if sol is not None:
+            err = float(np.max(np.abs(finer - sol)))
         sol = finer
-        if err <= opts.tolerance:
+        if opts.tolerance is None or err is not None and err <= opts.tolerance:
             return sol
     raise NumericsError(
         f"step halving did not reach tolerance {opts.tolerance:g} "

@@ -410,7 +410,7 @@ class TestTimeChunks:
 def _tile_totals(monkeypatch, p, t, family):
     """NZ2 of ``family`` with its totals from the tiles, as on a grid too short for the kernel."""
     with monkeypatch.context() as patch:
-        patch.setattr(masters, "_EXP_SUM_MIN_TIMES", t.size + 1)
+        patch.setattr(trajectory, "_EXP_SUM_MIN_TIMES", t.size + 1)
         return _solve(p, t, "nz2", family)[0]
 
 

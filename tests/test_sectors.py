@@ -112,13 +112,15 @@ class TestWeights:
 
     @pytest.mark.parametrize(
         "N, bound",
-        # measured on these entries: 8.7e-12, 2.1e-12 and 1.8e-10; over the
-        # central +-3 sqrt(N) entries at most 1.7e-11 (N = 10^4), 3.8e-10 (10^5)
-        [(EXACT_BINOMIAL_MAX_N + 904, 1e-11), (10_000, 4e-11), (100_000, 1e-9)],
+        # measured on these entries: 1.7e-12, 6.3e-12, 1.45e-11 and 5.3e-11; over
+        # the central +-3 sqrt(N) entries at most 2.5e-11 (N = 10^4), 3.5e-10 (10^5)
+        [(EXACT_BINOMIAL_MAX_N + 1, 1e-11), (EXACT_BINOMIAL_MAX_N + 904, 1e-11),
+         (10_000, 4e-11), (100_000, 1e-9)],
     )
     def test_log_space_path_matches_exact_ratio(self, N, bound):
-        # beyond the exact cutoff the gammaln branch takes over; compare a few
-        # entries against big-integer arithmetic
+        # beyond the exact cutoff the log-space (lgamma) branch takes over, first
+        # at N = EXACT_BINOMIAL_MAX_N + 1; compare a few entries against
+        # big-integer arithmetic
         w = weights_m_array(N)
         tm = two_m_values(N)
         for i in (0, N // 4, N // 2, N // 2 + 1, N):
