@@ -256,16 +256,13 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     p_plus = traj.p_plus if traj.p_plus is not None else zeros
     p_minus = traj.p_minus if traj.p_minus is not None else zeros
     coh = traj.coh if traj.coh is not None else zeros.astype(complex)
-    lines = [_CSV_HEADER]
-    for i, t in enumerate(traj.times):
-        c = coh[i]
-        lines.append(
-            ",".join(
-                (_fmt(t), _fmt(p_plus[i]), _fmt(p_minus[i]),
-                 _fmt(c.real), _fmt(c.imag), _fmt(abs(c)))
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    # whole columns as Python floats, each written as its repr, as _fmt does; |coh| is
+    # Python's abs, which rounds as numpy's scalar abs does (np.abs on an array may not)
+    columns = [np.asarray(col, dtype=float).tolist()
+               for col in (traj.times, p_plus, p_minus, coh.real, coh.imag)]
+    rows = zip(*columns, map(abs, np.asarray(coh, dtype=complex).tolist()))
+    lines = map("%r,%r,%r,%r,%r,%r".__mod__, rows)
+    path.write_text("\n".join([_CSV_HEADER, *lines]) + "\n")
 
 
 def _drift_per_unit_time(q: np.ndarray | None, times: np.ndarray) -> float:
@@ -408,7 +405,7 @@ def main(argv=None) -> int:
             cfg = figure_config(args.preset, args.t_max, args.dt, args.out)
             _execute(cfg, Path(cfg.output_dir), with_report=False)
     except (CapacityError, MemoryError) as exc:
-        print(f"spinstar: capacity exceeded: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"spinstar: capacity exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except ValueError as exc:
         print(f"spinstar: config error: {exc}", file=sys.stderr)

@@ -16,8 +16,9 @@ sums of exponentials in time and evaluates them by the baby-step/giant-step
 GEMM of trajectory._exp_sum, in K blocks of a fixed
 trajectory._EXP_SUM_BLOCK terms, so that the budget moves no bit of them.
 On any other grid ``_sector_pass`` sweeps (sector block, time chunk) tiles
-of sines and cosines; it is also the reference the uniform route is tested
-against.
+of sines and cosines, its time chunks spread over one thread per allowed
+CPU by trajectory._sweep, bit for bit whatever the thread count; it is also
+the reference the uniform route is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .sectors import SectorFamily, SystemParams, sector_family
 from .trajectory import (_EXP_SUM_BLOCK, Trajectory, _add_rows, _exp_sum, _exp_sum_step,
-                         _sector_blocks, _tile, _time_chunks, _trajectory, _validate_times)
+                         _sector_blocks, _sweep, _tile, _trajectory, _validate_times)
 
 __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
 
@@ -59,7 +60,8 @@ def _sector_pass(params: SystemParams, fam: SectorFamily, t, coherence: bool):
     b = 0 at both ends.  The coherence is coh0 [1 + sum_s w_s (f_s - 1)], so
     coh(0) == initial_coh exactly.
 
-    The sweep runs over (sector block, time chunk) tiles.  Every tile is
+    The sweep runs over (sector block, time chunk) tiles, its time chunks
+    spread over the workers of trajectory._sweep.  Every tile of a worker is
     computed in one set of buffers, allocated once for the largest tile, so
     the heap a run leaves behind does not depend on the tile shapes.
     """
@@ -70,41 +72,44 @@ def _sector_pass(params: SystemParams, fam: SectorFamily, t, coherence: bool):
         blocks.append((sub, (mu, small, np.where(small, 1.0, mu)[:, None],
                              (sub.w * sub.b_p)[:, None], 0.5j * om[:, None], minus)))
     rows = max(pair[0].size for _, pair in blocks)
-    chunks = list(_time_chunks(t.size, 16 * rows))  # one complex (rows, chunk) block
-    cells = rows * max(sl.stop - sl.start for sl in chunks)
-    x_buf, s_buf, sq_buf = np.empty(cells), np.empty(cells), np.empty(cells)
-    if coherence:
-        br_buf, minus_buf = np.empty(cells, complex), np.empty(cells, complex)
     surv = np.empty(t.size)
     coh = np.empty(t.size, dtype=complex) if coherence else None
-    for sl in chunks:
-        tc = t[sl]
-        phase = np.exp(1j * params.omega0 * tc)[None, :] if coherence else None
-        acc_surv = acc_coh = None
-        for sub, (mu, small, safe_mu, coef, half_om, minus) in blocks:
-            rows, size = mu.size, sub.w.size
-            x = np.multiply.outer(mu, tc, out=_tile(x_buf, rows, tc.size))
-            s = np.sin(x, out=_tile(s_buf, rows, tc.size))
-            s /= safe_mu
-            s[small, :] = tc
-            sq = np.multiply(coef, s[:size], out=_tile(sq_buf, size, tc.size))
-            sq *= s[:size]
-            acc_surv = _add_rows(sq, acc_surv)
-            if coherence:  # amplitudes cos(mu t) - (i Omega/2) sin(mu t)/mu
-                br = np.multiply(half_om, s, out=_tile(br_buf, rows, tc.size))
-                np.subtract(np.cos(x, out=x), br, out=br)
-                # mode="clip" fills out= directly; "raise" would buffer it (minus is in range)
-                br_minus = np.take(br, minus, axis=0, out=_tile(minus_buf, size, tc.size),
-                                   mode="clip")
-                # w (phase br_+ br_- - 1), formed in br_+
-                f = np.multiply(phase, br[:size], out=br[:size])
-                f *= br_minus
-                f -= 1.0
-                np.multiply(sub.w[:, None], f, out=f)
-                acc_coh = _add_rows(f, acc_coh)
-        surv[sl] = 1.0 - acc_surv
-        if coherence:
-            coh[sl] = complex(params.initial_coh) * (1.0 + acc_coh)
+
+    def buffers(n, width):  # x, s and sq, then br_+ and br_- for the coherence
+        return [np.empty((n, rows * width), dtype)
+                for dtype in (float,) * 3 + (complex,) * (2 if coherence else 0)]
+
+    def sweep(chunks, x_buf, s_buf, sq_buf, br_buf=None, minus_buf=None):
+        for sl in chunks:
+            tc = t[sl]
+            phase = np.exp(1j * params.omega0 * tc)[None, :] if coherence else None
+            acc_surv = acc_coh = None
+            for sub, (mu, small, safe_mu, coef, half_om, minus) in blocks:
+                rows, size = mu.size, sub.w.size
+                x = np.multiply.outer(mu, tc, out=_tile(x_buf, rows, tc.size))
+                s = np.sin(x, out=_tile(s_buf, rows, tc.size))
+                s /= safe_mu
+                s[small, :] = tc
+                sq = np.multiply(coef, s[:size], out=_tile(sq_buf, size, tc.size))
+                sq *= s[:size]
+                acc_surv = _add_rows(sq, acc_surv)
+                if coherence:  # amplitudes cos(mu t) - (i Omega/2) sin(mu t)/mu
+                    br = np.multiply(half_om, s, out=_tile(br_buf, rows, tc.size))
+                    np.subtract(np.cos(x, out=x), br, out=br)
+                    # mode="clip" fills out= directly; "raise" would buffer it (minus is in range)
+                    br_minus = np.take(br, minus, axis=0, out=_tile(minus_buf, size, tc.size),
+                                       mode="clip")
+                    # w (phase br_+ br_- - 1), formed in br_+
+                    f = np.multiply(phase, br[:size], out=br[:size])
+                    f *= br_minus
+                    f -= 1.0
+                    np.multiply(sub.w[:, None], f, out=f)
+                    acc_coh = _add_rows(f, acc_coh)
+            surv[sl] = 1.0 - acc_surv
+            if coherence:
+                coh[sl] = complex(params.initial_coh) * (1.0 + acc_coh)
+
+    _sweep(t.size, 16 * rows, buffers, sweep)  # one complex (rows, chunk) block per worker
     return surv, coh
 
 

@@ -16,7 +16,9 @@ coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
 rebuild P_- from P_+.  Both methods run through one tile loop, ``_tiles``,
 blind to the family: per (sector block, time chunk) tile a method fills the
 sector factors f and g, and the loop sums the totals, the sector arrays and
-the J_3^tot series, so that memory does not grow with sectors x times:
+the J_3^tot series, so that memory does not grow with sectors x times.  The
+time chunks run on one thread per allowed CPU (trajectory._sweep), in one
+shared memory budget, and no bit depends on the thread count:
 
 * ``_tcl2_fill``: closed forms exp(-Lambda), behind ``tcl2_coherence_m``,
   ``tcl2_population_m`` and ``tcl2_jm``.  Every exponent is read from one
@@ -57,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
-from .trajectory import (Trajectory, _add_rows, _exp_sum, _exp_sum_step, _sector_blocks, _tile,
-                         _time_chunks, _trajectory, _validate_times)
+from .trajectory import (Trajectory, _add_rows, _exp_sum, _exp_sum_step, _sector_blocks, _sweep,
+                         _tile, _trajectory, _validate_times)
 from .volterra import SolveOptions, _unit_solutions, integrate_linear_ode
 
 __all__ = [
@@ -135,8 +137,9 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
     into the complex tile ``f``, ``population(sub, blk, gm1, g, scratch)`` g - 1 of
     P^s_+ = steady + y0 g into the real tile ``gm1``, and g unless ``g`` is None.
     The totals coh0 (1 + sum w (f - 1)) and P_+(0) + sum y0 (g - 1) add the sectors
-    in the order of one sum over a whole (sectors, times) array, so the tiling
-    changes no bit of them, of the sector arrays or of J_3^tot.
+    in the order of one sum over a whole (sectors, times) array, so neither the tiling
+    nor the worker count of trajectory._sweep, which runs the fills of a time chunk
+    on one thread, changes a bit of them, of the sector arrays or of J_3^tot.
     """
     coh0 = complex(params.initial_coh)
     blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 32)]
@@ -146,46 +149,52 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
     sector_p = np.empty((fam.w.size, t.size)) if populations and sectors else None
     j3 = np.empty(t.size) if populations and j3tot else None
     rows = max(sub.w.size for _, sub in blocks)
-    chunks = list(_time_chunks(t.size, 32 * rows))
-    cells = rows * max(sl.stop - sl.start for sl in chunks)
-    # one set of tile buffers, 32 bytes per sector-time point, for every tile as in
-    # exact._sector_pass: f and a flat scratch, the real halves of f's for g - 1 and g,
-    # and those of the scratch's for P_- and the J_3^tot terms once a fill is done
-    f_buf, scratch = np.empty(cells, complex), np.empty(cells, complex)
-    gm1_buf, g_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
-    pm_buf, terms_buf = scratch.view(float)[:cells], scratch.view(float)[cells:]
-    for sl in chunks:
-        fill_coh, fill_pop = fill(sl)
-        acc_coh = acc_p = acc_j3 = None
-        for blk, sub in blocks:
-            shape = (sub.w.size, sl.stop - sl.start)
-            if coherence:
-                fill_coh(sub, blk, f := _tile(f_buf, *shape), scratch)
-                if sectors:
-                    sector_coh[blk, sl] = coh0 * sub.w[:, None] * f
-                f -= 1.0
-                f *= sub.w[:, None]
-                acc_coh = _add_rows(f, acc_coh)
-            if populations:
-                gm1, g = _tile(gm1_buf, *shape), _tile(g_buf, *shape)
-                fill_pop(sub, blk, gm1, g if sectors or j3tot else None, scratch)
-                if sectors or j3tot:  # steady + y0 g
-                    g *= sub.y0[:, None]
-                    g += sub.steady[:, None]
+
+    def buffers(n, width):  # f and a flat scratch per worker, 32 bytes per sector-time point
+        return [np.empty((n, rows * width), complex) for _ in range(2)]
+
+    def sweep(chunks, f_buf, scratch):
+        # one set of tile buffers for every tile of the worker, as in exact._sector_pass:
+        # f and a flat scratch, the real halves of f's for g - 1 and g, and those of the
+        # scratch's for P_- and the J_3^tot terms once a fill is done
+        cells = f_buf.size
+        gm1_buf, g_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
+        pm_buf, terms_buf = scratch.view(float)[:cells], scratch.view(float)[cells:]
+        for sl in chunks:
+            fill_coh, fill_pop = fill(sl)
+            acc_coh = acc_p = acc_j3 = None
+            for blk, sub in blocks:
+                shape = (sub.w.size, sl.stop - sl.start)
+                if coherence:
+                    fill_coh(sub, blk, f := _tile(f_buf, *shape), scratch)
                     if sectors:
-                        sector_p[blk, sl] = g
-                    if j3tot:  # j3tot_expectation of the sector populations g
-                        p_minus = _sector_p_minus(sub, g, _tile(pm_buf, *shape))
-                        terms = _j3tot_terms(sub.two_m, g, p_minus, _tile(terms_buf, *shape))
-                        acc_j3 = _add_rows(terms, acc_j3)
-                gm1 *= sub.y0[:, None]
-                acc_p = _add_rows(gm1, acc_p)
-        if coherence:
-            coh[sl] = coh0 * (1.0 + acc_coh)
-        if populations:
-            p_plus[sl] = params.initial_p_plus + acc_p
-        if j3tot:
-            j3[sl] = acc_j3
+                        sector_coh[blk, sl] = coh0 * sub.w[:, None] * f
+                    f -= 1.0
+                    f *= sub.w[:, None]
+                    acc_coh = _add_rows(f, acc_coh)
+                if populations:
+                    gm1, g = _tile(gm1_buf, *shape), _tile(g_buf, *shape)
+                    fill_pop(sub, blk, gm1, g if sectors or j3tot else None, scratch)
+                    if sectors or j3tot:  # steady + y0 g
+                        g *= sub.y0[:, None]
+                        g += sub.steady[:, None]
+                        if sectors:
+                            sector_p[blk, sl] = g
+                        if j3tot:  # j3tot_expectation of the sector populations g
+                            p_minus = _sector_p_minus(sub, g, _tile(pm_buf, *shape))
+                            terms = _j3tot_terms(sub.two_m, g, p_minus,
+                                                 _tile(terms_buf, *shape))
+                            acc_j3 = _add_rows(terms, acc_j3)
+                    gm1 *= sub.y0[:, None]
+                    acc_p = _add_rows(gm1, acc_p)
+            if coherence:
+                coh[sl] = coh0 * (1.0 + acc_coh)
+            if populations:
+                p_plus[sl] = params.initial_p_plus + acc_p
+            if j3tot:
+                j3[sl] = acc_j3
+
+    _sweep(t.size, 32 * rows, buffers, sweep)
     return coh, sector_coh, p_plus, sector_p, j3
 
 

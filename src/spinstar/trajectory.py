@@ -2,7 +2,8 @@
 
 Every public solver checks its grid with ``_validate_times``.  The sector
 sums then run per (sector block, time chunk) tile of ``_sector_blocks`` and
-``_time_chunks`` on any grid; where ``_uniform_step`` finds a uniform grid,
+``_time_chunks`` on any grid, and ``_sweep`` spreads the time chunks over
+one thread per allowed CPU; where ``_uniform_step`` finds a uniform grid,
 a sum of exponentials in time can instead take ``_exp_sum``, which
 evaluates it on the whole grid with one blocked complex GEMM.
 """
@@ -10,6 +11,8 @@ evaluates it on the whole grid with one blocked complex GEMM.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +21,9 @@ from .sectors import SystemParams
 
 __all__ = ["Trajectory", "ErrorReport", "compare_trajectories"]
 
-#: bytes allowed for one complex (rows, chunk) temporary of a chunked sum over times.
+#: bytes allowed for one complex (rows, chunk) temporary of a chunked sum over times,
+#: one budget shared by all the workers of a ``_sweep``, which sizes chunks from a
+#: 1/c share of it for c workers.
 #: Kept below 8 MiB: freeing a larger block raises glibc's dynamic mmap threshold
 #: above the 8 MB temporaries of bench/child.py's host calibration, which then
 #: come from the heap, run faster and skew every calibrated timing.
@@ -72,9 +77,10 @@ def _sector_blocks(lower: np.ndarray, n_times: int, bytes_per_point: int) -> lis
     ``lower`` is a SectorFamily's: a chain starts where it is negative.  A
     block holds at most _CHUNK_BYTES // (bytes_per_point * min(n_times,
     _CHUNK_WIDTH)) sectors, or one chain where a chain alone is longer, so a
-    (block, chunk) tile under the budget is about _CHUNK_WIDTH times wide, or
-    the whole grid where that is shorter.  Kernels carry the sector sum from
-    block to block through ``_add_rows``.
+    (block, chunk) tile under the budget is about _CHUNK_WIDTH times wide (1/c
+    of that under ``_sweep``'s c workers), or the whole grid where that is
+    shorter.  Kernels carry the sector sum from block to block through
+    ``_add_rows``.
     """
     cap = max(1, _CHUNK_BYTES // (bytes_per_point * min(n_times, _CHUNK_WIDTH)))
     blocks, lo, hi = [], 0, 0
@@ -176,19 +182,72 @@ def _tile(buf: np.ndarray, rows: int, n: int) -> np.ndarray:
     return buf[:rows * n].reshape(rows, n)
 
 
-def _time_chunks(n_times: int, bytes_per_time: int):
-    """Slices covering range(n_times) whose length times ``bytes_per_time`` fits _CHUNK_BYTES.
+def _time_chunks(n_times: int, bytes_per_time: int, workers: int = 1):
+    """Slices covering range(n_times) whose length times ``bytes_per_time`` fits
+    _CHUNK_BYTES // ``workers``.
 
     No slice is 1 wide unless n_times is 1: the last slice takes in a 1-wide
     tail (one time over the budget), and every slice is at least 2 wide.
     numpy sums an (S, 1) block over S pairwise but a wider block row by row,
     so a 1-wide slice would round differently from a whole-array sum.
     """
-    step, lo = max(2, _CHUNK_BYTES // bytes_per_time), 0
+    step, lo = max(2, _CHUNK_BYTES // workers // bytes_per_time), 0
     while lo < n_times:
         hi = lo + step if lo + step + 1 < n_times else n_times
         yield slice(lo, hi)
         lo = hi
+
+
+def _workers() -> int:
+    """Threads a ``_sweep`` may use: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep(n_times: int, bytes_per_time: int, buffers, group) -> None:
+    """Run ``group(chunks, *tile buffers)`` over the time chunks of range(n_times), in parallel.
+
+    With c = ``_workers()``, the chunks of ``_time_chunks(n_times, bytes_per_time, c)``
+    split into n = min(c, chunks) runs of consecutive chunks, one per worker, so
+    that n workers keep to _CHUNK_BYTES together.  ``buffers(n, width)`` allocates,
+    once, arrays of n equal slices along their first axis for chunks up to
+    ``width`` times wide, and group k gets slice k of each.  Group 0 runs on the
+    calling thread and every other group on a thread of its own, or on the calling
+    thread where that thread cannot be started.  The first exception a group
+    raises reaches the caller once every group has ended.  Groups write disjoint
+    time slices, and the sector sums of ``_add_rows`` do not depend on the
+    chunking, so no bit depends on the worker count.
+    """
+    cpus = _workers()
+    chunks = list(_time_chunks(n_times, bytes_per_time, cpus))
+    n = min(cpus, len(chunks))
+    bufs = buffers(n, max(sl.stop - sl.start for sl in chunks))
+    errors = []
+
+    def run(k):
+        try:
+            group(chunks[k * len(chunks) // n:(k + 1) * len(chunks) // n],
+                  *(buf[k] for buf in bufs))
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads, inline = [], [0]
+    for k in range(1, n):
+        thread = threading.Thread(target=run, args=(k,))
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had, e.g. no room for its stack
+            inline.append(k)
+        else:
+            threads.append(thread)
+    for k in inline:
+        run(k)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass
