@@ -16,9 +16,9 @@ sums of exponentials in time and evaluates them by the baby-step/giant-step
 GEMM of trajectory._exp_sum, in K blocks of a fixed
 trajectory._EXP_SUM_BLOCK terms, so that the budget moves no bit of them.
 On any other grid ``_sector_pass`` sweeps (sector block, time chunk) tiles
-of sines and cosines, its time chunks spread over one thread per allowed
-CPU by trajectory._sweep, bit for bit whatever the thread count; it is also
-the reference the uniform route is tested against.
+of sines and cosines, its time chunks spread over up to two threads, one
+per allowed CPU, by trajectory._sweep, bit for bit whatever the thread
+count; it is also the reference the uniform route is tested against.
 """
 
 from __future__ import annotations

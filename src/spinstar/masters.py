@@ -17,8 +17,8 @@ rebuild P_- from P_+.  Both methods run through one tile loop, ``_tiles``,
 blind to the family: per (sector block, time chunk) tile a method fills the
 sector factors f and g, and the loop sums the totals, the sector arrays and
 the J_3^tot series, so that memory does not grow with sectors x times.  The
-time chunks run on one thread per allowed CPU (trajectory._sweep), in one
-shared memory budget, and no bit depends on the thread count:
+time chunks run on up to two threads, one per allowed CPU (trajectory._sweep),
+in one shared memory budget, and no bit depends on the thread count:
 
 * ``_tcl2_fill``: closed forms exp(-Lambda), behind ``tcl2_coherence_m``,
   ``tcl2_population_m`` and ``tcl2_jm``.  Every exponent is read from one

@@ -3,9 +3,10 @@
 Every public solver checks its grid with ``_validate_times``.  The sector
 sums then run per (sector block, time chunk) tile of ``_sector_blocks`` and
 ``_time_chunks`` on any grid, and ``_sweep`` spreads the time chunks over
-one thread per allowed CPU; where ``_uniform_step`` finds a uniform grid,
-a sum of exponentials in time can instead take ``_exp_sum``, which
-evaluates it on the whole grid with one blocked complex GEMM.
+one thread per allowed CPU, up to _MAX_WORKERS; where ``_uniform_step``
+finds a uniform grid, a sum of exponentials in time can instead take
+``_exp_sum``, which evaluates it on the whole grid with one blocked complex
+GEMM.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .sectors import SystemParams
 __all__ = ["Trajectory", "ErrorReport", "compare_trajectories"]
 
 #: bytes allowed for one complex (rows, chunk) temporary of a chunked sum over times,
-#: one budget shared by all the workers of a ``_sweep``, which sizes chunks from a
-#: 1/c share of it for c workers.
+#: one budget shared by all the workers of a ``_sweep``: with c workers the sector
+#: blocks and the time chunks are sized from a 1/c share of it.
 #: Kept below 8 MiB: freeing a larger block raises glibc's dynamic mmap threshold
 #: above the 8 MB temporaries of bench/child.py's host calibration, which then
 #: come from the heap, run faster and skew every calibrated timing.
@@ -32,6 +33,12 @@ _CHUNK_BYTES = 4 * 2**20
 #: time-chunk width that ``_sector_blocks`` sizes its sector blocks for: numpy's
 #: inner loops run along the times, and a 2-wide chunk would make them 2 long
 _CHUNK_WIDTH = 256
+
+#: most threads a ``_sweep`` runs on: the largest count whose gain has been measured
+#: (2 CPUs, BENCH_19.json).  A CPU quota does not shrink the affinity set, so an
+#: uncapped count could start one thread per core of a large host; raise this only
+#: with a measurement on such a host.
+_MAX_WORKERS = 2
 
 #: grid length from which ``_exp_sum`` beats a sweep of every sector-time
 #: point: it evaluates 4 terms per sector at about 2 sqrt(n) times, a sweep 1
@@ -74,15 +81,17 @@ def _validate_times(times) -> np.ndarray:
 def _sector_blocks(lower: np.ndarray, n_times: int, bytes_per_point: int) -> list[slice]:
     """Runs of whole chains covering the sector axis, sized so that time chunks stay wide.
 
-    ``lower`` is a SectorFamily's: a chain starts where it is negative.  A
-    block holds at most _CHUNK_BYTES // (bytes_per_point * min(n_times,
-    _CHUNK_WIDTH)) sectors, or one chain where a chain alone is longer, so a
-    (block, chunk) tile under the budget is about _CHUNK_WIDTH times wide (1/c
-    of that under ``_sweep``'s c workers), or the whole grid where that is
-    shorter.  Kernels carry the sector sum from block to block through
-    ``_add_rows``.
+    ``lower`` is a SectorFamily's: a chain starts where it is negative.  With
+    c = ``_workers()`` and a width w = min(ceil(n_times / c), _CHUNK_WIDTH), a
+    block holds at most _CHUNK_BYTES // c // (bytes_per_point * w) sectors, or
+    one chain where a chain alone is longer, so a (block, chunk) tile in one
+    worker's share of the budget is about _CHUNK_WIDTH times wide, or a 1/c
+    part of the grid where that is shorter.  Kernels carry the sector sum from
+    block to block through ``_add_rows``.
     """
-    cap = max(1, _CHUNK_BYTES // (bytes_per_point * min(n_times, _CHUNK_WIDTH)))
+    c = _workers()
+    width = min(-(-n_times // c), _CHUNK_WIDTH)
+    cap = max(1, _CHUNK_BYTES // c // (bytes_per_point * width))
     blocks, lo, hi = [], 0, 0
     for end in np.append(np.flatnonzero(lower < 0)[1:], lower.size):  # chain ends
         if end - lo > cap and hi > lo:
@@ -199,30 +208,35 @@ def _time_chunks(n_times: int, bytes_per_time: int, workers: int = 1):
 
 
 def _workers() -> int:
-    """Threads a ``_sweep`` may use: the CPUs this process may run on."""
+    """Threads a ``_sweep`` may use: the CPUs this process may run on, at most _MAX_WORKERS."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def _sweep(n_times: int, bytes_per_time: int, buffers, group) -> None:
     """Run ``group(chunks, *tile buffers)`` over the time chunks of range(n_times), in parallel.
 
-    With c = ``_workers()``, the chunks of ``_time_chunks(n_times, bytes_per_time, c)``
-    split into n = min(c, chunks) runs of consecutive chunks, one per worker, so
-    that n workers keep to _CHUNK_BYTES together.  ``buffers(n, width)`` allocates,
-    once, arrays of n equal slices along their first axis for chunks up to
-    ``width`` times wide, and group k gets slice k of each.  Group 0 runs on the
-    calling thread and every other group on a thread of its own, or on the calling
-    thread where that thread cannot be started.  The first exception a group
-    raises reaches the caller once every group has ended.  Groups write disjoint
-    time slices, and the sector sums of ``_add_rows`` do not depend on the
-    chunking, so no bit depends on the worker count.
+    With c = ``_workers()``, the count ``_sector_blocks`` sized the blocks for, n =
+    min(c, _CHUNK_BYTES // (2 bytes_per_time)) workers take the chunks of
+    ``_time_chunks(n_times, bytes_per_time, n)`` in runs of consecutive chunks, one
+    run each (fewer workers where there are fewer chunks).  A chunk then fits a 1/n
+    share of _CHUNK_BYTES, give or take its one-time tail, and the 2-time floor of
+    ``_time_chunks`` is only reached where one worker alone needs it, so the
+    workers keep to one budget together.  ``buffers(n, width)`` allocates, once,
+    arrays of n equal slices along their first axis for chunks up to ``width``
+    times wide, and group k gets slice k of each.  Group 0 runs on the calling
+    thread and every other group on a thread of its own, or on the calling thread
+    where that thread cannot be started.  The first exception a group raises
+    reaches the caller once every group has ended.  Groups write disjoint time
+    slices, and the sector sums of ``_add_rows`` do not depend on the chunking, so
+    no bit depends on the worker count.
     """
-    cpus = _workers()
-    chunks = list(_time_chunks(n_times, bytes_per_time, cpus))
-    n = min(cpus, len(chunks))
+    n = min(_workers(), max(1, _CHUNK_BYTES // (2 * bytes_per_time)))
+    chunks = list(_time_chunks(n_times, bytes_per_time, n))
+    n = min(n, len(chunks))
     bufs = buffers(n, max(sl.stop - sl.start for sl in chunks))
     errors = []
 

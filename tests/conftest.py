@@ -14,9 +14,9 @@ def run_capped():
 
     The cap (RLIMIT_AS) is set in the child only, and BLAS runs on one thread
     so its buffers do not scale with the core count.  The sector sweeps still
-    run one thread per allowed CPU: their tile buffers share one budget, but
-    each thread's stack counts toward the cap, and a thread that cannot start
-    leaves its share of the sweep to the calling thread.
+    run up to two threads, one per allowed CPU: their tile buffers share one
+    budget, but each thread's stack counts toward the cap, and a thread that
+    cannot start leaves its share of the sweep to the calling thread.
     """
 
     def run(source: str, cap_mib: int) -> subprocess.CompletedProcess:

@@ -153,6 +153,7 @@ def test_time_chunks_do_not_change_the_result(monkeypatch):
     fam = sector_family(p, "jm")
     rows = fam.w.size + np.count_nonzero(fam.lower < 0)  # one row per Rabi pair
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * rows * 7)  # 7 times per chunk
+    monkeypatch.setattr(trajectory, "_workers", lambda: 1)  # the chunks counted below run
     assert len(list(trajectory._time_chunks(t.size, 16 * rows))) == 9
     chunked = exact_trajectory(p, t)
     np.testing.assert_allclose(chunked.p_plus, whole.p_plus, rtol=0, atol=1e-15)

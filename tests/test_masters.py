@@ -379,6 +379,7 @@ class TestTimeChunks:
         whole = fn(PARAMS, self.T, return_sectors=return_sectors)
         n_sectors = 12  # the jm table of N = 5; 3 chunks of the m table (6 sectors)
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * n_sectors * 5)
+        monkeypatch.setattr(trajectory, "_workers", lambda: 1)  # the chunks counted below run
         assert len(list(trajectory._time_chunks(self.T.size, 16 * n_sectors))) == 26
         chunked = fn(PARAMS, self.T, return_sectors=return_sectors)
         if return_sectors:

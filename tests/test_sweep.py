@@ -21,8 +21,9 @@ from spinstar.volterra import NumericsError
 PARAMS = SystemParams(N=5, A=0.08, omega0=1.1, initial_p_plus=0.7, initial_coh=0.25 - 0.15j)
 GRIDS = {"geometric": np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)]),
          "uniform": np.linspace(0.0, 25.0, 127)}
-#: a budget of 5 times per chunk for the 12 jm sectors of N = 5 at 16 bytes per point
-BUDGET = 16 * 12 * 5
+#: room for the 2-time chunks of 8 workers on the longest chain of N = 5 (6 sectors)
+#: at 32 bytes per point: every worker count below runs in full, on many chunks
+BUDGET = 8 * 2 * 32 * 6
 
 
 def _workers(monkeypatch, n):
@@ -39,6 +40,31 @@ def _count_thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counting)
     return started
+
+
+def _record_sweeps(monkeypatch, *modules):
+    """One dict per ``_sweep`` call of ``modules``: its bytes per time, its workers, the
+    bytes of the buffers it allocates, and the (start, stop) of every chunk it runs."""
+    calls, sweep = [], trajectory._sweep
+
+    def recording(n_times, bytes_per_time, buffers, group):
+        call = {"bytes_per_time": bytes_per_time, "chunks": []}
+        calls.append(call)
+
+        def counted(n, width):
+            bufs = buffers(n, width)
+            call.update(workers=n, buffer_bytes=sum(buf.nbytes for buf in bufs))
+            return bufs
+
+        def recorded(chunks, *bufs):
+            call["chunks"].extend((sl.start, sl.stop) for sl in chunks)
+            group(chunks, *bufs)
+
+        sweep(n_times, bytes_per_time, counted, recorded)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_sweep", recording)
+    return calls
 
 
 def _arrays(method, family, t):
@@ -69,11 +95,13 @@ def test_worker_count_changes_no_bit(monkeypatch, solve, grid):
     whole = solve(t)  # one chunk
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)
     started = _count_thread_starts(monkeypatch)
+    calls = _record_sweeps(monkeypatch, masters, exact)
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
-        del started[:]
+        del started[:], calls[:]
         got = solve(t)
         assert (len(started) > 0) == (n > 1)
+        assert calls and all(call["workers"] == n for call in calls)
         for a, b in zip(got, whole, strict=True):
             np.testing.assert_array_equal(a, b)
 
@@ -91,6 +119,54 @@ def test_more_workers_than_cpus_under_frequent_thread_switches(monkeypatch):
         sys.setswitchinterval(interval)
     for a, b in zip(got, ref, strict=True):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_spins, workers", [(10**4, 6), (10**5, 1)], ids=["N=1e4", "N=1e5"])
+def test_many_workers_keep_to_one_budget(monkeypatch, n_spins, workers):
+    # the m family is one chain of N + 1 sectors, a block of its own at 32 bytes per
+    # sector-time point: the 2-time chunks of 6 workers fit the budget at N = 10^4, and
+    # at N = 10^5 one worker's alone overflow it; 40 times leave no 1-time tail
+    p = SystemParams(N=n_spins, A=0.1 / (2 * n_spins), omega0=1.0, initial_p_plus=0.7)
+    t = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 39)])
+    _workers(monkeypatch, 1)
+    ref = tcl2_population_m(p, t).p_plus
+    _workers(monkeypatch, 64)
+    calls = _record_sweeps(monkeypatch, masters)
+    got = tcl2_population_m(p, t).p_plus
+    (call,) = calls
+    assert call["workers"] == workers
+    assert call["buffer_bytes"] <= max(trajectory._CHUNK_BYTES, 2 * call["bytes_per_time"])
+    np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_tiles_stay_wide_whatever_the_worker_count(monkeypatch, workers):
+    # closed_form_long's TCL2-jm sweep (N = 101 on 2001 times) and the exact sector
+    # pass on as many geometric times: the workers divide the sector blocks, not the
+    # chunk width.  Every chunk but the last is _CHUNK_WIDTH wide or wider in the TCL2
+    # tiles; the exact pass sizes its blocks by sectors but its tiles by Rabi pair
+    # rows, one more per chain, which may take an eighth off
+    p = SystemParams(N=101, A=0.1 / 202, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
+    _workers(monkeypatch, workers)
+    calls = _record_sweeps(monkeypatch, masters, exact)
+    masters.tcl2_jm(p, 0.5 * np.arange(2001))
+    exact._sector_pass(p, sector_family(p, "jm"),
+                       np.concatenate([[0.0], np.geomspace(0.05, 1000.0, 2000)]), True)
+    for call, floor in zip(calls, (trajectory._CHUNK_WIDTH, trajectory._CHUNK_WIDTH * 7 // 8),
+                           strict=True):
+        assert call["workers"] == workers
+        chunks = sorted(call["chunks"])
+        assert chunks[0][0] == 0 and chunks[-1][1] == 2001
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert min(stop - start for start, stop in chunks[:-1]) >= floor
+
+
+def test_the_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    assert trajectory._workers() == trajectory._MAX_WORKERS == 2
+    monkeypatch.setattr(trajectory.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert trajectory._workers() == 1
 
 
 class _Boom(Exception):

@@ -102,6 +102,7 @@ def test_sector_blocks_are_runs_of_whole_chains(monkeypatch):
     p = SystemParams(N=10, A=0.07, omega0=1.2)
     jm, m = sector_family(p, "jm").lower, sector_family(p, "m").lower
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * trajectory._CHUNK_WIDTH * 8)
+    monkeypatch.setattr(trajectory, "_workers", lambda: 1)  # the whole budget for one worker
     spans = [(b.start, b.stop) for b in trajectory._sector_blocks(jm, 300, 16)]
     assert spans == [(0, 4), (4, 9), (9, 16), (16, 25), (25, 36)]
     # the cap scales with the grid below _CHUNK_WIDTH times: 64 times allow 32 sectors
