@@ -446,18 +446,20 @@ def projection_family(
     1/tr(Pi_i) factor in A_i, a deliberately broken family used as a
     negative control.
     """
+    if N < 1:
+        raise ValueError(f"projection diagnostics need at least one bath spin, got N = {N}")
     _require_capacity(N, MAX_DENSE_BATH_SPINS, "projection diagnostics")
+    if product_bath not in ("mixed", "polarized"):
+        raise ValueError(f"unknown product_bath {product_bath!r}")
     d = 1 << N
     states = _sector_states(N)
     pairs = []
     if family == "product":
         if product_bath == "mixed":
             a = np.eye(d) if corrupt_normalization else np.eye(d) / d
-        elif product_bath == "polarized":
+        else:
             a = np.zeros((d, d))
             a[0, 0] = 1.0  # all bath spins up
-        else:
-            raise ValueError(f"unknown product_bath {product_bath!r}")
         return [(a, np.eye(d))]
     if family == "m":
         for tm in range(-N, N + 1, 2):
@@ -478,47 +480,60 @@ def projection_family(
     raise ValueError(f"unknown projection family {family!r}")
 
 
-def _stack_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The A_i and the B_i of a projection family, each stacked into one (n_pairs, d, d) array."""
-    return np.stack([a_i for a_i, _ in pairs]), np.stack([b_i for _, b_i in pairs])
+def _sector_blocks(pairs, N: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """A projection family as its bath J_3 sector blocks, (S, touched, A, B) per sector S.
 
-
-def _apply_projection(stacked, x: np.ndarray, N: int, adjoint: bool = False) -> np.ndarray:
-    """Apply P (or its Hilbert-Schmidt adjoint) to a full-space operator.
-
-    ``stacked`` is the (A, B) pair of ``_stack_pairs``.
+    ``touched`` indexes the pairs with weight in S, and A, B stack their
+    A_i[S, S], B_i[S, S]: a pair keeps its blocks in every sector it touches.
+    Asserts that no A_i or B_i has weight outside these blocks.
     """
-    d = 1 << N
-    a, b = stacked
-    left, right = (a, b) if adjoint else (b, a)
-    # tr_E{(I (x) left_i) x}[a, b] = sum_{n,k} left_i[n,k] x[(a,k),(b,n)]
-    sys_part = np.tensordot(left, x.reshape(2, d, 2, d), ([1, 2], [3, 1]))
-    out = np.tensordot(sys_part, right, (0, 0)).transpose(0, 2, 1, 3)
-    return out.reshape(2 * d, 2 * d)
-
-
-def _min_choi_eigenvalue(pairs, N: int) -> float:
-    """Smallest eigenvalue of the Choi matrix sum_i B_i^T (x) A_i, block by block.
-
-    Asserts that no A_i or B_i has weight outside the bath J_3 sector blocks.
-    The Choi matrix is then block diagonal over sector pairs (S_x, S_y), with
-    the block sum_i B_i[S_x, S_x]^T (x) A_i[S_y, S_y] of size |S_x| |S_y|.
-    All blocks, zero blocks included, carry the 4^N eigenvalues between them.
-    """
-    sectors = _sector_states(N).values()
     two_m = _bath_two_m(N)
     outside = two_m[:, None] != two_m[None, :]
     if any(np.any(a_i[outside]) or np.any(b_i[outside]) for a_i, b_i in pairs):
         raise AssertionError("projection family is not block diagonal in the bath J_3 sectors")
-    a_blocks = [np.stack([a_i[np.ix_(s, s)] for a_i, _ in pairs]) for s in sectors]
-    b_blocks = [np.stack([b_i[np.ix_(s, s)] for _, b_i in pairs]) for s in sectors]
+    blocks = []
+    for s in _sector_states(N).values():
+        a = np.stack([a_i[np.ix_(s, s)] for a_i, _ in pairs])
+        b = np.stack([b_i[np.ix_(s, s)] for _, b_i in pairs])
+        touched = np.flatnonzero(np.any(a, axis=(1, 2)) | np.any(b, axis=(1, 2)))
+        blocks.append((s, touched, a[touched], b[touched]))
+    return blocks
+
+
+def _project(blocks, n_pairs: int, x_blocks, adjoint: bool = False) -> list[np.ndarray]:
+    """Apply P (or its Hilbert-Schmidt adjoint) to the sector-diagonal blocks of an operator.
+
+    ``x_blocks[S]`` is x[rows, rows], rows = (S, 2^N + S), with any leading
+    axes.  P reads only these blocks and returns an operator made of them;
+    a pair's partial traces are summed over all its sectors before the (x) A_i.
+    """
+    lead = x_blocks[0].shape[:-2]
+    c = np.zeros(lead + (2, 2, n_pairs), dtype=np.result_type(*x_blocks))
+    for (s, idx, a, b), x in zip(blocks, x_blocks):
+        # tr_E{(I (x) left_i) x}[a, b] = sum_{n,k} left_i[n,k] x[(a,k),(b,n)]
+        x = x.reshape(lead + (2, s.size, 2, s.size))
+        c[..., idx] += np.tensordot(x, a if adjoint else b, ([-3, -1], [2, 1]))
+    return [np.tensordot(c[..., idx], b if adjoint else a, (-1, 0)).swapaxes(-3, -2)
+            .reshape(lead + (2 * s.size, 2 * s.size)) for s, idx, a, b in blocks]
+
+
+def _min_choi_eigenvalue(blocks) -> float:
+    """Smallest eigenvalue of the Choi matrix sum_i B_i^T (x) A_i, from ``_sector_blocks``.
+
+    The Choi matrix is block diagonal over sector pairs (S_x, S_y), with the
+    block sum_i B_i[S_x, S_x]^T (x) A_i[S_y, S_y] of size |S_x| |S_y|; all
+    blocks carry the 4^N eigenvalues between them.  A block that no pair has
+    weight in is exactly zero and adds an exact 0 without a diagonalization.
+    """
     lowest = np.inf
-    for bx in b_blocks:
-        for ay in a_blocks:
+    for _, tx, _, bx in blocks:
+        for _, ty, ay, _ in blocks:
+            _, ix, iy = np.intersect1d(tx, ty, assume_unique=True, return_indices=True)
             # kron(B^T, A)[(p, q), (r, s)] = B[r, p] A[q, s], summed over the pairs
-            block = np.tensordot(bx, ay, axes=(0, 0)).transpose(1, 2, 0, 3)
+            block = np.tensordot(bx[ix], ay[iy], axes=(0, 0)).transpose(1, 2, 0, 3)
             n = bx.shape[1] * ay.shape[1]
-            lowest = min(lowest, np.linalg.eigvalsh(block.reshape(n, n))[0])
+            eig = np.linalg.eigvalsh(block.reshape(n, n))[0] if np.any(block) else 0.0
+            lowest = min(lowest, eig)
     return float(lowest)
 
 
@@ -526,14 +541,13 @@ def _min_choi_eigenvalue(pairs, N: int) -> float:
 class ProjectionConditionReport:
     """Numerical residuals of the projection consistency conditions.
 
-    ``idempotency_defect``: max |tr(B_i A_j) - delta_ij|.
+    Each is computed on the bath J_3 sector blocks of the family, never on a
+    dense matrix.  ``idempotency_defect``: max |tr(B_i A_j) - delta_ij|.
     ``trace_defect``: max-norm of sum_i tr(A_i) B_i - I.
     ``min_choi_eigenvalue``: smallest eigenvalue of the Choi matrix
     sum_i B_i^T (x) A_i (non-negative iff the projection is completely
-    positive).  Every A_i and B_i is block diagonal in the bath J_3 sectors,
-    so the Choi matrix is block diagonal over sector pairs (S_x, S_y) and the
-    minimum is taken over the spectra of those blocks (at most
-    C(N, N/2)^2 = 400 states each at N = 6).
+    positive), over its sector-pair blocks (S_x, S_y) of at most
+    C(N, N/2)^2 = 400 states at N = 6; 42 of the 49 are zero under "jm".
     ``j3_invariance_defect``: max-norm of P^dagger(J_3^tot) - J_3^tot.
     ``j2_invariance_defect``: same for the bath J^2 (expected zero only for
     the jm family).
@@ -557,40 +571,29 @@ def check_projection_conditions(
             "sector-pair blocks of up to C(N, N/2)^2 states; N <= 6 only"
         )
     pairs = projection_family(N, family, corrupt_normalization)
-    stacked = a, b = _stack_pairs(pairs)
-    d = 1 << N
+    n_pairs, blocks = len(pairs), _sector_blocks(pairs, N)
 
-    gram = np.einsum("pkl,qlk->pq", b, a)  # tr(B_p A_q)
-    idem = float(np.max(np.abs(gram - np.eye(len(pairs)))))
+    gram, tr_a = np.zeros((n_pairs, n_pairs)), np.zeros(n_pairs)  # tr(B_p A_q), tr(A_p)
+    for _, idx, a, b in blocks:
+        gram[np.ix_(idx, idx)] += np.einsum("pkl,qlk->pq", b, a)
+        tr_a[idx] += np.trace(a, axis1=1, axis2=2)
 
-    resolution = np.tensordot(np.trace(a, axis1=1, axis2=2), b, 1)  # sum_i tr(A_i) B_i
-    trace_defect = float(np.max(np.abs(resolution - np.eye(d))))
-
-    min_eig = _min_choi_eigenvalue(pairs, N)
+    def defect(xs, ys) -> float:
+        # every operator compared here vanishes outside the sector blocks
+        return max(float(np.max(np.abs(x - y))) for x, y in zip(xs, ys))
 
     states = _sector_states(N)
-    two_m = _bath_two_m(N)
-    j3tot = np.diag(np.concatenate([0.5 + 0.5 * two_m, -0.5 + 0.5 * two_m]))
-    j3_defect = float(
-        np.max(np.abs(_apply_projection(stacked, j3tot, N, adjoint=True) - j3tot))
-    )
-
-    j2_bath = np.zeros((d, d))
-    for tm in range(-N, N + 1, 2):
-        rows = states[tm]
-        j2_bath[np.ix_(rows, rows)] = _j2_sector(N, tm, states)
-    j2_full = np.kron(np.eye(2), j2_bath)
-    j2_defect = float(
-        np.max(np.abs(_apply_projection(stacked, j2_full, N, adjoint=True) - j2_full))
-    )
-
+    j3tot = [np.kron(np.diag([0.5 + 0.5 * tm, -0.5 + 0.5 * tm]), np.eye(s.size))
+             for tm, s in states.items()]
+    j2_full = [np.kron(np.eye(2), _j2_sector(N, tm, states)) for tm in states]
     return ProjectionConditionReport(
         family=family,
-        idempotency_defect=idem,
-        trace_defect=trace_defect,
-        min_choi_eigenvalue=min_eig,
-        j3_invariance_defect=j3_defect,
-        j2_invariance_defect=j2_defect,
+        idempotency_defect=float(np.max(np.abs(gram - np.eye(n_pairs)))),
+        trace_defect=defect([np.tensordot(tr_a[idx], b, 1) for _, idx, _, b in blocks],
+                            [np.eye(s.size) for s in states.values()]),
+        min_choi_eigenvalue=_min_choi_eigenvalue(blocks),
+        j3_invariance_defect=defect(_project(blocks, n_pairs, j3tot, adjoint=True), j3tot),
+        j2_invariance_defect=defect(_project(blocks, n_pairs, j2_full, adjoint=True), j2_full),
     )
 
 
@@ -616,43 +619,38 @@ def check_plp_zero(
     ``interaction="full"`` keeps the diagonal part in the perturbation
     (negative control together with ``family="product"``,
     ``product_bath="polarized"``).
+
+    P X has weight only in the bath J_3 sector-diagonal blocks, and P reads
+    only those, so only those blocks of each commutator are formed, stacked
+    over the times.  The random operators are drawn one at a time.
     """
     _require_capacity(params.N, MAX_DENSE_BATH_SPINS, "the PLP diagnostic")
     if interaction not in ("flip_flop", "full"):
         raise ValueError(f"unknown interaction {interaction!r}")
-    N = params.N
-    d = 1 << N
-    stacked = _stack_pairs(projection_family(N, family, product_bath=product_bath))
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    N, d = params.N, 1 << params.N
+    pairs = projection_family(N, family, product_bath=product_bath)
+    n_pairs, blocks = len(pairs), _sector_blocks(pairs, N)
+    del pairs
 
-    h_full = build_hamiltonian(params)
-    zsum = _zeeman_sums(N, np.full(N, params.A))
-    if interaction == "flip_flop":
-        h0_diag = np.concatenate(
-            [0.5 * params.omega0 + zsum, -0.5 * params.omega0 - zsum]
-        )
-    else:
-        h0_diag = np.concatenate(
-            [np.full(d, 0.5 * params.omega0), np.full(d, -0.5 * params.omega0)]
-        )
-    h_int = h_full - np.diag(h0_diag)
+    zsum = _zeeman_sums(N, np.full(N, params.A)) if interaction == "flip_flop" else np.zeros(d)
+    h0_diag = np.concatenate([0.5 * params.omega0 + zsum, -0.5 * params.omega0 - zsum])
+    h_int = build_hamiltonian(params) - np.diag(h0_diag)
+
+    # the sector blocks of H_I(t) = e^{i H_0 t} H_I e^{-i H_0 t}, stacked over the times
+    rows = [np.concatenate([s, d + s]) for s, *_ in blocks]
+    h_ts = []
+    for r in rows:
+        ph = np.array([np.exp(1j * h0_diag[r] * t) for t in _PLP_TIMES])
+        h_ts.append((ph[:, :, None] * h_int[np.ix_(r, r)]) * ph.conj()[:, None, :])
 
     rng = np.random.default_rng(_PLP_SEED)
-    dim = 2 * d
-    samples = []
-    for _ in range(n_samples):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        g = 0.5 * (g + g.conj().T)  # Hermitian, like a (unnormalized) state
-        samples.append(g)
-
-    h_ts = []
-    for t in _PLP_TIMES:
-        ph = np.exp(1j * h0_diag * t)
-        h_ts.append((ph[:, None] * h_int) * ph.conj()[None, :])
-
     worst = 0.0
-    for x in samples:
-        px = _apply_projection(stacked, x, N)
-        for h_t in h_ts:
-            lr = -1j * (h_t @ px - px @ h_t)
-            worst = max(worst, float(np.max(np.abs(_apply_projection(stacked, lr, N)))))
+    for _ in range(n_samples):
+        g = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+        g = 0.5 * (g + g.conj().T)  # Hermitian, like a (unnormalized) state
+        px = _project(blocks, n_pairs, [g[np.ix_(r, r)] for r in rows])
+        lr = [-1j * (h_t @ p - p @ h_t) for h_t, p in zip(h_ts, px)]
+        worst = max([worst] + [float(np.max(np.abs(y))) for y in _project(blocks, n_pairs, lr)])
     return worst

@@ -1,4 +1,8 @@
 import ast
+import os
+import shutil
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -12,10 +16,11 @@ from spinstar.oracle import (
     MAX_BATH_SPINS,
     MAX_DENSE_BATH_SPINS,
     CapacityError,
-    _apply_projection,
     _min_choi_eigenvalue,
     _phase_sum,
     _phase_table,
+    _project,
+    _sector_blocks,
     build_hamiltonian,
     check_plp_zero,
     check_projection_conditions,
@@ -294,21 +299,57 @@ class TestProjectionConditions:
         with pytest.raises(ValueError):
             projection_family(2, "bogus")
 
+    @pytest.mark.parametrize("family", ["m", "jm", "product"])
+    def test_unknown_product_bath_for_every_family(self, family):
+        with pytest.raises(ValueError, match="unknown product_bath 'bogus'"):
+            projection_family(3, family, product_bath="bogus")
+
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_bath_without_spins(self, N):
+        message = f"at least one bath spin, got N = {N}"
+        with pytest.raises(ValueError, match=message):
+            projection_family(N, "m")
+        with pytest.raises(ValueError, match=message):
+            check_projection_conditions(N, "jm")
+
+
+def sector_rows(N):
+    """Full-space rows (S, 2^N + S) of every bath J_3 sector S, as _sector_blocks orders them."""
+    two_m = np.array([N - 2 * bin(n).count("1") for n in range(1 << N)])
+    return [np.flatnonzero(np.tile(two_m, 2) == tm) for tm in range(-N, N + 1, 2)]
+
 
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_stacked_projection_matches_the_partial_trace_definition(adjoint):
-    # unsymmetric pairs, so that a transposed contraction cannot pass
-    N, d = 2, 4
+    # unsymmetric pairs, so that a transposed contraction cannot pass, block diagonal in
+    # the bath J_3 sectors {0}, {1, 2, 4}, {3, 5, 6}, {7} of N = 3; each pair touches other
+    # sectors, the third has its A in one sector and its B in two, the last spans them all
+    N, d = 3, 8
     rng = np.random.default_rng(5)
-    a, b = rng.standard_normal((2, 3, d, d))
-    x = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
-    ref = sum(
-        # P x = sum_i tr_E{(I (x) B_i) x} (x) A_i, and the adjoint swaps A_i and B_i
-        np.kron(reduce_central(np.kron(np.eye(2), left) @ x, N), right)
-        for left, right in (zip(a, b) if adjoint else zip(b, a))
-    )
-    np.testing.assert_allclose(_apply_projection((a, b), x, N, adjoint=adjoint), ref,
-                               rtol=0, atol=1e-13)
+    sectors = [np.array([0]), np.array([1, 2, 4]), np.array([3, 5, 6]), np.array([7])]
+    support = [([1], [1]), ([0, 2], [0, 2]), ([3], [2, 3]), ([0, 1, 2, 3], [0, 1, 2, 3])]
+    pairs = []
+    for a_sectors, b_sectors in support:
+        a, b = np.zeros((2, d, d))
+        for op, chosen in ((a, a_sectors), (b, b_sectors)):
+            for k in chosen:
+                s = sectors[k]
+                op[np.ix_(s, s)] = rng.standard_normal((s.size, s.size))
+        pairs.append((a, b))
+    x = rng.standard_normal((2, 2 * d, 2 * d)) + 1j * rng.standard_normal((2, 2 * d, 2 * d))
+    rows = sector_rows(N)
+    out = _project(_sector_blocks(pairs, N), len(pairs), [x[:, r[:, None], r] for r in rows],
+                   adjoint=adjoint)
+    for sample in range(2):
+        ref = sum(
+            # P x = sum_i tr_E{(I (x) B_i) x} (x) A_i, and the adjoint swaps A_i and B_i
+            np.kron(reduce_central(np.kron(np.eye(2), left) @ x[sample], N), right)
+            for left, right in ((a, b) if adjoint else (b, a) for a, b in pairs)
+        )
+        got = np.zeros_like(ref)
+        for r, block in zip(rows, out):
+            got[np.ix_(r, r)] = block[sample]
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
 
 
 class TestBlockChoiSpectrum:
@@ -329,16 +370,22 @@ class TestBlockChoiSpectrum:
     )
     def test_matches_dense_reference(self, N, family, kwargs):
         pairs = projection_family(N, family, **kwargs)
-        assert abs(_min_choi_eigenvalue(pairs, N) - self.dense_min_eigenvalue(pairs)) <= 1e-14
+        got = _min_choi_eigenvalue(_sector_blocks(pairs, N))
+        assert abs(got - self.dense_min_eigenvalue(pairs)) <= 1e-14
 
-    def test_weight_outside_the_sector_blocks_is_rejected(self):
+    def test_weight_outside_the_sector_blocks_is_rejected(self, monkeypatch):
+        # every diagnostic, not only the Choi spectrum, takes the family's sector blocks
         d = 4  # N = 2: sectors {0}, {1, 2}, {3}
-        with pytest.raises(AssertionError, match="block diagonal"):
-            _min_choi_eigenvalue([(np.full((d, d), 1.0 / d), np.eye(d))], 2)
         b = np.eye(d)
         b[0, 3] = b[3, 0] = 0.5  # couples the all-up and all-down bath states
-        with pytest.raises(AssertionError, match="block diagonal"):
-            _min_choi_eigenvalue([(np.eye(d) / d, b)], 2)
+        for pairs in ([(np.full((d, d), 1.0 / d), np.eye(d))], [(np.eye(d) / d, b)]):
+            with pytest.raises(AssertionError, match="block diagonal"):
+                _sector_blocks(pairs, 2)
+            monkeypatch.setattr(spinstar.oracle, "projection_family", lambda *_, **__: pairs)
+            with pytest.raises(AssertionError, match="block diagonal"):
+                check_projection_conditions(2, "m")
+            with pytest.raises(AssertionError, match="block diagonal"):
+                check_plp_zero(SystemParams(N=2, A=0.2, omega0=1.0), family="m")
 
 
 _CAPPED_CHILD = textwrap.dedent(
@@ -378,6 +425,77 @@ class TestFirstOrderTermVanishes:
         )
         assert res > 0.1
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_is_an_error(self, n_samples):
+        with pytest.raises(ValueError, match=f"n_samples must be at least 1, got {n_samples}"):
+            check_plp_zero(self.PARAMS, family="m", interaction="full", n_samples=n_samples)
+
+
+def dense_plp_residual(params, family, interaction, product_bath, n_samples):
+    """check_plp_zero on dense 2^(N+1) matrices: every pair, full commutators."""
+    N, d = params.N, 1 << params.N
+    pairs = projection_family(N, family, product_bath=product_bath)
+    a, b = np.stack([a_i for a_i, _ in pairs]), np.stack([b_i for _, b_i in pairs])
+
+    def project(x):
+        # tr_E{(I (x) B_i) x}[a, b] = sum_{n,k} B_i[n,k] x[(a,k),(b,n)], then (x) A_i
+        sys_part = np.tensordot(b, x.reshape(2, d, 2, d), ([1, 2], [3, 1]))
+        return np.tensordot(sys_part, a, (0, 0)).transpose(0, 2, 1, 3).reshape(2 * d, 2 * d)
+
+    h = build_hamiltonian(params)
+    # H_0 is the diagonal of H under the flip-flop split, the central spin's Zeeman term otherwise
+    h0 = np.diag(h) if interaction == "flip_flop" else np.repeat([0.5, -0.5], d) * params.omega0
+    h_int = h - np.diag(h0)
+    rng = np.random.default_rng(spinstar.oracle._PLP_SEED)
+    samples = []
+    for _ in range(n_samples):
+        g = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+        samples.append(0.5 * (g + g.conj().T))
+    worst = 0.0
+    for x in samples:
+        px = project(x)
+        for t in spinstar.oracle._PLP_TIMES:
+            ph = np.exp(1j * h0 * t)
+            h_t = (ph[:, None] * h_int) * ph.conj()[None, :]
+            worst = max(worst, float(np.max(np.abs(project(-1j * (h_t @ px - px @ h_t))))))
+    return worst
+
+
+@pytest.mark.parametrize("interaction", ["flip_flop", "full"])
+@pytest.mark.parametrize(
+    "family, product_bath",
+    [("m", "mixed"), ("jm", "mixed"), ("product", "mixed"), ("product", "polarized")],
+)
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_plp_residual_matches_the_dense_route(N, family, product_bath, interaction):
+    params = SystemParams(N=N, A=0.2, omega0=1.0)
+    args = (params, family, interaction, product_bath, 4)
+    got, ref = check_plp_zero(*args), dense_plp_residual(*args)
+    if ref == 0.0:  # every flip-flop case: P reads no weight of H_I(t) P X
+        assert got == 0.0
+    elif ref < 1e-14:  # the mixed product bath under the full coupling: zero up to rounding
+        assert got < 1e-14
+    else:
+        assert abs(got - ref) <= 1e-13 * ref
+
+
+_CAPPED_PLP_CHILD = textwrap.dedent(
+    """
+    from spinstar.oracle import check_plp_zero
+    from spinstar.sectors import SystemParams
+
+    assert check_plp_zero(SystemParams(N=8, A=0.2, omega0=1.0), family="jm") == 0.0
+    """
+)
+
+
+def test_plp_check_at_eight_spins_fits_a_memory_cap(run_capped):
+    # dense, the ten 512 x 512 complex samples, the five interaction-picture
+    # Hamiltonians and the stacked pairs need about 280 MiB of address space;
+    # the sector blocks stay near 175 MiB, most of it the interpreter and numpy
+    proc = run_capped(_CAPPED_PLP_CHILD, cap_mib=224)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
 
 def test_oracle_is_independent_of_the_sector_combinatorics():
     """The oracle takes only SystemParams from sectors, never the (j, m) tables."""
@@ -399,3 +517,18 @@ def test_oracle_is_independent_of_the_sector_combinatorics():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not {"sector_family", "SectorFamily"} & (names | attrs)
+
+
+def test_projection_demo_runs_and_its_controls_fail(tmp_path):
+    # a copy, because the demos write next to themselves
+    demo = Path(__file__).resolve().parents[1] / "demos" / "demo_projection_checks.py"
+    script = tmp_path / demo.name
+    shutil.copy(demo, script)
+    src = str(Path(spinstar.oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    controls = [float(line.split()[-2]) for line in proc.stdout.splitlines()
+                if line.endswith("(control)")]
+    assert len(controls) == 2 and min(controls) > 0.1, proc.stdout
