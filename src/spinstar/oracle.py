@@ -35,7 +35,6 @@ __all__ = [
     "OracleResult",
     "propagate",
     "build_hamiltonian",
-    "projection_family",
     "check_projection_conditions",
     "ProjectionConditionReport",
     "check_plp_zero",
@@ -45,7 +44,8 @@ __all__ = [
 #: with resolve="none" on one BLAS thread take 11 s and 376 MB peak RSS at N = 12, and
 #: took 448 s and 4.5 GB at N = 14 before the phase sums became real GEMMs
 MAX_BATH_SPINS = 14
-#: cap for the diagnostics that build full 2^(N+1)-dimensional matrices
+#: cap for what still builds full 2^(N+1)-dimensional matrices: ``build_hamiltonian``,
+#: the ODE oracle and the raw random draws of ``check_plp_zero``
 MAX_DENSE_BATH_SPINS = 8
 
 
@@ -433,71 +433,47 @@ def _propagate_ode(params: SystemParams, t: np.ndarray, opts) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def projection_family(
-    N: int, family: str, corrupt_normalization: bool = False,
-    product_bath: str = "mixed",
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (A_i, B_i) pairs of the projection P rho = sum_i tr_E{B_i rho} (x) A_i.
+def _family_blocks(
+    N: int, family: str, corrupt_normalization: bool = False, product_bath: str = "mixed",
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
+    """The projection P rho = sum_i tr_E{B_i rho} (x) A_i as its bath J_3 sector blocks.
 
-    Families: "m" (bath J_3 eigenprojectors), "jm" (joint (J^2, J_3)
-    eigenprojectors), "product" (single pair whose bath reference state is
-    maximally mixed, or the all-up pure state for
-    ``product_bath="polarized"``).  ``corrupt_normalization`` skips the
-    1/tr(Pi_i) factor in A_i, a deliberately broken family used as a
-    negative control.
+    Returns (n_pairs, blocks) with one (S, touched, A, B) per sector S:
+    ``touched`` indexes the pairs with weight in S, and A, B stack their
+    blocks A_i[S, S], B_i[S, S].  Families: "m" (bath J_3 eigenprojectors),
+    "jm" (joint (J^2, J_3) eigenprojectors), "product" (a single pair whose
+    bath reference state is maximally mixed, or the all-up pure state for
+    ``product_bath="polarized"``; it touches every sector).
+    ``corrupt_normalization`` skips the 1/tr(Pi_i) factor in A_i, a
+    deliberately broken family used as a negative control.  Every family is
+    block diagonal by construction.
     """
     if N < 1:
         raise ValueError(f"projection diagnostics need at least one bath spin, got N = {N}")
-    _require_capacity(N, MAX_DENSE_BATH_SPINS, "projection diagnostics")
     if product_bath not in ("mixed", "polarized"):
         raise ValueError(f"unknown product_bath {product_bath!r}")
-    d = 1 << N
+    if family not in ("m", "jm", "product"):
+        raise ValueError(f"unknown projection family {family!r}")
     states = _sector_states(N)
-    pairs = []
-    if family == "product":
-        if product_bath == "mixed":
-            a = np.eye(d) if corrupt_normalization else np.eye(d) / d
-        else:
-            a = np.zeros((d, d))
-            a[0, 0] = 1.0  # all bath spins up
-        return [(a, np.eye(d))]
-    if family == "m":
-        for tm in range(-N, N + 1, 2):
-            pi = np.zeros((d, d))
-            pi[states[tm], states[tm]] = 1.0
-            a = pi if corrupt_normalization else pi / states[tm].size
-            pairs.append((a, pi))
-        return pairs
-    if family == "jm":
-        for tm in range(-N, N + 1, 2):
-            rows = states[tm]
-            for tj, xj in sorted(_j2_eigenblocks(N, tm, states).items()):
-                pi = np.zeros((d, d))
-                pi[np.ix_(rows, rows)] = xj @ xj.conj().T
-                a = pi if corrupt_normalization else pi / xj.shape[1]
-                pairs.append((a, pi))
-        return pairs
-    raise ValueError(f"unknown projection family {family!r}")
-
-
-def _sector_blocks(pairs, N: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """A projection family as its bath J_3 sector blocks, (S, touched, A, B) per sector S.
-
-    ``touched`` indexes the pairs with weight in S, and A, B stack their
-    A_i[S, S], B_i[S, S]: a pair keeps its blocks in every sector it touches.
-    Asserts that no A_i or B_i has weight outside these blocks.
-    """
-    two_m = _bath_two_m(N)
-    outside = two_m[:, None] != two_m[None, :]
-    if any(np.any(a_i[outside]) or np.any(b_i[outside]) for a_i, b_i in pairs):
-        raise AssertionError("projection family is not block diagonal in the bath J_3 sectors")
-    blocks = []
-    for s in _sector_states(N).values():
-        a = np.stack([a_i[np.ix_(s, s)] for a_i, _ in pairs])
-        b = np.stack([b_i[np.ix_(s, s)] for _, b_i in pairs])
-        touched = np.flatnonzero(np.any(a, axis=(1, 2)) | np.any(b, axis=(1, 2)))
-        blocks.append((s, touched, a[touched], b[touched]))
-    return blocks
+    if family == "product":  # one pair, touching every sector
+        blocks = []
+        for tm, s in states.items():
+            if product_bath == "polarized":
+                a = np.eye(s.size) * (tm == N)  # all bath spins up
+            else:
+                a = np.eye(s.size) if corrupt_normalization else np.eye(s.size) / (1 << N)
+            blocks.append((s, np.zeros(1, dtype=np.int64), a[None], np.eye(s.size)[None]))
+        return 1, blocks
+    blocks, n_pairs = [], 0
+    for tm, s in states.items():
+        # orthonormal bases of the family's subspaces of the sector, Pi_i = X X^dagger
+        xjs = ([np.eye(s.size)] if family == "m" else
+               [xj for _, xj in sorted(_j2_eigenblocks(N, tm, states).items())])
+        pis = [xj @ xj.conj().T for xj in xjs]
+        a = [pi if corrupt_normalization else pi / xj.shape[1] for pi, xj in zip(pis, xjs)]
+        blocks.append((s, np.arange(n_pairs, n_pairs + len(pis)), np.stack(a), np.stack(pis)))
+        n_pairs += len(pis)
+    return n_pairs, blocks
 
 
 def _project(blocks, n_pairs: int, x_blocks, adjoint: bool = False) -> list[np.ndarray]:
@@ -518,7 +494,7 @@ def _project(blocks, n_pairs: int, x_blocks, adjoint: bool = False) -> list[np.n
 
 
 def _min_choi_eigenvalue(blocks) -> float:
-    """Smallest eigenvalue of the Choi matrix sum_i B_i^T (x) A_i, from ``_sector_blocks``.
+    """Smallest eigenvalue of the Choi matrix sum_i B_i^T (x) A_i, from ``_family_blocks``.
 
     The Choi matrix is block diagonal over sector pairs (S_x, S_y), with the
     block sum_i B_i[S_x, S_x]^T (x) A_i[S_y, S_y] of size |S_x| |S_y|; all
@@ -570,8 +546,7 @@ def check_projection_conditions(
             "projection condition checks diagonalize the Choi matrix in bath J_3 "
             "sector-pair blocks of up to C(N, N/2)^2 states; N <= 6 only"
         )
-    pairs = projection_family(N, family, corrupt_normalization)
-    n_pairs, blocks = len(pairs), _sector_blocks(pairs, N)
+    n_pairs, blocks = _family_blocks(N, family, corrupt_normalization)
 
     gram, tr_a = np.zeros((n_pairs, n_pairs)), np.zeros(n_pairs)  # tr(B_p A_q), tr(A_p)
     for _, idx, a, b in blocks:
@@ -622,7 +597,11 @@ def check_plp_zero(
 
     P X has weight only in the bath J_3 sector-diagonal blocks, and P reads
     only those, so only those blocks of each commutator are formed, stacked
-    over the times.  The random operators are drawn one at a time.
+    over the times.  There H_I is diagonal, because its flip-flop part moves
+    the bath J_3 by one.  Under ``"flip_flop"`` H_I is that part alone, so
+    these blocks are zero and the residual is exactly 0.0 for every family,
+    whatever its normalization.  The random operators are drawn one at a time
+    as two dense real arrays, of which only the sector blocks are used.
     """
     _require_capacity(params.N, MAX_DENSE_BATH_SPINS, "the PLP diagnostic")
     if interaction not in ("flip_flop", "full"):
@@ -630,27 +609,28 @@ def check_plp_zero(
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     N, d = params.N, 1 << params.N
-    pairs = projection_family(N, family, product_bath=product_bath)
-    n_pairs, blocks = len(pairs), _sector_blocks(pairs, N)
-    del pairs
+    n_pairs, blocks = _family_blocks(N, family, product_bath=product_bath)
 
-    zsum = _zeeman_sums(N, np.full(N, params.A)) if interaction == "flip_flop" else np.zeros(d)
-    h0_diag = np.concatenate([0.5 * params.omega0 + zsum, -0.5 * params.omega0 - zsum])
-    h_int = build_hamiltonian(params) - np.diag(h0_diag)
+    # the diagonals of H and of H_0, which absorbs H's diagonal bath part under the flip-flop split
+    zsum = _zeeman_sums(N, np.full(N, params.A))
+    h_diag, h0_diag = (np.concatenate([0.5 * params.omega0 + z, -0.5 * params.omega0 - z])
+                       for z in (zsum, zsum if interaction == "flip_flop" else np.zeros(d)))
 
     # the sector blocks of H_I(t) = e^{i H_0 t} H_I e^{-i H_0 t}, stacked over the times
     rows = [np.concatenate([s, d + s]) for s, *_ in blocks]
     h_ts = []
     for r in rows:
         ph = np.array([np.exp(1j * h0_diag[r] * t) for t in _PLP_TIMES])
-        h_ts.append((ph[:, :, None] * h_int[np.ix_(r, r)]) * ph.conj()[:, None, :])
+        h_ts.append((ph[:, :, None] * np.diag(h_diag[r] - h0_diag[r])) * ph.conj()[:, None, :])
 
     rng = np.random.default_rng(_PLP_SEED)
     worst = 0.0
     for _ in range(n_samples):
-        g = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
-        g = 0.5 * (g + g.conj().T)  # Hermitian, like a (unnormalized) state
-        px = _project(blocks, n_pairs, [g[np.ix_(r, r)] for r in rows])
+        re, im = rng.standard_normal((2 * d, 2 * d)), rng.standard_normal((2 * d, 2 * d))
+        g = [re[np.ix_(r, r)] + 1j * im[np.ix_(r, r)] for r in rows]
+        del re, im  # freed before the next draws
+        # Hermitian, like a (unnormalized) state
+        px = _project(blocks, n_pairs, [0.5 * (x + x.conj().T) for x in g])
         lr = [-1j * (h_t @ p - p @ h_t) for h_t, p in zip(h_ts, px)]
         worst = max([worst] + [float(np.max(np.abs(y))) for y in _project(blocks, n_pairs, lr)])
     return worst

@@ -16,15 +16,16 @@ from spinstar.oracle import (
     MAX_BATH_SPINS,
     MAX_DENSE_BATH_SPINS,
     CapacityError,
+    _family_blocks,
+    _j2_eigenblocks,
     _min_choi_eigenvalue,
     _phase_sum,
     _phase_table,
     _project,
-    _sector_blocks,
+    _sector_states,
     build_hamiltonian,
     check_plp_zero,
     check_projection_conditions,
-    projection_family,
     propagate,
 )
 from spinstar.sectors import SystemParams
@@ -268,9 +269,60 @@ class TestRealPhaseSum:
         np.testing.assert_allclose(self.chunked(self.T, e, w, e), ref, rtol=0, atol=1e-14)
 
 
+def dense_projection_family(N, family, corrupt_normalization=False, product_bath="mixed"):
+    """The (A_i, B_i) pairs of a projection family as dense 2^N x 2^N arrays (the reference)."""
+    d = 1 << N
+    states = _sector_states(N)
+    pairs = []
+    if family == "product":
+        if product_bath == "mixed":
+            a = np.eye(d) if corrupt_normalization else np.eye(d) / d
+        else:
+            a = np.zeros((d, d))
+            a[0, 0] = 1.0  # all bath spins up
+        return [(a, np.eye(d))]
+    if family == "m":
+        for tm in range(-N, N + 1, 2):
+            pi = np.zeros((d, d))
+            pi[states[tm], states[tm]] = 1.0
+            a = pi if corrupt_normalization else pi / states[tm].size
+            pairs.append((a, pi))
+        return pairs
+    assert family == "jm"
+    for tm in range(-N, N + 1, 2):
+        rows = states[tm]
+        for tj, xj in sorted(_j2_eigenblocks(N, tm, states).items()):
+            pi = np.zeros((d, d))
+            pi[np.ix_(rows, rows)] = xj @ xj.conj().T
+            a = pi if corrupt_normalization else pi / xj.shape[1]
+            pairs.append((a, pi))
+    return pairs
+
+
+@pytest.mark.parametrize("corrupt_normalization", [False, True])
+@pytest.mark.parametrize("product_bath", ["mixed", "polarized"])
+@pytest.mark.parametrize("family", ["m", "jm", "product"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_family_blocks_scatter_back_to_the_dense_pairs(N, family, product_bath,
+                                                        corrupt_normalization):
+    ref = dense_projection_family(N, family, corrupt_normalization, product_bath)
+    n_pairs, blocks = _family_blocks(N, family, corrupt_normalization, product_bath)
+    assert n_pairs == len(ref)
+    d = 1 << N
+    a, b = np.zeros((2, n_pairs, d, d))
+    for (s, idx, a_s, b_s), two_m in zip(blocks, range(-N, N + 1, 2)):
+        np.testing.assert_array_equal(s, _sector_states(N)[two_m])
+        # a pair is listed in every sector it has weight in, and only there
+        touched = [i for i, pair in enumerate(ref) if any(np.any(op[np.ix_(s, s)]) for op in pair)]
+        np.testing.assert_array_equal(idx, touched)
+        a[np.ix_(idx, s, s)], b[np.ix_(idx, s, s)] = a_s, b_s
+    np.testing.assert_array_equal(a, [a_i for a_i, _ in ref])
+    np.testing.assert_array_equal(b, [b_i for _, b_i in ref])
+
+
 class TestProjectionConditions:
     @pytest.mark.parametrize("family", ["m", "jm", "product"])
-    @pytest.mark.parametrize("N", [2, 4])
+    @pytest.mark.parametrize("N", [1, 2, 4])
     def test_valid_families(self, family, N):
         rep = check_projection_conditions(N, family)
         assert rep.idempotency_defect <= 1e-10
@@ -292,29 +344,32 @@ class TestProjectionConditions:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             check_projection_conditions(8, "m")
-        with pytest.raises(CapacityError):
-            projection_family(9, "m")
+        with pytest.raises(CapacityError, match="PLP diagnostic supports at most N = 8"):
+            check_plp_zero(SystemParams(N=9, A=0.1, omega0=1.0), family="m")
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            projection_family(2, "bogus")
+        with pytest.raises(ValueError, match="unknown projection family 'bogus'"):
+            check_projection_conditions(2, "bogus")
+        with pytest.raises(ValueError, match="unknown projection family 'bogus'"):
+            check_plp_zero(SystemParams(N=2, A=0.1, omega0=1.0), family="bogus")
 
     @pytest.mark.parametrize("family", ["m", "jm", "product"])
     def test_unknown_product_bath_for_every_family(self, family):
         with pytest.raises(ValueError, match="unknown product_bath 'bogus'"):
-            projection_family(3, family, product_bath="bogus")
+            check_plp_zero(SystemParams(N=3, A=0.1, omega0=1.0), family=family,
+                           product_bath="bogus")
 
     @pytest.mark.parametrize("N", [0, -2])
     def test_bath_without_spins(self, N):
+        # check_plp_zero takes N from SystemParams, which rejects it first
         message = f"at least one bath spin, got N = {N}"
-        with pytest.raises(ValueError, match=message):
-            projection_family(N, "m")
-        with pytest.raises(ValueError, match=message):
-            check_projection_conditions(N, "jm")
+        for family in ("m", "jm", "product"):
+            with pytest.raises(ValueError, match=message):
+                check_projection_conditions(N, family)
 
 
 def sector_rows(N):
-    """Full-space rows (S, 2^N + S) of every bath J_3 sector S, as _sector_blocks orders them."""
+    """Full-space rows (S, 2^N + S) of every bath J_3 sector S, as _family_blocks orders them."""
     two_m = np.array([N - 2 * bin(n).count("1") for n in range(1 << N)])
     return [np.flatnonzero(np.tile(two_m, 2) == tm) for tm in range(-N, N + 1, 2)]
 
@@ -338,8 +393,12 @@ def test_stacked_projection_matches_the_partial_trace_definition(adjoint):
         pairs.append((a, b))
     x = rng.standard_normal((2, 2 * d, 2 * d)) + 1j * rng.standard_normal((2, 2 * d, 2 * d))
     rows = sector_rows(N)
-    out = _project(_sector_blocks(pairs, N), len(pairs), [x[:, r[:, None], r] for r in rows],
-                   adjoint=adjoint)
+    blocks = []
+    for k in (3, 2, 1, 0):  # ascending two_m, as sector_rows orders them
+        s, idx = sectors[k], [i for i, (a_k, b_k) in enumerate(support) if k in a_k + b_k]
+        blocks.append((s, np.array(idx), *(np.stack([pairs[i][j][np.ix_(s, s)] for i in idx])
+                                          for j in (0, 1))))
+    out = _project(blocks, len(pairs), [x[:, r[:, None], r] for r in rows], adjoint=adjoint)
     for sample in range(2):
         ref = sum(
             # P x = sum_i tr_E{(I (x) B_i) x} (x) A_i, and the adjoint swaps A_i and B_i
@@ -369,23 +428,9 @@ class TestBlockChoiSpectrum:
         + [(4, family, {"corrupt_normalization": True}) for family in ("m", "jm", "product")],
     )
     def test_matches_dense_reference(self, N, family, kwargs):
-        pairs = projection_family(N, family, **kwargs)
-        got = _min_choi_eigenvalue(_sector_blocks(pairs, N))
+        pairs = dense_projection_family(N, family, **kwargs)
+        got = _min_choi_eigenvalue(_family_blocks(N, family, **kwargs)[1])
         assert abs(got - self.dense_min_eigenvalue(pairs)) <= 1e-14
-
-    def test_weight_outside_the_sector_blocks_is_rejected(self, monkeypatch):
-        # every diagnostic, not only the Choi spectrum, takes the family's sector blocks
-        d = 4  # N = 2: sectors {0}, {1, 2}, {3}
-        b = np.eye(d)
-        b[0, 3] = b[3, 0] = 0.5  # couples the all-up and all-down bath states
-        for pairs in ([(np.full((d, d), 1.0 / d), np.eye(d))], [(np.eye(d) / d, b)]):
-            with pytest.raises(AssertionError, match="block diagonal"):
-                _sector_blocks(pairs, 2)
-            monkeypatch.setattr(spinstar.oracle, "projection_family", lambda *_, **__: pairs)
-            with pytest.raises(AssertionError, match="block diagonal"):
-                check_projection_conditions(2, "m")
-            with pytest.raises(AssertionError, match="block diagonal"):
-                check_plp_zero(SystemParams(N=2, A=0.2, omega0=1.0), family="m")
 
 
 _CAPPED_CHILD = textwrap.dedent(
@@ -434,7 +479,7 @@ class TestFirstOrderTermVanishes:
 def dense_plp_residual(params, family, interaction, product_bath, n_samples):
     """check_plp_zero on dense 2^(N+1) matrices: every pair, full commutators."""
     N, d = params.N, 1 << params.N
-    pairs = projection_family(N, family, product_bath=product_bath)
+    pairs = dense_projection_family(N, family, product_bath=product_bath)
     a, b = np.stack([a_i for a_i, _ in pairs]), np.stack([b_i for _, b_i in pairs])
 
     def project(x):
@@ -466,7 +511,7 @@ def dense_plp_residual(params, family, interaction, product_bath, n_samples):
     "family, product_bath",
     [("m", "mixed"), ("jm", "mixed"), ("product", "mixed"), ("product", "polarized")],
 )
-@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_plp_residual_matches_the_dense_route(N, family, product_bath, interaction):
     params = SystemParams(N=N, A=0.2, omega0=1.0)
     args = (params, family, interaction, product_bath, 4)
@@ -491,8 +536,9 @@ _CAPPED_PLP_CHILD = textwrap.dedent(
 
 def test_plp_check_at_eight_spins_fits_a_memory_cap(run_capped):
     # dense, the ten 512 x 512 complex samples, the five interaction-picture
-    # Hamiltonians and the stacked pairs need about 280 MiB of address space;
-    # the sector blocks stay near 175 MiB, most of it the interpreter and numpy
+    # Hamiltonians and the projection pairs need about 280 MiB of address space;
+    # on the sector blocks, with only the raw real draws dense, the whole process
+    # peaks at 56 MB RSS (69 MB with dense pairs), most of it the interpreter and numpy
     proc = run_capped(_CAPPED_PLP_CHILD, cap_mib=224)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
