@@ -43,6 +43,16 @@ baby-step/giant-step GEMM of trajectory._exp_sum, as exact._uniform_pass
 does, and the tiles run only for what a total cannot give: the sector
 arrays and the J_3^tot series (population tiles only).
 
+The TCL2 coherence is an exponential sum too: each factor exp(-b g(W, t))
+of a sector is a Poisson series in e^{iWt}, so f_s is a double series in
+e^{i Omega_+(m) t} and e^{i Omega_+(m-1) t}, cut where its Poisson tail is
+at most sectors._TAIL_WEIGHT.  On the same grids ``_tcl2_series`` hands its
+terms to trajectory._exp_sum, unless a sector sits at a resonance
+Omega_+ = 0 with b > 0 (or so near one that its degree passes
+_TCL2_MAX_DEGREE) or ``_tcl2_kernel_pays`` finds the grid too short for the
+number of terms; the whole coherence of the family then stays on the tiles.
+The TCL2 populations have no such series and always take the tiles.
+
 Every public solver and the CLI go through ``_solve``, which can also return
 the J_3^tot series without sector-resolved arrays.
 
@@ -54,11 +64,14 @@ phase exp(-4 i A m t), populations are untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sectors import SectorFamily, SystemParams, _omega_plus, sector_family
+from .exact import _TERM_SLICE
+from .sectors import (_TAIL_MARGIN, _TAIL_WEIGHT, SectorFamily, SystemParams, _omega_plus,
+                      sector_family)
 from .trajectory import (Trajectory, _add_rows, _exp_sum, _exp_sum_step, _sector_blocks, _sweep,
                          _tile, _trajectory, _validate_times)
 from .volterra import SolveOptions, _unit_solutions, integrate_linear_ode
@@ -237,6 +250,100 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t):
     return chunk
 
 
+#: highest total degree n1 + n2 of a sector's TCL2 coherence series: near a
+#: resonance Omega_+ = 0 its Poisson mean b/Omega^2 grows without bound, and a
+#: family with a sector past this degree keeps the tiles
+_TCL2_MAX_DEGREE = 32
+
+#: what a term of the TCL2 coherence series costs trajectory._exp_sum on n times,
+#: in sector-time points of the tiles: about this many plus sqrt(n).  Measured on
+#: one BLAS thread with two sweep threads, under jm at N = 101 (alpha = 0.1 and
+#: 0.5), 1000 and 10^4 on 65 to 16384 times, it came to 0.7-1.3 times that; the
+#: m tiles at N = 101 cost more per point, so there the kernel pays about twice
+#: as early as this says
+_TCL2_TERM_POINTS = 16
+
+
+def _tcl2_kernel_pays(n_times: int, n_sectors: int, n_terms: int) -> bool:
+    """Whether n_terms series terms cost the kernel less than n_sectors sectors cost
+    the tiles on n_times times: the rule reads the grid length and the counts only."""
+    return n_times * n_sectors >= n_terms * (_TCL2_TERM_POINTS + math.sqrt(n_times))
+
+
+def _ratio(num, den):
+    """num/den elementwise, 0 where num is 0 (den may then be 0 too)."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=num != 0.0)
+
+
+def _poisson_degrees(lam):
+    """The least n <= _TCL2_MAX_DEGREE per element whose Poisson(lam) tail P(X > n) is
+    at most _TAIL_WEIGHT, or None where an element needs more.
+
+    The tail is certified by p_{n+1} / (1 - lam/(n+2)), an upper bound for
+    lam < n + 2, with the relative slack _TAIL_MARGIN of the jm tail cut.
+    """
+    degree = np.full(lam.shape, -1)
+    p = np.exp(-lam)  # p_0
+    for n in range(_TCL2_MAX_DEGREE + 1):
+        p = p * lam / (n + 1)  # p_{n+1}
+        bound_ok = p * (1.0 + _TAIL_MARGIN) <= _TAIL_WEIGHT * (1.0 - lam / (n + 2))
+        degree[(degree < 0) & (lam < n + 2) & bound_ok] = n
+        if np.all(degree >= 0):
+            return degree
+    return None
+
+
+def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
+    """The (amp, nu) terms of E(t) = sum_s w_s f_s(t) for the TCL2 coherence, or None
+    where the family keeps the tiles.
+
+    With g(W, t) = (1 - e^{iWt})/W^2 + i t/W and a = b/W^2, exp(-b g(W, t)) =
+    e^{-a} e^{-i (b/W) t} sum_n a^n e^{inWt}/n!.  A sector's f_s has two such
+    factors, W1 = Omega_+(m) with b_p and W2 = Omega_+(m-1) = -Omega_-(m)
+    with b_m, so it is a sum of exponentials of amplitude
+    w e^{-a1-a2} a1^n1 a2^n2/(n1! n2!) and frequency
+    -2A two_m - b_p/W1 - b_m/W2 + n1 W1 + n2 W2 (b/W and a taken as 0 where
+    b = 0).  Each sector keeps the total degrees n1 + n2 <= n_s of
+    ``_poisson_degrees(a1 + a2)``, so it drops amplitudes of sum at most
+    _TAIL_WEIGHT, in E(t) and E(0): the coherence moves by at most
+    2 |coh0| _TAIL_WEIGHT, the bound of the jm tail cut.  The terms come in
+    slices of a fixed number of whole sectors, at most exact._TERM_SLICE
+    terms each, in a fixed order, so that no term array spans the table or
+    outgrows the arrays of exact._uniform_pass.
+
+    The tiles stay where some sector has W = 0 with b > 0 (there g = t^2/2
+    has no series) or a degree above _TCL2_MAX_DEGREE, and where
+    ``_tcl2_kernel_pays`` finds the grid too short for the terms: at N = 101
+    and alpha = 0.1, 19 terms per sector, the kernel pays from 867 times on.  So the route depends on the family and the grid alone.
+    """
+    w1, w2 = fam.om_p, -fam.om_m
+    with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < b: no series
+        a1, a2 = _ratio(fam.b_p, w1 * w1), _ratio(fam.b_m, w2 * w2)
+    lam = a1 + a2
+    degree = _poisson_degrees(lam) if np.all(np.isfinite(lam)) else None
+    if degree is None:
+        return None
+    counts = (degree + 1) * (degree + 2) // 2
+    if not _tcl2_kernel_pays(n_times, fam.w.size, int(counts.sum())):
+        return None
+    n1, n2 = np.array([(i, d - i) for d in range(_TCL2_MAX_DEGREE + 1)
+                       for i in range(d + 1)]).T
+    base = -2.0 * params.A * fam.two_m - _ratio(fam.b_p, w1) - _ratio(fam.b_m, w2)
+    scale = fam.w * np.exp(-lam)
+    fact = np.array([math.factorial(n) for n in range(_TCL2_MAX_DEGREE + 1)], float)
+    step = max(1, _TERM_SLICE // int(counts.max()))  # sectors per slice
+
+    def terms(lo):  # the pairs (n1, n2) of each sector by total degree, then by n1
+        size = counts[lo:lo + step]
+        rows = np.repeat(np.arange(lo, lo + size.size), size)
+        k = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+        i, j = n1[k], n2[k]
+        amp = scale[rows] * (a1[rows] ** i / fact[i]) * (a2[rows] ** j / fact[j])
+        return amp, base[rows] + i * w1[rows] + j * w2[rows]
+
+    return (terms(lo) for lo in range(0, fam.w.size, step))
+
+
 def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
               coherence: bool, opts):
     """(fill, coherence spectrum, population spectrum) of the NZ2 sector equations.
@@ -313,20 +420,26 @@ def _solve(
     without building the bundle.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    if method == "tcl2":
-        fill, kernel = _tcl2_fill(params, fam, t), False
+    series = None
+    if method == "tcl2":  # the coherence alone has a series; opts does not apply
+        fill, dt = _tcl2_fill(params, fam, t), _exp_sum_step(t)
+        if coherence and dt is not None:
+            series = _tcl2_series(params, fam, t.size)
+        kernel_coh, kernel_pop = series is not None, False
     else:
         fill, coh_spec, pop_spec = _nz2_fill(params, fam, t, populations, coherence, opts)
         dt = _exp_sum_step(t) if opts is None else None
-        kernel = dt is not None
+        kernel_coh = kernel_pop = dt is not None
     # on the kernel route the tiles run only for what a total cannot give
-    tile_coh = coherence and (sectors or not kernel)
-    tile_pop = populations and (sectors or j3tot or not kernel)
+    tile_coh = coherence and (sectors or not kernel_coh)
+    tile_pop = populations and (sectors or j3tot or not kernel_pop)
     coh = sector_coh = p_plus = sector_p = j3 = None
     if tile_coh or tile_pop:
         coh, sector_coh, p_plus, sector_p, j3 = _tiles(params, fam, t, tile_pop, tile_coh,
                                                        sectors, j3tot, fill)
-    if kernel:
+    if series is not None:  # coh0 (1 + E(t) - E(0)), exact at t = 0
+        coh = complex(params.initial_coh) * (1.0 + _exp_sum(series, t[0], dt, t.size))
+    elif kernel_pop:
         coh, p_plus = _nz2_totals(params, fam, t, dt, coh_spec, pop_spec)
     bundle = SectorBundle(
         two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p, coh=sector_coh,

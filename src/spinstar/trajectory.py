@@ -40,10 +40,13 @@ _CHUNK_WIDTH = 256
 #: with a measurement on such a host.
 _MAX_WORKERS = 2
 
-#: grid length from which ``_exp_sum`` beats a sweep of every sector-time
-#: point: it evaluates 4 terms per sector at about 2 sqrt(n) times, a sweep 1
-#: Rabi pair per sector at n times (measured crossover at N = 101 and 1000:
-#: 48-64 times)
+#: grid length from which ``_exp_sum`` takes the place of a sweep of every
+#: sector-time point: it costs a term about 4 n^(1/4) phases and 2 sqrt(n)
+#: complex products, a sweep a sector about n phases on each of two threads.
+#: Measured on one BLAS thread of a 2-vCPU host, the NZ2 totals gain from 16
+#: times on at N = 101 and 1000, and the exact sums (5 terms per sector)
+#: from 40-48 times on at N = 101 but only from about 96 at N = 1000, where
+#: the kernel is up to 1.7 times slower at 64 times
 _EXP_SUM_MIN_TIMES = 64
 
 #: terms per K block of ``_exp_sum``: fixed, so that no bit depends on the memory
@@ -140,39 +143,65 @@ def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
 
     ``terms`` yields the (amp, nu) array pairs of the sum, added in order.
     Baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput. 2,
-    60, 1973): with j = q C + r and C = ceil(sqrt(n)), E is one complex GEMM
-    (Q x K) @ (K x C) of the giant steps amp_k exp(i nu_k (t0 + q C dt)) and
-    the baby steps exp(i nu_k r dt), so it takes K (Q + C) sines and cosines
-    instead of K n.  A last giant row at t = 0 gives E(0) from the same GEMM;
-    where t0 = 0 the first row does, so the result is exactly 0 there.
+    60, 1973): with j = q C + r, E is one complex GEMM (Q x K) @ (K x C) of
+    the giant steps amp_k exp(i nu_k (t0 + q C dt)) and the baby steps
+    exp(i nu_k r dt).  Each table is in turn the elementwise product of two
+    small trig tables, one level deeper: r = a c2 + c splits the baby steps
+    into exp(i nu_k a c2 dt) exp(i nu_k c dt), and q = u r2 + v the giant
+    steps into amp_k exp(i nu_k (t0 + u r2 C dt)) exp(i nu_k v C dt), with
+    c2 ~ sqrt(C), C rounded up to c1 c2 ~ sqrt(n) and r2 ~ sqrt(Q).  So it
+    takes K (c1 + c2 + Q/r2 + r2), about 4 K n^(1/4), sines and cosines and
+    K (Q + C) complex products instead of K n of each.  A last giant row
+    at t = 0, exactly amp_k, gives E(0) from the same GEMM; where t0 = 0 the
+    first row does, so the result is exactly 0 there.
 
     The K axis runs in blocks of _EXP_SUM_BLOCK terms of each pair, and the
     giant-step rows of each block in chunks whose table fits _CHUNK_BYTES.
-    Every element then adds the same block products in the same order
-    whatever the budget, so the bits do not depend on it: splitting a GEMM
-    by rows moves no bit, splitting K would.  Nor do they depend on the BLAS
-    thread count, as long as every GEMM is complex, at least 2 rows tall
+    Every table entry is one product of the same two trig-table entries, and
+    every element adds the same block products in the same order, whatever
+    the budget, so the bits do not depend on it: splitting a GEMM by rows
+    moves no bit, splitting K would.  Nor do they depend on the BLAS thread
+    count, as long as every GEMM is complex, at least 2 rows tall
     (``_time_chunks`` and the t = 0 row see to that) and has a K that is a
     multiple of 8 (zero terms pad the last block of a pair).  Measured with
     OpenBLAS 0.3.31 at 1 to 4 threads: a K of 5825 or a single row changes
     bits, and so do real GEMMs on the real and imaginary parts.
     """
-    cols = math.isqrt(n - 1) + 1  # C
-    giant = np.append(t0 + (cols * dt) * np.arange(-(-n // cols)), 0.0)  # Q rows, then t = 0
-    baby = dt * np.arange(cols)
-    chunks = list(_time_chunks(giant.size, 16 * _EXP_SUM_BLOCK))
+    c2 = math.isqrt(math.isqrt(n - 1)) + 1  # about n^(1/4)
+    c1 = -(-(math.isqrt(n - 1) + 1) // c2)
+    cols = c1 * c2  # C >= ceil(sqrt(n))
+    rows = -(-n // cols)  # Q giant rows, then the row at t = 0
+    r2 = math.isqrt(rows - 1) + 1
+    baby_1, baby_2 = (c2 * dt) * np.arange(c1), dt * np.arange(c2)
+    giant_1 = t0 + (r2 * cols * dt) * np.arange(-(-rows // r2))
+    giant_2 = (cols * dt) * np.arange(r2)
+    chunks = list(_time_chunks(rows + 1, 16 * _EXP_SUM_BLOCK))
     g_buf = np.empty(max(sl.stop - sl.start for sl in chunks) * _EXP_SUM_BLOCK, complex)
     b_buf = np.empty(_EXP_SUM_BLOCK * cols, complex)
-    total = np.zeros((giant.size, cols), complex)
+    b1_buf, b2_buf, g1_buf, g2_buf = (np.empty(size * _EXP_SUM_BLOCK, complex)
+                                      for size in (c1, c2, giant_1.size, r2))
+    total = np.zeros((rows + 1, cols), complex)
     for amp, nu in terms:
         for lo in range(0, nu.size, _EXP_SUM_BLOCK):
             k = slice(lo, lo + _EXP_SUM_BLOCK)
             pad = -nu[k].size % 8
             amp_k, nu_k = np.append(amp[k], np.zeros(pad)), np.append(nu[k], np.zeros(pad))
-            b = _phases(_tile(b_buf, nu_k.size, cols), nu_k, baby)
+            kb = nu_k.size
+            b = _tile(b_buf, kb, cols)
+            np.multiply(_phases(_tile(b1_buf, kb, c1), nu_k, baby_1)[:, :, None],
+                        _phases(_tile(b2_buf, kb, c2), nu_k, baby_2)[:, None, :],
+                        out=b.reshape(kb, c1, c2))
+            g1 = _phases(_tile(g1_buf, giant_1.size, kb), giant_1, nu_k)
+            g1 *= amp_k
+            g2 = _phases(_tile(g2_buf, r2, kb), giant_2, nu_k)
             for sl in chunks:
-                g = _phases(_tile(g_buf, sl.stop - sl.start, nu_k.size), giant[sl], nu_k)
-                g *= amp_k
+                g = _tile(g_buf, sl.stop - sl.start, kb)
+                for u in range(sl.start // r2, -(-min(sl.stop, rows) // r2)):
+                    q0, q1 = max(sl.start, u * r2), min(sl.stop, rows, (u + 1) * r2)
+                    np.multiply(g1[u], g2[q0 - u * r2:q1 - u * r2],
+                                out=g[q0 - sl.start:q1 - sl.start])
+                if sl.stop > rows:
+                    g[-1] = amp_k
                 total[sl] += g @ b
     total -= total[0 if t0 == 0.0 else -1, 0]
     return total.ravel()[:n]

@@ -424,12 +424,15 @@ _EXACT_BYTES = textwrap.dedent(
     import sys
     import numpy as np
     from spinstar.exact import exact_trajectory
+    from spinstar.masters import tcl2_coherence_m, tcl2_jm
     from spinstar.sectors import SystemParams
 
     n = int(sys.argv[1])
     p = SystemParams(N=n, A=0.05 / n, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
-    traj = exact_trajectory(p, 0.5 * np.arange(2001))
+    t = 0.5 * np.arange(2001)
+    traj = exact_trajectory(p, t)
     sys.stdout.buffer.write(traj.p_plus.tobytes() + traj.coh.tobytes())
+    sys.stdout.buffer.write(tcl2_jm(p, t).coh.tobytes() + tcl2_coherence_m(p, t).coh.tobytes())
     """
 )
 
@@ -437,10 +440,12 @@ _EXACT_BYTES = textwrap.dedent(
 @pytest.mark.parametrize("n", [101, 96])
 def test_exact_kernel_does_not_depend_on_the_blas_thread_count(n):
     # the test above runs N = 8, whose exponential-sum GEMMs are too small for
-    # BLAS to split over threads; on 2001 uniform times N = 101 makes them
-    # (46 x 1896) @ (1896 x 45), where a real dgemm split rounds differently
-    # at 1 and 2 threads, and N = 96 keeps 1849 sectors, a K that is no
-    # multiple of 8 unless padded
+    # BLAS to split over threads, and whose TCL2 coherence stays on the tiles;
+    # on 2001 uniform times N = 101 makes them (42 x 256) @ (256 x 49) K
+    # blocks, where a real dgemm split rounds differently at 1 and 2 threads,
+    # for the exact sums and for the TCL2 coherence series (about 19 terms per
+    # sector under jm, 15 under m), and N = 96 keeps 1849 sectors, a K that is
+    # no multiple of 8 unless padded
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = []
     for threads in ("1", "2"):
@@ -450,7 +455,7 @@ def test_exact_kernel_does_not_depend_on_the_blas_thread_count(n):
                               capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         out.append(proc.stdout)
-    assert len(out[0]) == 2001 * 24
+    assert len(out[0]) == 2001 * 56
     assert out[0] == out[1]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,164 @@ class TestDetuningTableEqualsDirectEvaluation:
         if bundle.p_plus is not None:
             np.testing.assert_array_equal(bundle.p_plus, sector_p)
             np.testing.assert_array_equal(bundle.p_minus, _sector_p_minus(fam, sector_p))
+
+
+def _exp_sum_calls(monkeypatch):
+    """A list that records the term count of every masters._exp_sum call from now on."""
+    calls, exp_sum = [], masters._exp_sum
+
+    def spy(terms, *grid):
+        terms = [(amp, nu) for amp, nu in terms]
+        calls.append(sum(nu.size for _, nu in terms))
+        return exp_sum(terms, *grid)
+
+    monkeypatch.setattr(masters, "_exp_sum", spy)
+    return calls
+
+
+class TestTcl2KernelRoute:
+    """The TCL2 coherence total by trajectory._exp_sum on uniform grids: each sector's
+    closed form exp(-Lambda) as a Poisson series in e^{i Omega_+ t}, cut at degree n_s."""
+
+    T = 0.5 * np.arange(1001)
+    #: the kernel's phases round their arguments, about |nu t| eps per term, where
+    #: the tiles round an exponent of about (b/Omega + 2A|two_m|) t; on this grid
+    #: (t <= 500, |nu| <= 1.3 for the terms of weight above 1e-3) that is at most
+    #: 500 * 1.3 * 2.2e-16 = 1.5e-13 per unit of |coh0| w, and the cut adds at most
+    #: 2 |coh0| 2^-60.  Measured: <= 3.0e-15.
+    TOL = 1.5e-13
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["A>0", "A<0"])
+    @pytest.mark.parametrize("family", ["m", "jm"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 101])
+    def test_coherence_matches_the_closed_form(self, monkeypatch, n, family, sign):
+        p = SystemParams(N=n, A=sign * coupling_from_alpha(n, 1.0, 0.1), omega0=1.0,
+                         initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
+        calls = _exp_sum_calls(monkeypatch)
+        traj = _solve(p, self.T, "tcl2", family)[0]
+        assert len(calls) == 1
+        coh, p_plus, *_ = _direct_tcl2(p, self.T, family)
+        assert np.max(np.abs(traj.coh - coh)) <= self.TOL
+        assert traj.coh[0] == p.initial_coh
+        np.testing.assert_array_equal(traj.p_plus, p_plus)  # populations stay on the tiles
+
+    @pytest.mark.parametrize("fn", [tcl2_jm, tcl2_coherence_m])
+    def test_start_is_exact_and_a_decoupled_bath_is_constant(self, monkeypatch, fn):
+        calls = _exp_sum_calls(monkeypatch)
+        t = 0.5 * np.arange(2001)
+        for a in (0.01, -0.01, 0.0):
+            traj = fn(dataclasses.replace(PARAMS, A=a), t)
+            assert traj.coh[0] == PARAMS.initial_coh
+            if a == 0.0:
+                np.testing.assert_array_equal(traj.coh, PARAMS.initial_coh)
+        assert len(calls) == 3
+
+    def test_uniform_grids_take_the_kernel_and_other_grids_the_tiles(self, monkeypatch):
+        monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
+        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
+                         initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+        uniform = 0.5 * np.arange(2001)
+        geometric = np.concatenate([[0.0], np.geomspace(0.05, 1000.0, 2000)])
+        assert trajectory._uniform_step(geometric) is None
+        tcl2_jm(p, geometric)
+        tcl2_jm(p, uniform[:trajectory._EXP_SUM_MIN_TIMES - 1])
+        tcl2_population_m(p, uniform)  # populations have no series
+        for fn in (tcl2_jm, tcl2_coherence_m):
+            with pytest.raises(TypeError):
+                fn(p, uniform)
+
+    def test_a_grid_too_short_for_the_terms_takes_the_tiles(self, monkeypatch):
+        # about 19 terms per sector at N = 101 (alpha = 0.1): each costs the kernel
+        # about _TCL2_TERM_POINTS + sqrt(n) sector-time points of the tiles
+        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
+                         initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+        fam = sector_family(p, "jm")
+        counts = [sum(nu.size for _, nu in masters._tcl2_series(p, fam, 10**9))]
+        assert 19 <= counts[0] / fam.w.size < 20
+        need = next(n for n in range(1, 10**4) if n * fam.w.size
+                    >= counts[0] * (masters._TCL2_TERM_POINTS + math.sqrt(n)))
+        assert 64 < need < 2001
+        assert masters._tcl2_series(p, fam, need) is not None
+        assert masters._tcl2_series(p, fam, need - 1) is None
+        calls = _exp_sum_calls(monkeypatch)
+        tcl2_jm(p, 0.5 * np.arange(need - 1))
+        assert calls == []
+        tcl2_jm(p, 0.5 * np.arange(need))
+        assert calls == counts
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 1e-3, 0.0173, 0.5, 1.0, 2.0, 3.0, 3.8])
+def test_poisson_degrees_are_certified_and_least(lam):
+    # the Poisson(lam) tail beyond the degree, summed term by term in log space,
+    # is at most _TAIL_WEIGHT; one degree less fails the certified bound
+    n = int(masters._poisson_degrees(np.array([lam]))[0])
+
+    def tail(d):  # P(X > d)
+        if lam == 0.0:
+            return 0.0
+        return math.fsum(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+                         for k in range(d + 1, d + 400))
+
+    def certified(d):
+        p = math.exp(d * math.log(lam) - lam - math.lgamma(d + 1)) * lam / (d + 1) if lam else 0.0
+        return lam < d + 2 and p * (1.0 + masters._TAIL_MARGIN) <= (
+            masters._TAIL_WEIGHT * (1.0 - lam / (d + 2)))
+
+    assert tail(n) <= masters._TAIL_WEIGHT
+    assert n == 0 or not certified(n - 1)
+    assert n <= masters._TCL2_MAX_DEGREE
+
+
+def test_poisson_degrees_past_the_cap_are_refused():
+    lam = np.array([1e-3, 5.0, 1e-3])
+    assert masters._poisson_degrees(lam) is None
+    assert masters._poisson_degrees(lam[[0, 2]]) is not None
+
+
+def test_a_detuning_whose_square_underflows_keeps_the_tiles():
+    # Omega_+ = omega0 = 1e-170 at two_m = -1 (N = 1): b/Omega^2 is inf
+    p = SystemParams(N=1, A=0.1, omega0=1e-170, initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert masters._tcl2_series(p, sector_family(p, "m"), 10**9) is None
+
+
+class TestTcl2ResonanceFallback:
+    """At Omega_+ = 0 with b > 0 there is no series, and beside it the Poisson degree
+    runs past the cap: the whole family keeps the tiles, bit for bit."""
+
+    T = np.linspace(0.0, 5.0, 101)
+    CASES = {f"d{delta:g}": -0.25 * (1.0 - delta) for delta in (0.0, 1e-9, 1e-7, 1e-5, 1e-2)}
+
+    @pytest.mark.parametrize("family", ["m", "jm"])
+    @pytest.mark.parametrize("a", CASES.values(), ids=CASES.keys())
+    def test_family_keeps_the_tiles(self, monkeypatch, a, family):
+        p = SystemParams(N=3, A=a, omega0=1.0, initial_p_plus=0.6, initial_coh=0.3 - 0.1j)
+        fam = sector_family(p, family)
+        assert 0.0 <= np.min(np.abs(fam.om_p)) <= 0.0101
+        assert (a == -0.25) == bool(np.any(fam.om_p == 0.0))
+        # with the cost rule out of the way, only the series itself can refuse
+        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)
+        assert masters._tcl2_series(p, fam, self.T.size) is None
+        calls = _exp_sum_calls(monkeypatch)
+        coh = _solve(p, self.T, "tcl2", family, populations=False)[0].coh
+        assert calls == []
+        np.testing.assert_array_equal(coh, _direct_tcl2(p, self.T, family)[0])
+
+    @pytest.mark.parametrize("family", ["m", "jm"])
+    def test_a_resonance_without_coupling_keeps_the_series(self, monkeypatch, family):
+        # N = 1, A = -0.25: Omega_+ = 0 at two_m = 1, where b_p = 0
+        p = SystemParams(N=1, A=-0.25, omega0=1.0, initial_p_plus=0.6, initial_coh=0.3 - 0.1j)
+        fam = sector_family(p, family)
+        assert np.any(fam.om_p == 0.0) and np.all(fam.b_p[fam.om_p == 0.0] == 0.0)
+        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)
+        calls = _exp_sum_calls(monkeypatch)
+        coh = _solve(p, self.T, "tcl2", family, populations=False)[0].coh
+        assert len(calls) == 1
+        assert coh[0] == p.initial_coh
+        # t <= 5 and sum |amp nu| = 0.58: argument rounding stays below 1e-15
+        assert np.max(np.abs(coh - _direct_tcl2(p, self.T, family)[0])) <= 1e-14
 
 
 _CAPPED_CHILD = textwrap.dedent(

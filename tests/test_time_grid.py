@@ -159,9 +159,34 @@ def test_exp_sum_equals_the_direct_sum(monkeypatch, n, t0):
             assert got[0] == 0.0  # E(0) - E(0) from the same GEMM element
 
 
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+def test_exp_sum_on_a_long_grid_equals_the_direct_sum(monkeypatch, t0):
+    # t up to 8000: the phases of both sides round their arguments.  The direct sum
+    # rounds nu t once, to eps/2 of |nu t|; the kernel rounds the four parts whose
+    # sum is nu t (nu (t0 + u r2 C dt), nu v C dt, nu a c2 dt and nu c dt), each
+    # to eps/2 of a size at most |nu t|.  So a term's phase differs by at most
+    # 2.5 eps |nu t|, and E(t) by at most 2.5 eps |t| sum |amp nu|, plus the
+    # 1e-14 of the short grids for the rounding of the products and the sums.
+    n, dt = 16001, 0.5
+    rng = np.random.default_rng(n)
+    amp = rng.uniform(-1.0, 1.0, 700) / 700
+    nu = rng.uniform(-2.0, 2.0, 700)
+    t = t0 + dt * np.arange(n)
+    direct = _direct_exp_sum(amp, nu, t)
+    tol = 1e-14 + 2.5 * np.finfo(float).eps * np.abs(t) * np.sum(np.abs(amp * nu))
+    whole = trajectory._exp_sum([(amp, nu)], t0, dt, n)
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
+    blocked = trajectory._exp_sum([(amp[:300], nu[:300]), (amp[300:], nu[300:])], t0, dt, n)
+    for got in (whole, blocked):
+        assert np.all(np.abs(got - direct) <= tol)
+        if t0 == 0.0:
+            assert got[0] == 0.0
+
+
 def test_exp_sum_bits_do_not_depend_on_the_budget(monkeypatch):
-    # K blocks of a fixed _EXP_SUM_BLOCK terms; only the 46 giant-step rows are
-    # chunked under the budget: 2 rows at 1 B, 4 at 16 KiB, all of them by default
+    # K blocks of a fixed _EXP_SUM_BLOCK terms; only the 42 giant-step rows (41 rows
+    # C = 49 steps apart, then t = 0) are chunked under the budget: 2 rows at 1 B,
+    # 4 at 16 KiB, all of them by default
     rng = np.random.default_rng(7)
     amp, nu = rng.uniform(-1.0, 1.0, 700) / 700, rng.uniform(-2.0, 2.0, 700)
     terms = [(amp[:300], nu[:300]), (amp[300:], nu[300:])]
@@ -169,6 +194,6 @@ def test_exp_sum_bits_do_not_depend_on_the_budget(monkeypatch):
     for budget in (trajectory._CHUNK_BYTES, 2**14, 1):
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", budget)
         runs.append(trajectory._exp_sum(iter(terms), 0.0, 0.05, 2001))
-    assert len(list(trajectory._time_chunks(46, 16 * trajectory._EXP_SUM_BLOCK))) == 23
+    assert len(list(trajectory._time_chunks(42, 16 * trajectory._EXP_SUM_BLOCK))) == 21
     for got in runs[1:]:
         np.testing.assert_array_equal(got, runs[0])
