@@ -35,26 +35,23 @@ in one shared memory budget, and no bit depends on the thread count:
   (``aux_ode``) or the ``quadrature`` verifier route, whose whole-grid
   solution the tiles slice.
 
-On the spectral route each sector solution is a sum of 3 exponentials,
-x_s(t) = sum_k |V_sk|^2 e^{-i lambda_sk t}, so both NZ2 totals are
-exponential sums.  Where trajectory._exp_sum_step finds a uniform grid of
-at least _EXP_SUM_MIN_TIMES times, ``_nz2_totals`` evaluates them by the
-baby-step/giant-step GEMM of trajectory._exp_sum, as exact._uniform_pass
-does, and the tiles run only for what a total cannot give: the sector
-arrays and the J_3^tot series (population tiles only).
+Where trajectory._exp_sum_step finds a uniform grid of at least
+_EXP_SUM_MIN_TIMES times, each fill also gives the exponential-sum terms of
+the totals it can, per part.  On the spectral route each NZ2 sector solution
+is a sum of 3 exponentials, x_s(t) = sum_k |V_sk|^2 e^{-i lambda_sk t}, so
+both NZ2 totals are exponential sums.  The TCL2 coherence is one too: each
+factor exp(-b g(W, t)) of a sector is a Poisson series in e^{iWt}, so f_s is
+a double series in e^{i Omega_+(m) t} and e^{i Omega_+(m-1) t}, cut where its
+Poisson tail is at most sectors._TAIL_WEIGHT (``_tcl2_series``).  It has no
+terms where a sector sits at a resonance Omega_+ = 0 with b > 0 (or so near
+one that its degree passes _TCL2_MAX_DEGREE) or ``_tcl2_kernel_pays`` finds
+the grid too short for their number.  The TCL2 populations have none.
 
-The TCL2 coherence is an exponential sum too: each factor exp(-b g(W, t))
-of a sector is a Poisson series in e^{iWt}, so f_s is a double series in
-e^{i Omega_+(m) t} and e^{i Omega_+(m-1) t}, cut where its Poisson tail is
-at most sectors._TAIL_WEIGHT.  On the same grids ``_tcl2_series`` hands its
-terms to trajectory._exp_sum, unless a sector sits at a resonance
-Omega_+ = 0 with b > 0 (or so near one that its degree passes
-_TCL2_MAX_DEGREE) or ``_tcl2_kernel_pays`` finds the grid too short for the
-number of terms; the whole coherence of the family then stays on the tiles.
-The TCL2 populations have no such series and always take the tiles.
-
-Every public solver and the CLI go through ``_solve``, which can also return
-the J_3^tot series without sector-resolved arrays.
+Every public solver and the CLI go through ``_solve``, blind to the method,
+which can also return the J_3^tot series without sector-resolved arrays.  A
+part with terms takes the baby-step/giant-step GEMM of trajectory._exp_sum,
+as exact._uniform_pass does, and the tiles run only for what a total cannot
+give: the sector arrays, the J_3^tot series and the parts without terms.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
 with RK4, as an independent check of the closed forms.  Public trajectories
@@ -204,18 +201,22 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
                 coh[sl] = coh0 * (1.0 + acc_coh)
             if populations:
                 p_plus[sl] = params.initial_p_plus + acc_p
-            if j3tot:
+            if j3 is not None:
                 j3[sl] = acc_j3
 
     _sweep(t.size, 32 * rows, buffers, sweep)
     return coh, sector_coh, p_plus, sector_p, j3
 
 
-def _tcl2_fill(params: SystemParams, fam: SectorFamily, t):
-    """Closed forms f = exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)] and
+def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
+               coherence: bool, opts, dt):
+    """(fill, ``_tcl2_series`` terms or None, None) of TCL2; ``opts`` does not apply.
+
+    Closed forms f = exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)] and
     g = exp(-pair_coef Re g(Omega_+, t)), with g(Omega, t) read from one table per chunk
     of the Omega_+(m) from two_m = min(two_m) - 2 to max(two_m): the row of a sector
-    is Omega_+(m), the row before it Omega_+(m-1) = -Omega_-(m)."""
+    is Omega_+(m), the row before it Omega_+(m-1) = -Omega_-(m).
+    """
     lo = int(fam.two_m.min())
     om = _omega_plus(params.omega0, params.A, np.arange(lo - 2, int(fam.two_m.max()) + 1, 2))
 
@@ -247,7 +248,8 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t):
 
         return coherence, population
 
-    return chunk
+    series = _tcl2_series(params, fam, t.size) if coherence and dt is not None else None
+    return chunk, series, None
 
 
 #: highest total degree n1 + n2 of a sector's TCL2 coherence series: near a
@@ -314,7 +316,8 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
     The tiles stay where some sector has W = 0 with b > 0 (there g = t^2/2
     has no series) or a degree above _TCL2_MAX_DEGREE, and where
     ``_tcl2_kernel_pays`` finds the grid too short for the terms: at N = 101
-    and alpha = 0.1, 19 terms per sector, the kernel pays from 867 times on.  So the route depends on the family and the grid alone.
+    and alpha = 0.1, 19 terms per sector, the kernel pays from 867 times on.
+    So the route depends on the family and the grid alone.
     """
     w1, w2 = fam.om_p, -fam.om_m
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < b: no series
@@ -345,14 +348,16 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
 
 
 def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
-              coherence: bool, opts):
-    """(fill, coherence spectrum, population spectrum) of the NZ2 sector equations.
+              coherence: bool, opts, dt):
+    """(fill, coherence terms, population terms) of the NZ2 sector equations.
 
     Scalar Volterra solutions x_s(t), x_s(0) = 1, per sector: f = x e^{-2iA two_m t} for
     the kernel B_+ e^{i Omega_+ tau} + B_- e^{-i Omega_- tau}, and g = x for the kernel
-    pair_coef cos(Omega_+ tau), split into e^{+-i Omega_+ tau}/2.  A spectrum is
-    (lambda_sk, |V_sk|^2) with x_s = sum_k |V_sk|^2 e^{-i lambda_sk t}, None where the
-    Volterra engine takes another route or the part is not asked for.
+    pair_coef cos(Omega_+ tau), split into e^{+-i Omega_+ tau}/2.  On the spectral
+    route x_s = sum_k |V_sk|^2 e^{-i lambda_sk t}, so where the grid has the step ``dt``
+    each asked part is an exponential sum of 3 terms per sector: amplitudes
+    w_s |V_sk|^2 and frequencies -(lambda_sk + 2A two_m_s) for the coherence, and
+    y0_s |V_sk|^2 and -lambda_sk for P_+.  The terms are None off that route.
     """
     half = 0.5 * fam.pair_coef
     coh_x, coh_spec = _unit_solutions(np.stack([fam.b_p, fam.b_m], axis=1), np.stack(
@@ -373,29 +378,15 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
         return coherence, population
 
-    return chunk, coh_spec, pop_spec
-
-
-def _nz2_totals(params: SystemParams, fam: SectorFamily, t, dt: float, coh_spec, pop_spec):
-    """(coh, P_+) of NZ2 on the uniform grid t by trajectory._exp_sum, None where not asked.
-
-    Each total is an exponential sum over the spectra, 3 terms per sector:
-    coh0 (1 + E(t) - E(0)) with amplitudes w_s |V_sk|^2 and frequencies
-    -(lambda_sk + 2A two_m_s), and P_+(0) + Re(E_p(t) - E_p(0)) with amplitudes
-    y0_s |V_sk|^2 and frequencies -lambda_sk, so coh(0) == initial_coh and
-    P_+(0) == initial_p_plus exactly.
-    """
-    coh = p_plus = None
-    if coh_spec is not None:
+    coh_terms = pop_terms = None
+    if coh_spec is not None and dt is not None:
         lam, wts = coh_spec
         nu = -(lam + (2.0 * params.A * fam.two_m)[:, None])
-        e = _exp_sum([((fam.w[:, None] * wts).ravel(), nu.ravel())], t[0], dt, t.size)
-        coh = complex(params.initial_coh) * (1.0 + e)
-    if pop_spec is not None:
+        coh_terms = [((fam.w[:, None] * wts).ravel(), nu.ravel())]
+    if pop_spec is not None and dt is not None:
         lam, wts = pop_spec
-        e = _exp_sum([((fam.y0[:, None] * wts).ravel(), -lam.ravel())], t[0], dt, t.size)
-        p_plus = params.initial_p_plus + e.real
-    return coh, p_plus
+        pop_terms = [((fam.y0[:, None] * wts).ravel(), -lam.ravel())]
+    return chunk, coh_terms, pop_terms
 
 
 def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray, out=None) -> np.ndarray:
@@ -417,30 +408,24 @@ def _solve(
     "nz2", ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle;
     ``j3tot`` (with populations) returns the series of
     ``j3tot_expectation(bundle)``, bit for bit, reduced per time chunk
-    without building the bundle.
+    without building the bundle.  One rule per part: a part with terms from
+    the fill has the total coh0 (1 + E) or P_+(0) + Re E by trajectory._exp_sum,
+    exact at t = 0, and the tiles run only for what a total cannot give.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    series = None
-    if method == "tcl2":  # the coherence alone has a series; opts does not apply
-        fill, dt = _tcl2_fill(params, fam, t), _exp_sum_step(t)
-        if coherence and dt is not None:
-            series = _tcl2_series(params, fam, t.size)
-        kernel_coh, kernel_pop = series is not None, False
-    else:
-        fill, coh_spec, pop_spec = _nz2_fill(params, fam, t, populations, coherence, opts)
-        dt = _exp_sum_step(t) if opts is None else None
-        kernel_coh = kernel_pop = dt is not None
-    # on the kernel route the tiles run only for what a total cannot give
-    tile_coh = coherence and (sectors or not kernel_coh)
-    tile_pop = populations and (sectors or j3tot or not kernel_pop)
+    dt = _exp_sum_step(t)
+    fill, coh_terms, pop_terms = {"tcl2": _tcl2_fill, "nz2": _nz2_fill}[method](
+        params, fam, t, populations, coherence, opts, dt)
+    tile_coh = coherence and (sectors or coh_terms is None)
+    tile_pop = populations and (sectors or j3tot or pop_terms is None)
     coh = sector_coh = p_plus = sector_p = j3 = None
     if tile_coh or tile_pop:
         coh, sector_coh, p_plus, sector_p, j3 = _tiles(params, fam, t, tile_pop, tile_coh,
                                                        sectors, j3tot, fill)
-    if series is not None:  # coh0 (1 + E(t) - E(0)), exact at t = 0
-        coh = complex(params.initial_coh) * (1.0 + _exp_sum(series, t[0], dt, t.size))
-    elif kernel_pop:
-        coh, p_plus = _nz2_totals(params, fam, t, dt, coh_spec, pop_spec)
+    if coh_terms is not None:
+        coh = complex(params.initial_coh) * (1.0 + _exp_sum(coh_terms, t[0], dt, t.size))
+    if pop_terms is not None:
+        p_plus = params.initial_p_plus + _exp_sum(pop_terms, t[0], dt, t.size).real
     bundle = SectorBundle(
         two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p, coh=sector_coh,
         p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),

@@ -198,7 +198,7 @@ def _phase_table(times: np.ndarray, energies: np.ndarray):
 
 
 def _phase_sum(left, w: np.ndarray, right, imag: bool = True) -> np.ndarray:
-    """sum_{kl} e^{-i E^L_k t} W[k,l] e^{+i E^R_l t} for real W, from the (C, S) tables of both sides.
+    """sum_{kl} e^{-i E^L_k t} W[k,l] e^{+i E^R_l t} for real W from the sides' (C, S) tables.
 
     The real part is sum (C_L W) o C_R + (S_L W) o S_R and the imaginary part
     sum (C_L W) o S_R - (S_L W) o C_R: two real GEMMs.  ``imag=False`` returns

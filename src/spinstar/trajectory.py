@@ -320,7 +320,7 @@ class Trajectory:
             arr = np.asarray(arr)
             if arr.shape != self.times.shape:
                 raise ValueError(f"{name} must match the time grid shape")
-            if not np.all(np.isfinite(arr.view(float))):
+            if not np.all(np.isfinite(arr)):
                 raise NumericsError(f"{name} contains non-finite values")
             setattr(self, name, arr)
 

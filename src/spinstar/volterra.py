@@ -109,7 +109,7 @@ def integrate_linear_ode(y0, generator, times, opts: SolveOptions | None = None)
         if halvings:
             step *= 0.5
         finer = _rk4_fixed(generator, y0, t, step)
-        if not np.all(np.isfinite(finer.view(float))):
+        if not np.all(np.isfinite(finer)):
             raise NumericsError(
                 f"non-finite values during RK4 integration at step {step:g}",
                 route="rk4", step=step, halvings=halvings, error=err,
@@ -175,7 +175,7 @@ def _quadrature_solve(x0, amps, rates, times, opts: SolveOptions):
         x[:, n + 1] = x_new
         # completed derivative at t_{n+1}, for the next step
         f_prev = -(s + 0.5 * h * k0 * x_new)
-    if not np.all(np.isfinite(x.view(float))):
+    if not np.all(np.isfinite(x)):
         raise NumericsError(
             f"non-finite values in quadrature solve at step {h:g}", route="quadrature", step=h
         )
@@ -241,7 +241,7 @@ def _spectral_solve(x0, amps, rates, times):
     x = _expm1_sum(lam, wts, times, *np.empty((2, x0.size, times.size), complex))
     x += 1.0
     x *= x0[:, None]
-    if not np.all(np.isfinite(x.view(float))):
+    if not np.all(np.isfinite(x)):
         raise NumericsError("spectral solve failed: non-finite values", route="spectral")
     return x
 

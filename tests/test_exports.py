@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deleted function cannot linger in an export list,
 and every name the docs import from ``spinstar`` is exported, so a deletion cannot
 leave the README or a demo behind.  A CLI run loads no third-party package but numpy.
+No line of the package is wider than 100 columns.
 """
 
 import ast
@@ -71,3 +72,10 @@ print(sorted(loaded - set(sys.stdlib_module_names) - {"spinstar"}))
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_no_package_line_is_wider_than_100_columns():
+    wide = [f"{path.name}:{n}: {len(line)}"
+            for path in sorted((ROOT / "src" / "spinstar").glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), start=1) if len(line) > 100]
+    assert not wide

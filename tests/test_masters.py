@@ -660,6 +660,30 @@ class TestTcl2KernelRoute:
         assert calls == counts
 
 
+@pytest.mark.parametrize("family", ["m", "jm"])
+@pytest.mark.parametrize("method", ["tcl2", "nz2"])
+def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, method, family):
+    # on a uniform kernel grid a part with terms takes one _exp_sum call of its own,
+    # whether the other part is asked for and whether sectors or J_3^tot run the tiles
+    monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
+    t = 0.5 * np.arange(601)
+    calls = _exp_sum_calls(monkeypatch)
+    ref = _solve(PARAMS, t, method, family)[0]
+    with_terms = {"coh": True, "p_plus": method == "nz2"}  # TCL2 populations have no series
+    assert len(calls) == sum(with_terms.values())
+    for populations, coherence in ((True, True), (False, True), (True, False)):
+        asked = {"coh": coherence, "p_plus": populations}
+        for extra in ({}, {"sectors": True}, {"j3tot": True}, {"sectors": True, "j3tot": True}):
+            calls.clear()
+            traj = _solve(PARAMS, t, method, family, populations, coherence, **extra)[0]
+            assert len(calls) == sum(asked[part] and with_terms[part] for part in asked)
+            for part, on in asked.items():
+                got = getattr(traj, part)
+                assert (got is None) == (not on)
+                if on:
+                    np.testing.assert_array_equal(got, getattr(ref, part))
+
+
 @pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 1e-3, 0.0173, 0.5, 1.0, 2.0, 3.0, 3.8])
 def test_poisson_degrees_are_certified_and_least(lam):
     # the Poisson(lam) tail beyond the degree, summed term by term in log space,

@@ -177,15 +177,15 @@ def _raise_off_the_calling_thread(monkeypatch, exc):
     """TCL2 fills that raise ``exc`` on every thread but the main one, over 2 workers."""
     fill = masters._tcl2_fill
 
-    def failing(params, fam, t):
-        chunk = fill(params, fam, t)
+    def failing(*args):
+        chunk, *terms = fill(*args)
 
         def per_chunk(sl):
             if threading.current_thread() is not threading.main_thread():
                 raise exc
             return chunk(sl)
 
-        return per_chunk
+        return per_chunk, *terms
 
     monkeypatch.setattr(masters, "_tcl2_fill", failing)
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)

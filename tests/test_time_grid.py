@@ -21,7 +21,7 @@ from spinstar import trajectory
 from spinstar.oracle import propagate
 from spinstar.sectors import SystemParams, sector_family
 from spinstar.trajectory import Trajectory
-from spinstar.volterra import integrate_linear_ode, solve_volterra_batch
+from spinstar.volterra import NumericsError, integrate_linear_ode, solve_volterra_batch
 
 P = SystemParams(N=2, A=0.1, omega0=1.0, initial_coh=0.0)
 ONE = np.ones(1)
@@ -69,6 +69,26 @@ BAD_GRIDS = {
 def test_malformed_grid_is_rejected(entry, grid):
     with pytest.raises(ValueError):
         entry(np.array(grid, dtype=float))
+
+
+def test_trajectory_checks_each_array_as_it_is():
+    # a strided complex view and an integer array are checked by value: no view of
+    # their bytes as floats (which needs a contiguous last axis, and which would read
+    # the integer 0x7ff0000000000000 as inf)
+    p = dataclasses.replace(P, initial_coh=0.3 - 0.1j)
+    whole = exact_trajectory(p, np.linspace(0.0, 4.0, 9))
+    half = Trajectory(times=whole.times[::2], p_plus=whole.p_plus[::2],
+                      p_minus=whole.p_minus[::2], coh=whole.coh[::2], method="exact",
+                      projection="none", params=p)
+    np.testing.assert_array_equal(half.coh, whole.coh[::2])
+    ints = np.array([0x7FF0000000000000, 1])
+    traj = Trajectory(times=np.arange(2.0), p_plus=ints, p_minus=1 - ints, coh=None,
+                      method="exact", projection="none", params=p)
+    np.testing.assert_array_equal(traj.p_plus, ints)
+    with pytest.raises(NumericsError, match="coh contains non-finite"):
+        Trajectory(times=whole.times[::2], p_plus=None, p_minus=None,
+                   coh=np.where(np.arange(9) == 4, np.inf, whole.coh)[::2], method="exact",
+                   projection="none", params=p)
 
 
 def test_one_wide_tail_joins_the_last_chunk(monkeypatch):
