@@ -41,8 +41,9 @@ the totals it can, per part.  On the spectral route each NZ2 sector solution
 is a sum of 3 exponentials, x_s(t) = sum_k |V_sk|^2 e^{-i lambda_sk t}, so
 both NZ2 totals are exponential sums.  The TCL2 coherence is one too: each
 factor exp(-b g(W, t)) of a sector is a Poisson series in e^{iWt}, so f_s is
-a double series in e^{i Omega_+(m) t} and e^{i Omega_+(m-1) t}, cut where its
-Poisson tail is at most sectors._TAIL_WEIGHT (``_tcl2_series``).  It has no
+a double series in e^{i Omega_+(m) t} and e^{i Omega_+(m-1) t}, cut where the
+weighted Poisson tails of all sectors add up to at most sectors._TAIL_WEIGHT
+(``_tcl2_series``).  It has no
 terms where a sector sits at a resonance Omega_+ = 0 with b > 0 (or so near
 one that its degree passes _TCL2_MAX_DEGREE) or ``_tcl2_kernel_pays`` finds
 the grid too short for their number.  The TCL2 populations have none.
@@ -107,8 +108,9 @@ _SIN_SERIES = (1 / 6, -1 / 120, 1 / 5040, -1 / 362880, 1 / 39916800, -1 / 622702
                1 / 1307674368000, -1 / 355687428096000)
 
 
-def _g_table(om, t):
-    """(2 Re g/t^2, Im g/t^2) of g(Omega, t) on a (detunings, times) grid.
+def _g_table(om, t, imag: bool):
+    """(2 Re g/t^2, Im g/t^2 or None unless ``imag``) of g(Omega, t) on a (detunings,
+    times) grid.
 
     g(Omega, t) = int_0^t (t - u) e^{i Omega u} du = (1 - e^{i Omega t})/Omega^2 + i t/Omega.
     With x = Omega t, 2 Re g/t^2 = (sin(x/2)/(x/2))^2 has no cancellation and
@@ -120,6 +122,8 @@ def _g_table(om, t):
     np.divide(np.sin(re), re, out=re, where=x != 0.0)
     re[x == 0.0] = 1.0
     re *= re
+    if not imag:  # the populations read Re g alone
+        return re, None
     small = np.abs(x) < 1.0
     im = np.subtract(x, np.sin(x))
     np.divide(im, x * x, out=im, where=~small)
@@ -142,9 +146,10 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
            sectors: bool, j3tot: bool, fill):
     """(coh, sector coh, P_+, sector P_+, J_3^tot), None if not asked, per (block, chunk) tile.
 
-    ``fill(sl)`` gives the fills of the tiles of time chunk ``sl``: ``coherence(sub,
-    blk, f, scratch)`` writes f of rho^s_{+-} = rho_{+-}(0) w_s f_s (rotating frame)
-    into the complex tile ``f``, ``population(sub, blk, gm1, g, scratch)`` g - 1 of
+    ``fill(sl, coherence)`` gives the fills of the tiles of time chunk ``sl``, the
+    first one usable only if ``coherence``: ``coherence(sub, blk, f, scratch)`` writes
+    f of rho^s_{+-} = rho_{+-}(0) w_s f_s (rotating frame) into the complex tile
+    ``f``, ``population(sub, blk, gm1, g, scratch)`` g - 1 of
     P^s_+ = steady + y0 g into the real tile ``gm1``, and g unless ``g`` is None.
     The totals coh0 (1 + sum w (f - 1)) and P_+(0) + sum y0 (g - 1) add the sectors
     in the order of one sum over a whole (sectors, times) array, so neither the tiling
@@ -171,7 +176,7 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
         gm1_buf, g_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
         pm_buf, terms_buf = scratch.view(float)[:cells], scratch.view(float)[cells:]
         for sl in chunks:
-            fill_coh, fill_pop = fill(sl)
+            fill_coh, fill_pop = fill(sl, coherence)
             acc_coh = acc_p = acc_j3 = None
             for blk, sub in blocks:
                 shape = (sub.w.size, sl.stop - sl.start)
@@ -220,8 +225,8 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
     lo = int(fam.two_m.min())
     om = _omega_plus(params.omega0, params.A, np.arange(lo - 2, int(fam.two_m.max()) + 1, 2))
 
-    def chunk(sl):
-        t2, (re, im) = t[sl] * t[sl], _g_table(om, t[sl])
+    def chunk(sl, with_coh):
+        t2, (re, im) = t[sl] * t[sl], _g_table(om, t[sl], with_coh)
 
         def coherence(sub, blk, f, scratch):  # each term of Lambda as (g coef) t^2, B_+ first
             k, term = (sub.two_m - lo) // 2 + 1, _tile(scratch.view(float), *f.shape)
@@ -262,7 +267,11 @@ _TCL2_MAX_DEGREE = 32
 #: one BLAS thread with two sweep threads, under jm at N = 101 (alpha = 0.1 and
 #: 0.5), 1000 and 10^4 on 65 to 16384 times, it came to 0.7-1.3 times that; the
 #: m tiles at N = 101 cost more per point, so there the kernel pays about twice
-#: as early as this says
+#: as early as this says.  Re-measured with the shared tail budget (min of 21,
+#: tiles time / kernel time at 0.8, 1, 1.25 times the threshold): jm at N = 101,
+#: alpha = 0.1 (328 times) 0.91, 1.04, 1.22; alpha = 0.5 (972) 1.05, 1.04, 1.35;
+#: N = 1000 (189) 0.88, 1.05, 1.62; m at N = 101, alpha = 0.1 (254) 1.98, 2.34,
+#: 2.75 and alpha = 0.5 (548) 2.18, 2.82, 3.46, and 1.34 and 1.74 at half of it
 _TCL2_TERM_POINTS = 16
 
 
@@ -277,18 +286,20 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(num.shape), where=num != 0.0)
 
 
-def _poisson_degrees(lam):
+def _poisson_degrees(lam, budget):
     """The least n <= _TCL2_MAX_DEGREE per element whose Poisson(lam) tail P(X > n) is
-    at most _TAIL_WEIGHT, or None where an element needs more.
+    at most ``budget`` (per element), or None where an element needs more.
 
     The tail is certified by p_{n+1} / (1 - lam/(n+2)), an upper bound for
-    lam < n + 2, with the relative slack _TAIL_MARGIN of the jm tail cut.
+    lam < n + 2, with the relative slack _TAIL_MARGIN of the jm tail cut.  A
+    budget of at least 1 takes degree 0, since no tail exceeds 1.
     """
-    degree = np.full(lam.shape, -1)
+    degree = np.where(budget >= 1.0, 0, -1)
     p = np.exp(-lam)  # p_0
     for n in range(_TCL2_MAX_DEGREE + 1):
         p = p * lam / (n + 1)  # p_{n+1}
-        bound_ok = p * (1.0 + _TAIL_MARGIN) <= _TAIL_WEIGHT * (1.0 - lam / (n + 2))
+        with np.errstate(invalid="ignore"):  # inf * 0 where lam = n + 2: not certified
+            bound_ok = p * (1.0 + _TAIL_MARGIN) <= budget * (1.0 - lam / (n + 2))
         degree[(degree < 0) & (lam < n + 2) & bound_ok] = n
         if np.all(degree >= 0):
             return degree
@@ -305,10 +316,13 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
     with b_m, so it is a sum of exponentials of amplitude
     w e^{-a1-a2} a1^n1 a2^n2/(n1! n2!) and frequency
     -2A two_m - b_p/W1 - b_m/W2 + n1 W1 + n2 W2 (b/W and a taken as 0 where
-    b = 0).  Each sector keeps the total degrees n1 + n2 <= n_s of
-    ``_poisson_degrees(a1 + a2)``, so it drops amplitudes of sum at most
-    _TAIL_WEIGHT, in E(t) and E(0): the coherence moves by at most
-    2 |coh0| _TAIL_WEIGHT, the bound of the jm tail cut.  The terms come in
+    b = 0).  The family shares one tail budget, _TAIL_WEIGHT, in equal parts:
+    each of its S sectors keeps the total degrees n1 + n2 <= n_s of
+    ``_poisson_degrees(a1 + a2, _TAIL_WEIGHT / (S w_s))``, so it drops amplitudes
+    of sum at most _TAIL_WEIGHT / S (none where w_s = 0, at degree 0), and the
+    family at most _TAIL_WEIGHT, in E(t) and E(0): the coherence moves by at
+    most 2 |coh0| _TAIL_WEIGHT, the bound of the jm tail cut.  A light sector
+    so keeps fewer terms than a heavy one.  The terms come in
     slices of a fixed number of whole sectors, at most exact._TERM_SLICE
     terms each, in a fixed order, so that no term array spans the table or
     outgrows the arrays of exact._uniform_pass.
@@ -316,14 +330,18 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
     The tiles stay where some sector has W = 0 with b > 0 (there g = t^2/2
     has no series) or a degree above _TCL2_MAX_DEGREE, and where
     ``_tcl2_kernel_pays`` finds the grid too short for the terms: at N = 101
-    and alpha = 0.1, 19 terms per sector, the kernel pays from 867 times on.
+    and alpha = 0.1, about 9.6 terms per sector under jm and 7.9 under m, the
+    kernel pays from 328 and 254 times on.
     So the route depends on the family and the grid alone.
     """
     w1, w2 = fam.om_p, -fam.om_m
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < b: no series
         a1, a2 = _ratio(fam.b_p, w1 * w1), _ratio(fam.b_m, w2 * w2)
     lam = a1 + a2
-    degree = _poisson_degrees(lam) if np.all(np.isfinite(lam)) else None
+    # each sector may drop _TAIL_WEIGHT / S of amplitude: a tail relative to w_s
+    budget = np.divide(_TAIL_WEIGHT / fam.w.size, fam.w, out=np.full(fam.w.shape, np.inf),
+                       where=fam.w > 0.0)
+    degree = _poisson_degrees(lam, budget) if np.all(np.isfinite(lam)) else None
     if degree is None:
         return None
     counts = (degree + 1) * (degree + 2) // 2
@@ -365,7 +383,7 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
     pop_x, pop_spec = _unit_solutions(np.stack([half, half], axis=1), np.stack(
         [1j * fam.om_p, -1j * fam.om_p], axis=1), t, opts) if populations else (None, None)
 
-    def chunk(sl):
+    def chunk(sl, with_coh):
         def coherence(sub, blk, f, scratch):
             coh_x(blk, sl, f, _tile(scratch, *f.shape))
             f += 1.0

@@ -443,8 +443,8 @@ def test_exact_kernel_does_not_depend_on_the_blas_thread_count(n):
     # BLAS to split over threads, and whose TCL2 coherence stays on the tiles;
     # on 2001 uniform times N = 101 makes them (42 x 256) @ (256 x 49) K
     # blocks, where a real dgemm split rounds differently at 1 and 2 threads,
-    # for the exact sums and for the TCL2 coherence series (about 19 terms per
-    # sector under jm, 15 under m), and N = 96 keeps 1849 sectors, a K that is
+    # for the exact sums and for the TCL2 coherence series (about 9.6 terms per
+    # sector under jm, 8 under m), and N = 96 keeps 1849 sectors, a K that is
     # no multiple of 8 unless padded
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = []

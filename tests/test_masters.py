@@ -641,13 +641,14 @@ class TestTcl2KernelRoute:
                 fn(p, uniform)
 
     def test_a_grid_too_short_for_the_terms_takes_the_tiles(self, monkeypatch):
-        # about 19 terms per sector at N = 101 (alpha = 0.1): each costs the kernel
-        # about _TCL2_TERM_POINTS + sqrt(n) sector-time points of the tiles
+        # about 9.6 terms per sector under jm and 7.9 under m at N = 101 (alpha = 0.1):
+        # each costs the kernel about _TCL2_TERM_POINTS + sqrt(n) sector-time points
+        # of the tiles
         p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
                          initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
         fam = sector_family(p, "jm")
         counts = [sum(nu.size for _, nu in masters._tcl2_series(p, fam, 10**9))]
-        assert 19 <= counts[0] / fam.w.size < 20
+        assert 9 <= counts[0] / fam.w.size < 10
         need = next(n for n in range(1, 10**4) if n * fam.w.size
                     >= counts[0] * (masters._TCL2_TERM_POINTS + math.sqrt(n)))
         assert 64 < need < 2001
@@ -657,6 +658,21 @@ class TestTcl2KernelRoute:
         tcl2_jm(p, 0.5 * np.arange(need - 1))
         assert calls == []
         tcl2_jm(p, 0.5 * np.arange(need))
+        assert calls == counts
+        # under m the kernel pays earlier: 601 times, the grid of ``compare`` at
+        # dt = 0.1 and t_max = 60, take it
+        fam = sector_family(p, "m")
+        counts = [sum(nu.size for _, nu in masters._tcl2_series(p, fam, 10**9))]
+        assert 7 <= counts[0] / fam.w.size < 8
+        need = next(n for n in range(1, 10**4) if n * fam.w.size
+                    >= counts[0] * (masters._TCL2_TERM_POINTS + math.sqrt(n)))
+        assert 64 < need <= 601
+        assert masters._tcl2_series(p, fam, need) is not None
+        assert masters._tcl2_series(p, fam, need - 1) is None
+        calls.clear()
+        tcl2_coherence_m(p, 0.5 * np.arange(need - 1))
+        assert calls == []
+        tcl2_coherence_m(p, 0.1 * np.arange(601))
         assert calls == counts
 
 
@@ -684,32 +700,97 @@ def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, met
                     np.testing.assert_array_equal(got, getattr(ref, part))
 
 
-@pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-12, 1e-3, 0.0173, 0.5, 1.0, 2.0, 3.0, 3.8])
-def test_poisson_degrees_are_certified_and_least(lam):
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(512)])
+
+
+def _poisson_log_term(lam, k):
+    """log p_k of Poisson(lam) for integers 0 <= k < 512, -inf at lam = 0 < k."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k == 0, -lam, k * np.log(lam) - lam - _LOG_FACTORIAL[k])
+
+
+def _poisson_certified(lam, budget, d):
+    """Whether p_{d+1}/(1 - lam/(d+2)), with the _TAIL_MARGIN slack, is within the budget."""
+    p = np.exp(_poisson_log_term(lam, d + 1))
+    with np.errstate(invalid="ignore"):
+        return (lam < d + 2) & (p * (1.0 + masters._TAIL_MARGIN)
+                                <= budget * (1.0 - lam / (d + 2)))
+
+
+_POISSON_CASES = [
+    pytest.param(lam, budget, id=str(lam) if budget == masters._TAIL_WEIGHT else f"{lam}-{name}")
+    for name, budget in (("2^-60", masters._TAIL_WEIGHT), ("1", 1.0), ("inf", math.inf))
+    for lam in (0.0, 1e-300, 1e-12, 1e-3, 0.0173, 0.5, 1.0, 2.0, 3.0, 3.8)
+]
+
+
+@pytest.mark.parametrize("lam, budget", _POISSON_CASES)
+def test_poisson_degrees_are_certified_and_least(lam, budget):
     # the Poisson(lam) tail beyond the degree, summed term by term in log space,
-    # is at most _TAIL_WEIGHT; one degree less fails the certified bound
-    n = int(masters._poisson_degrees(np.array([lam]))[0])
-
-    def tail(d):  # P(X > d)
-        if lam == 0.0:
-            return 0.0
-        return math.fsum(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-                         for k in range(d + 1, d + 400))
-
-    def certified(d):
-        p = math.exp(d * math.log(lam) - lam - math.lgamma(d + 1)) * lam / (d + 1) if lam else 0.0
-        return lam < d + 2 and p * (1.0 + masters._TAIL_MARGIN) <= (
-            masters._TAIL_WEIGHT * (1.0 - lam / (d + 2)))
-
-    assert tail(n) <= masters._TAIL_WEIGHT
-    assert n == 0 or not certified(n - 1)
+    # is at most the budget; one degree less fails the certified bound, and a
+    # budget of at least 1 takes degree 0, since no tail exceeds 1
+    n = int(masters._poisson_degrees(np.array([lam]), np.array([budget]))[0])
+    assert math.fsum(np.exp(_poisson_log_term(lam, n + 1 + np.arange(400)))) <= budget
+    assert n == 0 or not _poisson_certified(lam, budget, n - 1)
     assert n <= masters._TCL2_MAX_DEGREE
+    if budget >= 1.0:
+        assert n == 0
 
 
 def test_poisson_degrees_past_the_cap_are_refused():
     lam = np.array([1e-3, 5.0, 1e-3])
-    assert masters._poisson_degrees(lam) is None
-    assert masters._poisson_degrees(lam[[0, 2]]) is not None
+    budget = np.full(lam.shape, masters._TAIL_WEIGHT)
+    assert masters._poisson_degrees(lam, budget) is None
+    assert masters._poisson_degrees(lam[[0, 2]], budget[[0, 2]]) is not None
+    budget[1] = math.inf  # a sector of weight 0 takes degree 0 whatever its mean
+    assert masters._poisson_degrees(lam, budget)[1] == 0
+
+
+def _series_degrees(monkeypatch, p, fam):
+    """The degree n_s of each sector in ``_tcl2_series``, checked against its term count."""
+    used, poisson_degrees = [], masters._poisson_degrees
+    with monkeypatch.context() as patch:
+        patch.setattr(masters, "_poisson_degrees",
+                      lambda *args: used.append(poisson_degrees(*args)) or used[-1])
+        n_terms = sum(nu.size for _, nu in masters._tcl2_series(p, fam, 10**9))
+    (degree,) = used
+    assert n_terms == np.sum((degree + 1) * (degree + 2) // 2)
+    return degree
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["A>0", "A<0"])
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 5, 101, 1000])
+@pytest.mark.parametrize("family", ["m", "jm"])
+def test_tcl2_series_drops_at_most_the_shared_tail_budget(monkeypatch, family, n, alpha, sign):
+    # the S sectors share _TAIL_WEIGHT: sum_s w_s P(X_s > n_s), X_s ~ Poisson(lam_s),
+    # summed term by term in log space, is at most _TAIL_WEIGHT, and each n_s is the
+    # least degree whose certified tail is within the budget _TAIL_WEIGHT / (S w_s)
+    p = SystemParams(N=n, A=sign * coupling_from_alpha(n, 1.0, alpha), omega0=1.0,
+                     initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+    fam = sector_family(p, family)
+    degree = _series_degrees(monkeypatch, p, fam)
+    lam = sum(np.divide(b, w * w, out=np.zeros(b.shape), where=b != 0.0)  # 0 where b = 0
+              for b, w in ((fam.b_p, fam.om_p), (fam.b_m, fam.om_m)))
+    budget = np.full(fam.w.shape, math.inf)
+    budget[fam.w > 0] = masters._TAIL_WEIGHT / (fam.w.size * fam.w[fam.w > 0])
+    k = degree[:, None] + 1 + np.arange(400)  # every tail term above 2^-1074
+    dropped = fam.w[:, None] * np.exp(_poisson_log_term(lam[:, None], k))
+    assert math.fsum(dropped[dropped > 0.0]) <= masters._TAIL_WEIGHT
+    assert np.all(_poisson_certified(lam, budget, degree))
+    assert not np.any(_poisson_certified(lam, budget, degree - 1) & (degree > 0))
+
+
+def test_sectors_of_weight_zero_take_degree_zero_without_a_warning(monkeypatch):
+    # at N = 2000 the m weights 2^-N binom(N, k) of 396 sectors underflow to 0
+    p = SystemParams(N=2000, A=coupling_from_alpha(2000, 1.0, 0.1), omega0=1.0,
+                     initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+    fam = sector_family(p, "m")
+    assert np.sum(fam.w == 0.0) == 396
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        degree = _series_degrees(monkeypatch, p, fam)
+    assert np.all(degree[fam.w == 0.0] == 0) and degree.max() > 0
 
 
 def test_a_detuning_whose_square_underflows_keeps_the_tiles():

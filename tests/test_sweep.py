@@ -180,10 +180,10 @@ def _raise_off_the_calling_thread(monkeypatch, exc):
     def failing(*args):
         chunk, *terms = fill(*args)
 
-        def per_chunk(sl):
+        def per_chunk(sl, *parts):
             if threading.current_thread() is not threading.main_thread():
                 raise exc
-            return chunk(sl)
+            return chunk(sl, *parts)
 
         return per_chunk, *terms
 
