@@ -15,8 +15,8 @@ coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
 ``c`` with its ``steady`` value and ``y0``, and ``c_prev``/``lower`` to
 rebuild P_- from P_+.  Both methods run through one tile loop, ``_tiles``,
 blind to the family: per (sector block, time chunk) tile a method fills the
-sector factors f and g, and the loop sums the totals, the sector arrays and
-the J_3^tot series, so that memory does not grow with sectors x times.  The
+sector factors f and g, and the loop sums the totals and the sector arrays,
+so that memory does not grow with sectors x times.  The
 time chunks run on up to two threads, one per allowed CPU (trajectory._sweep),
 in one shared memory budget, and no bit depends on the thread count:
 
@@ -43,16 +43,19 @@ both NZ2 totals are exponential sums.  The TCL2 coherence is one too: each
 factor exp(-b g(W, t)) of a sector is a Poisson series in e^{iWt}, so f_s is
 a double series in e^{i Omega_+(m) t} and e^{i Omega_+(m-1) t}, cut where the
 weighted Poisson tails of all sectors add up to at most sectors._TAIL_WEIGHT
-(``_tcl2_series``).  It has no
-terms where a sector sits at a resonance Omega_+ = 0 with b > 0 (or so near
-one that its degree passes _TCL2_MAX_DEGREE) or ``_tcl2_kernel_pays`` finds
-the grid too short for their number.  The TCL2 populations have none.
+(``_tcl2_series``).  So are the TCL2 populations: a sector's
+exp(-c (1 - cos W t)) is the Bessel generating function, a series in
+e^{ikWt} cut the same way (``_tcl2_population_series``).  Neither part has
+terms where a sector sits at a resonance Omega_+ = 0 with b > 0 or
+pair_coef > 0 (or so near one that its degree passes _TCL2_MAX_DEGREE) or
+``_tcl2_kernel_pays`` finds the grid too short for their number.
 
 Every public solver and the CLI go through ``_solve``, blind to the method,
-which can also return the J_3^tot series without sector-resolved arrays.  A
-part with terms takes the baby-step/giant-step GEMM of trajectory._exp_sum,
-as exact._uniform_pass does, and the tiles run only for what a total cannot
-give: the sector arrays, the J_3^tot series and the parts without terms.
+which can also return the J_3^tot series without sector-resolved arrays: it
+is constant by construction, so it is read from the table at t = 0
+(``_j3tot_start``).  A part with terms takes the baby-step/giant-step GEMM of
+trajectory._exp_sum, as exact._uniform_pass does, and the tiles run only for
+what a total cannot give: the sector arrays and the parts without terms.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
 with RK4, as an independent check of the closed forms.  Public trajectories
@@ -143,8 +146,8 @@ def _frame_phase(params: SystemParams, two_m, t):
 
 
 def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
-           sectors: bool, j3tot: bool, fill):
-    """(coh, sector coh, P_+, sector P_+, J_3^tot), None if not asked, per (block, chunk) tile.
+           sectors: bool, fill):
+    """(coh, sector coh, P_+, sector P_+), None if not asked, per (block, chunk) tile.
 
     ``fill(sl, coherence)`` gives the fills of the tiles of time chunk ``sl``, the
     first one usable only if ``coherence``: ``coherence(sub, blk, f, scratch)`` writes
@@ -154,7 +157,7 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
     The totals coh0 (1 + sum w (f - 1)) and P_+(0) + sum y0 (g - 1) add the sectors
     in the order of one sum over a whole (sectors, times) array, so neither the tiling
     nor the worker count of trajectory._sweep, which runs the fills of a time chunk
-    on one thread, changes a bit of them, of the sector arrays or of J_3^tot.
+    on one thread, changes a bit of them or of the sector arrays.
     """
     coh0 = complex(params.initial_coh)
     blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 32)]
@@ -162,7 +165,6 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
     sector_coh = np.empty((fam.w.size, t.size), complex) if coherence and sectors else None
     p_plus = np.empty(t.size) if populations else None
     sector_p = np.empty((fam.w.size, t.size)) if populations and sectors else None
-    j3 = np.empty(t.size) if populations and j3tot else None
     rows = max(sub.w.size for _, sub in blocks)
 
     def buffers(n, width):  # f and a flat scratch per worker, 32 bytes per sector-time point
@@ -170,14 +172,12 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
 
     def sweep(chunks, f_buf, scratch):
         # one set of tile buffers for every tile of the worker, as in exact._sector_pass:
-        # f and a flat scratch, the real halves of f's for g - 1 and g, and those of the
-        # scratch's for P_- and the J_3^tot terms once a fill is done
+        # f and a flat scratch, and the real halves of f's for g - 1 and g
         cells = f_buf.size
         gm1_buf, g_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
-        pm_buf, terms_buf = scratch.view(float)[:cells], scratch.view(float)[cells:]
         for sl in chunks:
             fill_coh, fill_pop = fill(sl, coherence)
-            acc_coh = acc_p = acc_j3 = None
+            acc_coh = acc_p = None
             for blk, sub in blocks:
                 shape = (sub.w.size, sl.stop - sl.start)
                 if coherence:
@@ -189,33 +189,26 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
                     acc_coh = _add_rows(f, acc_coh)
                 if populations:
                     gm1, g = _tile(gm1_buf, *shape), _tile(g_buf, *shape)
-                    fill_pop(sub, blk, gm1, g if sectors or j3tot else None, scratch)
-                    if sectors or j3tot:  # steady + y0 g
+                    fill_pop(sub, blk, gm1, g if sectors else None, scratch)
+                    if sectors:  # steady + y0 g
                         g *= sub.y0[:, None]
                         g += sub.steady[:, None]
-                        if sectors:
-                            sector_p[blk, sl] = g
-                        if j3tot:  # j3tot_expectation of the sector populations g
-                            p_minus = _sector_p_minus(sub, g, _tile(pm_buf, *shape))
-                            terms = _j3tot_terms(sub.two_m, g, p_minus,
-                                                 _tile(terms_buf, *shape))
-                            acc_j3 = _add_rows(terms, acc_j3)
+                        sector_p[blk, sl] = g
                     gm1 *= sub.y0[:, None]
                     acc_p = _add_rows(gm1, acc_p)
             if coherence:
                 coh[sl] = coh0 * (1.0 + acc_coh)
             if populations:
                 p_plus[sl] = params.initial_p_plus + acc_p
-            if j3 is not None:
-                j3[sl] = acc_j3
 
     _sweep(t.size, 32 * rows, buffers, sweep)
-    return coh, sector_coh, p_plus, sector_p, j3
+    return coh, sector_coh, p_plus, sector_p
 
 
 def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
                coherence: bool, opts, dt):
-    """(fill, ``_tcl2_series`` terms or None, None) of TCL2; ``opts`` does not apply.
+    """(fill, ``_tcl2_series`` terms, ``_tcl2_population_series`` terms) of TCL2, each
+    None where it does not run; ``opts`` does not apply.
 
     Closed forms f = exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)] and
     g = exp(-pair_coef Re g(Omega_+, t)), with g(Omega, t) read from one table per chunk
@@ -253,14 +246,18 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
         return coherence, population
 
-    series = _tcl2_series(params, fam, t.size) if coherence and dt is not None else None
-    return chunk, series, None
+    on_grid = dt is not None
+    return (chunk, _tcl2_series(params, fam, t.size) if coherence and on_grid else None,
+            _tcl2_population_series(fam, t.size) if populations and on_grid else None)
 
 
 #: highest total degree n1 + n2 of a sector's TCL2 coherence series: near a
 #: resonance Omega_+ = 0 its Poisson mean b/Omega^2 grows without bound, and a
 #: family with a sector past this degree keeps the tiles
 _TCL2_MAX_DEGREE = 32
+
+#: n! up to the highest degree, for the Poisson terms of both TCL2 series
+_FACTORIAL = np.array([math.factorial(n) for n in range(_TCL2_MAX_DEGREE + 1)], float)
 
 #: what a term of the TCL2 coherence series costs trajectory._exp_sum on n times,
 #: in sector-time points of the tiles: about this many plus sqrt(n).  Measured on
@@ -274,11 +271,31 @@ _TCL2_MAX_DEGREE = 32
 #: 2.75 and alpha = 0.5 (548) 2.18, 2.82, 3.46, and 1.34 and 1.74 at half of it
 _TCL2_TERM_POINTS = 16
 
+#: the TCL2 populations in the points of _TCL2_TERM_POINTS, the kernel's cost of a
+#: term per sqrt(n) times: their tiles cost about a tenth of one per sector-time
+#: point and 0.6 per point of the g(Omega, t) table, one row per detuning, which
+#: under m is as long as the sector axis; a term of their series costs about this
+#: many plus sqrt(n).  Fitted on one BLAS thread with two sweep threads, min of 9,
+#: over m and jm at N = 21, 101 (alpha = 0.1 and 0.5) and 1000 on 64 to 2048 times:
+#: 4.5 ns per sector point, 25 ns per table point, 320 + 43 sqrt(n) ns per term.
+#: Tiles time / kernel time (min of 21) at 0.8, 1 and 1.25 times the threshold: jm
+#: at N = 101, alpha = 0.1 (759 times) 1.06, 1.22, 1.27; alpha = 0.5 (2105) 0.80,
+#: 1.04, 0.91; N = 1000 (552) 0.88, 1.10, 1.50; N = 21 (759) 1.38, 1.28, 1.26; m at
+#: N = 101, alpha = 0.5 (80) 0.77, 0.80, 1.00; N = 21 (97) 0.73, 0.85, 0.59 (all under
+#: 0.3 ms apart).  Where the threshold lies below the 64 times from which the kernel
+#: may run, at 64, 80 and 100 times: m at N = 101, alpha = 0.1 (44) 0.97, 1.01, 1.25,
+#: and N = 1000 (9) 2.06, 2.63, 2.28
+_TCL2_POP_SECTOR_POINTS = 0.1
+_TCL2_POP_ROW_POINTS = 0.6
+_TCL2_POP_TERM_POINTS = 7
 
-def _tcl2_kernel_pays(n_times: int, n_sectors: int, n_terms: int) -> bool:
-    """Whether n_terms series terms cost the kernel less than n_sectors sectors cost
-    the tiles on n_times times: the rule reads the grid length and the counts only."""
-    return n_times * n_sectors >= n_terms * (_TCL2_TERM_POINTS + math.sqrt(n_times))
+
+def _tcl2_kernel_pays(n_times: int, tile_points: float, n_terms: int,
+                      term_points: float) -> bool:
+    """Whether n_terms series terms, each costing the kernel ``term_points`` plus
+    sqrt(n_times) points on n_times times, cost less than tiles of ``tile_points`` per
+    time: the rule reads the grid length and the counts only."""
+    return n_times * tile_points >= n_terms * (term_points + math.sqrt(n_times))
 
 
 def _ratio(num, den):
@@ -322,10 +339,8 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
     of sum at most _TAIL_WEIGHT / S (none where w_s = 0, at degree 0), and the
     family at most _TAIL_WEIGHT, in E(t) and E(0): the coherence moves by at
     most 2 |coh0| _TAIL_WEIGHT, the bound of the jm tail cut.  A light sector
-    so keeps fewer terms than a heavy one.  The terms come in
-    slices of a fixed number of whole sectors, at most exact._TERM_SLICE
-    terms each, in a fixed order, so that no term array spans the table or
-    outgrows the arrays of exact._uniform_pass.
+    so keeps fewer terms than a heavy one.  The terms come in the slices of
+    ``_sector_slices``, in a fixed order.
 
     The tiles stay where some sector has W = 0 with b > 0 (there g = t^2/2
     has no series) or a degree above _TCL2_MAX_DEGREE, and where
@@ -345,24 +360,83 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
     if degree is None:
         return None
     counts = (degree + 1) * (degree + 2) // 2
-    if not _tcl2_kernel_pays(n_times, fam.w.size, int(counts.sum())):
+    if not _tcl2_kernel_pays(n_times, fam.w.size, int(counts.sum()), _TCL2_TERM_POINTS):
         return None
     n1, n2 = np.array([(i, d - i) for d in range(_TCL2_MAX_DEGREE + 1)
                        for i in range(d + 1)]).T
     base = -2.0 * params.A * fam.two_m - _ratio(fam.b_p, w1) - _ratio(fam.b_m, w2)
     scale = fam.w * np.exp(-lam)
-    fact = np.array([math.factorial(n) for n in range(_TCL2_MAX_DEGREE + 1)], float)
-    step = max(1, _TERM_SLICE // int(counts.max()))  # sectors per slice
 
-    def terms(lo):  # the pairs (n1, n2) of each sector by total degree, then by n1
-        size = counts[lo:lo + step]
-        rows = np.repeat(np.arange(lo, lo + size.size), size)
-        k = np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size)
+    def terms(rows, k):  # the pairs (n1, n2) of each sector by total degree, then by n1
         i, j = n1[k], n2[k]
-        amp = scale[rows] * (a1[rows] ** i / fact[i]) * (a2[rows] ** j / fact[j])
+        amp = scale[rows] * (a1[rows] ** i / _FACTORIAL[i]) * (a2[rows] ** j / _FACTORIAL[j])
         return amp, base[rows] + i * w1[rows] + j * w2[rows]
 
-    return (terms(lo) for lo in range(0, fam.w.size, step))
+    return _sector_slices(counts, terms)
+
+
+def _tcl2_population_series(fam: SectorFamily, n_times: int):
+    """The (amp, nu) terms of E(t) = sum_s y0_s g_s(t) for the TCL2 populations, whose
+    total is P_+(0) + Re(E(t) - E(0)), or None where the family keeps the tiles.
+
+    A sector's g = exp(-c (1 - cos W t)), with W = Omega_+(m) and c = pair_coef/W^2,
+    is e^{-c} sum_{n1, n2} (c/2)^{n1+n2} e^{i (n1 - n2) W t}/(n1! n2!), the Bessel
+    generating function (Abramowitz & Stegun 9.6.34).  Its total degree n1 + n2 is
+    Poisson(c), cut as in ``_tcl2_series`` at the degree d_s of
+    ``_poisson_degrees(c, _TAIL_WEIGHT / (S |y0_s|))``, so the family drops
+    amplitudes of sum at most _TAIL_WEIGHT and P_+ moves by at most 2 _TAIL_WEIGHT.
+    Only Re E is read, so the pairs of equal k = |n1 - n2| fold into one real
+    amplitude at frequency k W, y0 e^{-c} sum_{n1+n2 <= d_s, |n1-n2| = k}
+    (c/2)^{n1+n2}/(n1! n2!); the constant k = 0 cancels in E(t) - E(0), so a
+    sector has the d_s terms k = 1..d_s, in the slices of ``_sector_slices``.
+
+    The tiles stay where some sector has W = 0 with pair_coef > 0 (there
+    g = exp(-pair_coef t^2/2) has no series) or a degree above _TCL2_MAX_DEGREE,
+    and where ``_tcl2_kernel_pays`` finds the grid too short for the terms, with
+    the tile and term costs of _TCL2_POP_TERM_POINTS: at N = 101 and alpha = 0.1,
+    with 2.8 terms per sector under jm and 2.25 under m, the kernel pays from 759
+    times on under jm and from 44 under m, where trajectory._EXP_SUM_MIN_TIMES
+    rules.  So the route depends on the family and the grid alone.
+    """
+    with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < pair_coef
+        c = _ratio(fam.pair_coef, fam.om_p * fam.om_p)
+    y0 = np.abs(fam.y0)
+    budget = np.divide(_TAIL_WEIGHT / y0.size, y0, out=np.full(y0.shape, np.inf),
+                       where=y0 > 0.0)
+    degree = _poisson_degrees(c, budget) if np.all(np.isfinite(c)) else None
+    table_rows = (int(fam.two_m.max()) - int(fam.two_m.min())) // 2 + 2  # of _tcl2_fill
+    tile_points = _TCL2_POP_SECTOR_POINTS * y0.size + _TCL2_POP_ROW_POINTS * table_rows
+    if degree is None or not _tcl2_kernel_pays(n_times, tile_points, int(degree.sum()),
+                                               _TCL2_POP_TERM_POINTS):
+        return None
+    half, scale = 0.5 * c, 2.0 * fam.y0 * np.exp(-c)  # each k > 0 folds k and -k
+
+    def terms(rows, k):
+        k = k + 1
+        n, amp = k.copy(), np.zeros(k.size)
+        for j in range(_TCL2_MAX_DEGREE // 2):  # n = n1 + n2 = k + 2j, n2 = j
+            kept = n <= degree[rows]
+            if not kept.any():
+                break
+            amp[kept] += half[rows[kept]] ** n[kept] / (_FACTORIAL[k[kept] + j] * _FACTORIAL[j])
+            n += 2
+        return scale[rows] * amp, k * fam.om_p[rows]
+
+    return _sector_slices(degree, terms)
+
+
+def _sector_slices(counts, terms):
+    """The ``terms(rows, k)`` of sector ``rows`` and its k-th term, k < counts[row], in
+    slices of a fixed number of whole sectors, at most exact._TERM_SLICE terms each,
+    so that no term array spans the table or outgrows those of exact._uniform_pass."""
+    step = max(1, _TERM_SLICE // max(1, int(counts.max())))  # sectors per slice
+
+    def part(lo):
+        size = counts[lo:lo + step]
+        rows = np.repeat(np.arange(lo, lo + size.size), size)
+        return terms(rows, np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size))
+
+    return (part(lo) for lo in range(0, counts.size, step))
 
 
 def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
@@ -425,21 +499,22 @@ def _solve(
     The one route of the public solvers and the CLI: ``method`` is "tcl2" or
     "nz2", ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle;
     ``j3tot`` (with populations) returns the series of
-    ``j3tot_expectation(bundle)``, bit for bit, reduced per time chunk
-    without building the bundle.  One rule per part: a part with terms from
+    ``j3tot_expectation(bundle)`` at its t = 0 value, ``_j3tot_start``, since
+    it is constant by construction.  One rule per part: a part with terms from
     the fill has the total coh0 (1 + E) or P_+(0) + Re E by trajectory._exp_sum,
-    exact at t = 0, and the tiles run only for what a total cannot give.
+    exact at t = 0, and the tiles run only for what a total cannot give: the
+    sector arrays and the parts without terms.
     """
     t, fam = _validate_times(times), sector_family(params, family)
     dt = _exp_sum_step(t)
     fill, coh_terms, pop_terms = {"tcl2": _tcl2_fill, "nz2": _nz2_fill}[method](
         params, fam, t, populations, coherence, opts, dt)
     tile_coh = coherence and (sectors or coh_terms is None)
-    tile_pop = populations and (sectors or j3tot or pop_terms is None)
-    coh = sector_coh = p_plus = sector_p = j3 = None
+    tile_pop = populations and (sectors or pop_terms is None)
+    coh = sector_coh = p_plus = sector_p = None
     if tile_coh or tile_pop:
-        coh, sector_coh, p_plus, sector_p, j3 = _tiles(params, fam, t, tile_pop, tile_coh,
-                                                       sectors, j3tot, fill)
+        coh, sector_coh, p_plus, sector_p = _tiles(params, fam, t, tile_pop, tile_coh,
+                                                   sectors, fill)
     if coh_terms is not None:
         coh = complex(params.initial_coh) * (1.0 + _exp_sum(coh_terms, t[0], dt, t.size))
     if pop_terms is not None:
@@ -448,6 +523,7 @@ def _solve(
         two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p, coh=sector_coh,
         p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
     ) if sectors else None
+    j3 = np.full(t.size, _j3tot_start(fam)) if populations and j3tot else None
     return _trajectory(params, t, method, family, p_plus, coh), bundle, j3
 
 
@@ -552,9 +628,8 @@ def standard_projection_population(params: SystemParams, times) -> Trajectory:
 def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:
     """tr{J_3^tot P rho(t)} = sum_m [(m + 1/2) P^m_+ + (m - 1/2) P^m_-].
 
-    The sector sum runs over a C-ordered copy, so its rounding (and
-    report.csv's ``j3tot_drift``) does not depend on the memory layout of the
-    bundle.
+    The sector sum runs over a C-ordered copy, so its rounding does not
+    depend on the memory layout of the bundle.
     """
     if bundle.p_plus is None or bundle.p_minus is None:
         raise ValueError("sector populations required")
@@ -572,6 +647,22 @@ def _j3tot_terms(two_m, p_plus, p_minus, out) -> np.ndarray:
     p_minus *= (m - 0.5)[:, None]
     out += p_minus
     return out
+
+
+def _j3tot_start(fam: SectorFamily) -> float:
+    """J_3^tot of the sector populations P^s_+(0) = steady + y0 of the table: the
+    value of the whole series, bit for bit ``j3tot_expectation(bundle)[0]`` of a
+    bundle on a grid from t = 0.
+
+    With P^s_- = c_prev - P^{lower(s)}_+, the series is constant up to
+    sum_s kappa_s y0_s (g_s(t) - 1), kappa_s = (m_s + 1/2) - (m_{s+1} - 1/2) = 0
+    below a chain top.  At a jm chain top pair_coef = 0, so g = 1; at the m chain
+    top y0 = 0.  The column is reduced as a (sectors, 2) array, row by row like
+    ``_add_rows``: numpy would sum an (S, 1) block pairwise and round differently.
+    """
+    p_plus = np.repeat((fam.y0 + fam.steady)[:, None], 2, axis=1)
+    terms = _j3tot_terms(fam.two_m, p_plus, _sector_p_minus(fam, p_plus), np.empty(p_plus.shape))
+    return float(_add_rows(terms, None)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,8 @@ class SectorFamily:
     the kernel pair_coef cos(om_p tau); y0 = P^m_+(0) - steady; ``lower`` is
     the index of m-1 in the same chain (-1 at its edge), ``c_prev`` its c.
     m: w = N_m/2^N, b_p/b_m = 4A^2 (N/2 -+ m), pair_coef = 8A^2 (N+1),
-    steady = (N/2+m+1) c/(N+1).  jm: w = N_j/2^N, b_p/b_m = 4A^2 b(j, +-m),
+    steady = (N/2+m+1) c/(N+1), exactly c at the top m = N/2, where y0 = 0.
+    jm: w = N_j/2^N, b_p/b_m = 4A^2 b(j, +-m),
     pair_coef = 16A^2 b(j,m), steady = c/2.
     """
 
@@ -311,7 +312,10 @@ def sector_family(params: SystemParams, family: str) -> SectorFamily:
     w_up = np.where(two_m < top, np.append(w[1:], 0.0), 0.0)
     w_low = np.where(lower >= 0, w[lower], 0.0)
     c = w * p0 + w_up * (1.0 - p0)
-    steady = 0.5 * c if two_j is not None else ((N + two_m) // 2 + 1) * c / (N + 1.0)
+    # the m chain top two_m = N relaxes to steady = c = w p0, so y0 = 0 exactly: with the
+    # zero pair_coef of the jm tops, that makes J_3^tot constant sector by sector
+    steady = 0.5 * c if two_j is not None else np.where(
+        two_m < N, ((N + two_m) // 2 + 1) * c / (N + 1.0), c)
     return SectorFamily(
         two_j=two_j, two_m=two_m, w=w,
         om_p=_omega_plus(params.omega0, A, two_m),

@@ -344,8 +344,8 @@ class ErrorReport:
     """Sup/L2 deviations between two trajectories plus conservation diagnostics.
 
     The L2 norm is sqrt of the trapezoidal integral of |delta|^2 over the
-    common time grid.  ``j3tot_drift`` is filled by callers that have
-    sector-resolved data; it defaults to 0 for methods without it.  The
+    common time grid.  ``j3tot_drift`` is filled by callers that have a
+    J_3^tot series; it defaults to 0 for methods without one.  The
     fields, in order, are the columns of the CLI's report.csv.
     """
 

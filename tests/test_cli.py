@@ -317,7 +317,7 @@ coh_re = 0.5
 @pytest.mark.parametrize("projection", ["m", "jm"])
 def test_run_and_compare_write_the_same_nz2_file(tmp_path, projection):
     # on 101 uniform times NZ2's totals come from the exponential-sum kernel
-    # in both commands; compare also runs the population tiles for J_3^tot
+    # in both commands; compare also reads J_3^tot from the sector table
     cfg = write_config(tmp_path, f"""
 N = 12
 omega0 = 1.0
@@ -355,6 +355,39 @@ class TestFigurePresets:
         assert method_filename("standard", "m") == "standard_product.csv"
         assert method_filename("tcl2", "jm") == "tcl2_jm.csv"
         assert method_filename("nz2", "m") == "nz2_m.csv"
+
+
+@pytest.mark.parametrize("projection, dt, t_max", [("jm", 0.5, 1000.0), ("m", 0.1, 60.0)])
+def test_compare_on_a_long_uniform_grid_runs_no_tile(tmp_path, monkeypatch, projection, dt,
+                                                     t_max):
+    # the grids of the benchmark's closed_form_long (2001 times) and nz2_memory (601):
+    # every TCL2 and NZ2 total takes the exponential-sum kernel, and J_3^tot, constant
+    # by construction, comes from the sector table
+    from spinstar import masters
+
+    def no_tiles(*args):
+        raise AssertionError("the tiles ran")
+
+    monkeypatch.setattr(masters, "_tiles", no_tiles)
+    cfg = write_config(tmp_path, f"""
+N = 101
+omega0 = 1.0
+alpha = 0.1
+t_max = {t_max}
+dt = {dt}
+methods = exact,tcl2,nz2
+projection = {projection}
+initial_p_plus = 0.7
+coh_re = 0.3
+coh_im = 0.1
+""")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = (out / "report.csv").read_text().splitlines()
+    header = lines[-3].split(",")
+    for line in lines[-2:]:
+        rep = dict(zip(header, line.split(",")))
+        assert float(rep["j3tot_drift"]) == 0.0 and float(rep["trace_drift"]) == 0.0
 
 
 def test_scenario_times_include_endpoint():

@@ -377,6 +377,8 @@ class TestTimeChunks:
     @pytest.mark.parametrize("return_sectors", [False, True])
     @pytest.mark.parametrize("fn", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
     def test_chunked_closed_forms_are_bit_identical(self, monkeypatch, fn, return_sectors):
+        if fn.__name__.startswith("tcl2"):  # both TCL2 series are too long for 127 times
+            monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
         whole = fn(PARAMS, self.T, return_sectors=return_sectors)
         n_sectors = 12  # the jm table of N = 5; 3 chunks of the m table (6 sectors)
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * n_sectors * 5)
@@ -399,12 +401,21 @@ class TestTimeChunks:
     @pytest.mark.parametrize("family", ["m", "jm"])
     @pytest.mark.parametrize("method", ["tcl2", "nz2"])
     def test_j3tot_series_equals_the_bundle_reduction(self, monkeypatch, method, family):
-        # the series report.csv reads, built per chunk, against the whole bundle
+        # the series report.csv reads is the table's t = 0 value, bit for bit the whole
+        # bundle's reduction there, and the bundle's series stays at it to rounding.  At
+        # N = 101 an (S, 1) column would be summed pairwise and round differently
+        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.3), omega0=1.0,
+                         initial_p_plus=0.7, initial_coh=0.2 + 0.1j)
+        _, bundle, _ = _solve(p, self.T, method, family, sectors=True)
+        q = _solve(p, self.T, method, family, j3tot=True)[2]
+        np.testing.assert_array_equal(q, j3tot_expectation(bundle)[0])
         _, bundle, _ = _solve(PARAMS, self.T, method, family, sectors=True)
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * 12 * 5)
         traj, none, q = _solve(PARAMS, self.T, method, family, j3tot=True)
         assert none is None and q.shape == self.T.shape
-        np.testing.assert_array_equal(q, j3tot_expectation(bundle))
+        reduced = j3tot_expectation(bundle)
+        np.testing.assert_array_equal(q, reduced[0])
+        np.testing.assert_allclose(q, reduced, rtol=0, atol=1e-14)
         assert traj.p_plus is not None and traj.coh is not None
         assert _solve(PARAMS, self.T, method, family)[2] is None
 
@@ -414,6 +425,18 @@ def _tile_totals(monkeypatch, p, t, family):
     with monkeypatch.context() as patch:
         patch.setattr(trajectory, "_EXP_SUM_MIN_TIMES", t.size + 1)
         return _solve(p, t, "nz2", family)[0]
+
+
+def _tile_calls(monkeypatch):
+    """A list that records (populations, coherence) of every masters._tiles call from now on."""
+    calls, tiles = [], masters._tiles
+
+    def spy(params, fam, t, populations, coherence, *rest):
+        calls.append((populations, coherence))
+        return tiles(params, fam, t, populations, coherence, *rest)
+
+    monkeypatch.setattr(masters, "_tiles", spy)
+    return calls
 
 
 class TestKernelRoute:
@@ -456,24 +479,17 @@ class TestKernelRoute:
                     if got is not None:
                         np.testing.assert_array_equal(got, start)
 
-    def test_tiles_run_only_for_bundles_and_j3tot(self, monkeypatch):
-        calls = []
-        tiles = masters._tiles
-
-        def spy(params, fam, t, populations, coherence, *rest):
-            calls.append((populations, coherence))
-            return tiles(params, fam, t, populations, coherence, *rest)
-
-        monkeypatch.setattr(masters, "_tiles", spy)
+    def test_tiles_run_only_for_bundles(self, monkeypatch):
+        calls = _tile_calls(monkeypatch)
         plain = _solve(PARAMS, self.T, "nz2", "jm")[0]
         assert calls == []  # as in ``spinstar run``
         traj, _, q = _solve(PARAMS, self.T, "nz2", "jm", j3tot=True)
-        assert calls == [(True, False)]  # as in ``spinstar compare``: population tiles
+        assert calls == []  # as in ``spinstar compare``: J_3^tot comes from the table
         _solve(PARAMS, self.T, "nz2", "jm", sectors=True)
-        assert calls[-1] == (True, True)
+        assert calls == [(True, True)]
         np.testing.assert_array_equal(traj.coh, plain.coh)
         np.testing.assert_array_equal(traj.p_plus, plain.p_plus)
-        np.testing.assert_allclose(q, q[0], rtol=0, atol=1e-12)  # J_3^tot is conserved
+        np.testing.assert_array_equal(q, q[0])  # J_3^tot is conserved
 
     def test_other_grids_and_explicit_options_take_the_tiles(self, monkeypatch):
         monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
@@ -589,8 +605,8 @@ def _exp_sum_calls(monkeypatch):
 
 
 class TestTcl2KernelRoute:
-    """The TCL2 coherence total by trajectory._exp_sum on uniform grids: each sector's
-    closed form exp(-Lambda) as a Poisson series in e^{i Omega_+ t}, cut at degree n_s."""
+    """The TCL2 totals by trajectory._exp_sum on uniform grids: each sector's closed
+    form exp(-Lambda) as a Poisson series in e^{i Omega_+ t}, cut at degree n_s."""
 
     T = 0.5 * np.arange(1001)
     #: the kernel's phases round their arguments, about |nu t| eps per term, where
@@ -599,32 +615,65 @@ class TestTcl2KernelRoute:
     #: 500 * 1.3 * 2.2e-16 = 1.5e-13 per unit of |coh0| w, and the cut adds at most
     #: 2 |coh0| 2^-60.  Measured: <= 3.0e-15.
     TOL = 1.5e-13
+    #: P_+ = P_+(0) + sum_s y0_s (g_s - 1) with g_s = exp(-c_s (1 - cos W_s t)): both
+    #: routes round the phase W t, by about |W t| eps, and g moves by c |sin W t| g
+    #: per unit of phase, at most c.  The folded terms at k W carry amplitudes of sum
+    #: at most 1 per unit of |y0|, with mean k at most the mean degree c, so the
+    #: kernel's phases round by at most c |W| t eps too.  On this grid (t <= 500, and
+    #: c <= 0.07, |W| <= 1.2 and sum |y0| <= 0.4 at alpha = 0.1) that is at most
+    #: 2 * 0.07 * 1.2 * 500 * 2.2e-16 * 0.4 = 7.4e-15; the cut adds at most 2 * 2^-60,
+    #: and the sums round by a few eps.  Measured: <= 6.7e-16.
+    POP_TOL = 1e-14
+
+    @staticmethod
+    def _params(n, sign):
+        return SystemParams(N=n, A=sign * coupling_from_alpha(n, 1.0, 0.1), omega0=1.0,
+                            initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["A>0", "A<0"])
     @pytest.mark.parametrize("family", ["m", "jm"])
     @pytest.mark.parametrize("n", [1, 2, 5, 101])
     def test_coherence_matches_the_closed_form(self, monkeypatch, n, family, sign):
-        p = SystemParams(N=n, A=sign * coupling_from_alpha(n, 1.0, 0.1), omega0=1.0,
-                         initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+        p = self._params(n, sign)
         monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
         calls = _exp_sum_calls(monkeypatch)
-        traj = _solve(p, self.T, "tcl2", family)[0]
+        traj = _solve(p, self.T, "tcl2", family, populations=False)[0]
         assert len(calls) == 1
-        coh, p_plus, *_ = _direct_tcl2(p, self.T, family)
+        coh, *_ = _direct_tcl2(p, self.T, family)
         assert np.max(np.abs(traj.coh - coh)) <= self.TOL
         assert traj.coh[0] == p.initial_coh
-        np.testing.assert_array_equal(traj.p_plus, p_plus)  # populations stay on the tiles
 
-    @pytest.mark.parametrize("fn", [tcl2_jm, tcl2_coherence_m])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["A>0", "A<0"])
+    @pytest.mark.parametrize("family", ["m", "jm"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 101])
+    def test_populations_match_the_closed_form(self, monkeypatch, n, family, sign):
+        p = self._params(n, sign)
+        fam = sector_family(p, family)
+        c = np.divide(fam.pair_coef, fam.om_p**2)
+        # POP_TOL's bounds
+        assert np.max(c) <= 0.07 and np.max(np.abs(fam.om_p)) <= 1.2
+        assert np.sum(np.abs(fam.y0)) <= 0.4
+        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
+        calls = _exp_sum_calls(monkeypatch)
+        traj = _solve(p, self.T, "tcl2", family, coherence=False)[0]
+        assert len(calls) == 1
+        _, p_plus, *_ = _direct_tcl2(p, self.T, family)
+        assert np.max(np.abs(traj.p_plus - p_plus)) <= self.POP_TOL
+        assert traj.p_plus[0] == p.initial_p_plus
+
+    @pytest.mark.parametrize("fn", [tcl2_jm, tcl2_coherence_m, tcl2_population_m])
     def test_start_is_exact_and_a_decoupled_bath_is_constant(self, monkeypatch, fn):
         calls = _exp_sum_calls(monkeypatch)
         t = 0.5 * np.arange(2001)
         for a in (0.01, -0.01, 0.0):
             traj = fn(dataclasses.replace(PARAMS, A=a), t)
-            assert traj.coh[0] == PARAMS.initial_coh
-            if a == 0.0:
-                np.testing.assert_array_equal(traj.coh, PARAMS.initial_coh)
-        assert len(calls) == 3
+            for got, start in ((traj.coh, PARAMS.initial_coh),
+                               (traj.p_plus, PARAMS.initial_p_plus)):
+                if got is not None:
+                    assert got[0] == start
+                    if a == 0.0:
+                        np.testing.assert_array_equal(got, start)
+        assert len(calls) == 3 * ((traj.coh is not None) + (traj.p_plus is not None))
 
     def test_uniform_grids_take_the_kernel_and_other_grids_the_tiles(self, monkeypatch):
         monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
@@ -635,8 +684,7 @@ class TestTcl2KernelRoute:
         assert trajectory._uniform_step(geometric) is None
         tcl2_jm(p, geometric)
         tcl2_jm(p, uniform[:trajectory._EXP_SUM_MIN_TIMES - 1])
-        tcl2_population_m(p, uniform)  # populations have no series
-        for fn in (tcl2_jm, tcl2_coherence_m):
+        for fn in (tcl2_jm, tcl2_coherence_m, tcl2_population_m):
             with pytest.raises(TypeError):
                 fn(p, uniform)
 
@@ -675,24 +723,51 @@ class TestTcl2KernelRoute:
         tcl2_coherence_m(p, 0.1 * np.arange(601))
         assert calls == counts
 
+    @pytest.mark.parametrize("family, low, high", [("jm", 2.5, 3), ("m", 2, 2.5)])
+    def test_a_grid_too_short_for_the_population_terms_takes_the_tiles(self, monkeypatch,
+                                                                        family, low, high):
+        # about 2.8 terms per sector under jm and 2.25 under m at N = 101 (alpha = 0.1),
+        # each costing _TCL2_POP_TERM_POINTS + sqrt(n) points, against tiles of a tenth
+        # of a point per sector and 0.6 per detuning of the g table (87 under jm, 103
+        # under m) per time; closed_form_long's grid (jm, 2001 times) and nz2_memory's
+        # (m, 601 times) take the kernel
+        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
+                         initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
+        fam = sector_family(p, family)
+        counts = [sum(nu.size for _, nu in masters._tcl2_population_series(fam, 10**9))]
+        assert low <= counts[0] / fam.w.size < high
+        rows = (fam.two_m.max() - fam.two_m.min()) // 2 + 2
+        points = (masters._TCL2_POP_SECTOR_POINTS * fam.w.size
+                  + masters._TCL2_POP_ROW_POINTS * rows)
+        need = next(n for n in range(1, 10**4)
+                    if n * points >= counts[0] * (masters._TCL2_POP_TERM_POINTS + math.sqrt(n)))
+        assert masters._tcl2_population_series(fam, need) is not None
+        assert masters._tcl2_population_series(fam, need - 1) is None
+        need = max(need, trajectory._EXP_SUM_MIN_TIMES)
+        assert need <= {"jm": 2001, "m": 601}[family]
+        calls = _exp_sum_calls(monkeypatch)
+        _solve(p, 0.5 * np.arange(need - 1), "tcl2", family, coherence=False)
+        assert calls == []
+        _solve(p, 0.5 * np.arange(need), "tcl2", family, coherence=False)
+        assert calls == counts
+
 
 @pytest.mark.parametrize("family", ["m", "jm"])
 @pytest.mark.parametrize("method", ["tcl2", "nz2"])
 def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, method, family):
-    # on a uniform kernel grid a part with terms takes one _exp_sum call of its own,
-    # whether the other part is asked for and whether sectors or J_3^tot run the tiles
+    # on a uniform kernel grid each part takes one _exp_sum call of its own, whether
+    # the other part is asked for and whether sectors run the tiles or J_3^tot is asked
     monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
     t = 0.5 * np.arange(601)
     calls = _exp_sum_calls(monkeypatch)
     ref = _solve(PARAMS, t, method, family)[0]
-    with_terms = {"coh": True, "p_plus": method == "nz2"}  # TCL2 populations have no series
-    assert len(calls) == sum(with_terms.values())
+    assert len(calls) == 2
     for populations, coherence in ((True, True), (False, True), (True, False)):
         asked = {"coh": coherence, "p_plus": populations}
         for extra in ({}, {"sectors": True}, {"j3tot": True}, {"sectors": True, "j3tot": True}):
             calls.clear()
             traj = _solve(PARAMS, t, method, family, populations, coherence, **extra)[0]
-            assert len(calls) == sum(asked[part] and with_terms[part] for part in asked)
+            assert len(calls) == populations + coherence
             for part, on in asked.items():
                 got = getattr(traj, part)
                 assert (got is None) == (not on)
@@ -815,13 +890,19 @@ class TestTcl2ResonanceFallback:
         fam = sector_family(p, family)
         assert 0.0 <= np.min(np.abs(fam.om_p)) <= 0.0101
         assert (a == -0.25) == bool(np.any(fam.om_p == 0.0))
+        # the populations of a sector nearest resonance are coupled: pair_coef > 0
+        nearest = np.abs(fam.om_p) == np.min(np.abs(fam.om_p))
+        assert np.any(fam.pair_coef[nearest] > 0.0)
         # with the cost rule out of the way, only the series itself can refuse
         monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)
         assert masters._tcl2_series(p, fam, self.T.size) is None
+        assert masters._tcl2_population_series(fam, self.T.size) is None
         calls = _exp_sum_calls(monkeypatch)
-        coh = _solve(p, self.T, "tcl2", family, populations=False)[0].coh
+        traj = _solve(p, self.T, "tcl2", family)[0]
         assert calls == []
-        np.testing.assert_array_equal(coh, _direct_tcl2(p, self.T, family)[0])
+        coh, p_plus, *_ = _direct_tcl2(p, self.T, family)
+        np.testing.assert_array_equal(traj.coh, coh)
+        np.testing.assert_array_equal(traj.p_plus, p_plus)
 
     @pytest.mark.parametrize("family", ["m", "jm"])
     def test_a_resonance_without_coupling_keeps_the_series(self, monkeypatch, family):

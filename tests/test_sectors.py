@@ -356,3 +356,25 @@ def test_sector_family_matches_the_formulas(N):
             assert fam.c_prev[i] == pytest.approx(c_prev, rel=1e-15)
     with pytest.raises(ValueError, match="unknown family"):
         sector_family(p, "product")
+
+
+@pytest.mark.parametrize("p0", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("N", [*range(1, 13), 101, 1000])
+def test_only_frozen_sectors_carry_j3tot_weight(N, p0):
+    """kappa_s y0_s pair_coef_s == 0 for every sector, exactly.
+
+    With P^s_- = c_prev_s - P^{lower(s)}_+, J_3^tot = sum_s kappa_s P^s_+ + const,
+    kappa_s = (m_s + 1/2) - sum_{u: lower(u) = s} (m_u - 1/2), and P^s_+ moves only
+    by y0_s (g_s - 1), with g_s = 1 where pair_coef_s = 0: so J_3^tot is constant
+    whenever each sector with kappa_s != 0 (a chain top) has y0_s = 0 (m) or
+    pair_coef_s = 0 (jm).
+    """
+    p = params(N=N, A=0.013, omega0=1.0, initial_p_plus=p0)
+    for family in ("m", "jm"):
+        fam = sector_family(p, family)
+        kappa = 0.5 * fam.two_m + 0.5
+        inner = fam.lower >= 0
+        np.subtract.at(kappa, fam.lower[inner], 0.5 * fam.two_m[inner] - 0.5)
+        assert np.all(kappa * fam.y0 * fam.pair_coef == 0.0)
+        top = kappa != 0.0
+        assert np.count_nonzero(top) == (1 if family == "m" else np.unique(fam.two_j).size)

@@ -141,17 +141,18 @@ def test_many_workers_keep_to_one_budget(monkeypatch, n_spins, workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_tiles_stay_wide_whatever_the_worker_count(monkeypatch, workers):
-    # closed_form_long's TCL2-jm sweep (N = 101 on 2001 times) and the exact sector
-    # pass on as many geometric times: the workers divide the sector blocks, not the
-    # chunk width.  Every chunk but the last is _CHUNK_WIDTH wide or wider in the TCL2
-    # tiles; the exact pass sizes its blocks by sectors but its tiles by Rabi pair
-    # rows, one more per chain, which may take an eighth off
+    # the TCL2-jm tiles and the exact sector pass at N = 101 on 2001 geometric times
+    # (on closed_form_long's uniform grid TCL2 takes the exponential-sum kernel): the
+    # workers divide the sector blocks, not the chunk width.  Every chunk but the last
+    # is _CHUNK_WIDTH wide or wider in the TCL2 tiles; the exact pass sizes its blocks
+    # by sectors but its tiles by Rabi pair rows, one more per chain, which may take an
+    # eighth off
     p = SystemParams(N=101, A=0.1 / 202, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
+    geometric = np.concatenate([[0.0], np.geomspace(0.05, 1000.0, 2000)])
     _workers(monkeypatch, workers)
     calls = _record_sweeps(monkeypatch, masters, exact)
-    masters.tcl2_jm(p, 0.5 * np.arange(2001))
-    exact._sector_pass(p, sector_family(p, "jm"),
-                       np.concatenate([[0.0], np.geomspace(0.05, 1000.0, 2000)]), True)
+    masters.tcl2_jm(p, geometric)
+    exact._sector_pass(p, sector_family(p, "jm"), geometric, True)
     for call, floor in zip(calls, (trajectory._CHUNK_WIDTH, trajectory._CHUNK_WIDTH * 7 // 8),
                            strict=True):
         assert call["workers"] == workers
@@ -245,7 +246,7 @@ _CAPPED_CHILD = textwrap.dedent(
 
     trajectory._workers = lambda: 8
     p = SystemParams(N=1000, A=0.1 / 2000, omega0=1.0, initial_p_plus=0.7)
-    traj = tcl2_population_m(p, 0.5 * np.arange(16001))
+    traj = tcl2_population_m(p, np.concatenate([[0.0], np.geomspace(0.05, 8000.0, 16000)]))
     print(hashlib.sha256(traj.p_plus.tobytes()).hexdigest())
     """
 )
@@ -253,12 +254,14 @@ _CAPPED_CHILD = textwrap.dedent(
 
 def test_eight_workers_fit_a_memory_cap(monkeypatch, run_capped):
     # thread stacks count toward the address-space cap: with 8 MiB stacks most of
-    # the 7 threads cannot start under 256 MiB, and their groups run on the caller
+    # the 7 threads cannot start under 256 MiB, and their groups run on the caller.
+    # The grid is geometric, so the populations run the tiles, not trajectory._exp_sum
     proc = run_capped(_CAPPED_CHILD, cap_mib=256)
     assert proc.returncode == 0, proc.stderr[-2000:]
     _workers(monkeypatch, 1)
     p = SystemParams(N=1000, A=0.1 / 2000, omega0=1.0, initial_p_plus=0.7)
-    ref = tcl2_population_m(p, 0.5 * np.arange(16001)).p_plus
+    geometric = np.concatenate([[0.0], np.geomspace(0.05, 8000.0, 16000)])
+    ref = tcl2_population_m(p, geometric).p_plus
     assert proc.stdout.split()[-1] == hashlib.sha256(ref.tobytes()).hexdigest()
 
 

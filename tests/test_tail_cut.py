@@ -141,9 +141,8 @@ _CAPPED_N1000 = textwrap.dedent(
 def test_thousand_spins_on_16001_times_fit_a_memory_cap(run_capped, fn):
     # the whole table (251001 sectors) would need 64 GB for one complex
     # (sectors, times) array, and the kept 21609 sectors still 5.5 GB: on this
-    # uniform grid the coherence sums (exact's and TCL2's, 287372 series
-    # terms) pass only if their terms reach the exponential-sum kernel in
-    # slices of the sector table, and the TCL2 populations only if their sums
-    # run per (sector block, time chunk) tile
+    # uniform grid the sums (exact's and TCL2's, 136780 coherence and 42306
+    # population series terms for TCL2) pass only if their terms reach the
+    # exponential-sum kernel in slices of the sector table
     proc = run_capped(_CAPPED_N1000.format(fn=fn), cap_mib=256)
     assert proc.returncode == 0, proc.stderr[-2000:]
