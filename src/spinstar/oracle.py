@@ -3,9 +3,10 @@
 The full Hamiltonian conserves J_3^tot, so the Hilbert space splits into
 blocks pairing the bath sector m on the |+> side with the sector m+1 on the
 |-> side.  Each block is diagonalized once (``numpy.linalg.eigh``); reduced
-populations and coherences then follow from phase sums over the block
-spectra, with no time stepping and no truncation.  An RK4 route on the full
-von Neumann equation is kept as a slow cross-check at small N.
+populations and coherences then follow from phase sums over the distinct
+energy levels of each block, with no time stepping and no truncation.  An
+RK4 route on the full von Neumann equation is kept as a slow cross-check at
+small N.
 
 Conventions match the rest of the package: bath qubit k sits at bit k of the
 basis index, bit value 0 means spin up, and the reported coherence is in the
@@ -40,9 +41,9 @@ __all__ = [
     "check_plp_zero",
 ]
 
-#: hard cap for the blockwise spectral route (largest block ~6.4k states); 1001 times
-#: with resolve="none" on one BLAS thread take 11 s and 376 MB peak RSS at N = 12, and
-#: took 448 s and 4.5 GB at N = 14 before the phase sums became real GEMMs
+#: hard cap for the blockwise spectral route (largest block 6435 states); 1001 times
+#: with resolve="none" on one BLAS thread take 3.4-4.2 s and 273 MB peak RSS at N = 12,
+#: 24-30 s and 822 MB at N = 13 (child processes, mostly eigh); N = 14 is unmeasured
 MAX_BATH_SPINS = 14
 #: cap for what still builds full 2^(N+1)-dimensional matrices: ``build_hamiltonian``,
 #: the ODE oracle and the raw random draws of ``check_plp_zero``
@@ -146,6 +147,26 @@ class _Block:
     energies: np.ndarray
     v_up: np.ndarray  # (dim_up, D) eigenvector components on the |+> rows
     v_dn: np.ndarray  # (dim_dn, D) components on the |-> rows
+    starts: np.ndarray  # index of the first eigenvalue of every level
+    levels: np.ndarray  # (G,) the levels, each the mean of its eigenvalues
+
+
+#: neighbouring eigenvalues closer than this many eps * max(1, |E|max) are one level: ``eigh``
+#: is accurate to a small multiple of eps ||H||, and a merge moves a phase by at most
+#: the run's spread times |t|, the size of that error
+_LEVEL_EPS = 64
+
+
+def _levels(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and means of the runs of an ascending spectrum that make one level each.
+
+    A run is split wherever two consecutive eigenvalues differ by more than
+    the tolerance; where no level repeats, every run is a singleton and the
+    means are the eigenvalues themselves.
+    """
+    tol = _LEVEL_EPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(energies))))
+    starts = np.flatnonzero(np.diff(energies, prepend=-np.inf) > tol)
+    return starts, np.add.reduceat(energies, starts) / np.diff(starts, append=energies.size)
 
 
 def _zeeman_sums(N: int, couplings: np.ndarray) -> np.ndarray:
@@ -181,13 +202,13 @@ def _build_blocks(params: SystemParams, couplings=None) -> dict[int, _Block]:
             h[:n_up, n_up:] = c
             h[n_up:, :n_up] = c.T
         energies, u = np.linalg.eigh(h)
-        blocks[b] = _Block(energies=energies, v_up=u[:n_up, :], v_dn=u[n_up:, :])
+        blocks[b] = _Block(energies, u[:n_up, :], u[n_up:, :], *_levels(energies))
     return blocks
 
 
-#: real (chunk, D) arrays alive at once in one time chunk of ``propagate``: the four
-#: cos/sin tables, the two GEMM outputs and one phase argument (D is the larger
-#: block of the sector)
+#: real (chunk, G) arrays alive at once in one time chunk of ``propagate``: the four
+#: cos/sin tables, the two GEMM outputs and one phase argument (G is the larger
+#: level count of the sector's two blocks)
 _TABLES_PER_CHUNK = 7
 
 
@@ -224,6 +245,16 @@ def _weighted(q_block: np.ndarray, q: np.ndarray, w_up: float, w_dn: float) -> n
     w *= w_up - w_dn
     w[np.diag_indices_from(w)] += w_dn * np.diagonal(q)
     return w
+
+
+def _fold(w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_{k in g, l in h} W[k,l] for every pair of levels (g, h), given by their run starts.
+
+    With e^{-iHt} = sum_g e^{-i E_g t} Pi_g, a phase sum over the eigenvalues
+    equals the same sum over the levels with these folded weights, whatever
+    basis ``eigh`` picked inside a degenerate level.
+    """
+    return np.add.reduceat(np.add.reduceat(w, rows, axis=0), cols, axis=1)
 
 
 @dataclass
@@ -269,11 +300,16 @@ def propagate(
     The spectral route diagonalizes each J_3^tot block once and evaluates
     phase sums, so there is no integration error to control; the maximally
     mixed bath enters as uniform weights on the block projectors rather than
-    as 2^N separate pure-state propagations.  The eigenvectors are real, so
-    each phase sum is two real GEMMs against cos(t E) and sin(t E) tables.
-    These are computed once per block and time chunk for each group of
-    projectors whose weight matrices fit the chunk budget together: the
-    whole sector up to N = 8, one projector from N = 10.
+    as 2^N separate pure-state propagations.  Each weight matrix is folded
+    onto the pairs of the blocks' distinct levels before the time loop (the
+    uniform star's largest block has N + 1 levels, 9 against 126 eigenvalues
+    at N = 8; where no level repeats, the fold changes nothing).  The
+    eigenvectors are real, so each phase sum is two real GEMMs against
+    cos(t E) and sin(t E) tables on the levels.  These are computed once per
+    block and time chunk for each group of projectors whose folded weights
+    fit the chunk budget together: the whole sector for the uniform star;
+    with no repeated level, the whole sector up to N = 8 and one projector
+    from N = 10.
     """
     _require_capacity(params.N, MAX_BATH_SPINS, "the spectral oracle")
     if resolve not in ("none", "m", "jm"):
@@ -314,9 +350,12 @@ def propagate(
             grams = ((tj, y_up.T @ y_up, y_dn.T @ y_dn, y_up.T @ y_dn) for tj, y_up, y_dn in ys)
         else:
             grams = iter([(None, q_here, np.eye(q_below.shape[0]) - q_below, x)])  # whole sector
-        weights = ((tj, _weighted(q_here, q_up, w_up, w_dn), _weighted(q_below, q_dn, w_up, w_dn),
-                    x * z if coh0 != 0.0 else None) for tj, q_up, q_dn, z in grams)
-        width = max(up.energies.size, dn.energies.size)
+        # each D x D temporary is folded onto the level pairs before the next is made
+        weights = ((tj, _fold(_weighted(q_here, q_up, w_up, w_dn), up.starts, up.starts),
+                    _fold(_weighted(q_below, q_dn, w_up, w_dn), dn.starts, dn.starts),
+                    _fold(x * z, up.starts, dn.starts) if coh0 != 0.0 else None)
+                   for tj, q_up, q_dn, z in grams)
+        width = max(up.levels.size, dn.levels.size)
         # the weight matrices of as many projectors as fit the budget share each
         # time chunk's cos/sin tables; each group is freed before the next is built
         per_group = max(1, trajectory._CHUNK_BYTES // (3 * 8 * width**2))
@@ -324,7 +363,7 @@ def propagate(
             g_pp, g_pm = np.empty((2, len(group), t.size))
             g_cc = np.zeros((len(group), t.size), dtype=complex)
             for sl in _time_chunks(t.size, 8 * _TABLES_PER_CHUNK * width):
-                tab_up, tab_dn = _phase_table(t[sl], up.energies), _phase_table(t[sl], dn.energies)
+                tab_up, tab_dn = _phase_table(t[sl], up.levels), _phase_table(t[sl], dn.levels)
                 for k, (_, w_pp, w_pm, w_cc) in enumerate(group):
                     g_pp[k, sl] = _phase_sum(tab_up, w_pp, tab_up, imag=False)
                     g_pm[k, sl] = _phase_sum(tab_dn, w_pm, tab_dn, imag=False)

@@ -12,12 +12,17 @@ import pytest
 import spinstar.oracle
 import spinstar.trajectory
 
+from spinstar.exact import exact_trajectory
 from spinstar.oracle import (
     MAX_BATH_SPINS,
     MAX_DENSE_BATH_SPINS,
     CapacityError,
+    _LEVEL_EPS,
+    _build_blocks,
     _family_blocks,
+    _fold,
     _j2_eigenblocks,
+    _levels,
     _min_choi_eigenvalue,
     _phase_sum,
     _phase_table,
@@ -29,6 +34,7 @@ from spinstar.oracle import (
     propagate,
 )
 from spinstar.sectors import SystemParams
+from spinstar.trajectory import _time_chunks
 
 
 def mixed_bath_state(params):
@@ -132,6 +138,17 @@ class TestPropagation:
         np.testing.assert_allclose(res.coh[0], 0.1 + 0.2j, atol=1e-13)
         np.testing.assert_allclose(res.p_plus + res.p_minus, 1.0, atol=1e-12)
 
+    def test_agrees_with_the_closed_form_at_ten_spins(self):
+        # both routes are exact, so only rounding separates them.  eigh's eigenvalues carry
+        # errors of a few eps |E|max (merged levels span up to 18.5 eps |E|max up to N = 12);
+        # with |E|max = 1.64 that moves a phase at t = 100 by about 7e-13 at most.
+        # Measured: 4e-15.
+        p = SystemParams(N=10, A=0.1, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 - 0.1j)
+        t = np.linspace(0.0, 100.0, 1001)
+        res, ref = propagate(p, t), exact_trajectory(p, t)
+        for name in ("p_plus", "p_minus", "coh"):
+            np.testing.assert_allclose(getattr(res, name), getattr(ref, name), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("resolve", ["m", "jm"])
     def test_sector_resolution_sums_to_totals(self, resolve):
         p = SystemParams(
@@ -177,8 +194,19 @@ class TestPropagation:
         t = np.linspace(0.0, 15.0, 60)
         whole = propagate(p, t, resolve=resolve, couplings=couplings)
         monkeypatch.setattr(spinstar.trajectory, "_CHUNK_BYTES", 16 * 10 * 7)
-        # blocks of dimension 10: 2 times per chunk and one projector per group
+        # at most 5 levels per block (10 with the couplings, which repeat no level):
+        # 4 times (2) per chunk and one projector per group
+        calls = []
+
+        def recorded(*args):
+            calls.append(list(_time_chunks(*args)))
+            return calls[-1]
+
+        monkeypatch.setattr(spinstar.oracle, "_time_chunks", recorded)
         chunked = propagate(p, t, resolve=resolve, couplings=couplings)
+        assert min(len(chunks) for chunks in calls) > 1
+        # one call per projector group, and the 5 sectors of N = 4 make 9 projectors under jm
+        assert len(calls) == (9 if resolve == "jm" else 5)
         names = ("p_plus", "p_minus", "coh")
         if resolve != "none":
             names += ("sector_p_plus", "sector_p_minus", "sector_coh")
@@ -267,6 +295,71 @@ class TestRealPhaseSum:
             self.chunked(self.T, e, w, e, imag=False), ref.real, rtol=0, atol=1e-14
         )
         np.testing.assert_allclose(self.chunked(self.T, e, w, e), ref, rtol=0, atol=1e-14)
+
+
+class TestLevels:
+    """Phase sums over each block's distinct levels against the sums over its eigenvalues."""
+
+    @staticmethod
+    def blocks(N, A):
+        return _build_blocks(SystemParams(N=N, A=A, omega0=1.0)).values()
+
+    def test_uniform_star_levels(self):
+        assert sum(b.levels.size for b in self.blocks(8, 0.1)) == 50  # of 512 eigenvalues
+        # A = 0 leaves the Zeeman levels +-omega0/2; the two end blocks hold one state each
+        assert [b.levels.size for b in self.blocks(8, 0.0)] == [1] + [2] * 8 + [1]
+
+    @pytest.mark.parametrize("A", [0.1, 0.0, 1e-9, -0.3])
+    def test_every_run_is_within_the_tolerance(self, A):
+        for b in self.blocks(8, A):
+            tol = _LEVEL_EPS * np.finfo(float).eps * max(1.0, np.max(np.abs(b.energies)))
+            spread = (np.maximum.reduceat(b.energies, b.starts)
+                      - np.minimum.reduceat(b.energies, b.starts))
+            assert np.all(spread <= tol)
+            assert np.all(np.diff(b.levels) > tol)
+
+    def test_nonuniform_couplings_repeat_no_level(self):
+        p = SystemParams(N=5, A=0.0, omega0=0.9, initial_p_plus=0.7, initial_coh=0.2 - 0.1j)
+        couplings = np.random.default_rng(4).uniform(-0.3, 0.3, 5)
+        blocks = _build_blocks(p, couplings)
+        for b in blocks.values():
+            np.testing.assert_array_equal(b.starts, np.arange(b.energies.size))
+            np.testing.assert_array_equal(b.levels, b.energies)
+        # the direct double sums over the full spectra, block by block
+        t = TestRealPhaseSum.T
+        w_up, w_dn = 0.7 / 32, 0.3 / 32
+        p_plus, p_minus, coh = np.zeros((3, t.size), dtype=complex)
+        for b in blocks.values():
+            # P_+ = Q in the eigenbasis, P_- = I - Q, and the initial state is w_up Q + w_dn (I - Q)
+            q = b.v_up.T @ b.v_up
+            rho0 = w_up * q + w_dn * (np.eye(len(q)) - q)
+            p_plus += TestRealPhaseSum.direct(t, b.energies, q * rho0, b.energies)
+            p_minus += TestRealPhaseSum.direct(t, b.energies, (np.eye(len(q)) - q) * rho0,
+                                               b.energies)
+        for tm in range(-5, 6, 2):  # bath sector tm: |+> rows of block tm, |-> rows of tm - 2
+            x = blocks[tm].v_up.T @ blocks[tm - 2].v_dn
+            coh += TestRealPhaseSum.direct(t, blocks[tm].energies, x * x, blocks[tm - 2].energies)
+        res = propagate(p, t, couplings=couplings)
+        np.testing.assert_allclose(res.p_plus, p_plus.real, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(res.p_minus, p_minus.real, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(res.coh, (0.2 - 0.1j) / 32 * coh * np.exp(0.9j * t),
+                                   rtol=0, atol=1e-14)
+
+    def test_folded_sum_on_degenerate_spectra(self):
+        rng = np.random.default_rng(13)
+        # eigenvalues up to 2 eps apart within a level, as eigh leaves a degenerate level:
+        # the merge moves a phase by at most eps t, under 3.2e-15 up to t = T[-1] = 14.2
+        jitter = np.finfo(float).eps * rng.integers(-1, 2, 10)
+        e_left = np.sort([-1.3] * 3 + [0.2] * 2 + [0.9] + [1.7] * 4 + jitter)
+        e_right = np.sort([-0.4] * 2 + [0.6] * 3 + jitter[:5])
+        for e_r in (e_left, e_right):
+            w = rng.uniform(-1.0, 1.0, (e_left.size, e_r.size)) / e_left.size
+            (s_l, lev_l), (s_r, lev_r) = _levels(e_left), _levels(e_r)
+            assert (lev_l.size, lev_r.size) == (4, 4 if e_r is e_left else 2)
+            got = _phase_sum(_phase_table(TestRealPhaseSum.T, lev_l), _fold(w, s_l, s_r),
+                             _phase_table(TestRealPhaseSum.T, lev_r))
+            np.testing.assert_allclose(got, TestRealPhaseSum.direct(TestRealPhaseSum.T, e_left,
+                                                                     w, e_r), rtol=0, atol=1e-14)
 
 
 def dense_projection_family(N, family, corrupt_normalization=False, product_bath="mixed"):
@@ -447,6 +540,28 @@ def test_projection_check_fits_a_memory_cap(run_capped):
     # the dense 4096 x 4096 Choi matrix is 128 MiB, and summing the krons
     # needs three of them at once; the sector-pair blocks are at most 400^2
     proc = run_capped(_CAPPED_CHILD, cap_mib=256)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_CAPPED_ORACLE_CHILD = textwrap.dedent(
+    """
+    import numpy as np
+    from spinstar.oracle import propagate
+    from spinstar.sectors import SystemParams
+
+    p = SystemParams(N=12, A=0.1, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 - 0.1j)
+    res = propagate(p, np.linspace(0.0, 10.0, 11))
+    assert np.max(np.abs(res.p_plus + res.p_minus - 1.0)) <= 1e-13
+    """
+)
+
+
+def test_oracle_at_twelve_spins_fits_a_memory_cap(run_capped):
+    # the largest block has D = 1716 states, 22.5 MiB per D x D matrix; the child peaks
+    # at 273 MB RSS and needs 368 MiB of address space, so the cap leaves 64 MiB
+    # (about three such matrices).  Holding three unfolded D x D weights per projector
+    # through the time loop needed more than 432 MiB.
+    proc = run_capped(_CAPPED_ORACLE_CHILD, cap_mib=432)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
