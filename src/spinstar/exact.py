@@ -10,11 +10,13 @@ Everything is reported in the rotating frame of the central spin; the A=0
 limit therefore leaves both populations and coherence constant.
 
 Two routes evaluate the sector sums, both in memory bounded by
-trajectory._CHUNK_BYTES.  Where trajectory._exp_sum_step finds a uniform grid
-of at least _EXP_SUM_MIN_TIMES times, ``_uniform_pass`` writes them as
+trajectory._CHUNK_BYTES.  Where trajectory._uniform_step finds a uniform
+grid and trajectory._kernel_pays finds it long enough for the terms, at
+_PAIR_ROW_NS per pair-row point of the sweep, ``_uniform_pass`` writes them as
 sums of exponentials in time and evaluates them by the baby-step/giant-step
 GEMM of trajectory._exp_sum, in K blocks of a fixed
 trajectory._EXP_SUM_BLOCK terms, so that the budget moves no bit of them.
+At N = 101 and 1000 that is from 76 and 78 times on (5 terms per sector).
 On any other grid ``_sector_pass`` sweeps (sector block, time chunk) tiles
 of sines and cosines, its time chunks spread over up to two threads, one
 per allowed CPU, by trajectory._sweep, bit for bit whatever the thread
@@ -25,16 +27,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import trajectory
 from .sectors import SectorFamily, SystemParams, sector_family
-from .trajectory import (_EXP_SUM_BLOCK, Trajectory, _add_rows, _exp_sum, _exp_sum_step,
-                         _sector_blocks, _sweep, _tile, _trajectory, _validate_times)
+from .trajectory import (Trajectory, _add_rows, _exp_sum, _sector_blocks, _sector_slices, _sweep,
+                         _tile, _trajectory, _uniform_step, _validate_times)
 
 __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
 
-#: sectors per slice of the terms that ``_uniform_pass`` gives ``_exp_sum``: a
-#: multiple of its K block, so that the slices block K as one whole pair would,
-#: and fixed, so that no bit depends on the memory budget
-_TERM_SLICE = 16 * _EXP_SUM_BLOCK
+#: ns per (pair row, time) point of ``_sector_pass`` with both parts, for
+#: trajectory._kernel_pays: 21-24 at the margin on 256 to 1024 times and 27-58 in all on
+#: 64 (N = 101 and 1000, one BLAS thread of a 2-vCPU host)
+_PAIR_ROW_NS = 40.0
 
 
 def _pair_rows(fam: SectorFamily):
@@ -126,12 +129,12 @@ def _uniform_pass(params: SystemParams, fam: SectorFamily, t, dt: float, populat
     A row with mu = 0 has br = 1 and takes alpha = 0.  Both totals are
     written as E(t) - E(0) from one GEMM, so they are exact at t = 0; at
     A = 0 every survival amplitude is 0 and every coherence term of nonzero
-    amplitude has frequency 0.  The terms go to _exp_sum in slices of
-    _TERM_SLICE sectors, so no (amp, nu) array spans the table.
+    amplitude has frequency 0.  The terms go to _exp_sum in the slices of
+    trajectory._sector_slices, one per sector, so no (amp, nu) array spans the table.
     """
     om, mu, minus = _pair_rows(fam)
-    size, nonzero = fam.w.size, mu >= 1e-300
-    slices = [np.arange(lo, min(lo + _TERM_SLICE, size)) for lo in range(0, size, _TERM_SLICE)]
+    nonzero = mu >= 1e-300
+    slices = list(_sector_slices(np.ones(fam.w.size, int), lambda rows, _: rows))
 
     def ratio(num, den, rows):  # num/den on the pair rows ``rows``, 0 where mu = 0
         return np.divide(num, den, out=np.zeros(rows.size), where=nonzero[rows])
@@ -159,8 +162,10 @@ def _exact(params: SystemParams, times, populations: bool, coherence: bool) -> T
     started in |+> and its mirror started in |->.
     """
     t, fam = _validate_times(times), sector_family(params, "jm")
-    dt = _exp_sum_step(t)
-    if dt is None:
+    dt, size = _uniform_step(t), fam.w.size
+    rows = size + int(np.count_nonzero(fam.lower < 0))  # of _pair_rows
+    if dt is None or not trajectory._kernel_pays(t.size, rows * _PAIR_ROW_NS,
+                                                 size * (populations + 4 * coherence)):
         surv, coh = _sector_pass(params, fam, t, coherence)
     else:
         surv, coh = _uniform_pass(params, fam, t, dt, populations, coherence)

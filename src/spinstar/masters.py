@@ -35,27 +35,28 @@ in one shared memory budget, and no bit depends on the thread count:
   (``aux_ode``) or the ``quadrature`` verifier route, whose whole-grid
   solution the tiles slice.
 
-Where trajectory._exp_sum_step finds a uniform grid of at least
-_EXP_SUM_MIN_TIMES times, each fill also gives the exponential-sum terms of
-the totals it can, per part.  On the spectral route each NZ2 sector solution
-is a sum of 3 exponentials, x_s(t) = sum_k |V_sk|^2 e^{-i lambda_sk t}, so
-both NZ2 totals are exponential sums.  The TCL2 coherence is one too: each
-factor exp(-b g(W, t)) of a sector is a Poisson series in e^{iWt}, so f_s is
-a double series in e^{i Omega_+(m) t} and e^{i Omega_+(m-1) t}, cut where the
-weighted Poisson tails of all sectors add up to at most sectors._TAIL_WEIGHT
-(``_tcl2_series``).  So are the TCL2 populations: a sector's
-exp(-c (1 - cos W t)) is the Bessel generating function, a series in
-e^{ikWt} cut the same way (``_tcl2_population_series``).  Neither part has
-terms where a sector sits at a resonance Omega_+ = 0 with b > 0 or
-pair_coef > 0 (or so near one that its degree passes _TCL2_MAX_DEGREE) or
-``_tcl2_kernel_pays`` finds the grid too short for their number.
+Where trajectory._uniform_step finds a uniform grid, each fill also gives,
+per part it can, the exponential-sum terms of the total, their count and the
+cost per time of the tiles they replace.  On the spectral route each NZ2
+sector solution is a sum of 3 exponentials, x_s(t) = sum_k |V_sk|^2
+e^{-i lambda_sk t}, so both NZ2 totals are exponential sums.  The TCL2
+coherence is one too: each factor exp(-b g(W, t)) of a sector is a Poisson
+series in e^{iWt}, so f_s is a double series in e^{i Omega_+(m) t} and
+e^{i Omega_+(m-1) t}, cut where the weighted Poisson tails of all sectors
+add up to at most sectors._TAIL_WEIGHT (``_tcl2_series``).  So are the TCL2
+populations: a sector's exp(-c (1 - cos W t)) is the Bessel generating
+function, a series in e^{ikWt} cut the same way
+(``_tcl2_population_series``).  Neither part has terms where a sector sits at
+a resonance Omega_+ = 0 with b > 0 or pair_coef > 0 (or so near one that its
+degree passes _TCL2_MAX_DEGREE).
 
 Every public solver and the CLI go through ``_solve``, blind to the method,
 which can also return the J_3^tot series without sector-resolved arrays: it
 is constant by construction, so it is read from the table at t = 0
 (``_j3tot_start``).  A part with terms takes the baby-step/giant-step GEMM of
-trajectory._exp_sum, as exact._uniform_pass does, and the tiles run only for
-what a total cannot give: the sector arrays and the parts without terms.
+trajectory._exp_sum, as exact._uniform_pass does, wherever
+trajectory._kernel_pays finds the grid long enough for them, and the tiles run
+only for what a total cannot give: the sector arrays and the other parts.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
 with RK4, as an independent check of the closed forms.  Public trajectories
@@ -70,11 +71,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _TERM_SLICE
+from . import trajectory
 from .sectors import (_TAIL_MARGIN, _TAIL_WEIGHT, SectorFamily, SystemParams, _omega_plus,
                       sector_family)
-from .trajectory import (Trajectory, _add_rows, _exp_sum, _exp_sum_step, _sector_blocks, _sweep,
-                         _tile, _trajectory, _validate_times)
+from .trajectory import (Trajectory, _add_rows, _exp_sum, _sector_blocks, _sector_slices, _sweep,
+                         _tile, _trajectory, _uniform_step, _validate_times)
 from .volterra import SolveOptions, _unit_solutions, integrate_linear_ode
 
 __all__ = [
@@ -205,10 +206,21 @@ def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, cohere
     return coh, sector_coh, p_plus, sector_p
 
 
+#: ns per point of the TCL2 tiles, for trajectory._kernel_pays: per sector-time point of
+#: the coherence and of the populations, and per point of the g(Omega, t) table both read,
+#: one row per detuning (N + 3 under m, as many as the sectors).  Fitted, m against jm, to
+#: tile times at N = 101 and 1000: 23-31, 2.1-3.5 and 17-35 ns (one BLAS thread); 4 puts
+#: the jm population thresholds nearer the crossovers measured at N = 101
+_TCL2_COH_SECTOR_NS = 28.0
+_TCL2_POP_SECTOR_NS = 4.0
+_G_ROW_NS = 24.0
+
+
 def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
                coherence: bool, opts, dt):
-    """(fill, ``_tcl2_series`` terms, ``_tcl2_population_series`` terms) of TCL2, each
-    None where it does not run; ``opts`` does not apply.
+    """(fill, coherence part, population part) of TCL2; ``opts`` does not apply.  A part
+    is (tile cost per time, term count, terms) of ``_tcl2_series`` or
+    ``_tcl2_population_series``, None unless asked, on a grid of step ``dt``, with a series.
 
     Closed forms f = exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)] and
     g = exp(-pair_coef Re g(Omega_+, t)), with g(Omega, t) read from one table per chunk
@@ -246,9 +258,11 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
         return coherence, population
 
-    on_grid = dt is not None
-    return (chunk, _tcl2_series(params, fam, t.size) if coherence and on_grid else None,
-            _tcl2_population_series(fam, t.size) if populations and on_grid else None)
+    on_grid, table = dt is not None, om.size * _G_ROW_NS
+    coh = _tcl2_series(params, fam) if coherence and on_grid else None
+    pop = _tcl2_population_series(fam) if populations and on_grid else None
+    return (chunk, coh and (fam.w.size * _TCL2_COH_SECTOR_NS + table, *coh),
+            pop and (fam.w.size * _TCL2_POP_SECTOR_NS + table, *pop))
 
 
 #: highest total degree n1 + n2 of a sector's TCL2 coherence series: near a
@@ -258,45 +272,6 @@ _TCL2_MAX_DEGREE = 32
 
 #: n! up to the highest degree, for the Poisson terms of both TCL2 series
 _FACTORIAL = np.array([math.factorial(n) for n in range(_TCL2_MAX_DEGREE + 1)], float)
-
-#: what a term of the TCL2 coherence series costs trajectory._exp_sum on n times,
-#: in sector-time points of the tiles: about this many plus sqrt(n).  Measured on
-#: one BLAS thread with two sweep threads, under jm at N = 101 (alpha = 0.1 and
-#: 0.5), 1000 and 10^4 on 65 to 16384 times, it came to 0.7-1.3 times that; the
-#: m tiles at N = 101 cost more per point, so there the kernel pays about twice
-#: as early as this says.  Re-measured with the shared tail budget (min of 21,
-#: tiles time / kernel time at 0.8, 1, 1.25 times the threshold): jm at N = 101,
-#: alpha = 0.1 (328 times) 0.91, 1.04, 1.22; alpha = 0.5 (972) 1.05, 1.04, 1.35;
-#: N = 1000 (189) 0.88, 1.05, 1.62; m at N = 101, alpha = 0.1 (254) 1.98, 2.34,
-#: 2.75 and alpha = 0.5 (548) 2.18, 2.82, 3.46, and 1.34 and 1.74 at half of it
-_TCL2_TERM_POINTS = 16
-
-#: the TCL2 populations in the points of _TCL2_TERM_POINTS, the kernel's cost of a
-#: term per sqrt(n) times: their tiles cost about a tenth of one per sector-time
-#: point and 0.6 per point of the g(Omega, t) table, one row per detuning, which
-#: under m is as long as the sector axis; a term of their series costs about this
-#: many plus sqrt(n).  Fitted on one BLAS thread with two sweep threads, min of 9,
-#: over m and jm at N = 21, 101 (alpha = 0.1 and 0.5) and 1000 on 64 to 2048 times:
-#: 4.5 ns per sector point, 25 ns per table point, 320 + 43 sqrt(n) ns per term.
-#: Tiles time / kernel time (min of 21) at 0.8, 1 and 1.25 times the threshold: jm
-#: at N = 101, alpha = 0.1 (759 times) 1.06, 1.22, 1.27; alpha = 0.5 (2105) 0.80,
-#: 1.04, 0.91; N = 1000 (552) 0.88, 1.10, 1.50; N = 21 (759) 1.38, 1.28, 1.26; m at
-#: N = 101, alpha = 0.5 (80) 0.77, 0.80, 1.00; N = 21 (97) 0.73, 0.85, 0.59 (all under
-#: 0.3 ms apart).  Where the threshold lies below the 64 times from which the kernel
-#: may run, at 64, 80 and 100 times: m at N = 101, alpha = 0.1 (44) 0.97, 1.01, 1.25,
-#: and N = 1000 (9) 2.06, 2.63, 2.28
-_TCL2_POP_SECTOR_POINTS = 0.1
-_TCL2_POP_ROW_POINTS = 0.6
-_TCL2_POP_TERM_POINTS = 7
-
-
-def _tcl2_kernel_pays(n_times: int, tile_points: float, n_terms: int,
-                      term_points: float) -> bool:
-    """Whether n_terms series terms, each costing the kernel ``term_points`` plus
-    sqrt(n_times) points on n_times times, cost less than tiles of ``tile_points`` per
-    time: the rule reads the grid length and the counts only."""
-    return n_times * tile_points >= n_terms * (term_points + math.sqrt(n_times))
-
 
 def _ratio(num, den):
     """num/den elementwise, 0 where num is 0 (den may then be 0 too)."""
@@ -323,9 +298,9 @@ def _poisson_degrees(lam, budget):
     return None
 
 
-def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
-    """The (amp, nu) terms of E(t) = sum_s w_s f_s(t) for the TCL2 coherence, or None
-    where the family keeps the tiles.
+def _tcl2_series(params: SystemParams, fam: SectorFamily):
+    """(term count, (amp, nu) terms) of E(t) = sum_s w_s f_s(t) for the TCL2 coherence,
+    or None where the family has no series.
 
     With g(W, t) = (1 - e^{iWt})/W^2 + i t/W and a = b/W^2, exp(-b g(W, t)) =
     e^{-a} e^{-i (b/W) t} sum_n a^n e^{inWt}/n!.  A sector's f_s has two such
@@ -340,14 +315,13 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
     family at most _TAIL_WEIGHT, in E(t) and E(0): the coherence moves by at
     most 2 |coh0| _TAIL_WEIGHT, the bound of the jm tail cut.  A light sector
     so keeps fewer terms than a heavy one.  The terms come in the slices of
-    ``_sector_slices``, in a fixed order.
+    trajectory._sector_slices, in a fixed order.
 
-    The tiles stay where some sector has W = 0 with b > 0 (there g = t^2/2
-    has no series) or a degree above _TCL2_MAX_DEGREE, and where
-    ``_tcl2_kernel_pays`` finds the grid too short for the terms: at N = 101
-    and alpha = 0.1, about 9.6 terms per sector under jm and 7.9 under m, the
-    kernel pays from 328 and 254 times on.
-    So the route depends on the family and the grid alone.
+    There is no series where some sector has W = 0 with b > 0 (there g = t^2/2
+    has none) or a degree above _TCL2_MAX_DEGREE.  Otherwise trajectory._kernel_pays
+    weighs the terms against the tiles: at N = 101 and alpha = 0.1, with about 9.6
+    terms per sector under jm and 7.9 under m, the kernel takes the coherence from
+    367 and 106 times on (alpha = 0.5: 20.6 and 13.9 terms, from 1389 and 256).
     """
     w1, w2 = fam.om_p, -fam.om_m
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < b: no series
@@ -360,8 +334,6 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
     if degree is None:
         return None
     counts = (degree + 1) * (degree + 2) // 2
-    if not _tcl2_kernel_pays(n_times, fam.w.size, int(counts.sum()), _TCL2_TERM_POINTS):
-        return None
     n1, n2 = np.array([(i, d - i) for d in range(_TCL2_MAX_DEGREE + 1)
                        for i in range(d + 1)]).T
     base = -2.0 * params.A * fam.two_m - _ratio(fam.b_p, w1) - _ratio(fam.b_m, w2)
@@ -372,12 +344,13 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily, n_times: int):
         amp = scale[rows] * (a1[rows] ** i / _FACTORIAL[i]) * (a2[rows] ** j / _FACTORIAL[j])
         return amp, base[rows] + i * w1[rows] + j * w2[rows]
 
-    return _sector_slices(counts, terms)
+    return int(counts.sum()), _sector_slices(counts, terms)
 
 
-def _tcl2_population_series(fam: SectorFamily, n_times: int):
-    """The (amp, nu) terms of E(t) = sum_s y0_s g_s(t) for the TCL2 populations, whose
-    total is P_+(0) + Re(E(t) - E(0)), or None where the family keeps the tiles.
+def _tcl2_population_series(fam: SectorFamily):
+    """(term count, (amp, nu) terms) of E(t) = sum_s y0_s g_s(t) for the TCL2
+    populations, whose total is P_+(0) + Re(E(t) - E(0)), or None where the family
+    has no series.
 
     A sector's g = exp(-c (1 - cos W t)), with W = Omega_+(m) and c = pair_coef/W^2,
     is e^{-c} sum_{n1, n2} (c/2)^{n1+n2} e^{i (n1 - n2) W t}/(n1! n2!), the Bessel
@@ -388,15 +361,15 @@ def _tcl2_population_series(fam: SectorFamily, n_times: int):
     Only Re E is read, so the pairs of equal k = |n1 - n2| fold into one real
     amplitude at frequency k W, y0 e^{-c} sum_{n1+n2 <= d_s, |n1-n2| = k}
     (c/2)^{n1+n2}/(n1! n2!); the constant k = 0 cancels in E(t) - E(0), so a
-    sector has the d_s terms k = 1..d_s, in the slices of ``_sector_slices``.
+    sector has the d_s terms k = 1..d_s, in the slices of trajectory._sector_slices.
 
-    The tiles stay where some sector has W = 0 with pair_coef > 0 (there
-    g = exp(-pair_coef t^2/2) has no series) or a degree above _TCL2_MAX_DEGREE,
-    and where ``_tcl2_kernel_pays`` finds the grid too short for the terms, with
-    the tile and term costs of _TCL2_POP_TERM_POINTS: at N = 101 and alpha = 0.1,
-    with 2.8 terms per sector under jm and 2.25 under m, the kernel pays from 759
-    times on under jm and from 44 under m, where trajectory._EXP_SUM_MIN_TIMES
-    rules.  So the route depends on the family and the grid alone.
+    There is no series where some sector has W = 0 with pair_coef > 0 (there
+    g = exp(-pair_coef t^2/2) has none) or a degree above _TCL2_MAX_DEGREE.
+    Otherwise trajectory._kernel_pays weighs the terms against the tiles, whose
+    sector points cost little: at N = 101 and alpha = 0.1, with 2.8 terms per
+    sector under jm and 2.25 under m, the kernel takes the populations from 846
+    times on under jm and from 41 under m (alpha = 0.5: 5.0 and 3.5 terms, from
+    2500 and 78).
     """
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < pair_coef
         c = _ratio(fam.pair_coef, fam.om_p * fam.om_p)
@@ -404,10 +377,7 @@ def _tcl2_population_series(fam: SectorFamily, n_times: int):
     budget = np.divide(_TAIL_WEIGHT / y0.size, y0, out=np.full(y0.shape, np.inf),
                        where=y0 > 0.0)
     degree = _poisson_degrees(c, budget) if np.all(np.isfinite(c)) else None
-    table_rows = (int(fam.two_m.max()) - int(fam.two_m.min())) // 2 + 2  # of _tcl2_fill
-    tile_points = _TCL2_POP_SECTOR_POINTS * y0.size + _TCL2_POP_ROW_POINTS * table_rows
-    if degree is None or not _tcl2_kernel_pays(n_times, tile_points, int(degree.sum()),
-                                               _TCL2_POP_TERM_POINTS):
+    if degree is None:
         return None
     half, scale = 0.5 * c, 2.0 * fam.y0 * np.exp(-c)  # each k > 0 folds k and -k
 
@@ -422,26 +392,19 @@ def _tcl2_population_series(fam: SectorFamily, n_times: int):
             n += 2
         return scale[rows] * amp, k * fam.om_p[rows]
 
-    return _sector_slices(degree, terms)
+    return int(degree.sum()), _sector_slices(degree, terms)
 
 
-def _sector_slices(counts, terms):
-    """The ``terms(rows, k)`` of sector ``rows`` and its k-th term, k < counts[row], in
-    slices of a fixed number of whole sectors, at most exact._TERM_SLICE terms each,
-    so that no term array spans the table or outgrows those of exact._uniform_pass."""
-    step = max(1, _TERM_SLICE // max(1, int(counts.max())))  # sectors per slice
-
-    def part(lo):
-        size = counts[lo:lo + step]
-        rows = np.repeat(np.arange(lo, lo + size.size), size)
-        return terms(rows, np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size))
-
-    return (part(lo) for lo in range(0, counts.size, step))
+#: ns per sector-time point of the NZ2 coherence and population tiles, for
+#: trajectory._kernel_pays: 61-110 and 18-31 at the margin, more on short grids; the
+#: kernel was faster from under 16 and from 30-48 times on (N = 101 and 1000, one BLAS thread)
+_NZ2_COH_SECTOR_NS = 80.0
+_NZ2_POP_SECTOR_NS = 40.0
 
 
 def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
               coherence: bool, opts, dt):
-    """(fill, coherence terms, population terms) of the NZ2 sector equations.
+    """(fill, coherence part, population part) of the NZ2 sector equations.
 
     Scalar Volterra solutions x_s(t), x_s(0) = 1, per sector: f = x e^{-2iA two_m t} for
     the kernel B_+ e^{i Omega_+ tau} + B_- e^{-i Omega_- tau}, and g = x for the kernel
@@ -449,7 +412,8 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
     route x_s = sum_k |V_sk|^2 e^{-i lambda_sk t}, so where the grid has the step ``dt``
     each asked part is an exponential sum of 3 terms per sector: amplitudes
     w_s |V_sk|^2 and frequencies -(lambda_sk + 2A two_m_s) for the coherence, and
-    y0_s |V_sk|^2 and -lambda_sk for P_+.  The terms are None off that route.
+    y0_s |V_sk|^2 and -lambda_sk for P_+.  A part is (tile cost per time, term count,
+    terms), None off that route.
     """
     half = 0.5 * fam.pair_coef
     coh_x, coh_spec = _unit_solutions(np.stack([fam.b_p, fam.b_m], axis=1), np.stack(
@@ -470,15 +434,18 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
         return coherence, population
 
-    coh_terms = pop_terms = None
+    def part(sector_ns, amp, nu):
+        return fam.w.size * sector_ns, nu.size, [(amp.ravel(), nu.ravel())]
+
+    coh_part = pop_part = None
     if coh_spec is not None and dt is not None:
         lam, wts = coh_spec
-        nu = -(lam + (2.0 * params.A * fam.two_m)[:, None])
-        coh_terms = [((fam.w[:, None] * wts).ravel(), nu.ravel())]
+        coh_part = part(_NZ2_COH_SECTOR_NS, fam.w[:, None] * wts,
+                        -(lam + (2.0 * params.A * fam.two_m)[:, None]))
     if pop_spec is not None and dt is not None:
         lam, wts = pop_spec
-        pop_terms = [((fam.y0[:, None] * wts).ravel(), -lam.ravel())]
-    return chunk, coh_terms, pop_terms
+        pop_part = part(_NZ2_POP_SECTOR_NS, fam.y0[:, None] * wts, -lam)
+    return chunk, coh_part, pop_part
 
 
 def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray, out=None) -> np.ndarray:
@@ -501,14 +468,18 @@ def _solve(
     ``j3tot`` (with populations) returns the series of
     ``j3tot_expectation(bundle)`` at its t = 0 value, ``_j3tot_start``, since
     it is constant by construction.  One rule per part: a part with terms from
-    the fill has the total coh0 (1 + E) or P_+(0) + Re E by trajectory._exp_sum,
+    the fill, where trajectory._kernel_pays finds that they cost less than its
+    tiles, has the total coh0 (1 + E) or P_+(0) + Re E by trajectory._exp_sum,
     exact at t = 0, and the tiles run only for what a total cannot give: the
-    sector arrays and the parts without terms.
+    sector arrays and the other parts.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    dt = _exp_sum_step(t)
-    fill, coh_terms, pop_terms = {"tcl2": _tcl2_fill, "nz2": _nz2_fill}[method](
+    dt = _uniform_step(t)
+    fill, *parts = {"tcl2": _tcl2_fill, "nz2": _nz2_fill}[method](
         params, fam, t, populations, coherence, opts, dt)
+    coh_terms, pop_terms = (
+        None if part is None or not trajectory._kernel_pays(t.size, *part[:2]) else part[2]
+        for part in parts)
     tile_coh = coherence and (sectors or coh_terms is None)
     tile_pop = populations and (sectors or pop_terms is None)
     coh = sector_coh = p_plus = sector_p = None

@@ -3,10 +3,15 @@
 Every public solver checks its grid with ``_validate_times``.  The sector
 sums then run per (sector block, time chunk) tile of ``_sector_blocks`` and
 ``_time_chunks`` on any grid, and ``_sweep`` spreads the time chunks over
-one thread per allowed CPU, up to _MAX_WORKERS; where ``_uniform_step``
+one thread per allowed CPU, up to _MAX_WORKERS.  Where ``_uniform_step``
 finds a uniform grid, a sum of exponentials in time can instead take
-``_exp_sum``, which evaluates it on the whole grid with one blocked complex
-GEMM.
+``_exp_sum``, one blocked complex GEMM on the whole grid, its terms cut into
+the slices of ``_sector_slices``.  One rule, ``_kernel_pays``, picks the route
+of every part (the exact sums, the TCL2 coherence and populations, the NZ2
+totals) from its term count and its tile cost.  At N = 101 and alpha = 0.1
+the kernel takes the exact sums from 76 times on, the TCL2 coherence from
+106 (m) and 367 (jm), the TCL2 populations from 41 and 846, and the NZ2
+coherence and populations from 15 and 38.
 """
 
 from __future__ import annotations
@@ -40,18 +45,19 @@ _CHUNK_WIDTH = 256
 #: with a measurement on such a host.
 _MAX_WORKERS = 2
 
-#: grid length from which ``_exp_sum`` takes the place of a sweep of every
-#: sector-time point: it costs a term about 4 n^(1/4) phases and 2 sqrt(n)
-#: complex products, a sweep a sector about n phases on each of two threads.
-#: Measured on one BLAS thread of a 2-vCPU host, the NZ2 totals gain from 16
-#: times on at N = 101 and 1000, and the exact sums (5 terms per sector)
-#: from 40-48 times on at N = 101 but only from about 96 at N = 1000, where
-#: the kernel is up to 1.7 times slower at 64 times
-_EXP_SUM_MIN_TIMES = 64
-
 #: terms per K block of ``_exp_sum``: fixed, so that no bit depends on the memory
 #: budget, and a multiple of 8, so that none depends on the BLAS thread count
 _EXP_SUM_BLOCK = 256
+
+#: most terms per slice that ``_sector_slices`` gives ``_exp_sum``: a multiple of its
+#: K block, so that the slices block K as one whole pair would, and fixed, so that no
+#: bit depends on the memory budget
+_TERM_SLICE = 16 * _EXP_SUM_BLOCK
+
+#: (a, b) of what ``_exp_sum`` costs a term on n times, a + b sqrt(n) ns.  Fitted on
+#: one BLAS thread of a 2-vCPU host over 4096 and 32768 terms on 16 to 4096 times: 350-440
+#: ns a term at 16 times, 810-1090 at 256, 2230-2480 at 2048, 3300 at 4096 (min of 5-15)
+_TERM_NS = (210.0, 47.0)
 
 
 class NumericsError(RuntimeError):
@@ -132,10 +138,26 @@ def _uniform_step(t: np.ndarray) -> float | None:
     return dt if np.max(np.abs(t - (t[0] + dt * np.arange(t.size)))) <= tol else None
 
 
-def _exp_sum_step(t: np.ndarray) -> float | None:
-    """The step that ``_exp_sum`` takes on ``t``, or None where a sweep is cheaper or
-    ``t`` is not uniform: the uniform step of a grid of at least _EXP_SUM_MIN_TIMES."""
-    return _uniform_step(t) if t.size >= _EXP_SUM_MIN_TIMES else None
+def _kernel_pays(n_times: int, tile_cost: float, n_terms: int) -> bool:
+    """Whether ``_exp_sum`` of n_terms terms on n_times times costs less than tiles of
+    ``tile_cost`` ns per time: the one route rule of every part.  It reads counts only,
+    never the CPU or BLAS thread count, so a route depends on the family and the grid."""
+    a, b = _TERM_NS
+    return n_times * tile_cost >= n_terms * (a + b * math.sqrt(n_times))
+
+
+def _sector_slices(counts, terms):
+    """The ``terms(rows, k)`` of sector ``rows`` and its k-th term, k < counts[row], in
+    slices of a fixed number of whole sectors, at most _TERM_SLICE terms each, so that
+    no term array spans the table and no bit depends on the memory budget."""
+    step = max(1, _TERM_SLICE // max(1, int(counts.max())))  # sectors per slice
+
+    def part(lo):
+        size = counts[lo:lo + step]
+        rows = np.repeat(np.arange(lo, lo + size.size), size)
+        return terms(rows, np.arange(rows.size) - np.repeat(np.cumsum(size) - size, size))
+
+    return (part(lo) for lo in range(0, counts.size, step))
 
 
 def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:

@@ -361,14 +361,15 @@ class TestFigurePresets:
 def test_compare_on_a_long_uniform_grid_runs_no_tile(tmp_path, monkeypatch, projection, dt,
                                                      t_max):
     # the grids of the benchmark's closed_form_long (2001 times) and nz2_memory (601):
-    # every TCL2 and NZ2 total takes the exponential-sum kernel, and J_3^tot, constant
-    # by construction, comes from the sector table
-    from spinstar import masters
+    # the exact sums and every TCL2 and NZ2 total take the exponential-sum kernel, and
+    # J_3^tot, constant by construction, comes from the sector table
+    from spinstar import exact, masters
 
     def no_tiles(*args):
         raise AssertionError("the tiles ran")
 
     monkeypatch.setattr(masters, "_tiles", no_tiles)
+    monkeypatch.setattr(exact, "_sector_pass", no_tiles)
     cfg = write_config(tmp_path, f"""
 N = 101
 omega0 = 1.0
@@ -540,9 +541,9 @@ def test_ten_thousand_spins_end_to_end_under_a_memory_cap(tmp_path, run_capped):
 
 
 def test_ten_thousand_spins_on_a_uniform_grid_under_a_memory_cap(tmp_path, run_capped):
-    # 65 uniform times take exact's exponential-sum kernel, whose terms go in
-    # slices of the sector table
-    _ten_thousand_spins(tmp_path, run_capped, dt=3.125, n_times=65)
+    # 81 uniform times take exact's exponential-sum kernel (from 78 on at N = 10^4),
+    # whose terms go in slices of the sector table
+    _ten_thousand_spins(tmp_path, run_capped, dt=2.5, n_times=81)
 
 
 def _ten_thousand_spins(tmp_path, run_capped, dt, n_times):

@@ -4,8 +4,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from spinstar import exact, trajectory
+from spinstar import exact, masters, trajectory
 from spinstar.exact import exact_coherence, exact_population_plus, exact_trajectory
+from spinstar.masters import tcl2_jm
 from spinstar.oracle import propagate
 from spinstar.sectors import SystemParams, sector_family
 
@@ -284,15 +285,31 @@ def test_uniform_route_agrees_with_the_sector_pass(n, a, omega0):
 
 def test_uniform_route_bits_do_not_depend_on_the_budget_or_the_term_slices(monkeypatch):
     # 1892 kept jm sectors of N = 101: 8 slices of 256 sectors against one
-    # slice, and 2 giant-step rows per GEMM against all 46 of 2001 times
+    # slice, and 2 giant-step rows per GEMM against all 46 of 2001 times.  The
+    # TCL2 series take their slices from the same trajectory._TERM_SLICE, of whole
+    # sectors, so there the slices move the K blocks and the bits, but the budget does not
     p = SystemParams(N=101, A=0.05 / 101, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
     t = 0.5 * np.arange(2001)
-    whole = exact_trajectory(p, t)
-    monkeypatch.setattr(exact, "_TERM_SLICE", trajectory._EXP_SUM_BLOCK)
+    whole, whole_tcl2 = exact_trajectory(p, t), tcl2_jm(p, t)
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
+    budget_tcl2 = tcl2_jm(p, t)
+    monkeypatch.setattr(trajectory, "_TERM_SLICE", trajectory._EXP_SUM_BLOCK)
+    sizes = {}
+    for module in (exact, masters):
+        def spy(terms, *grid, exp_sum=module._exp_sum, name=module.__name__):
+            terms = list(terms)
+            sizes.setdefault(name, []).extend(nu.size for _, nu in terms)
+            return exp_sum(terms, *grid)
+
+        monkeypatch.setattr(module, "_exp_sum", spy)
     sliced = exact_trajectory(p, t)
+    tcl2_jm(p, t)
+    assert sizes.keys() == {"spinstar.exact", "spinstar.masters"}
+    assert max(max(got) for got in sizes.values()) <= trajectory._EXP_SUM_BLOCK
     np.testing.assert_array_equal(sliced.p_plus, whole.p_plus)
     np.testing.assert_array_equal(sliced.coh, whole.coh)
+    np.testing.assert_array_equal(budget_tcl2.p_plus, whole_tcl2.p_plus)
+    np.testing.assert_array_equal(budget_tcl2.coh, whole_tcl2.coh)
 
 
 _CAPPED_CHILD = textwrap.dedent(

@@ -1,7 +1,8 @@
 """Every exported name resolves, so a deleted function cannot linger in an export list,
 and every name the docs import from ``spinstar`` is exported, so a deletion cannot
 leave the README or a demo behind.  A CLI run loads no third-party package but numpy.
-No line of the package is wider than 100 columns.
+No line of the package is wider than 100 columns, and no private module-level name of
+it is left without a user in it.
 """
 
 import ast
@@ -79,3 +80,33 @@ def test_no_package_line_is_wider_than_100_columns():
             for path in sorted((ROOT / "src" / "spinstar").glob("*.py"))
             for n, line in enumerate(path.read_text().splitlines(), start=1) if len(line) > 100]
     assert not wide
+
+
+def test_every_private_module_name_has_a_user_in_the_package():
+    # a private name defined at module level (def, class or assignment) that no line of
+    # src/spinstar reads outside its own definition is code that production does not
+    # reach; tests do not count as users.  Names are matched by spelling, across modules
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "spinstar").glob("*.py"))}
+    defined = {}  # name -> (module path, first line, last line) of its definition
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined.update((name, (path, node.lineno, node.end_lineno)) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+    used = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) if isinstance(node, ast.Name) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if name in defined:
+                where, first, last = defined[name]
+                if path != where or not first <= node.lineno <= last:
+                    used.add(name)
+    assert sorted(set(defined) - used) == []

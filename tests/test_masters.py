@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinstar import masters, trajectory
+from spinstar import exact, masters, trajectory
 from spinstar.exact import exact_population_plus, exact_trajectory
 from spinstar.masters import (
     _SIN_SERIES,
@@ -423,8 +423,22 @@ class TestTimeChunks:
 def _tile_totals(monkeypatch, p, t, family):
     """NZ2 of ``family`` with its totals from the tiles, as on a grid too short for the kernel."""
     with monkeypatch.context() as patch:
-        patch.setattr(trajectory, "_EXP_SUM_MIN_TIMES", t.size + 1)
+        patch.setattr(trajectory, "_kernel_pays", lambda *counts: False)
         return _solve(p, t, "nz2", family)[0]
+
+
+def _threshold(tile_cost, n_terms):
+    """The least grid length on which trajectory._kernel_pays takes the kernel."""
+    return next(n for n in range(1, 10**5) if trajectory._kernel_pays(n, tile_cost, n_terms))
+
+
+def _part(p, method, family, coherence):
+    """(tile cost per time, term count) of one part that the fill hands the route rule."""
+    fill = {"tcl2": masters._tcl2_fill, "nz2": masters._nz2_fill}[method]
+    t = 0.5 * np.arange(3)
+    part = fill(p, sector_family(p, family), t, not coherence, coherence, None, 0.5)[
+        1 if coherence else 2]
+    return part[:2]
 
 
 def _tile_calls(monkeypatch):
@@ -440,7 +454,7 @@ def _tile_calls(monkeypatch):
 
 
 class TestKernelRoute:
-    """NZ2 totals by trajectory._exp_sum on a uniform grid of at least _EXP_SUM_MIN_TIMES."""
+    """NZ2 totals by trajectory._exp_sum on a uniform grid long enough for their terms."""
 
     T = 0.5 * np.arange(601)
     # N <= 40 at A = -0.13 (resonant: Omega_+(m) = 0 at one sector); N = 101 at
@@ -496,7 +510,8 @@ class TestKernelRoute:
         geometric = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)])
         assert trajectory._uniform_step(geometric) is None
         nz2_jm(PARAMS, geometric)
-        nz2_jm(PARAMS, self.T[:trajectory._EXP_SUM_MIN_TIMES - 1])
+        short = min(_threshold(*_part(PARAMS, "nz2", "jm", part)) for part in (True, False))
+        nz2_jm(PARAMS, self.T[:short - 1])
         nz2_jm(PARAMS, self.T[:101], opts=SolveOptions(step=0.01))
         with pytest.raises(TypeError):
             nz2_jm(PARAMS, self.T)
@@ -635,7 +650,7 @@ class TestTcl2KernelRoute:
     @pytest.mark.parametrize("n", [1, 2, 5, 101])
     def test_coherence_matches_the_closed_form(self, monkeypatch, n, family, sign):
         p = self._params(n, sign)
-        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
+        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
         calls = _exp_sum_calls(monkeypatch)
         traj = _solve(p, self.T, "tcl2", family, populations=False)[0]
         assert len(calls) == 1
@@ -653,7 +668,7 @@ class TestTcl2KernelRoute:
         # POP_TOL's bounds
         assert np.max(c) <= 0.07 and np.max(np.abs(fam.om_p)) <= 1.2
         assert np.sum(np.abs(fam.y0)) <= 0.4
-        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
+        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
         calls = _exp_sum_calls(monkeypatch)
         traj = _solve(p, self.T, "tcl2", family, coherence=False)[0]
         assert len(calls) == 1
@@ -683,40 +698,37 @@ class TestTcl2KernelRoute:
         geometric = np.concatenate([[0.0], np.geomspace(0.05, 1000.0, 2000)])
         assert trajectory._uniform_step(geometric) is None
         tcl2_jm(p, geometric)
-        tcl2_jm(p, uniform[:trajectory._EXP_SUM_MIN_TIMES - 1])
+        assert min(_threshold(*_part(p, "tcl2", "jm", part)) for part in (True, False)) > 63
+        tcl2_jm(p, uniform[:63])
         for fn in (tcl2_jm, tcl2_coherence_m, tcl2_population_m):
             with pytest.raises(TypeError):
                 fn(p, uniform)
 
     def test_a_grid_too_short_for_the_terms_takes_the_tiles(self, monkeypatch):
-        # about 9.6 terms per sector under jm and 7.9 under m at N = 101 (alpha = 0.1):
-        # each costs the kernel about _TCL2_TERM_POINTS + sqrt(n) sector-time points
-        # of the tiles
+        # about 9.6 terms per sector under jm and 7.9 under m at N = 101 (alpha = 0.1),
+        # which trajectory._kernel_pays weighs against the tile cost of the fill
         p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
                          initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
         fam = sector_family(p, "jm")
-        counts = [sum(nu.size for _, nu in masters._tcl2_series(p, fam, 10**9))]
-        assert 9 <= counts[0] / fam.w.size < 10
-        need = next(n for n in range(1, 10**4) if n * fam.w.size
-                    >= counts[0] * (masters._TCL2_TERM_POINTS + math.sqrt(n)))
+        n_terms, terms = masters._tcl2_series(p, fam)
+        counts = [sum(nu.size for _, nu in terms)]
+        assert n_terms == counts[0] and 9 <= counts[0] / fam.w.size < 10
+        need = _threshold(*_part(p, "tcl2", "jm", True))
         assert 64 < need < 2001
-        assert masters._tcl2_series(p, fam, need) is not None
-        assert masters._tcl2_series(p, fam, need - 1) is None
         calls = _exp_sum_calls(monkeypatch)
         tcl2_jm(p, 0.5 * np.arange(need - 1))
         assert calls == []
         tcl2_jm(p, 0.5 * np.arange(need))
         assert calls == counts
         # under m the kernel pays earlier: 601 times, the grid of ``compare`` at
-        # dt = 0.1 and t_max = 60, take it
+        # dt = 0.1 and t_max = 60, take it, and so do 203, where it is about twice
+        # as fast as the tiles
         fam = sector_family(p, "m")
-        counts = [sum(nu.size for _, nu in masters._tcl2_series(p, fam, 10**9))]
-        assert 7 <= counts[0] / fam.w.size < 8
-        need = next(n for n in range(1, 10**4) if n * fam.w.size
-                    >= counts[0] * (masters._TCL2_TERM_POINTS + math.sqrt(n)))
-        assert 64 < need <= 601
-        assert masters._tcl2_series(p, fam, need) is not None
-        assert masters._tcl2_series(p, fam, need - 1) is None
+        n_terms, terms = masters._tcl2_series(p, fam)
+        counts = [sum(nu.size for _, nu in terms)]
+        assert n_terms == counts[0] and 7 <= counts[0] / fam.w.size < 8
+        need = _threshold(*_part(p, "tcl2", "m", True))
+        assert 64 < need <= 203
         calls.clear()
         tcl2_coherence_m(p, 0.5 * np.arange(need - 1))
         assert calls == []
@@ -727,23 +739,16 @@ class TestTcl2KernelRoute:
     def test_a_grid_too_short_for_the_population_terms_takes_the_tiles(self, monkeypatch,
                                                                         family, low, high):
         # about 2.8 terms per sector under jm and 2.25 under m at N = 101 (alpha = 0.1),
-        # each costing _TCL2_POP_TERM_POINTS + sqrt(n) points, against tiles of a tenth
-        # of a point per sector and 0.6 per detuning of the g table (87 under jm, 103
-        # under m) per time; closed_form_long's grid (jm, 2001 times) and nz2_memory's
-        # (m, 601 times) take the kernel
+        # against tiles that cost little per sector but read a g table of one row per
+        # detuning (87 under jm, 103 under m); closed_form_long's grid (jm, 2001 times)
+        # and nz2_memory's (m, 601 times) take the kernel
         p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
                          initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
         fam = sector_family(p, family)
-        counts = [sum(nu.size for _, nu in masters._tcl2_population_series(fam, 10**9))]
-        assert low <= counts[0] / fam.w.size < high
-        rows = (fam.two_m.max() - fam.two_m.min()) // 2 + 2
-        points = (masters._TCL2_POP_SECTOR_POINTS * fam.w.size
-                  + masters._TCL2_POP_ROW_POINTS * rows)
-        need = next(n for n in range(1, 10**4)
-                    if n * points >= counts[0] * (masters._TCL2_POP_TERM_POINTS + math.sqrt(n)))
-        assert masters._tcl2_population_series(fam, need) is not None
-        assert masters._tcl2_population_series(fam, need - 1) is None
-        need = max(need, trajectory._EXP_SUM_MIN_TIMES)
+        n_terms, terms = masters._tcl2_population_series(fam)
+        counts = [sum(nu.size for _, nu in terms)]
+        assert n_terms == counts[0] and low <= counts[0] / fam.w.size < high
+        need = _threshold(*_part(p, "tcl2", family, False))
         assert need <= {"jm": 2001, "m": 601}[family]
         calls = _exp_sum_calls(monkeypatch)
         _solve(p, 0.5 * np.arange(need - 1), "tcl2", family, coherence=False)
@@ -752,12 +757,71 @@ class TestTcl2KernelRoute:
         assert calls == counts
 
 
+class TestRouteBoundary:
+    """Every part at its threshold n* of trajectory._kernel_pays: the tiles (exact: the
+    sector sweep) on n* - 1 times, the kernel on n*, and the same results on the shared
+    times, within the tolerance each part's kernel tests argue."""
+
+    P = TestTcl2KernelRoute._params(101, 1.0)  # alpha = 0.1, the grounds of TOL and POP_TOL
+    PARTS = {
+        "exact": ("exact", "jm", True, True, 1e-13),
+        **{f"tcl2-{part}-{family}": ("tcl2", family, part == "pop", part == "coh", tol)
+           for part, tol in (("coh", TestTcl2KernelRoute.TOL), ("pop", TestTcl2KernelRoute.POP_TOL))
+           for family in ("m", "jm")},
+        **{f"nz2-{part}-{family}": ("nz2", family, part == "pop", part == "coh", 1e-14)
+           for part in ("coh", "pop") for family in ("m", "jm")},
+    }
+
+    @staticmethod
+    def _run(method, family, populations, coherence, t):
+        if method == "exact":
+            return exact._exact(TestRouteBoundary.P, t, populations, coherence)
+        return _solve(TestRouteBoundary.P, t, method, family, populations, coherence)[0]
+
+    def _threshold(self, monkeypatch, part):
+        """n* from the counts the part hands trajectory._kernel_pays."""
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(trajectory, "_kernel_pays", lambda *counts: seen.append(counts))
+            self._run(*part, 0.5 * np.arange(3))
+        ((_, tile_cost, n_terms),) = seen
+        return _threshold(tile_cost, n_terms)
+
+    @pytest.mark.parametrize("name", PARTS)
+    def test_tiles_below_and_kernel_at_the_threshold_agree(self, monkeypatch, name):
+        *part, tol = self.PARTS[name]
+        n_star = self._threshold(monkeypatch, part)
+        for workers in (1, 2):  # the rule reads counts only
+            with monkeypatch.context() as patch:
+                patch.setattr(trajectory, "_workers", lambda workers=workers: workers)
+                assert self._threshold(monkeypatch, part) == n_star
+        assert n_star <= 1001  # t <= 500, where each tolerance's argument holds
+        calls = []
+        for module, name in ((exact, "_sector_pass"), (masters, "_tiles"),
+                             (exact, "_uniform_pass"), (masters, "_exp_sum")):
+            def spy(*args, fn=getattr(module, name), kind=name in ("_sector_pass", "_tiles")):
+                calls.append("tiles" if kind else "kernel")
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        below = self._run(*part, 0.5 * np.arange(n_star - 1))
+        assert calls == ["tiles"]
+        calls.clear()
+        at = self._run(*part, 0.5 * np.arange(n_star))
+        assert calls == ["kernel"]
+        for got in ("p_plus", "coh"):
+            a, b = getattr(below, got), getattr(at, got)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.max(np.abs(a - b[:-1])) <= tol
+
+
 @pytest.mark.parametrize("family", ["m", "jm"])
 @pytest.mark.parametrize("method", ["tcl2", "nz2"])
 def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, method, family):
     # on a uniform kernel grid each part takes one _exp_sum call of its own, whether
     # the other part is asked for and whether sectors run the tiles or J_3^tot is asked
-    monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)  # any length
+    monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
     t = 0.5 * np.arange(601)
     calls = _exp_sum_calls(monkeypatch)
     ref = _solve(PARAMS, t, method, family)[0]
@@ -827,7 +891,8 @@ def _series_degrees(monkeypatch, p, fam):
     with monkeypatch.context() as patch:
         patch.setattr(masters, "_poisson_degrees",
                       lambda *args: used.append(poisson_degrees(*args)) or used[-1])
-        n_terms = sum(nu.size for _, nu in masters._tcl2_series(p, fam, 10**9))
+        n_terms, terms = masters._tcl2_series(p, fam)
+        assert n_terms == sum(nu.size for _, nu in terms)
     (degree,) = used
     assert n_terms == np.sum((degree + 1) * (degree + 2) // 2)
     return degree
@@ -873,7 +938,7 @@ def test_a_detuning_whose_square_underflows_keeps_the_tiles():
     p = SystemParams(N=1, A=0.1, omega0=1e-170, initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert masters._tcl2_series(p, sector_family(p, "m"), 10**9) is None
+        assert masters._tcl2_series(p, sector_family(p, "m")) is None
 
 
 class TestTcl2ResonanceFallback:
@@ -894,9 +959,9 @@ class TestTcl2ResonanceFallback:
         nearest = np.abs(fam.om_p) == np.min(np.abs(fam.om_p))
         assert np.any(fam.pair_coef[nearest] > 0.0)
         # with the cost rule out of the way, only the series itself can refuse
-        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)
-        assert masters._tcl2_series(p, fam, self.T.size) is None
-        assert masters._tcl2_population_series(fam, self.T.size) is None
+        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)
+        assert masters._tcl2_series(p, fam) is None
+        assert masters._tcl2_population_series(fam) is None
         calls = _exp_sum_calls(monkeypatch)
         traj = _solve(p, self.T, "tcl2", family)[0]
         assert calls == []
@@ -910,7 +975,7 @@ class TestTcl2ResonanceFallback:
         p = SystemParams(N=1, A=-0.25, omega0=1.0, initial_p_plus=0.6, initial_coh=0.3 - 0.1j)
         fam = sector_family(p, family)
         assert np.any(fam.om_p == 0.0) and np.all(fam.b_p[fam.om_p == 0.0] == 0.0)
-        monkeypatch.setattr(masters, "_tcl2_kernel_pays", lambda *counts: True)
+        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)
         calls = _exp_sum_calls(monkeypatch)
         coh = _solve(p, self.T, "tcl2", family, populations=False)[0].coh
         assert len(calls) == 1

@@ -91,7 +91,7 @@ ROUTES["exact-sector-pass"] = _sector_pass
 def test_worker_count_changes_no_bit(monkeypatch, solve, grid):
     t = GRIDS[grid]
     # NZ2 totals from the tiles on the uniform grid too, not from trajectory._exp_sum
-    monkeypatch.setattr(trajectory, "_EXP_SUM_MIN_TIMES", t.size + 1)
+    monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: False)
     whole = solve(t)  # one chunk
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)
     started = _count_thread_starts(monkeypatch)
