@@ -273,6 +273,12 @@ _TCL2_MAX_DEGREE = 32
 #: n! up to the highest degree, for the Poisson terms of both TCL2 series
 _FACTORIAL = np.array([math.factorial(n) for n in range(_TCL2_MAX_DEGREE + 1)], float)
 
+#: the pairs (n1, n2) of a TCL2 coherence series up to the highest degree, by total
+#: degree n1 + n2, then by n1: a sector of degree d keeps the first (d + 1)(d + 2)/2
+_PAIRS_N1, _PAIRS_N2 = np.array([(i, d - i) for d in range(_TCL2_MAX_DEGREE + 1)
+                                 for i in range(d + 1)]).T
+
+
 def _ratio(num, den):
     """num/den elementwise, 0 where num is 0 (den may then be 0 too)."""
     return np.divide(num, den, out=np.zeros(num.shape), where=num != 0.0)
@@ -334,13 +340,11 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily):
     if degree is None:
         return None
     counts = (degree + 1) * (degree + 2) // 2
-    n1, n2 = np.array([(i, d - i) for d in range(_TCL2_MAX_DEGREE + 1)
-                       for i in range(d + 1)]).T
     base = -2.0 * params.A * fam.two_m - _ratio(fam.b_p, w1) - _ratio(fam.b_m, w2)
     scale = fam.w * np.exp(-lam)
 
-    def terms(rows, k):  # the pairs (n1, n2) of each sector by total degree, then by n1
-        i, j = n1[k], n2[k]
+    def terms(rows, k):  # the first counts[row] pairs (n1, n2) of each sector
+        i, j = _PAIRS_N1[k], _PAIRS_N2[k]
         amp = scale[rows] * (a1[rows] ** i / _FACTORIAL[i]) * (a2[rows] ** j / _FACTORIAL[j])
         return amp, base[rows] + i * w1[rows] + j * w2[rows]
 

@@ -54,10 +54,17 @@ _EXP_SUM_BLOCK = 256
 #: bit depends on the memory budget
 _TERM_SLICE = 16 * _EXP_SUM_BLOCK
 
-#: (a, b) of what ``_exp_sum`` costs a term on n times, a + b sqrt(n) ns.  Fitted on
-#: one BLAS thread of a 2-vCPU host over 4096 and 32768 terms on 16 to 4096 times: 350-440
-#: ns a term at 16 times, 810-1090 at 256, 2230-2480 at 2048, 3300 at 4096 (min of 5-15)
-_TERM_NS = (210.0, 47.0)
+#: (a, b, c) of what ``_exp_sum`` costs a term on n times, a + b sqrt(n) + c n ns: the
+#: tables and the products grow like sqrt(n), the GEMM like n, and without c the fit is
+#: 27% short at 16001 times.  Fitted on one BLAS thread of a 2-vCPU host over 4096 and
+#: 32768 terms on 16 to 16001 times: 188-191 ns a term at 16 times, 388-396 at 256,
+#: 828-871 at 2048, 1945-1999 at 8192, 3264-3305 at 16001 (min of 7-15), all within 12%
+_TERM_NS = (150.0, 12.5, 0.085)
+
+#: ns that one ``_exp_sum`` call costs beside its terms (its buffers, its chunk list and
+#: its Python loops): 28-38 us with 8 terms on 16 to 256 times, as much as 100-200 terms
+#: on short grids, where the tables of N = 5 hand it 68 (one BLAS thread, 2-vCPU host)
+_CALL_NS = 30e3
 
 
 class NumericsError(RuntimeError):
@@ -142,8 +149,9 @@ def _kernel_pays(n_times: int, tile_cost: float, n_terms: int) -> bool:
     """Whether ``_exp_sum`` of n_terms terms on n_times times costs less than tiles of
     ``tile_cost`` ns per time: the one route rule of every part.  It reads counts only,
     never the CPU or BLAS thread count, so a route depends on the family and the grid."""
-    a, b = _TERM_NS
-    return n_times * tile_cost >= n_terms * (a + b * math.sqrt(n_times))
+    a, b, c = _TERM_NS
+    kernel = _CALL_NS + n_terms * (a + b * math.sqrt(n_times) + c * n_times)
+    return n_times * tile_cost >= kernel
 
 
 def _sector_slices(counts, terms):
@@ -168,65 +176,95 @@ def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
     60, 1973): with j = q C + r, E is one complex GEMM (Q x K) @ (K x C) of
     the giant steps amp_k exp(i nu_k (t0 + q C dt)) and the baby steps
     exp(i nu_k r dt).  Each table is in turn the elementwise product of two
-    small trig tables, one level deeper: r = a c2 + c splits the baby steps
+    small tables, one level deeper: r = a c2 + c splits the baby steps
     into exp(i nu_k a c2 dt) exp(i nu_k c dt), and q = u r2 + v the giant
-    steps into amp_k exp(i nu_k (t0 + u r2 C dt)) exp(i nu_k v C dt), with
-    c2 ~ sqrt(C), C rounded up to c1 c2 ~ sqrt(n) and r2 ~ sqrt(Q).  So it
-    takes K (c1 + c2 + Q/r2 + r2), about 4 K n^(1/4), sines and cosines and
-    K (Q + C) complex products instead of K n of each.  A last giant row
-    at t = 0, exactly amp_k, gives E(0) from the same GEMM; where t0 = 0 the
-    first row does, so the result is exactly 0 there.
+    steps into amp_k exp(i nu_k t0) exp(i nu_k u r2 C dt) exp(i nu_k v C dt),
+    with c2 ~ sqrt(C), C rounded up to c1 c2 ~ sqrt(n) and r2 ~ sqrt(Q).  The
+    four small tables are powers of their steps' phases (``_power_tables``), so
+    it takes 4 K sines and cosines, 5 K where t0 != 0, and K (Q + C) complex
+    products, plus about 4 K n^(1/4) for the powers, instead of K n of each.
+    A last giant row at t = 0, exactly amp_k, gives E(0) from the same GEMM;
+    where t0 = 0 the first row does, so the result is exactly 0 there.
 
-    The K axis runs in blocks of _EXP_SUM_BLOCK terms of each pair, and the
+    The tables of each (amp, nu) pair are built once, for as many terms as fit
+    _CHUNK_BYTES at a time, and the pair, padded with zero terms to a multiple
+    of 8, runs through the GEMM in K blocks of _EXP_SUM_BLOCK terms, the
     giant-step rows of each block in chunks whose table fits _CHUNK_BYTES.
-    Every table entry is one product of the same two trig-table entries, and
-    every element adds the same block products in the same order, whatever
+    Every table entry is a product of one term's phases alone, in a fixed order,
+    and every element adds the same block products in the same order, whatever
     the budget, so the bits do not depend on it: splitting a GEMM by rows
     moves no bit, splitting K would.  Nor do they depend on the BLAS thread
     count, as long as every GEMM is complex, at least 2 rows tall
     (``_time_chunks`` and the t = 0 row see to that) and has a K that is a
-    multiple of 8 (zero terms pad the last block of a pair).  Measured with
-    OpenBLAS 0.3.31 at 1 to 4 threads: a K of 5825 or a single row changes
-    bits, and so do real GEMMs on the real and imaginary parts.
+    multiple of 8.  Measured with OpenBLAS 0.3.31 at 1 to 4 threads: a K of
+    5825 or a single row changes bits, and so do real GEMMs on the real and
+    imaginary parts.
     """
     c2 = math.isqrt(math.isqrt(n - 1)) + 1  # about n^(1/4)
     c1 = -(-(math.isqrt(n - 1) + 1) // c2)
     cols = c1 * c2  # C >= ceil(sqrt(n))
     rows = -(-n // cols)  # Q giant rows, then the row at t = 0
     r2 = math.isqrt(rows - 1) + 1
-    baby_1, baby_2 = (c2 * dt) * np.arange(c1), dt * np.arange(c2)
-    giant_1 = t0 + (r2 * cols * dt) * np.arange(-(-rows // r2))
-    giant_2 = (cols * dt) * np.arange(r2)
+    g1_rows = -(-rows // r2)
+    steps = np.array([c2 * dt, dt, r2 * cols * dt, cols * dt])  # baby 1, 2, giant 1, 2
+    depth = max(2, c1, c2, g1_rows, r2)
+    # terms whose tables fit the budget, a whole number of K blocks, at least one
+    width = _EXP_SUM_BLOCK * max(1, _CHUNK_BYTES // (16 * (4 * depth + 1) * _EXP_SUM_BLOCK))
     chunks = list(_time_chunks(rows + 1, 16 * _EXP_SUM_BLOCK))
     g_buf = np.empty(max(sl.stop - sl.start for sl in chunks) * _EXP_SUM_BLOCK, complex)
     b_buf = np.empty(_EXP_SUM_BLOCK * cols, complex)
-    b1_buf, b2_buf, g1_buf, g2_buf = (np.empty(size * _EXP_SUM_BLOCK, complex)
-                                      for size in (c1, c2, giant_1.size, r2))
+    table_buf = w_buf = np.empty(0, complex)
     total = np.zeros((rows + 1, cols), complex)
     for amp, nu in terms:
-        for lo in range(0, nu.size, _EXP_SUM_BLOCK):
-            k = slice(lo, lo + _EXP_SUM_BLOCK)
-            pad = -nu[k].size % 8
-            amp_k, nu_k = np.append(amp[k], np.zeros(pad)), np.append(nu[k], np.zeros(pad))
-            kb = nu_k.size
-            b = _tile(b_buf, kb, cols)
-            np.multiply(_phases(_tile(b1_buf, kb, c1), nu_k, baby_1)[:, :, None],
-                        _phases(_tile(b2_buf, kb, c2), nu_k, baby_2)[:, None, :],
-                        out=b.reshape(kb, c1, c2))
-            g1 = _phases(_tile(g1_buf, giant_1.size, kb), giant_1, nu_k)
-            g1 *= amp_k
-            g2 = _phases(_tile(g2_buf, r2, kb), giant_2, nu_k)
-            for sl in chunks:
-                g = _tile(g_buf, sl.stop - sl.start, kb)
-                for u in range(sl.start // r2, -(-min(sl.stop, rows) // r2)):
-                    q0, q1 = max(sl.start, u * r2), min(sl.stop, rows, (u + 1) * r2)
-                    np.multiply(g1[u], g2[q0 - u * r2:q1 - u * r2],
-                                out=g[q0 - sl.start:q1 - sl.start])
-                if sl.stop > rows:
-                    g[-1] = amp_k
-                total[sl] += g @ b
+        pad = -nu.size % 8
+        amp, nu = np.append(amp, np.zeros(pad)), np.append(nu, np.zeros(pad))
+        for lo in range(0, nu.size, width):
+            amp_w, nu_w = amp[lo:lo + width], nu[lo:lo + width]
+            kw = nu_w.size
+            if table_buf.size < 4 * depth * kw:
+                table_buf, w_buf = np.empty(4 * depth * kw, complex), np.empty(kw, complex)
+            tables = _power_tables(table_buf[:4 * depth * kw].reshape(4, depth, kw), steps, nu_w)
+            w = amp_w  # amp_k exp(i nu_k t0), the factor of the giant steps
+            if t0 != 0.0:
+                w = _phases(_tile(w_buf, 1, kw), np.array([t0]), nu_w)[0]
+                w *= amp_w
+            giant_1 = tables[2, :g1_rows]
+            giant_1 *= w
+            for k_lo in range(0, kw, _EXP_SUM_BLOCK):
+                k = slice(k_lo, k_lo + _EXP_SUM_BLOCK)
+                b1, b2, g1, g2 = (tables[0, :c1, k], tables[1, :c2, k], giant_1[:, k],
+                                  tables[3, :r2, k])
+                kb = b1.shape[1]
+                b = _tile(b_buf, kb, cols)
+                np.multiply(b1.T[:, :, None], b2.T[:, None, :], out=b.reshape(kb, c1, c2))
+                for sl in chunks:
+                    g = _tile(g_buf, sl.stop - sl.start, kb)
+                    for u in range(sl.start // r2, -(-min(sl.stop, rows) // r2)):
+                        q0, q1 = max(sl.start, u * r2), min(sl.stop, rows, (u + 1) * r2)
+                        np.multiply(g1[u], g2[q0 - u * r2:q1 - u * r2],
+                                    out=g[q0 - sl.start:q1 - sl.start])
+                    if sl.stop > rows:
+                        g[-1] = amp_w[k]
+                    total[sl] += g @ b
     total -= total[0 if t0 == 0.0 else -1, 0]
     return total.ravel()[:n]
+
+
+def _power_tables(tables: np.ndarray, steps: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """exp(i nu_k a steps_l) into the complex (4, depth, K) ``tables`` at [l, a, k].
+
+    Only the bases, a = 1, take sines and cosines (``_phases``); row a = 0 is 1, and
+    every other row is a product of two earlier ones, a = floor(a/2) + ceil(a/2),
+    so no entry is more than ceil(log2 depth) products from its base.  A power's
+    phase error is a times its base's, the rounding of a steps_l nu_k; each table
+    has a base of its own, since a power of another table's base would multiply
+    that base's error by the ratio of their steps.
+    """
+    tables[:, 0] = 1.0
+    _phases(tables[:, 1], steps, nu)
+    for a in range(2, tables.shape[1]):
+        np.multiply(tables[:, a // 2], tables[:, (a + 1) // 2], out=tables[:, a])
+    return tables
 
 
 def _phases(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -391,6 +391,29 @@ coh_im = 0.1
         assert float(rep["j3tot_drift"]) == 0.0 and float(rep["trace_drift"]) == 0.0
 
 
+@pytest.mark.parametrize("preset", sorted(FIGURE_PRESETS))
+def test_every_figure_preset_takes_the_kernel_for_every_part(monkeypatch, preset):
+    # the route of each part from the counts that exact._exact and the fills of
+    # masters._solve hand trajectory._kernel_pays: they do not depend on the grid
+    # length, so three times of the preset's step give them, and no kernel runs
+    from spinstar import exact, masters, trajectory
+
+    cfg = figure_config(preset)
+    params, t = cfg.params(), cfg.times()
+    short = trajectory._uniform_step(t) * np.arange(3)
+    pays, seen = trajectory._kernel_pays, []
+    monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: seen.append(counts[1:]))
+    for method in cfg.methods:
+        if method == "exact":
+            exact._exact(params, short, True, True)
+        elif method != "standard":  # the product projection has no kernel part
+            masters._solve(params, short, method, cfg.projection)
+    n_parts = sum({"exact": 1, "standard": 0}.get(method, 2) for method in cfg.methods)
+    assert len(seen) == n_parts  # a part without terms would not be weighed
+    for tile_cost, n_terms in seen:
+        assert pays(t.size, tile_cost, n_terms)
+
+
 def test_scenario_times_include_endpoint():
     cfg = ScenarioConfig(
         N=2, omega0=1.0, A=0.1, t_max=1.0, dt=0.1, methods=("exact",)

@@ -1,6 +1,7 @@
 """Every public entry point that takes a time grid rejects a malformed one."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -179,14 +180,87 @@ def test_exp_sum_equals_the_direct_sum(monkeypatch, n, t0):
             assert got[0] == 0.0  # E(0) - E(0) from the same GEMM element
 
 
+@pytest.mark.parametrize("t0", [0.0, 3.7, -3.7])
+@pytest.mark.parametrize("n", [4, 5, 16, 17, 81, 82, 256, 257])
+def test_exp_sum_equals_the_direct_sum_where_the_tables_change_shape(monkeypatch, n, t0):
+    # C = c1 c2 grows at n = 5, and c2 at 17, 82 and 257; frequencies from 1e-9 to 50
+    # and amplitudes from 1e-6 to 1, of either sign, summing to 1 in magnitude
+    rng = np.random.default_rng(n)
+    amp = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-6.0, 0.0, 300)
+    amp /= np.sum(np.abs(amp))
+    nu = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-9.0, math.log10(50.0), 300)
+    dt = 0.3
+    t = t0 + dt * np.arange(n)
+    direct = _direct_exp_sum(amp, nu, t)
+    tol = 1e-14 + 2.5 * np.finfo(float).eps * np.abs(t) * np.sum(np.abs(amp * nu))
+    whole = trajectory._exp_sum([(amp, nu)], t0, dt, n)
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
+    blocked = trajectory._exp_sum([(amp[:100], nu[:100]), (amp[100:], nu[100:])], t0, dt, n)
+    for got in (whole, blocked):
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - direct) <= tol)
+        if t0 == 0.0:
+            assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+def test_exp_sum_takes_a_fixed_count_of_sines_and_cosines_per_term(monkeypatch, t0):
+    # only the bases of the power tables take sines and cosines: four per term, and
+    # one more for exp(i nu t0) where t0 != 0, however long the grid
+    filled, phases = [], trajectory._phases
+
+    def spy(table, a, b):
+        filled.append(table.size)
+        return phases(table, a, b)
+
+    monkeypatch.setattr(trajectory, "_phases", spy)
+    rng = np.random.default_rng(3)
+    amp, nu = rng.uniform(-1.0, 1.0, 700) / 700, rng.uniform(-2.0, 2.0, 700)
+    padded = 304 + 400  # each pair padded to a multiple of 8 terms
+    counts = []
+    for n in (601, 16001):
+        filled.clear()
+        trajectory._exp_sum([(amp[:300], nu[:300]), (amp[300:], nu[300:])], t0, 0.05, n)
+        counts.append(sum(filled))
+    assert counts[0] == counts[1] <= 5 * padded
+
+
+def test_exp_sum_tables_fit_the_budget(monkeypatch):
+    # 4096 terms on 16001 times: four tables of 12 rows, 3 MiB, built at once under
+    # the default 4 MiB budget, and 1280 terms at a time under 1 MiB, bit for bit
+    sizes, power_tables = [], trajectory._power_tables
+
+    def spy(tables, *args):
+        sizes.append(tables.nbytes)
+        return power_tables(tables, *args)
+
+    monkeypatch.setattr(trajectory, "_power_tables", spy)
+    rng = np.random.default_rng(5)
+    terms = [(rng.uniform(-1.0, 1.0, 4096) / 4096, rng.uniform(-2.0, 2.0, 4096))]
+    whole = trajectory._exp_sum(terms, 0.0, 0.05, 16001)
+    assert sizes == [4 * 12 * 4096 * 16] and sizes[0] <= trajectory._CHUNK_BYTES
+    sizes.clear()
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 2**20)
+    small = trajectory._exp_sum(terms, 0.0, 0.05, 16001)
+    assert len(sizes) == 4 and max(sizes) <= 2**20 and sum(sizes) == 4 * 12 * 4096 * 16
+    np.testing.assert_array_equal(small, whole)
+
+
 @pytest.mark.parametrize("t0", [0.0, 3.7])
 def test_exp_sum_on_a_long_grid_equals_the_direct_sum(monkeypatch, t0):
     # t up to 8000: the phases of both sides round their arguments.  The direct sum
-    # rounds nu t once, to eps/2 of |nu t|; the kernel rounds the four parts whose
-    # sum is nu t (nu (t0 + u r2 C dt), nu v C dt, nu a c2 dt and nu c dt), each
-    # to eps/2 of a size at most |nu t|.  So a term's phase differs by at most
-    # 2.5 eps |nu t|, and E(t) by at most 2.5 eps |t| sum |amp nu|, plus the
-    # 1e-14 of the short grids for the rounding of the products and the sums.
+    # rounds nu t once, to eps/2 of |nu t|.  The kernel rounds nu t0 to eps/2 of
+    # |nu t0|, and the base of each power table, nu times its step (r2 C dt, C dt,
+    # c2 dt or dt), to eps of its size; the powers u, v, a and c multiply those
+    # errors by themselves, and the four parts u r2 C + v C + a c2 + c add up to
+    # (t - t0)/dt, so the kernel's phase is off by at most eps |nu| (|t0|/2 + t - t0).
+    # With 0 <= t0 <= t a term's phase differs by at most 1.5 eps |nu t| <= 2.5 eps
+    # |nu t|, and E(t) by at most 2.5 eps |t| sum |amp nu|, plus the 1e-14 of the
+    # short grids for the rounding of the sums, the products and the magnitudes of
+    # the bases.  Those do not grow with t: a term is a product of at most 42 factors
+    # of the four bases here (a < 11, c < 12, u < 11, v < 12), so it is off by at most about
+    # 100 eps |amp_k|, with a sign that varies from term to term (measured: 2e-16 on
+    # the first 100 times, and at most 2.5% of the tolerance on the whole grid).
     n, dt = 16001, 0.5
     rng = np.random.default_rng(n)
     amp = rng.uniform(-1.0, 1.0, 700) / 700
