@@ -16,7 +16,7 @@ _PAIR_ROW_NS per pair-row point of the sweep, ``_uniform_pass`` writes them as
 sums of exponentials in time and evaluates them by the baby-step/giant-step
 GEMM of trajectory._exp_sum, in K blocks of a fixed
 trajectory._EXP_SUM_BLOCK terms, so that the budget moves no bit of them.
-At N = 101 and 1000 that is from 76 and 78 times on (5 terms per sector).
+At N = 101 and 1000 that is from 27 and 28 times on (5 terms per sector).
 On any other grid ``_sector_pass`` sweeps (sector block, time chunk) tiles
 of sines and cosines, its time chunks spread over up to two threads, one
 per allowed CPU, by trajectory._sweep, bit for bit whatever the thread

@@ -327,7 +327,7 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily):
     has none) or a degree above _TCL2_MAX_DEGREE.  Otherwise trajectory._kernel_pays
     weighs the terms against the tiles: at N = 101 and alpha = 0.1, with about 9.6
     terms per sector under jm and 7.9 under m, the kernel takes the coherence from
-    367 and 106 times on (alpha = 0.5: 20.6 and 13.9 terms, from 1389 and 256).
+    93 and 42 times on (alpha = 0.5: 20.6 and 13.9 terms, from 268 and 77).
     """
     w1, w2 = fam.om_p, -fam.om_m
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < b: no series
@@ -371,9 +371,9 @@ def _tcl2_population_series(fam: SectorFamily):
     g = exp(-pair_coef t^2/2) has none) or a degree above _TCL2_MAX_DEGREE.
     Otherwise trajectory._kernel_pays weighs the terms against the tiles, whose
     sector points cost little: at N = 101 and alpha = 0.1, with 2.8 terms per
-    sector under jm and 2.25 under m, the kernel takes the populations from 846
-    times on under jm and from 41 under m (alpha = 0.5: 5.0 and 3.5 terms, from
-    2500 and 78).
+    sector under jm and 2.25 under m, the kernel takes the populations from 183
+    times on under jm and from 28 under m (alpha = 0.5: 5.0 and 3.5 terms, from
+    444 and 40).
     """
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < pair_coef
         c = _ratio(fam.pair_coef, fam.om_p * fam.om_p)

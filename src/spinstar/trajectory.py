@@ -9,9 +9,9 @@ finds a uniform grid, a sum of exponentials in time can instead take
 the slices of ``_sector_slices``.  One rule, ``_kernel_pays``, picks the route
 of every part (the exact sums, the TCL2 coherence and populations, the NZ2
 totals) from its term count and its tile cost.  At N = 101 and alpha = 0.1
-the kernel takes the exact sums from 76 times on, the TCL2 coherence from
-106 (m) and 367 (jm), the TCL2 populations from 41 and 846, and the NZ2
-coherence and populations from 15 and 38.
+the kernel takes the exact sums from 27 times on, the TCL2 coherence from
+42 (m) and 93 (jm), the TCL2 populations from 28 and 183, and the NZ2
+coherence and populations from 11 and 24 (m) and 8 and 16 (jm).
 """
 
 from __future__ import annotations
@@ -213,7 +213,9 @@ def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
     chunks = list(_time_chunks(rows + 1, 16 * _EXP_SUM_BLOCK))
     g_buf = np.empty(max(sl.stop - sl.start for sl in chunks) * _EXP_SUM_BLOCK, complex)
     b_buf = np.empty(_EXP_SUM_BLOCK * cols, complex)
-    table_buf = w_buf = np.empty(0, complex)
+    # tables and amp exp(i nu t0) of up to ``width`` terms; pages that no slice reaches
+    # are never touched, so they take no memory
+    table_buf = np.empty((4 * depth + 1) * width, complex)
     total = np.zeros((rows + 1, cols), complex)
     for amp, nu in terms:
         pad = -nu.size % 8
@@ -221,13 +223,12 @@ def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
         for lo in range(0, nu.size, width):
             amp_w, nu_w = amp[lo:lo + width], nu[lo:lo + width]
             kw = nu_w.size
-            if table_buf.size < 4 * depth * kw:
-                table_buf, w_buf = np.empty(4 * depth * kw, complex), np.empty(kw, complex)
-            tables = _power_tables(table_buf[:4 * depth * kw].reshape(4, depth, kw), steps, nu_w)
+            tables = _tile(table_buf, 4 * depth + 1, kw)
             w = amp_w  # amp_k exp(i nu_k t0), the factor of the giant steps
             if t0 != 0.0:
-                w = _phases(_tile(w_buf, 1, kw), np.array([t0]), nu_w)[0]
+                w = _phases(tables[-1:], np.array([t0]), nu_w)[0]
                 w *= amp_w
+            tables = _power_tables(tables[:-1].reshape(4, depth, kw), steps, nu_w)
             giant_1 = tables[2, :g1_rows]
             giant_1 *= w
             for k_lo in range(0, kw, _EXP_SUM_BLOCK):

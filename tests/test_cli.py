@@ -564,9 +564,15 @@ def test_ten_thousand_spins_end_to_end_under_a_memory_cap(tmp_path, run_capped):
 
 
 def test_ten_thousand_spins_on_a_uniform_grid_under_a_memory_cap(tmp_path, run_capped):
-    # 81 uniform times take exact's exponential-sum kernel (from 78 on at N = 10^4),
+    # 81 uniform times take exact's exponential-sum kernel (from 28 on at N = 10^4),
     # whose terms go in slices of the sector table
     _ten_thousand_spins(tmp_path, run_capped, dt=2.5, n_times=81)
+
+
+def test_ten_thousand_spins_on_the_tiles_under_a_memory_cap(tmp_path, run_capped):
+    # 21 times are below every kernel threshold at N = 10^4 (exact 28, TCL2
+    # coherence 41 and populations 107), so the exact sweep and the TCL2 tiles run
+    _ten_thousand_spins(tmp_path, run_capped, dt=10.0, n_times=21)
 
 
 def _ten_thousand_spins(tmp_path, run_capped, dt, n_times):
