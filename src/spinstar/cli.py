@@ -209,27 +209,17 @@ def parse_config(path: str | Path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_method(cfg: ScenarioConfig, method: str, j3tot: bool = False):
-    """Compute one method; returns (Trajectory, J_3^tot series or None).
-
-    The series is computed for TCL2 and NZ2 when ``j3tot`` is set, without
-    sector-resolved arrays; the other methods have none.
-    """
+def _run_method(cfg: ScenarioConfig, method: str) -> Trajectory:
+    """Compute one method, the same way for ``run`` and ``compare``."""
     params = cfg.params()
     t = cfg.times()
     if method == "exact":
-        return exact_trajectory(params, t), None
+        return exact_trajectory(params, t)
     if method == "oracle":
-        return (
-            oracle_mod.propagate(params, t, couplings=cfg.couplings).trajectory(),
-            None,
-        )
+        return oracle_mod.propagate(params, t, couplings=cfg.couplings).trajectory()
     if method == "standard":
-        return standard_projection_population(params, t), None
-    traj, _, q = _solve(  # tcl2 or nz2
-        params, t, method, cfg.projection, opts=cfg.solve_options(), j3tot=j3tot
-    )
-    return traj, q
+        return standard_projection_population(params, t)
+    return _solve(params, t, method, cfg.projection, opts=cfg.solve_options())[0]  # tcl2, nz2
 
 
 def method_filename(method: str, projection: str) -> str:
@@ -265,13 +255,6 @@ def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     path.write_text("\n".join([_CSV_HEADER, *lines]) + "\n")
 
 
-def _drift_per_unit_time(q: np.ndarray | None, times: np.ndarray) -> float:
-    """max over t > 0 of |q(t) - q(0)| / t; 0 without a series."""
-    if q is None or q.size < 2:
-        return 0.0
-    return float(np.max(np.abs(q - q[0])[1:] / times[1:]))
-
-
 def _resolved_config_lines(cfg: ScenarioConfig) -> list[str]:
     return [f"# resolved_config: {k}={_text(v)}" for k, v in asdict(cfg).items() if v is not None]
 
@@ -281,20 +264,17 @@ def _report(cfg: ScenarioConfig, results) -> str:
     lines = _resolved_config_lines(cfg)
     lines.append(",".join(f.name for f in fields(ErrorReport)))
     ref = results[0][1]
-    for _, traj, j3tot in results[1:]:
-        rep = compare_trajectories(
-            ref, traj, j3tot_drift=_drift_per_unit_time(j3tot, traj.times)
-        )
-        lines.append(",".join(map(_text, astuple(rep))))
+    for _, traj in results[1:]:
+        lines.append(",".join(map(_text, astuple(compare_trajectories(ref, traj)))))
     return "\n".join(lines) + "\n"
 
 
 def _execute(cfg: ScenarioConfig, out_dir: Path, with_report: bool) -> None:
     """Compute every method before writing anything, so a failing run leaves no files."""
-    results = [(method, *_run_method(cfg, method, j3tot=with_report)) for method in cfg.methods]
+    results = [(method, _run_method(cfg, method)) for method in cfg.methods]
     report = _report(cfg, results) if with_report else None
     out_dir.mkdir(parents=True, exist_ok=True)
-    for method, traj, _ in results:
+    for method, traj in results:
         write_trajectory_csv(out_dir / method_filename(method, cfg.projection), traj)
     if report is not None:
         (out_dir / "report.csv").write_text(report)

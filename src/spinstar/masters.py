@@ -50,13 +50,12 @@ function, a series in e^{ikWt} cut the same way
 a resonance Omega_+ = 0 with b > 0 or pair_coef > 0 (or so near one that its
 degree passes _TCL2_MAX_DEGREE).
 
-Every public solver and the CLI go through ``_solve``, blind to the method,
-which can also return the J_3^tot series without sector-resolved arrays: it
-is constant by construction, so it is read from the table at t = 0
-(``_j3tot_start``).  A part with terms takes the baby-step/giant-step GEMM of
-trajectory._exp_sum, as exact._uniform_pass does, wherever
-trajectory._kernel_pays finds the grid long enough for them, and the tiles run
-only for what a total cannot give: the sector arrays and the other parts.
+Every public solver and the CLI go through ``_solve``, blind to the method.  A
+part with terms takes the baby-step/giant-step GEMM of trajectory._exp_sum, as
+exact._uniform_pass does, wherever trajectory._kernel_pays finds the grid long
+enough for them, and the tiles run only for what a total cannot give: the
+sector arrays and the other parts.  J_3^tot is conserved by construction, so
+nothing computes its series; ``j3tot_expectation`` reduces a bundle to it.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
 with RK4, as an independent check of the closed forms.  Public trajectories
@@ -304,6 +303,17 @@ def _poisson_degrees(lam, budget):
     return None
 
 
+def _tail_degrees(lam, weight):
+    """``_poisson_degrees`` of the S sectors' Poisson means for tails of _TAIL_WEIGHT /
+    (S |weight|) (inf where the weight is 0), or None where some mean is not finite."""
+    if not np.all(np.isfinite(lam)):
+        return None
+    weight = np.abs(weight)
+    budget = np.divide(_TAIL_WEIGHT / weight.size, weight, out=np.full(weight.shape, np.inf),
+                       where=weight > 0.0)
+    return _poisson_degrees(lam, budget)
+
+
 def _tcl2_series(params: SystemParams, fam: SectorFamily):
     """(term count, (amp, nu) terms) of E(t) = sum_s w_s f_s(t) for the TCL2 coherence,
     or None where the family has no series.
@@ -315,8 +325,8 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily):
     w e^{-a1-a2} a1^n1 a2^n2/(n1! n2!) and frequency
     -2A two_m - b_p/W1 - b_m/W2 + n1 W1 + n2 W2 (b/W and a taken as 0 where
     b = 0).  The family shares one tail budget, _TAIL_WEIGHT, in equal parts:
-    each of its S sectors keeps the total degrees n1 + n2 <= n_s of
-    ``_poisson_degrees(a1 + a2, _TAIL_WEIGHT / (S w_s))``, so it drops amplitudes
+    each of its S sectors keeps the total degrees n1 + n2 <= n_s that
+    ``_tail_degrees(a1 + a2, w)`` gives for a tail of _TAIL_WEIGHT / (S w_s), so it drops amplitudes
     of sum at most _TAIL_WEIGHT / S (none where w_s = 0, at degree 0), and the
     family at most _TAIL_WEIGHT, in E(t) and E(0): the coherence moves by at
     most 2 |coh0| _TAIL_WEIGHT, the bound of the jm tail cut.  A light sector
@@ -333,10 +343,7 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily):
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < b: no series
         a1, a2 = _ratio(fam.b_p, w1 * w1), _ratio(fam.b_m, w2 * w2)
     lam = a1 + a2
-    # each sector may drop _TAIL_WEIGHT / S of amplitude: a tail relative to w_s
-    budget = np.divide(_TAIL_WEIGHT / fam.w.size, fam.w, out=np.full(fam.w.shape, np.inf),
-                       where=fam.w > 0.0)
-    degree = _poisson_degrees(lam, budget) if np.all(np.isfinite(lam)) else None
+    degree = _tail_degrees(lam, fam.w)
     if degree is None:
         return None
     counts = (degree + 1) * (degree + 2) // 2
@@ -359,8 +366,8 @@ def _tcl2_population_series(fam: SectorFamily):
     A sector's g = exp(-c (1 - cos W t)), with W = Omega_+(m) and c = pair_coef/W^2,
     is e^{-c} sum_{n1, n2} (c/2)^{n1+n2} e^{i (n1 - n2) W t}/(n1! n2!), the Bessel
     generating function (Abramowitz & Stegun 9.6.34).  Its total degree n1 + n2 is
-    Poisson(c), cut as in ``_tcl2_series`` at the degree d_s of
-    ``_poisson_degrees(c, _TAIL_WEIGHT / (S |y0_s|))``, so the family drops
+    Poisson(c), cut as in ``_tcl2_series`` at the degree d_s that
+    ``_tail_degrees(c, y0)`` gives for a tail of _TAIL_WEIGHT / (S |y0_s|), so the family drops
     amplitudes of sum at most _TAIL_WEIGHT and P_+ moves by at most 2 _TAIL_WEIGHT.
     Only Re E is read, so the pairs of equal k = |n1 - n2| fold into one real
     amplitude at frequency k W, y0 e^{-c} sum_{n1+n2 <= d_s, |n1-n2| = k}
@@ -370,17 +377,14 @@ def _tcl2_population_series(fam: SectorFamily):
     There is no series where some sector has W = 0 with pair_coef > 0 (there
     g = exp(-pair_coef t^2/2) has none) or a degree above _TCL2_MAX_DEGREE.
     Otherwise trajectory._kernel_pays weighs the terms against the tiles, whose
-    sector points cost little: at N = 101 and alpha = 0.1, with 2.8 terms per
-    sector under jm and 2.25 under m, the kernel takes the populations from 183
-    times on under jm and from 28 under m (alpha = 0.5: 5.0 and 3.5 terms, from
-    444 and 40).
+    sector points cost little: at N = 101 and alpha = 0.1, from P_+(0) = 0.7, with
+    2.7 terms per sector under jm and 2.2 under m, the kernel takes the populations
+    from 183 times on under jm and from 28 under m (alpha = 0.5: from 444 and 40).
+    The terms follow y0: from P_+(0) = 1, from 196 and 29 (alpha = 0.5: 476 and 40).
     """
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < pair_coef
         c = _ratio(fam.pair_coef, fam.om_p * fam.om_p)
-    y0 = np.abs(fam.y0)
-    budget = np.divide(_TAIL_WEIGHT / y0.size, y0, out=np.full(y0.shape, np.inf),
-                       where=y0 > 0.0)
-    degree = _poisson_degrees(c, budget) if np.all(np.isfinite(c)) else None
+    degree = _tail_degrees(c, fam.y0)
     if degree is None:
         return None
     half, scale = 0.5 * c, 2.0 * fam.y0 * np.exp(-c)  # each k > 0 folds k and -k
@@ -452,10 +456,9 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
     return chunk, coh_part, pop_part
 
 
-def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray, out=None) -> np.ndarray:
+def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
     """P^m_-(t) = C_{m-1} - P^{m-1}_+(t) along each chain, P_+ = 0 below its edge."""
-    # mode="clip" fills out= directly; the rows of the edges, lower = -1, are then zeroed
-    below = np.take(p_plus, fam.lower, axis=0, out=out, mode="clip")
+    below = p_plus[fam.lower]  # lower = -1 at a chain's edge picks the last row, zeroed next
     below[fam.lower < 0] = 0.0
     return np.subtract(fam.c_prev[:, None], below, out=below)
 
@@ -463,15 +466,12 @@ def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray, out=None) -> np.ndarr
 def _solve(
     params: SystemParams, times, method: str, family: str, populations: bool = True,
     coherence: bool = True, opts: SolveOptions | None = None, sectors: bool = False,
-    j3tot: bool = False,
 ):
-    """(Trajectory, SectorBundle or None, J_3^tot series or None) of TCL2 or NZ2.
+    """(Trajectory, SectorBundle or None) of TCL2 or NZ2.
 
     The one route of the public solvers and the CLI: ``method`` is "tcl2" or
-    "nz2", ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle;
-    ``j3tot`` (with populations) returns the series of
-    ``j3tot_expectation(bundle)`` at its t = 0 value, ``_j3tot_start``, since
-    it is constant by construction.  One rule per part: a part with terms from
+    "nz2", ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle, the only
+    input of ``j3tot_expectation``.  One rule per part: a part with terms from
     the fill, where trajectory._kernel_pays finds that they cost less than its
     tiles, has the total coh0 (1 + E) or P_+(0) + Re E by trajectory._exp_sum,
     exact at t = 0, and the tiles run only for what a total cannot give: the
@@ -498,13 +498,12 @@ def _solve(
         two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p, coh=sector_coh,
         p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),
     ) if sectors else None
-    j3 = np.full(t.size, _j3tot_start(fam)) if populations and j3tot else None
-    return _trajectory(params, t, method, family, p_plus, coh), bundle, j3
+    return _trajectory(params, t, method, family, p_plus, coh), bundle
 
 
 def _public(params, times, method, family, populations, coherence, opts, return_sectors):
-    traj, bundle, _ = _solve(params, times, method, family, populations, coherence, opts,
-                             return_sectors)
+    traj, bundle = _solve(params, times, method, family, populations, coherence, opts,
+                          return_sectors)
     return (traj, bundle) if return_sectors else traj
 
 
@@ -603,41 +602,15 @@ def standard_projection_population(params: SystemParams, times) -> Trajectory:
 def j3tot_expectation(bundle: SectorBundle) -> np.ndarray:
     """tr{J_3^tot P rho(t)} = sum_m [(m + 1/2) P^m_+ + (m - 1/2) P^m_-].
 
-    The sector sum runs over a C-ordered copy, so its rounding does not
+    The sector sum runs over a C-ordered array, so its rounding does not
     depend on the memory layout of the bundle.
     """
     if bundle.p_plus is None or bundle.p_minus is None:
         raise ValueError("sector populations required")
-    terms = np.empty(bundle.p_plus.shape)
-    return _add_rows(_j3tot_terms(bundle.two_m, bundle.p_plus, bundle.p_minus.copy(), terms),
-                     None)
-
-
-def _j3tot_terms(two_m, p_plus, p_minus, out) -> np.ndarray:
-    """(m + 1/2) P^m_+ + (m - 1/2) P^m_- per sector into the C-ordered ``out``.
-
-    ``p_minus`` is overwritten."""
-    m = 0.5 * two_m.astype(float)
-    np.multiply((m + 0.5)[:, None], p_plus, out=out)
-    p_minus *= (m - 0.5)[:, None]
-    out += p_minus
-    return out
-
-
-def _j3tot_start(fam: SectorFamily) -> float:
-    """J_3^tot of the sector populations P^s_+(0) = steady + y0 of the table: the
-    value of the whole series, bit for bit ``j3tot_expectation(bundle)[0]`` of a
-    bundle on a grid from t = 0.
-
-    With P^s_- = c_prev - P^{lower(s)}_+, the series is constant up to
-    sum_s kappa_s y0_s (g_s(t) - 1), kappa_s = (m_s + 1/2) - (m_{s+1} - 1/2) = 0
-    below a chain top.  At a jm chain top pair_coef = 0, so g = 1; at the m chain
-    top y0 = 0.  The column is reduced as a (sectors, 2) array, row by row like
-    ``_add_rows``: numpy would sum an (S, 1) block pairwise and round differently.
-    """
-    p_plus = np.repeat((fam.y0 + fam.steady)[:, None], 2, axis=1)
-    terms = _j3tot_terms(fam.two_m, p_plus, _sector_p_minus(fam, p_plus), np.empty(p_plus.shape))
-    return float(_add_rows(terms, None)[0])
+    m = 0.5 * bundle.two_m.astype(float)
+    terms = np.multiply((m + 0.5)[:, None], bundle.p_plus, out=np.empty(bundle.p_plus.shape))
+    terms += (m - 0.5)[:, None] * bundle.p_minus
+    return _add_rows(terms, None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ the slices of ``_sector_slices``.  One rule, ``_kernel_pays``, picks the route
 of every part (the exact sums, the TCL2 coherence and populations, the NZ2
 totals) from its term count and its tile cost.  At N = 101 and alpha = 0.1
 the kernel takes the exact sums from 27 times on, the TCL2 coherence from
-42 (m) and 93 (jm), the TCL2 populations from 28 and 183, and the NZ2
-coherence and populations from 11 and 24 (m) and 8 and 16 (jm).
+42 (m) and 93 (jm), the TCL2 populations from 28 and 183 (from P_+(0) = 0.7;
+29 and 196 from P_+(0) = 1), and the NZ2 coherence and populations from 11
+and 24 (m) and 8 and 16 (jm), whatever the state.
 """
 
 from __future__ import annotations
@@ -405,9 +406,10 @@ class ErrorReport:
     """Sup/L2 deviations between two trajectories plus conservation diagnostics.
 
     The L2 norm is sqrt of the trapezoidal integral of |delta|^2 over the
-    common time grid.  ``j3tot_drift`` is filled by callers that have a
-    J_3^tot series; it defaults to 0 for methods without one.  The
-    fields, in order, are the columns of the CLI's report.csv.
+    common time grid.  ``j3tot_drift`` is 0 for every method: the TCL2 and
+    NZ2 sector equations conserve J_3^tot by construction, so no series is
+    computed, and the column stays for the CLI's report.csv, whose columns
+    are the fields in order.
     """
 
     method_ref: str
@@ -425,9 +427,7 @@ def _sup_l2(delta: np.ndarray, times: np.ndarray) -> tuple[float, float]:
     return float(np.max(mag)), float(np.sqrt(np.trapezoid(mag**2, times)))
 
 
-def compare_trajectories(
-    ref: Trajectory, other: Trajectory, j3tot_drift: float = 0.0
-) -> ErrorReport:
+def compare_trajectories(ref: Trajectory, other: Trajectory) -> ErrorReport:
     """Error metrics of ``other`` against ``ref`` on their (shared) time grid."""
     if ref.times.shape != other.times.shape or not np.allclose(
         ref.times, other.times, rtol=0.0, atol=1e-12
@@ -447,5 +447,4 @@ def compare_trajectories(
         sup_err_coh=sup_c,
         l2_err_coh=l2_c,
         trace_drift=other.trace_drift(),
-        j3tot_drift=j3tot_drift,
     )

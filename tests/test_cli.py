@@ -316,15 +316,16 @@ coh_re = 0.5
 
 @pytest.mark.parametrize("projection", ["m", "jm"])
 def test_run_and_compare_write_the_same_nz2_file(tmp_path, projection):
-    # on 101 uniform times NZ2's totals come from the exponential-sum kernel
-    # in both commands; compare also reads J_3^tot from the sector table
+    # both commands compute every method by one cli._run_method, so each method
+    # file is the same; on 101 uniform times NZ2's totals come from the
+    # exponential-sum kernel.  The loop keeps the test ids of the nz2 file alone
     cfg = write_config(tmp_path, f"""
 N = 12
 omega0 = 1.0
 alpha = 0.5
 t_max = 50.0
 dt = 0.5
-methods = exact,nz2
+methods = exact,tcl2,nz2
 projection = {projection}
 initial_p_plus = 0.8
 coh_re = 0.3
@@ -333,9 +334,11 @@ coh_im = -0.1
     run, cmp = tmp_path / "run", tmp_path / "cmp"
     assert main(["run", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
     assert main(["compare", "--config", str(cfg), "--out", str(cmp)]) == EXIT_OK
-    name = f"nz2_{projection}.csv"
-    assert len((run / name).read_text().splitlines()) == 102
-    assert (run / name).read_bytes() == (cmp / name).read_bytes()
+    names = ["exact_none.csv", f"tcl2_{projection}.csv", f"nz2_{projection}.csv"]
+    assert sorted(p.name for p in run.iterdir()) == sorted(names)
+    for name in names:
+        assert len((run / name).read_text().splitlines()) == 102
+        assert (run / name).read_bytes() == (cmp / name).read_bytes()
 
 
 class TestFigurePresets:

@@ -1,8 +1,9 @@
 """Every exported name resolves, so a deleted function cannot linger in an export list,
 and every name the docs import from ``spinstar`` is exported, so a deletion cannot
 leave the README or a demo behind.  A CLI run loads no third-party package but numpy.
-No line of the package is wider than 100 columns, and no private module-level name of
-it is left without a user in it.
+No line of the package is wider than 100 columns, no private module-level name of it is
+left without a user in it, and no defaulted parameter of a private function without a call
+that passes it.
 """
 
 import ast
@@ -110,3 +111,45 @@ def test_every_private_module_name_has_a_user_in_the_package():
                 if path != where or not first <= node.lineno <= last:
                     used.add(name)
     assert sorted(set(defined) - used) == []
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_passed_in_the_package():
+    # the parameter counterpart of the test above: a default that no call in src/spinstar
+    # overrides is a parameter that production does not use.  Calls are matched to
+    # functions by spelling, across modules; a call with *args or **kwargs passes every
+    # parameter, and the self or cls of a method is not counted as a position
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "spinstar").glob("*.py"))]
+    defaulted = {}  # function name -> [(position or None if keyword-only, parameter name)]
+    for tree in trees:
+        methods = {id(fn) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for fn in node.body}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = 1 if id(node) in methods and positional else 0
+            params = [(i - first, a.arg) for i, a in enumerate(positional)][
+                len(positional) - len(args.defaults):]
+            params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            if params:
+                defaulted.setdefault(node.name, []).extend(params)
+    passed = set()
+    for tree in trees:
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defaulted:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords)
+            keywords = {k.arg for k in call.keywords}
+            passed.update((name, arg) for position, arg in defaulted[name]
+                          if starred or arg in keywords
+                          or position is not None and position < len(call.args))
+    unused = sorted({(name, arg) for name, params in defaulted.items() for _, arg in params}
+                    - passed)
+    assert unused == []

@@ -80,16 +80,20 @@ class TestInitialConditionsAndConservation:
             assert traj.coh[0] == complex(PARAMS.initial_coh)
 
     def test_j3tot_conserved(self):
-        t = np.linspace(0.0, 40.0, 81)
-        bundles = [
-            tcl2_population_m(PARAMS, t, return_sectors=True)[1],
-            nz2_population_m(PARAMS, t, return_sectors=True)[1],
-            tcl2_jm(PARAMS, t, return_sectors=True)[1],
-            nz2_jm(PARAMS, t, return_sectors=True)[1],
-        ]
-        for bundle in bundles:
-            q = j3tot_expectation(bundle)
-            assert np.max(np.abs(q - q[0])) <= 1e-12
+        # the N = 101 input reduces tables of 102 (m) and 1892 (jm) sectors
+        n101 = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.3), omega0=1.0,
+                            initial_p_plus=0.7, initial_coh=0.2 + 0.1j)
+        for p, t, tol in ((PARAMS, np.linspace(0.0, 40.0, 81), 1e-12),
+                          (n101, np.linspace(0.0, 25.0, 127), 1e-14)):
+            bundles = [
+                tcl2_population_m(p, t, return_sectors=True)[1],
+                nz2_population_m(p, t, return_sectors=True)[1],
+                tcl2_jm(p, t, return_sectors=True)[1],
+                nz2_jm(p, t, return_sectors=True)[1],
+            ]
+            for bundle in bundles:
+                q = j3tot_expectation(bundle)
+                assert np.max(np.abs(q - q[0])) <= tol
 
     def test_j3tot_independent_of_memory_layout(self):
         _, bundle = nz2_jm(PARAMS, np.linspace(0.0, 40.0, 81), return_sectors=True)
@@ -398,27 +402,6 @@ class TestTimeChunks:
             if a is not None:
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("family", ["m", "jm"])
-    @pytest.mark.parametrize("method", ["tcl2", "nz2"])
-    def test_j3tot_series_equals_the_bundle_reduction(self, monkeypatch, method, family):
-        # the series report.csv reads is the table's t = 0 value, bit for bit the whole
-        # bundle's reduction there, and the bundle's series stays at it to rounding.  At
-        # N = 101 an (S, 1) column would be summed pairwise and round differently
-        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.3), omega0=1.0,
-                         initial_p_plus=0.7, initial_coh=0.2 + 0.1j)
-        _, bundle, _ = _solve(p, self.T, method, family, sectors=True)
-        q = _solve(p, self.T, method, family, j3tot=True)[2]
-        np.testing.assert_array_equal(q, j3tot_expectation(bundle)[0])
-        _, bundle, _ = _solve(PARAMS, self.T, method, family, sectors=True)
-        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * 12 * 5)
-        traj, none, q = _solve(PARAMS, self.T, method, family, j3tot=True)
-        assert none is None and q.shape == self.T.shape
-        reduced = j3tot_expectation(bundle)
-        np.testing.assert_array_equal(q, reduced[0])
-        np.testing.assert_allclose(q, reduced, rtol=0, atol=1e-14)
-        assert traj.p_plus is not None and traj.coh is not None
-        assert _solve(PARAMS, self.T, method, family)[2] is None
-
 
 def _tile_totals(monkeypatch, p, t, family):
     """NZ2 of ``family`` with its totals from the tiles, as on a grid too short for the kernel."""
@@ -495,15 +478,10 @@ class TestKernelRoute:
 
     def test_tiles_run_only_for_bundles(self, monkeypatch):
         calls = _tile_calls(monkeypatch)
-        plain = _solve(PARAMS, self.T, "nz2", "jm")[0]
-        assert calls == []  # as in ``spinstar run``
-        traj, _, q = _solve(PARAMS, self.T, "nz2", "jm", j3tot=True)
-        assert calls == []  # as in ``spinstar compare``: J_3^tot comes from the table
+        _solve(PARAMS, self.T, "nz2", "jm")
+        assert calls == []  # as in ``spinstar run`` and ``spinstar compare``
         _solve(PARAMS, self.T, "nz2", "jm", sectors=True)
         assert calls == [(True, True)]
-        np.testing.assert_array_equal(traj.coh, plain.coh)
-        np.testing.assert_array_equal(traj.p_plus, plain.p_plus)
-        np.testing.assert_array_equal(q, q[0])  # J_3^tot is conserved
 
     def test_other_grids_and_explicit_options_take_the_tiles(self, monkeypatch):
         monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
@@ -820,7 +798,7 @@ class TestRouteBoundary:
 @pytest.mark.parametrize("method", ["tcl2", "nz2"])
 def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, method, family):
     # on a uniform kernel grid each part takes one _exp_sum call of its own, whether
-    # the other part is asked for and whether sectors run the tiles or J_3^tot is asked
+    # the other part is asked for and whether sectors run the tiles
     monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
     t = 0.5 * np.arange(601)
     calls = _exp_sum_calls(monkeypatch)
@@ -828,9 +806,9 @@ def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, met
     assert len(calls) == 2
     for populations, coherence in ((True, True), (False, True), (True, False)):
         asked = {"coh": coherence, "p_plus": populations}
-        for extra in ({}, {"sectors": True}, {"j3tot": True}, {"sectors": True, "j3tot": True}):
+        for sectors in (False, True):
             calls.clear()
-            traj = _solve(PARAMS, t, method, family, populations, coherence, **extra)[0]
+            traj = _solve(PARAMS, t, method, family, populations, coherence, sectors=sectors)[0]
             assert len(calls) == populations + coherence
             for part, on in asked.items():
                 got = getattr(traj, part)

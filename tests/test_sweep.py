@@ -68,11 +68,11 @@ def _record_sweeps(monkeypatch, *modules):
 
 
 def _arrays(method, family, t):
-    """Every array of ``_solve`` with sectors and J_3^tot, totals from the tiles."""
-    traj, bundle, j3 = _solve(PARAMS, t, method, family, sectors=True, j3tot=True)
-    tiles_only = _solve(PARAMS, t, method, family, j3tot=True)[0]
+    """Every array of ``_solve`` with sectors, totals from the tiles."""
+    traj, bundle = _solve(PARAMS, t, method, family, sectors=True)
+    tiles_only = _solve(PARAMS, t, method, family)[0]
     return [traj.p_plus, traj.coh, tiles_only.p_plus, tiles_only.coh, bundle.p_plus,
-            bundle.p_minus, bundle.coh, j3]
+            bundle.p_minus, bundle.coh]
 
 
 def _sector_pass(t):
