@@ -13,8 +13,9 @@ coefficients are one table, ``sectors.sector_family(params, "m" | "jm")``:
 labels ``two_j``/``two_m``, weights ``w``, detunings ``om_p``/``om_m``,
 coherence rates ``b_p``/``b_m``, population ``pair_coef``, pair invariant
 ``c`` with its ``steady`` value and ``y0``, and ``c_prev``/``lower`` to
-rebuild P_- from P_+.  Both methods run through one tile loop, ``_tiles``,
-blind to the family: per (sector block, time chunk) tile a method fills the
+rebuild P_- from P_+.  Both methods, and the exact sums, take one route,
+trajectory._sector_sums, blind to the method and the family: per (sector
+block, time chunk) tile of trajectory._tiles a method's fill writes the
 sector factors f and g, and the loop sums the totals and the sector arrays,
 so that memory does not grow with sectors x times.  The
 time chunks run on up to two threads, one per allowed CPU (trajectory._sweep),
@@ -52,7 +53,7 @@ degree passes _TCL2_MAX_DEGREE).
 
 Every public solver and the CLI go through ``_solve``, blind to the method.  A
 part with terms takes the baby-step/giant-step GEMM of trajectory._exp_sum, as
-exact._uniform_pass does, wherever trajectory._kernel_pays finds the grid long
+the exact sums do, wherever trajectory._kernel_pays finds the grid long
 enough for them, and the tiles run only for what a total cannot give: the
 sector arrays and the other parts.  J_3^tot is conserved by construction, so
 nothing computes its series; ``j3tot_expectation`` reduces a bundle to it.
@@ -70,11 +71,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import trajectory
 from .sectors import (_TAIL_MARGIN, _TAIL_WEIGHT, SectorFamily, SystemParams, _omega_plus,
                       sector_family)
-from .trajectory import (Trajectory, _add_rows, _exp_sum, _sector_blocks, _sector_slices, _sweep,
-                         _tile, _trajectory, _uniform_step, _validate_times)
+from .trajectory import (Trajectory, _add_rows, _sector_slices, _sector_sums, _tile, _trajectory,
+                         _validate_times)
 from .volterra import SolveOptions, _unit_solutions, integrate_linear_ode
 
 __all__ = [
@@ -141,68 +141,8 @@ def _frame_phase(params: SystemParams, two_m, t):
 
 
 # ---------------------------------------------------------------------------
-# the tile loop and its two fills, TCL2 and NZ2
+# the TCL2 and NZ2 fills of trajectory._tiles
 # ---------------------------------------------------------------------------
-
-
-def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
-           sectors: bool, fill):
-    """(coh, sector coh, P_+, sector P_+), None if not asked, per (block, chunk) tile.
-
-    ``fill(sl, coherence)`` gives the fills of the tiles of time chunk ``sl``, the
-    first one usable only if ``coherence``: ``coherence(sub, blk, f, scratch)`` writes
-    f of rho^s_{+-} = rho_{+-}(0) w_s f_s (rotating frame) into the complex tile
-    ``f``, ``population(sub, blk, gm1, g, scratch)`` g - 1 of
-    P^s_+ = steady + y0 g into the real tile ``gm1``, and g unless ``g`` is None.
-    The totals coh0 (1 + sum w (f - 1)) and P_+(0) + sum y0 (g - 1) add the sectors
-    in the order of one sum over a whole (sectors, times) array, so neither the tiling
-    nor the worker count of trajectory._sweep, which runs the fills of a time chunk
-    on one thread, changes a bit of them or of the sector arrays.
-    """
-    coh0 = complex(params.initial_coh)
-    blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, 32)]
-    coh = np.empty(t.size, complex) if coherence else None
-    sector_coh = np.empty((fam.w.size, t.size), complex) if coherence and sectors else None
-    p_plus = np.empty(t.size) if populations else None
-    sector_p = np.empty((fam.w.size, t.size)) if populations and sectors else None
-    rows = max(sub.w.size for _, sub in blocks)
-
-    def buffers(n, width):  # f and a flat scratch per worker, 32 bytes per sector-time point
-        return [np.empty((n, rows * width), complex) for _ in range(2)]
-
-    def sweep(chunks, f_buf, scratch):
-        # one set of tile buffers for every tile of the worker, as in exact._sector_pass:
-        # f and a flat scratch, and the real halves of f's for g - 1 and g
-        cells = f_buf.size
-        gm1_buf, g_buf = f_buf.view(float)[:cells], f_buf.view(float)[cells:]
-        for sl in chunks:
-            fill_coh, fill_pop = fill(sl, coherence)
-            acc_coh = acc_p = None
-            for blk, sub in blocks:
-                shape = (sub.w.size, sl.stop - sl.start)
-                if coherence:
-                    fill_coh(sub, blk, f := _tile(f_buf, *shape), scratch)
-                    if sectors:
-                        sector_coh[blk, sl] = coh0 * sub.w[:, None] * f
-                    f -= 1.0
-                    f *= sub.w[:, None]
-                    acc_coh = _add_rows(f, acc_coh)
-                if populations:
-                    gm1, g = _tile(gm1_buf, *shape), _tile(g_buf, *shape)
-                    fill_pop(sub, blk, gm1, g if sectors else None, scratch)
-                    if sectors:  # steady + y0 g
-                        g *= sub.y0[:, None]
-                        g += sub.steady[:, None]
-                        sector_p[blk, sl] = g
-                    gm1 *= sub.y0[:, None]
-                    acc_p = _add_rows(gm1, acc_p)
-            if coherence:
-                coh[sl] = coh0 * (1.0 + acc_coh)
-            if populations:
-                p_plus[sl] = params.initial_p_plus + acc_p
-
-    _sweep(t.size, 32 * rows, buffers, sweep)
-    return coh, sector_coh, p_plus, sector_p
 
 
 #: ns per point of the TCL2 tiles, for trajectory._kernel_pays: per sector-time point of
@@ -232,30 +172,32 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
     def chunk(sl, with_coh):
         t2, (re, im) = t[sl] * t[sl], _g_table(om, t[sl], with_coh)
 
-        def coherence(sub, blk, f, scratch):  # each term of Lambda as (g coef) t^2, B_+ first
-            k, term = (sub.two_m - lo) // 2 + 1, _tile(scratch.view(float), *f.shape)
-            f.fill(0.0)
-            for r, b in ((k, sub.b_p), (k - 1, sub.b_m)):
-                for part, g, coef in ((f.real, re, 0.5 * b), (f.imag, im, b)):
-                    # mode="clip" fills out= directly; the rows are in range
-                    np.take(g, r, axis=0, out=term, mode="clip")
-                    term *= coef[:, None]
-                    term *= t2
-                    part += term
-            f.imag += np.multiply.outer(2.0 * params.A * sub.two_m, t[sl], out=term)
-            np.negative(f, out=f)
-            np.exp(f, out=f)
+        def tile(sub, blk, f, gm1, g, scratch):
+            k = (sub.two_m - lo) // 2 + 1
+            if f is not None:  # each term of Lambda as (g coef) t^2, B_+ first
+                term = _tile(scratch.view(float), *f.shape)
+                f.fill(0.0)
+                for r, b in ((k, sub.b_p), (k - 1, sub.b_m)):
+                    for part, table, coef in ((f.real, re, 0.5 * b), (f.imag, im, b)):
+                        # mode="clip" fills out= directly; the rows are in range
+                        np.take(table, r, axis=0, out=term, mode="clip")
+                        term *= coef[:, None]
+                        term *= t2
+                        part += term
+                f.imag += np.multiply.outer(2.0 * params.A * sub.two_m, t[sl], out=term)
+                np.negative(f, out=f)
+                np.exp(f, out=f)
+            if gm1 is not None:  # y0 (g - 1)
+                lam = np.take(re, k, axis=0, out=gm1, mode="clip")
+                lam *= (0.5 * sub.pair_coef)[:, None]
+                lam *= t2
+                np.negative(lam, out=lam)
+                if g is not None:
+                    np.exp(lam, out=g)
+                np.expm1(lam, out=lam)
+                lam *= sub.y0[:, None]
 
-        def population(sub, blk, gm1, g, scratch):
-            lam = np.take(re, (sub.two_m - lo) // 2 + 1, axis=0, out=gm1, mode="clip")
-            lam *= (0.5 * sub.pair_coef)[:, None]
-            lam *= t2
-            np.negative(lam, out=lam)
-            if g is not None:
-                np.exp(lam, out=g)
-            np.expm1(lam, out=lam)
-
-        return coherence, population
+        return tile
 
     on_grid, table = dt is not None, om.size * _G_ROW_NS
     coh = _tcl2_series(params, fam) if coherence and on_grid else None
@@ -430,17 +372,18 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
         [1j * fam.om_p, -1j * fam.om_p], axis=1), t, opts) if populations else (None, None)
 
     def chunk(sl, with_coh):
-        def coherence(sub, blk, f, scratch):
-            coh_x(blk, sl, f, _tile(scratch, *f.shape))
-            f += 1.0
-            f *= _frame_phase(params, sub.two_m, t[sl])
+        def tile(sub, blk, f, gm1, g, scratch):
+            if f is not None:
+                coh_x(blk, sl, f, _tile(scratch, *f.shape))
+                f += 1.0
+                f *= _frame_phase(params, sub.two_m, t[sl])
+            if gm1 is not None:  # y0 (g - 1)
+                pop_x(blk, sl, gm1, _tile(scratch, *gm1.shape))
+                if g is not None:
+                    np.add(gm1, 1.0, out=g)
+                gm1 *= sub.y0[:, None]
 
-        def population(sub, blk, gm1, g, scratch):
-            pop_x(blk, sl, gm1, _tile(scratch, *gm1.shape))
-            if g is not None:
-                np.add(gm1, 1.0, out=g)
-
-        return coherence, population
+        return tile
 
     def part(sector_ns, amp, nu):
         return fam.w.size * sector_ns, nu.size, [(amp.ravel(), nu.ravel())]
@@ -469,31 +412,17 @@ def _solve(
 ):
     """(Trajectory, SectorBundle or None) of TCL2 or NZ2.
 
-    The one route of the public solvers and the CLI: ``method`` is "tcl2" or
-    "nz2", ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle, the only
-    input of ``j3tot_expectation``.  One rule per part: a part with terms from
-    the fill, where trajectory._kernel_pays finds that they cost less than its
-    tiles, has the total coh0 (1 + E) or P_+(0) + Re E by trajectory._exp_sum,
-    exact at t = 0, and the tiles run only for what a total cannot give: the
-    sector arrays and the other parts.
+    The one entry of the public solvers and the CLI: ``method`` is "tcl2" or "nz2",
+    ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle, the only input of
+    ``j3tot_expectation``.  trajectory._sector_sums routes each part to its tiles or
+    its exponential sum; the totals coh0 (1 + S) and P_+(0) + S are exact at t = 0.
     """
     t, fam = _validate_times(times), sector_family(params, family)
-    dt = _uniform_step(t)
-    fill, *parts = {"tcl2": _tcl2_fill, "nz2": _nz2_fill}[method](
-        params, fam, t, populations, coherence, opts, dt)
-    coh_terms, pop_terms = (
-        None if part is None or not trajectory._kernel_pays(t.size, *part[:2]) else part[2]
-        for part in parts)
-    tile_coh = coherence and (sectors or coh_terms is None)
-    tile_pop = populations and (sectors or pop_terms is None)
-    coh = sector_coh = p_plus = sector_p = None
-    if tile_coh or tile_pop:
-        coh, sector_coh, p_plus, sector_p = _tiles(params, fam, t, tile_pop, tile_coh,
-                                                   sectors, fill)
-    if coh_terms is not None:
-        coh = complex(params.initial_coh) * (1.0 + _exp_sum(coh_terms, t[0], dt, t.size))
-    if pop_terms is not None:
-        p_plus = params.initial_p_plus + _exp_sum(pop_terms, t[0], dt, t.size).real
+    fill = {"tcl2": _tcl2_fill, "nz2": _nz2_fill}[method]
+    s_coh, s_pop, sector_coh, sector_p = _sector_sums(params, fam, t, populations, coherence,
+                                                      sectors, fill, opts)
+    coh = None if s_coh is None else complex(params.initial_coh) * (1.0 + s_coh)
+    p_plus = None if s_pop is None else params.initial_p_plus + s_pop
     bundle = SectorBundle(
         two_m=fam.two_m, two_j=fam.two_j, p_plus=sector_p, coh=sector_coh,
         p_minus=None if sector_p is None else _sector_p_minus(fam, sector_p),

@@ -1,18 +1,19 @@
 """Time-series containers, trajectory comparison metrics and the time-grid kernels.
 
-Every public solver checks its grid with ``_validate_times``.  The sector
-sums then run per (sector block, time chunk) tile of ``_sector_blocks`` and
-``_time_chunks`` on any grid, and ``_sweep`` spreads the time chunks over
-one thread per allowed CPU, up to _MAX_WORKERS.  Where ``_uniform_step``
-finds a uniform grid, a sum of exponentials in time can instead take
-``_exp_sum``, one blocked complex GEMM on the whole grid, its terms cut into
-the slices of ``_sector_slices``.  One rule, ``_kernel_pays``, picks the route
-of every part (the exact sums, the TCL2 coherence and populations, the NZ2
-totals) from its term count and its tile cost.  At N = 101 and alpha = 0.1
-the kernel takes the exact sums from 27 times on, the TCL2 coherence from
-42 (m) and 93 (jm), the TCL2 populations from 28 and 183 (from P_+(0) = 0.7;
-29 and 196 from P_+(0) = 1), and the NZ2 coherence and populations from 11
-and 24 (m) and 8 and 16 (jm), whatever the state.
+Every public solver checks its grid with ``_validate_times``.  The exact, TCL2
+and NZ2 sector sums all take one route, ``_sector_sums``, part by part (a
+coherence or a population sum).  On any grid ``_tiles`` sums a part per
+(sector block, time chunk) tile of ``_sector_blocks`` and ``_time_chunks``,
+and ``_sweep`` spreads the time chunks over one thread per allowed CPU, up to
+_MAX_WORKERS.  Where ``_uniform_step`` finds a uniform grid, a part that is a
+sum of exponentials in time can instead take ``_exp_sum``, one blocked complex
+GEMM on the whole grid, its terms cut into the slices of ``_sector_slices``.
+One rule, ``_kernel_pays``, picks the route of each part from its term count
+and its tile cost.  At N = 101 and alpha = 0.1 the kernel takes the exact
+survival from 21 times on and the exact coherence from 36, the TCL2 coherence
+from 42 (m) and 93 (jm), the TCL2 populations from 28 and 183 (from P_+(0) =
+0.7; 29 and 196 from P_+(0) = 1), and the NZ2 coherence and populations from
+11 and 24 (m) and 8 and 16 (jm), whatever the state.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sectors import SystemParams
+from .sectors import SectorFamily, SystemParams
 
 __all__ = ["Trajectory", "ErrorReport", "compare_trajectories"]
 
@@ -153,6 +154,98 @@ def _kernel_pays(n_times: int, tile_cost: float, n_terms: int) -> bool:
     a, b, c = _TERM_NS
     kernel = _CALL_NS + n_terms * (a + b * math.sqrt(n_times) + c * n_times)
     return n_times * tile_cost >= kernel
+
+
+def _sector_sums(params: SystemParams, fam: SectorFamily, t, populations: bool,
+                 coherence: bool, sectors: bool, fill, opts):
+    """(coherence sum, population sum, sector coh, sector P_+), each None where not asked:
+    the one route of the exact, TCL2 and NZ2 sector sums.
+
+    ``fill(params, fam, t, populations, coherence, opts, dt)`` gives the method's tile fill
+    for ``_tiles`` and, per part, (tile cost per time, term count, terms) where dt is the
+    grid's uniform step and the part is a sum of exponentials in time, else None.  A part
+    whose terms ``_kernel_pays`` finds cheaper than its tiles takes its sum from
+    ``_exp_sum``, E(t) - E(0) (the real part for the populations), exact at t = 0; the
+    tiles run only for what such a sum cannot give: the sector arrays and the other
+    parts.  The callers form the totals from the sums S: coh0 (1 + S) for every
+    coherence, P_+(0) + S for the TCL2 and NZ2 populations, and the survival 1 + S of
+    |+> for the exact ones.
+    """
+    dt = _uniform_step(t)
+    chunk, *parts = fill(params, fam, t, populations, coherence, opts, dt)
+    coh_terms, pop_terms = (None if part is None or not _kernel_pays(t.size, *part[:2])
+                            else part[2] for part in parts)
+    tile_coh = coherence and (sectors or coh_terms is None)
+    tile_pop = populations and (sectors or pop_terms is None)
+    s_coh, s_pop, sector_coh, sector_p = (_tiles(params, fam, t, tile_pop, tile_coh, sectors, chunk)
+                                          if tile_coh or tile_pop else (None,) * 4)
+    if coh_terms is not None:
+        s_coh = _exp_sum(coh_terms, t[0], dt, t.size)
+    if pop_terms is not None:
+        s_pop = _exp_sum(pop_terms, t[0], dt, t.size).real
+    return s_coh, s_pop, sector_coh, sector_p
+
+
+def _tiles(params: SystemParams, fam: SectorFamily, t, populations: bool, coherence: bool,
+           sectors: bool, fill):
+    """(coherence sum, population sum, sector coh, sector P_+), None where not asked, per
+    (sector block, time chunk) tile.
+
+    ``fill(sl, coherence)`` gives the fill of the tiles of time chunk ``sl``,
+    ``tile(sub, blk, f, gm1, g, scratch)``: for the sectors ``sub`` = fam.block(blk) it
+    writes f_s of rho^s_{+-} = coh0 w_s f_s (rotating frame) into the complex tile ``f``,
+    each sector's term of the population sum into the real tile ``gm1``, and g_s of
+    P^s_+ = steady + y0 g_s into the real tile ``g``, each None where not asked (``g``
+    comes with ``sectors`` only); ``scratch`` has the room of a complex tile.  The
+    coherence sum adds w (f - 1), the population sum the gm1 tiles, in the order of one
+    sum over a whole (sectors, times) array, so neither the tiling nor the worker count
+    of ``_sweep``, which runs the fills of a time chunk on one thread, changes a bit of
+    them or of the sector arrays.  A worker's tiles use one set of buffers, allocated
+    once for the largest tile: f and the scratch, complex, and gm1 and g, real, 40
+    bytes per sector-time point, 48 with ``sectors``.
+    """
+    coh0, point = complex(params.initial_coh), 40 + 8 * sectors
+    blocks = [(blk, fam.block(blk)) for blk in _sector_blocks(fam.lower, t.size, point)]
+    rows = max(sub.w.size for _, sub in blocks)
+    s_coh = np.empty(t.size, complex) if coherence else None
+    s_pop = np.empty(t.size) if populations else None
+    sector_coh = np.empty((fam.w.size, t.size), complex) if coherence and sectors else None
+    sector_p = np.empty((fam.w.size, t.size)) if populations and sectors else None
+
+    def buffers(n, width):  # f, the scratch, and gm1 and g one after the other
+        return [np.empty((n, rows * width), complex) for _ in range(2)] + [
+            np.empty((n, rows * width * (1 + sectors)))]
+
+    def sweep(chunks, f_buf, scratch, pop_buf):
+        gm1_buf, g_buf = pop_buf[:f_buf.size], pop_buf[f_buf.size:]
+        for sl in chunks:
+            tile = fill(sl, coherence)
+            acc_coh = acc_p = None
+            for blk, sub in blocks:
+                shape = (sub.w.size, sl.stop - sl.start)
+                f = _tile(f_buf, *shape) if coherence else None
+                gm1 = _tile(gm1_buf, *shape) if populations else None
+                g = _tile(g_buf, *shape) if populations and sectors else None
+                tile(sub, blk, f, gm1, g, scratch)
+                if coherence:
+                    if sectors:
+                        sector_coh[blk, sl] = coh0 * sub.w[:, None] * f
+                    f -= 1.0
+                    f *= sub.w[:, None]
+                    acc_coh = _add_rows(f, acc_coh)
+                if populations:
+                    if sectors:  # steady + y0 g
+                        g *= sub.y0[:, None]
+                        g += sub.steady[:, None]
+                        sector_p[blk, sl] = g
+                    acc_p = _add_rows(gm1, acc_p)
+            if coherence:
+                s_coh[sl] = acc_coh
+            if populations:
+                s_pop[sl] = acc_p
+
+    _sweep(t.size, point * rows, buffers, sweep)
+    return s_coh, s_pop, sector_coh, sector_p
 
 
 def _sector_slices(counts, terms):

@@ -366,13 +366,12 @@ def test_compare_on_a_long_uniform_grid_runs_no_tile(tmp_path, monkeypatch, proj
     # the grids of the benchmark's closed_form_long (2001 times) and nz2_memory (601):
     # the exact sums and every TCL2 and NZ2 total take the exponential-sum kernel, and
     # J_3^tot, constant by construction, comes from the sector table
-    from spinstar import exact, masters
+    from spinstar import trajectory
 
     def no_tiles(*args):
         raise AssertionError("the tiles ran")
 
-    monkeypatch.setattr(masters, "_tiles", no_tiles)
-    monkeypatch.setattr(exact, "_sector_pass", no_tiles)
+    monkeypatch.setattr(trajectory, "_tiles", no_tiles)
     cfg = write_config(tmp_path, f"""
 N = 101
 omega0 = 1.0
@@ -396,8 +395,8 @@ coh_im = 0.1
 
 @pytest.mark.parametrize("preset", sorted(FIGURE_PRESETS))
 def test_every_figure_preset_takes_the_kernel_for_every_part(monkeypatch, preset):
-    # the route of each part from the counts that exact._exact and the fills of
-    # masters._solve hand trajectory._kernel_pays: they do not depend on the grid
+    # the route of each part from the counts that the exact, TCL2 and NZ2 fills hand
+    # trajectory._kernel_pays, two parts a method: they do not depend on the grid
     # length, so three times of the preset's step give them, and no kernel runs
     from spinstar import exact, masters, trajectory
 
@@ -411,7 +410,7 @@ def test_every_figure_preset_takes_the_kernel_for_every_part(monkeypatch, preset
             exact._exact(params, short, True, True)
         elif method != "standard":  # the product projection has no kernel part
             masters._solve(params, short, method, cfg.projection)
-    n_parts = sum({"exact": 1, "standard": 0}.get(method, 2) for method in cfg.methods)
+    n_parts = sum(0 if method == "standard" else 2 for method in cfg.methods)
     assert len(seen) == n_parts  # a part without terms would not be weighed
     for tile_cost, n_terms in seen:
         assert pays(t.size, tile_cost, n_terms)
@@ -567,14 +566,15 @@ def test_ten_thousand_spins_end_to_end_under_a_memory_cap(tmp_path, run_capped):
 
 
 def test_ten_thousand_spins_on_a_uniform_grid_under_a_memory_cap(tmp_path, run_capped):
-    # 81 uniform times take exact's exponential-sum kernel (from 28 on at N = 10^4),
-    # whose terms go in slices of the sector table
+    # 81 uniform times take exact's exponential-sum kernel (from 19 times on at N = 10^4
+    # for the survival, 35 for the coherence), whose terms go in slices of the sector table
     _ten_thousand_spins(tmp_path, run_capped, dt=2.5, n_times=81)
 
 
 def test_ten_thousand_spins_on_the_tiles_under_a_memory_cap(tmp_path, run_capped):
-    # 21 times are below every kernel threshold at N = 10^4 (exact 28, TCL2
-    # coherence 41 and populations 107), so the exact sweep and the TCL2 tiles run
+    # 21 times are below the kernel thresholds at N = 10^4 of the exact coherence (35)
+    # and of the TCL2 coherence and populations (41 and 107), so those three run on the
+    # tiles; the exact survival takes the kernel from 19 times on
     _ten_thousand_spins(tmp_path, run_capped, dt=10.0, n_times=21)
 
 

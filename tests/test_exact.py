@@ -4,7 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from spinstar import exact, masters, trajectory
+from spinstar import exact, trajectory
 from spinstar.exact import exact_coherence, exact_population_plus, exact_trajectory
 from spinstar.masters import tcl2_jm
 from spinstar.oracle import propagate
@@ -151,11 +151,12 @@ def test_time_chunks_do_not_change_the_result(monkeypatch):
     p = SystemParams(N=7, A=0.21, omega0=1.3, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
     t = np.linspace(0.0, 20.0, 60)
     whole = exact_trajectory(p, t)
-    fam = sector_family(p, "jm")
-    rows = fam.w.size + np.count_nonzero(fam.lower < 0)  # one row per Rabi pair
-    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * rows * 7)  # 7 times per chunk
+    # blocks of one chain each, the longest (j = 7/2) 8 sectors at 40 bytes per sector-time
+    # point: 7 times per chunk
+    rows = 8
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 40 * rows * 7)
     monkeypatch.setattr(trajectory, "_workers", lambda: 1)  # the chunks counted below run
-    assert len(list(trajectory._time_chunks(t.size, 16 * rows))) == 9
+    assert len(list(trajectory._time_chunks(t.size, 40 * rows))) == 9
     chunked = exact_trajectory(p, t)
     np.testing.assert_allclose(chunked.p_plus, whole.p_plus, rtol=0, atol=1e-15)
     np.testing.assert_allclose(chunked.coh, whole.coh, rtol=0, atol=1e-15)
@@ -262,9 +263,9 @@ ROUTE_CASES = {
 
 
 @pytest.mark.parametrize("n, a, omega0", ROUTE_CASES.values(), ids=ROUTE_CASES.keys())
-def test_uniform_route_agrees_with_the_sector_pass(n, a, omega0):
-    # a uniform grid takes _exp_sum; _sector_pass, the route of every other
-    # grid, is the reference on the same grid
+def test_uniform_route_agrees_with_the_sector_pass(monkeypatch, n, a, omega0):
+    # both parts by _exp_sum on a uniform grid, against the tiles, the route of every
+    # other grid, on the same grid
     p = SystemParams(N=n, A=a, omega0=omega0, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
     t = 0.1 * np.arange(1001)
     assert trajectory._uniform_step(t) is not None
@@ -274,10 +275,14 @@ def test_uniform_route_agrees_with_the_sector_pass(n, a, omega0):
         assert np.any(om == 0.0)
     if (n, a) == (3, -0.25):
         assert np.any(mu == 0.0)
-    surv, coh = exact._sector_pass(p, fam, t, True)
-    traj = exact_trajectory(p, t)
-    np.testing.assert_allclose(traj.p_plus, 0.35 * surv + 0.65 * (1.0 - surv), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(traj.coh, coh, rtol=0, atol=1e-13)
+    routes = {}
+    for pays in (False, True):
+        with monkeypatch.context() as patch:
+            patch.setattr(trajectory, "_kernel_pays", lambda *counts, pays=pays: pays)
+            routes[pays] = exact_trajectory(p, t)
+    tiles, traj = routes[False], routes[True]
+    np.testing.assert_allclose(traj.p_plus, tiles.p_plus, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(traj.coh, tiles.coh, rtol=0, atol=1e-13)
     assert traj.p_plus[0] == 0.35 and traj.coh[0] == 0.2 - 0.3j
     if a == 0.0:
         np.testing.assert_array_equal(traj.p_plus, 0.35)
@@ -294,18 +299,20 @@ def test_uniform_route_bits_do_not_depend_on_the_budget_or_the_term_slices(monke
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
     budget_tcl2 = tcl2_jm(p, t)
     monkeypatch.setattr(trajectory, "_TERM_SLICE", trajectory._EXP_SUM_BLOCK)
-    sizes = {}
-    for module in (exact, masters):
-        def spy(terms, *grid, exp_sum=module._exp_sum, name=module.__name__):
-            terms = list(terms)
-            sizes.setdefault(name, []).extend(nu.size for _, nu in terms)
-            return exp_sum(terms, *grid)
+    sizes, exp_sum = [], trajectory._exp_sum
 
-        monkeypatch.setattr(module, "_exp_sum", spy)
+    def spy(terms, *grid):
+        terms = list(terms)
+        sizes[-1].extend(nu.size for _, nu in terms)
+        return exp_sum(terms, *grid)
+
+    monkeypatch.setattr(trajectory, "_exp_sum", spy)
+    sizes.append([])
     sliced = exact_trajectory(p, t)
+    sizes.append([])
     tcl2_jm(p, t)
-    assert sizes.keys() == {"spinstar.exact", "spinstar.masters"}
-    assert max(max(got) for got in sizes.values()) <= trajectory._EXP_SUM_BLOCK
+    assert all(sizes)
+    assert max(max(got) for got in sizes) <= trajectory._EXP_SUM_BLOCK
     np.testing.assert_array_equal(sliced.p_plus, whole.p_plus)
     np.testing.assert_array_equal(sliced.coh, whole.coh)
     np.testing.assert_array_equal(budget_tcl2.p_plus, whole_tcl2.p_plus)

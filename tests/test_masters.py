@@ -382,12 +382,14 @@ class TestTimeChunks:
     @pytest.mark.parametrize("fn", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
     def test_chunked_closed_forms_are_bit_identical(self, monkeypatch, fn, return_sectors):
         if fn.__name__.startswith("tcl2"):  # both TCL2 series are too long for 127 times
-            monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
+            monkeypatch.setattr(trajectory, "_exp_sum", None)  # any kernel route would fail
         whole = fn(PARAMS, self.T, return_sectors=return_sectors)
-        n_sectors = 12  # the jm table of N = 5; 3 chunks of the m table (6 sectors)
-        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 16 * n_sectors * 5)
+        # blocks of one chain each, the longest (j = 5/2, and the whole m table) 6 sectors
+        # at 40 bytes per sector-time point, 48 with sectors: 5 times per chunk
+        rows, point = 6, 48 if return_sectors else 40
+        monkeypatch.setattr(trajectory, "_CHUNK_BYTES", point * rows * 5)
         monkeypatch.setattr(trajectory, "_workers", lambda: 1)  # the chunks counted below run
-        assert len(list(trajectory._time_chunks(self.T.size, 16 * n_sectors))) == 26
+        assert len(list(trajectory._time_chunks(self.T.size, point * rows))) == 26
         chunked = fn(PARAMS, self.T, return_sectors=return_sectors)
         if return_sectors:
             (whole, whole_bundle), (chunked, chunked_bundle) = whole, chunked
@@ -425,14 +427,14 @@ def _part(p, method, family, coherence):
 
 
 def _tile_calls(monkeypatch):
-    """A list that records (populations, coherence) of every masters._tiles call from now on."""
-    calls, tiles = [], masters._tiles
+    """A list that records (populations, coherence) of every trajectory._tiles call from now on."""
+    calls, tiles = [], trajectory._tiles
 
     def spy(params, fam, t, populations, coherence, *rest):
         calls.append((populations, coherence))
         return tiles(params, fam, t, populations, coherence, *rest)
 
-    monkeypatch.setattr(masters, "_tiles", spy)
+    monkeypatch.setattr(trajectory, "_tiles", spy)
     return calls
 
 
@@ -484,7 +486,7 @@ class TestKernelRoute:
         assert calls == [(True, True)]
 
     def test_other_grids_and_explicit_options_take_the_tiles(self, monkeypatch):
-        monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
+        monkeypatch.setattr(trajectory, "_exp_sum", None)  # any kernel route would fail
         geometric = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)])
         assert trajectory._uniform_step(geometric) is None
         nz2_jm(PARAMS, geometric)
@@ -585,15 +587,15 @@ class TestDetuningTableEqualsDirectEvaluation:
 
 
 def _exp_sum_calls(monkeypatch):
-    """A list that records the term count of every masters._exp_sum call from now on."""
-    calls, exp_sum = [], masters._exp_sum
+    """A list that records the term count of every trajectory._exp_sum call from now on."""
+    calls, exp_sum = [], trajectory._exp_sum
 
     def spy(terms, *grid):
         terms = [(amp, nu) for amp, nu in terms]
         calls.append(sum(nu.size for _, nu in terms))
         return exp_sum(terms, *grid)
 
-    monkeypatch.setattr(masters, "_exp_sum", spy)
+    monkeypatch.setattr(trajectory, "_exp_sum", spy)
     return calls
 
 
@@ -669,7 +671,7 @@ class TestTcl2KernelRoute:
         assert len(calls) == 3 * ((traj.coh is not None) + (traj.p_plus is not None))
 
     def test_uniform_grids_take_the_kernel_and_other_grids_the_tiles(self, monkeypatch):
-        monkeypatch.setattr(masters, "_exp_sum", None)  # any kernel route would fail
+        monkeypatch.setattr(trajectory, "_exp_sum", None)  # any kernel route would fail
         p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
                          initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
         uniform = 0.5 * np.arange(2001)
@@ -736,13 +738,14 @@ class TestTcl2KernelRoute:
 
 
 class TestRouteBoundary:
-    """Every part at its threshold n* of trajectory._kernel_pays: the tiles (exact: the
-    sector sweep) on n* - 1 times, the kernel on n*, and the same results on the shared
-    times, within the tolerance each part's kernel tests argue."""
+    """Every part at its threshold n* of trajectory._kernel_pays: the tiles on n* - 1
+    times, the kernel on n*, and the same results on the shared times, within the
+    tolerance each part's kernel tests argue."""
 
     P = TestTcl2KernelRoute._params(101, 1.0)  # alpha = 0.1, the grounds of TOL and POP_TOL
     PARTS = {
-        "exact": ("exact", "jm", True, True, 1e-13),
+        **{f"exact-{part}": ("exact", "jm", part == "pop", part == "coh", 1e-13)
+           for part in ("coh", "pop")},
         **{f"tcl2-{part}-{family}": ("tcl2", family, part == "pop", part == "coh", tol)
            for part, tol in (("coh", TestTcl2KernelRoute.TOL), ("pop", TestTcl2KernelRoute.POP_TOL))
            for family in ("m", "jm")},
@@ -775,13 +778,12 @@ class TestRouteBoundary:
                 assert self._threshold(monkeypatch, part) == n_star
         assert n_star <= 1001  # t <= 500, where each tolerance's argument holds
         calls = []
-        for module, name in ((exact, "_sector_pass"), (masters, "_tiles"),
-                             (exact, "_uniform_pass"), (masters, "_exp_sum")):
-            def spy(*args, fn=getattr(module, name), kind=name in ("_sector_pass", "_tiles")):
+        for name in ("_tiles", "_exp_sum"):
+            def spy(*args, fn=getattr(trajectory, name), kind=name == "_tiles"):
                 calls.append("tiles" if kind else "kernel")
                 return fn(*args)
 
-            monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(trajectory, name, spy)
         below = self._run(*part, 0.5 * np.arange(n_star - 1))
         assert calls == ["tiles"]
         calls.clear()
@@ -794,21 +796,28 @@ class TestRouteBoundary:
                 assert np.max(np.abs(a - b[:-1])) <= tol
 
 
-@pytest.mark.parametrize("family", ["m", "jm"])
-@pytest.mark.parametrize("method", ["tcl2", "nz2"])
+@pytest.mark.parametrize("method, family", [
+    ("tcl2", "m"), ("nz2", "m"), ("tcl2", "jm"), ("nz2", "jm"), ("exact", "jm"),
+], ids=["tcl2-m", "nz2-m", "tcl2-jm", "nz2-jm", "exact"])
 def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, method, family):
     # on a uniform kernel grid each part takes one _exp_sum call of its own, whether
-    # the other part is asked for and whether sectors run the tiles
+    # the other part is asked for and whether sectors run the tiles (exact has none)
     monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
     t = 0.5 * np.arange(601)
+
+    def solve(populations, coherence, sectors):
+        if method == "exact":
+            return exact._exact(PARAMS, t, populations, coherence)
+        return _solve(PARAMS, t, method, family, populations, coherence, sectors=sectors)[0]
+
     calls = _exp_sum_calls(monkeypatch)
-    ref = _solve(PARAMS, t, method, family)[0]
+    ref = solve(True, True, False)
     assert len(calls) == 2
     for populations, coherence in ((True, True), (False, True), (True, False)):
         asked = {"coh": coherence, "p_plus": populations}
-        for sectors in (False, True):
+        for sectors in (False, True)[:1 if method == "exact" else 2]:
             calls.clear()
-            traj = _solve(PARAMS, t, method, family, populations, coherence, sectors=sectors)[0]
+            traj = solve(populations, coherence, sectors)
             assert len(calls) == populations + coherence
             for part, on in asked.items():
                 got = getattr(traj, part)

@@ -1,5 +1,5 @@
-"""The time chunks of the TCL2/NZ2 tiles and of the exact sector sweep run on
-``trajectory._sweep``'s worker threads; no bit depends on how many there are."""
+"""The time chunks of the exact, TCL2 and NZ2 tiles run on ``trajectory._sweep``'s
+worker threads; no bit depends on how many there are."""
 
 import hashlib
 import os
@@ -14,16 +14,17 @@ import pytest
 
 from spinstar import exact, masters, trajectory
 from spinstar.cli import EXIT_CAPACITY, EXIT_NUMERIC, main
+from spinstar.exact import exact_trajectory
 from spinstar.masters import _solve, tcl2_population_m
-from spinstar.sectors import SystemParams, sector_family
+from spinstar.sectors import SystemParams
 from spinstar.volterra import NumericsError
 
 PARAMS = SystemParams(N=5, A=0.08, omega0=1.1, initial_p_plus=0.7, initial_coh=0.25 - 0.15j)
 GRIDS = {"geometric": np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)]),
          "uniform": np.linspace(0.0, 25.0, 127)}
 #: room for the 2-time chunks of 8 workers on the longest chain of N = 5 (6 sectors)
-#: at 32 bytes per point: every worker count below runs in full, on many chunks
-BUDGET = 8 * 2 * 32 * 6
+#: at 48 bytes per point: every worker count below runs in full, on many chunks
+BUDGET = 8 * 2 * 48 * 6
 
 
 def _workers(monkeypatch, n):
@@ -42,9 +43,9 @@ def _count_thread_starts(monkeypatch):
     return started
 
 
-def _record_sweeps(monkeypatch, *modules):
-    """One dict per ``_sweep`` call of ``modules``: its bytes per time, its workers, the
-    bytes of the buffers it allocates, and the (start, stop) of every chunk it runs."""
+def _record_sweeps(monkeypatch):
+    """One dict per ``_sweep`` call: its bytes per time, its workers, the bytes of the
+    buffers it allocates, and the (start, stop) of every chunk it runs."""
     calls, sweep = [], trajectory._sweep
 
     def recording(n_times, bytes_per_time, buffers, group):
@@ -62,8 +63,7 @@ def _record_sweeps(monkeypatch, *modules):
 
         sweep(n_times, bytes_per_time, counted, recorded)
 
-    for module in modules:
-        monkeypatch.setattr(module, "_sweep", recording)
+    monkeypatch.setattr(trajectory, "_sweep", recording)
     return calls
 
 
@@ -75,15 +75,15 @@ def _arrays(method, family, t):
             bundle.p_minus, bundle.coh]
 
 
-def _sector_pass(t):
-    """Survival and coherence of exact._sector_pass, and survival alone."""
-    fam = sector_family(PARAMS, "jm")
-    return [*exact._sector_pass(PARAMS, fam, t, True), exact._sector_pass(PARAMS, fam, t, False)[0]]
+def _exact_tiles(t):
+    """P_+ and coherence of the exact sums, and P_+ alone, on a grid that takes the tiles."""
+    traj = exact._exact(PARAMS, t, True, True)
+    return [traj.p_plus, traj.coh, exact._exact(PARAMS, t, True, False).p_plus]
 
 
 ROUTES = {f"{method}-{family}": lambda t, method=method, family=family: _arrays(method, family, t)
           for method in ("tcl2", "nz2") for family in ("m", "jm")}
-ROUTES["exact-sector-pass"] = _sector_pass
+ROUTES["exact-tiles"] = _exact_tiles
 
 
 @pytest.mark.parametrize("grid", GRIDS.keys())
@@ -95,7 +95,7 @@ def test_worker_count_changes_no_bit(monkeypatch, solve, grid):
     whole = solve(t)  # one chunk
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)
     started = _count_thread_starts(monkeypatch)
-    calls = _record_sweeps(monkeypatch, masters, exact)
+    calls = _record_sweeps(monkeypatch)
     for n in (1, 2, 3):
         _workers(monkeypatch, n)
         del started[:], calls[:]
@@ -108,58 +108,63 @@ def test_worker_count_changes_no_bit(monkeypatch, solve, grid):
 
 def test_more_workers_than_cpus_under_frequent_thread_switches(monkeypatch):
     t = GRIDS["geometric"]
-    ref = _arrays("tcl2", "jm", t) + _arrays("nz2", "m", t) + _sector_pass(t)
+    ref = _arrays("tcl2", "jm", t) + _arrays("nz2", "m", t) + _exact_tiles(t)
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)
     _workers(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _arrays("tcl2", "jm", t) + _arrays("nz2", "m", t) + _sector_pass(t)
+        got = _arrays("tcl2", "jm", t) + _arrays("nz2", "m", t) + _exact_tiles(t)
     finally:
         sys.setswitchinterval(interval)
     for a, b in zip(got, ref, strict=True):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("n_spins, workers", [(10**4, 6), (10**5, 1)], ids=["N=1e4", "N=1e5"])
-def test_many_workers_keep_to_one_budget(monkeypatch, n_spins, workers):
-    # the m family is one chain of N + 1 sectors, a block of its own at 32 bytes per
-    # sector-time point: the 2-time chunks of 6 workers fit the budget at N = 10^4, and
-    # at N = 10^5 one worker's alone overflow it; 40 times leave no 1-time tail
-    p = SystemParams(N=n_spins, A=0.1 / (2 * n_spins), omega0=1.0, initial_p_plus=0.7)
+@pytest.mark.parametrize("solve, n_spins, workers", [
+    (tcl2_population_m, 10**4, 5), (tcl2_population_m, 10**5, 1), (exact_trajectory, 10**4, 20),
+], ids=["N=1e4", "N=1e5", "exact-N=1e4"])
+def test_many_workers_keep_to_one_budget(monkeypatch, solve, n_spins, workers):
+    # the m family is one chain of N + 1 sectors, a block of its own at 40 bytes per
+    # sector-time point: the 2-time chunks of 5 workers fit the budget at N = 10^4, and
+    # at N = 10^5 one worker's alone overflow it; 40 times leave no 1-time tail.  The
+    # exact sums of N = 10^4 split their 218089 jm sectors into blocks sized for 64
+    # workers, and the 20 chunks of 2 times give 20 of them work
+    p = SystemParams(N=n_spins, A=0.1 / (2 * n_spins), omega0=1.0, initial_p_plus=0.7,
+                     initial_coh=0.3 + 0.1j)
     t = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 39)])
     _workers(monkeypatch, 1)
-    ref = tcl2_population_m(p, t).p_plus
+    ref = solve(p, t)
     _workers(monkeypatch, 64)
-    calls = _record_sweeps(monkeypatch, masters)
-    got = tcl2_population_m(p, t).p_plus
+    calls = _record_sweeps(monkeypatch)
+    got = solve(p, t)
     (call,) = calls
     assert call["workers"] == workers
     assert call["buffer_bytes"] <= max(trajectory._CHUNK_BYTES, 2 * call["bytes_per_time"])
-    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(got.p_plus, ref.p_plus)
+    if ref.coh is not None:
+        np.testing.assert_array_equal(got.coh, ref.coh)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_tiles_stay_wide_whatever_the_worker_count(monkeypatch, workers):
-    # the TCL2-jm tiles and the exact sector pass at N = 101 on 2001 geometric times
-    # (on closed_form_long's uniform grid TCL2 takes the exponential-sum kernel): the
-    # workers divide the sector blocks, not the chunk width.  Every chunk but the last
-    # is _CHUNK_WIDTH wide or wider in the TCL2 tiles; the exact pass sizes its blocks
-    # by sectors but its tiles by Rabi pair rows, one more per chain, which may take an
-    # eighth off
+    # the TCL2-jm tiles and the exact tiles at N = 101 on 2001 geometric times (on
+    # closed_form_long's uniform grid both take the exponential-sum kernel): the
+    # workers divide the sector blocks, not the chunk width, so every chunk but the
+    # last is _CHUNK_WIDTH wide or wider
     p = SystemParams(N=101, A=0.1 / 202, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
     geometric = np.concatenate([[0.0], np.geomspace(0.05, 1000.0, 2000)])
     _workers(monkeypatch, workers)
-    calls = _record_sweeps(monkeypatch, masters, exact)
+    calls = _record_sweeps(monkeypatch)
     masters.tcl2_jm(p, geometric)
-    exact._sector_pass(p, sector_family(p, "jm"), geometric, True)
-    for call, floor in zip(calls, (trajectory._CHUNK_WIDTH, trajectory._CHUNK_WIDTH * 7 // 8),
-                           strict=True):
+    exact_trajectory(p, geometric)
+    assert len(calls) == 2
+    for call in calls:
         assert call["workers"] == workers
         chunks = sorted(call["chunks"])
         assert chunks[0][0] == 0 and chunks[-1][1] == 2001
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert min(stop - start for start, stop in chunks[:-1]) >= floor
+        assert min(stop - start for start, stop in chunks[:-1]) >= trajectory._CHUNK_WIDTH
 
 
 def test_the_worker_count_is_capped(monkeypatch):
@@ -221,7 +226,7 @@ def test_a_failing_worker_sets_the_exit_code_and_writes_nothing(monkeypatch, cap
 
 def test_a_thread_that_cannot_start_runs_on_the_caller(monkeypatch):
     t = GRIDS["geometric"]
-    ref = _arrays("tcl2", "jm", t) + _sector_pass(t)
+    ref = _arrays("tcl2", "jm", t) + _exact_tiles(t)
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)
     _workers(monkeypatch, 3)
 
@@ -230,7 +235,7 @@ def test_a_thread_that_cannot_start_runs_on_the_caller(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     before = threading.active_count()
-    got = _arrays("tcl2", "jm", t) + _sector_pass(t)
+    got = _arrays("tcl2", "jm", t) + _exact_tiles(t)
     assert threading.active_count() == before
     for a, b in zip(got, ref, strict=True):
         np.testing.assert_array_equal(a, b)
