@@ -11,13 +11,11 @@ limit therefore leaves both populations and coherence constant.
 
 The sums take the one route of every method, trajectory._sector_sums, in memory
 bounded by trajectory._CHUNK_BYTES, with ``_exact_fill`` beside the TCL2 and
-NZ2 fills of masters.  On any grid its (sector block, time chunk) tiles
-evaluate the Rabi pair rows, taking sin(mu t) once for both parts.  Where
-the grid is uniform it hands over each part as a sum of exponentials in time
-(``_exact_terms``, 1 term per sector for the survival and 4 for the
-coherence) with the cost of the tiles it would replace, and
-trajectory._kernel_pays decides per part: at N = 101 the kernel takes the
-survival from 21 times on and the coherence from 36.
+NZ2 fills of masters.  Where the grid is uniform it hands over each part as a
+sum of exponentials in time (``_exact_terms``, 1 term per sector for the
+survival and 4 for the coherence) for trajectory._exp_sum.  On any other grid
+its (sector block, time chunk) tiles evaluate the Rabi pair rows, taking
+sin(mu t) once for both parts.
 """
 
 from __future__ import annotations
@@ -29,14 +27,6 @@ from .trajectory import (Trajectory, _sector_slices, _sector_sums, _tile, _traje
                          _validate_times)
 
 __all__ = ["exact_population_plus", "exact_coherence", "exact_trajectory"]
-
-#: ns per sector-time point of the survival and of the coherence tiles, for _kernel_pays: they
-#: took 9-32 and 18-51 ns alone, 22-43 together, at N = 101 and 1000 on 8-256 times (one BLAS
-#: thread, 2-vCPU host); the rule charges the kernel 0.47-0.93 of its time, so these put the
-#: thresholds (21 and 36 at N = 101, 19 and 35 at N = 1000) near the crossovers, 18-20 and 30-48
-_EXACT_POP_NS = 11.0
-_EXACT_COH_NS = 26.0
-
 
 def _pair_rows(fam: SectorFamily):
     """(Omega, mu, |-> row) of the pair rows.
@@ -62,7 +52,7 @@ def _exact_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
     chain with b = 0 at both ends.  From the same sines it writes f_s = e^{i omega0 t}
     br_+ br_- into f, br = cos(mu t) - i (Omega/2) sin(mu t)/mu, br_- the br_+ of the
     row below, gathered into the scratch, or of a chain bottom's small tile.  A part
-    is (tile cost per time, term count, ``_exact_terms``) on a step-``dt`` grid, or None.
+    is its ``_exact_terms`` where asked on a uniform grid (``dt`` not None), else None.
     """
     om, mu, minus = _pair_rows(fam)
     small = mu < 1e-300
@@ -103,9 +93,8 @@ def _exact_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
     if dt is None:
         return chunk, None, None
-    size, (pop, coh) = fam.w.size, _exact_terms(params, fam, om, mu, minus)
-    return (chunk, (size * _EXACT_COH_NS, 4 * size, coh) if coherence else None,
-            (size * _EXACT_POP_NS, size, pop) if populations else None)
+    pop, coh = _exact_terms(params, fam, om, mu, minus)
+    return chunk, coh if coherence else None, pop if populations else None
 
 
 def _exact_terms(params: SystemParams, fam: SectorFamily, om, mu, minus):

@@ -37,10 +37,9 @@ in one shared memory budget, and no bit depends on the thread count:
   solution the tiles slice.
 
 Where trajectory._uniform_step finds a uniform grid, each fill also gives,
-per part it can, the exponential-sum terms of the total, their count and the
-cost per time of the tiles they replace.  On the spectral route each NZ2
-sector solution is a sum of 3 exponentials, x_s(t) = sum_k |V_sk|^2
-e^{-i lambda_sk t}, so both NZ2 totals are exponential sums.  The TCL2
+per part it can, the exponential-sum terms of the total.  On the spectral
+route each NZ2 sector solution is a sum of 3 exponentials, x_s(t) = sum_k
+|V_sk|^2 e^{-i lambda_sk t}, so both NZ2 totals are exponential sums.  The TCL2
 coherence is one too: each factor exp(-b g(W, t)) of a sector is a Poisson
 series in e^{iWt}, so f_s is a double series in e^{i Omega_+(m) t} and
 e^{i Omega_+(m-1) t}, cut where the weighted Poisson tails of all sectors
@@ -53,9 +52,8 @@ degree passes _TCL2_MAX_DEGREE).
 
 Every public solver and the CLI go through ``_solve``, blind to the method.  A
 part with terms takes the baby-step/giant-step GEMM of trajectory._exp_sum, as
-the exact sums do, wherever trajectory._kernel_pays finds the grid long
-enough for them, and the tiles run only for what a total cannot give: the
-sector arrays and the other parts.  J_3^tot is conserved by construction, so
+the exact sums do, and the tiles run only for what no terms give: the sector
+arrays and the parts without terms.  J_3^tot is conserved by construction, so
 nothing computes its series; ``j3tot_expectation`` reduces a bundle to it.
 
 ``tcl2_*_via_ode`` integrate the time-local TCL2 equations of either table
@@ -145,21 +143,11 @@ def _frame_phase(params: SystemParams, two_m, t):
 # ---------------------------------------------------------------------------
 
 
-#: ns per point of the TCL2 tiles, for trajectory._kernel_pays: per sector-time point of
-#: the coherence and of the populations, and per point of the g(Omega, t) table both read,
-#: one row per detuning (N + 3 under m, as many as the sectors).  Fitted, m against jm, to
-#: tile times at N = 101 and 1000: 23-31, 2.1-3.5 and 17-35 ns (one BLAS thread); 4 puts
-#: the jm population thresholds nearer the crossovers measured at N = 101
-_TCL2_COH_SECTOR_NS = 28.0
-_TCL2_POP_SECTOR_NS = 4.0
-_G_ROW_NS = 24.0
-
-
 def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
                coherence: bool, opts, dt):
-    """(fill, coherence part, population part) of TCL2; ``opts`` does not apply.  A part
-    is (tile cost per time, term count, terms) of ``_tcl2_series`` or
-    ``_tcl2_population_series``, None unless asked, on a grid of step ``dt``, with a series.
+    """(fill, coherence terms, population terms) of TCL2; ``opts`` does not apply.  The
+    terms are those of ``_tcl2_series`` and ``_tcl2_population_series``, None unless
+    asked on a uniform grid (``dt`` not None) where the family has the series.
 
     Closed forms f = exp[-2iA two_m t - B_+ g(Omega_+, t) - B_- g(-Omega_-, t)] and
     g = exp(-pair_coef Re g(Omega_+, t)), with g(Omega, t) read from one table per chunk
@@ -199,11 +187,9 @@ def _tcl2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
         return tile
 
-    on_grid, table = dt is not None, om.size * _G_ROW_NS
-    coh = _tcl2_series(params, fam) if coherence and on_grid else None
-    pop = _tcl2_population_series(fam) if populations and on_grid else None
-    return (chunk, coh and (fam.w.size * _TCL2_COH_SECTOR_NS + table, *coh),
-            pop and (fam.w.size * _TCL2_POP_SECTOR_NS + table, *pop))
+    on_grid = dt is not None
+    return (chunk, _tcl2_series(params, fam) if coherence and on_grid else None,
+            _tcl2_population_series(fam) if populations and on_grid else None)
 
 
 #: highest total degree n1 + n2 of a sector's TCL2 coherence series: near a
@@ -257,8 +243,8 @@ def _tail_degrees(lam, weight):
 
 
 def _tcl2_series(params: SystemParams, fam: SectorFamily):
-    """(term count, (amp, nu) terms) of E(t) = sum_s w_s f_s(t) for the TCL2 coherence,
-    or None where the family has no series.
+    """The (amp, nu) terms of E(t) = sum_s w_s f_s(t) for the TCL2 coherence, or None
+    where the family has no series.
 
     With g(W, t) = (1 - e^{iWt})/W^2 + i t/W and a = b/W^2, exp(-b g(W, t)) =
     e^{-a} e^{-i (b/W) t} sum_n a^n e^{inWt}/n!.  A sector's f_s has two such
@@ -276,10 +262,7 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily):
     trajectory._sector_slices, in a fixed order.
 
     There is no series where some sector has W = 0 with b > 0 (there g = t^2/2
-    has none) or a degree above _TCL2_MAX_DEGREE.  Otherwise trajectory._kernel_pays
-    weighs the terms against the tiles: at N = 101 and alpha = 0.1, with about 9.6
-    terms per sector under jm and 7.9 under m, the kernel takes the coherence from
-    93 and 42 times on (alpha = 0.5: 20.6 and 13.9 terms, from 268 and 77).
+    has none) or a degree above _TCL2_MAX_DEGREE.
     """
     w1, w2 = fam.om_p, -fam.om_m
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < b: no series
@@ -297,13 +280,12 @@ def _tcl2_series(params: SystemParams, fam: SectorFamily):
         amp = scale[rows] * (a1[rows] ** i / _FACTORIAL[i]) * (a2[rows] ** j / _FACTORIAL[j])
         return amp, base[rows] + i * w1[rows] + j * w2[rows]
 
-    return int(counts.sum()), _sector_slices(counts, terms)
+    return _sector_slices(counts, terms)
 
 
 def _tcl2_population_series(fam: SectorFamily):
-    """(term count, (amp, nu) terms) of E(t) = sum_s y0_s g_s(t) for the TCL2
-    populations, whose total is P_+(0) + Re(E(t) - E(0)), or None where the family
-    has no series.
+    """The (amp, nu) terms of E(t) = sum_s y0_s g_s(t) for the TCL2 populations, whose
+    total is P_+(0) + Re(E(t) - E(0)), or None where the family has no series.
 
     A sector's g = exp(-c (1 - cos W t)), with W = Omega_+(m) and c = pair_coef/W^2,
     is e^{-c} sum_{n1, n2} (c/2)^{n1+n2} e^{i (n1 - n2) W t}/(n1! n2!), the Bessel
@@ -318,11 +300,6 @@ def _tcl2_population_series(fam: SectorFamily):
 
     There is no series where some sector has W = 0 with pair_coef > 0 (there
     g = exp(-pair_coef t^2/2) has none) or a degree above _TCL2_MAX_DEGREE.
-    Otherwise trajectory._kernel_pays weighs the terms against the tiles, whose
-    sector points cost little: at N = 101 and alpha = 0.1, from P_+(0) = 0.7, with
-    2.7 terms per sector under jm and 2.2 under m, the kernel takes the populations
-    from 183 times on under jm and from 28 under m (alpha = 0.5: from 444 and 40).
-    The terms follow y0: from P_+(0) = 1, from 196 and 29 (alpha = 0.5: 476 and 40).
     """
     with np.errstate(divide="ignore", over="ignore"):  # inf where W^2 = 0 < pair_coef
         c = _ratio(fam.pair_coef, fam.om_p * fam.om_p)
@@ -342,19 +319,12 @@ def _tcl2_population_series(fam: SectorFamily):
             n += 2
         return scale[rows] * amp, k * fam.om_p[rows]
 
-    return int(degree.sum()), _sector_slices(degree, terms)
-
-
-#: ns per sector-time point of the NZ2 coherence and population tiles, for
-#: trajectory._kernel_pays: 61-110 and 18-31 at the margin, more on short grids; the
-#: kernel was faster from under 16 and from 30-48 times on (N = 101 and 1000, one BLAS thread)
-_NZ2_COH_SECTOR_NS = 80.0
-_NZ2_POP_SECTOR_NS = 40.0
+    return _sector_slices(degree, terms)
 
 
 def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
               coherence: bool, opts, dt):
-    """(fill, coherence part, population part) of the NZ2 sector equations.
+    """(fill, coherence terms, population terms) of the NZ2 sector equations.
 
     Scalar Volterra solutions x_s(t), x_s(0) = 1, per sector: f = x e^{-2iA two_m t} for
     the kernel B_+ e^{i Omega_+ tau} + B_- e^{-i Omega_- tau}, and g = x for the kernel
@@ -362,8 +332,7 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
     route x_s = sum_k |V_sk|^2 e^{-i lambda_sk t}, so where the grid has the step ``dt``
     each asked part is an exponential sum of 3 terms per sector: amplitudes
     w_s |V_sk|^2 and frequencies -(lambda_sk + 2A two_m_s) for the coherence, and
-    y0_s |V_sk|^2 and -lambda_sk for P_+.  A part is (tile cost per time, term count,
-    terms), None off that route.
+    y0_s |V_sk|^2 and -lambda_sk for P_+.  The terms are None off that route.
     """
     half = 0.5 * fam.pair_coef
     coh_x, coh_spec = _unit_solutions(np.stack([fam.b_p, fam.b_m], axis=1), np.stack(
@@ -385,18 +354,15 @@ def _nz2_fill(params: SystemParams, fam: SectorFamily, t, populations: bool,
 
         return tile
 
-    def part(sector_ns, amp, nu):
-        return fam.w.size * sector_ns, nu.size, [(amp.ravel(), nu.ravel())]
-
-    coh_part = pop_part = None
+    coh_terms = pop_terms = None
     if coh_spec is not None and dt is not None:
         lam, wts = coh_spec
-        coh_part = part(_NZ2_COH_SECTOR_NS, fam.w[:, None] * wts,
-                        -(lam + (2.0 * params.A * fam.two_m)[:, None]))
+        coh_terms = [((fam.w[:, None] * wts).ravel(),
+                      (-(lam + (2.0 * params.A * fam.two_m)[:, None])).ravel())]
     if pop_spec is not None and dt is not None:
         lam, wts = pop_spec
-        pop_part = part(_NZ2_POP_SECTOR_NS, fam.y0[:, None] * wts, -lam)
-    return chunk, coh_part, pop_part
+        pop_terms = [((fam.y0[:, None] * wts).ravel(), (-lam).ravel())]
+    return chunk, coh_terms, pop_terms
 
 
 def _sector_p_minus(fam: SectorFamily, p_plus: np.ndarray) -> np.ndarray:
@@ -414,8 +380,8 @@ def _solve(
 
     The one entry of the public solvers and the CLI: ``method`` is "tcl2" or "nz2",
     ``family`` "m" or "jm".  ``sectors`` fills the SectorBundle, the only input of
-    ``j3tot_expectation``.  trajectory._sector_sums routes each part to its tiles or
-    its exponential sum; the totals coh0 (1 + S) and P_+(0) + S are exact at t = 0.
+    ``j3tot_expectation``.  trajectory._sector_sums takes each part from its
+    exponential sum or its tiles; the totals coh0 (1 + S) and P_+(0) + S are exact at t = 0.
     """
     t, fam = _validate_times(times), sector_family(params, family)
     fill = {"tcl2": _tcl2_fill, "nz2": _nz2_fill}[method]

@@ -2,18 +2,13 @@
 
 Every public solver checks its grid with ``_validate_times``.  The exact, TCL2
 and NZ2 sector sums all take one route, ``_sector_sums``, part by part (a
-coherence or a population sum).  On any grid ``_tiles`` sums a part per
-(sector block, time chunk) tile of ``_sector_blocks`` and ``_time_chunks``,
-and ``_sweep`` spreads the time chunks over one thread per allowed CPU, up to
-_MAX_WORKERS.  Where ``_uniform_step`` finds a uniform grid, a part that is a
-sum of exponentials in time can instead take ``_exp_sum``, one blocked complex
-GEMM on the whole grid, its terms cut into the slices of ``_sector_slices``.
-One rule, ``_kernel_pays``, picks the route of each part from its term count
-and its tile cost.  At N = 101 and alpha = 0.1 the kernel takes the exact
-survival from 21 times on and the exact coherence from 36, the TCL2 coherence
-from 42 (m) and 93 (jm), the TCL2 populations from 28 and 183 (from P_+(0) =
-0.7; 29 and 196 from P_+(0) = 1), and the NZ2 coherence and populations from
-11 and 24 (m) and 8 and 16 (jm), whatever the state.
+coherence or a population sum).  Where ``_uniform_step`` finds a uniform grid,
+a part that is a sum of exponentials in time takes ``_exp_sum``, one blocked
+complex GEMM on the whole grid, its terms cut into the slices of
+``_sector_slices``.  Every other part, and every sector-resolved array, comes
+from ``_tiles``, which sums per (sector block, time chunk) tile of
+``_sector_blocks`` and ``_time_chunks``; ``_sweep`` spreads the time chunks
+over one thread per allowed CPU, up to _MAX_WORKERS.
 """
 
 from __future__ import annotations
@@ -55,19 +50,6 @@ _EXP_SUM_BLOCK = 256
 #: K block, so that the slices block K as one whole pair would, and fixed, so that no
 #: bit depends on the memory budget
 _TERM_SLICE = 16 * _EXP_SUM_BLOCK
-
-#: (a, b, c) of what ``_exp_sum`` costs a term on n times, a + b sqrt(n) + c n ns: the
-#: tables and the products grow like sqrt(n), the GEMM like n, and without c the fit is
-#: 27% short at 16001 times.  Fitted on one BLAS thread of a 2-vCPU host over 4096 and
-#: 32768 terms on 16 to 16001 times: 188-191 ns a term at 16 times, 388-396 at 256,
-#: 828-871 at 2048, 1945-1999 at 8192, 3264-3305 at 16001 (min of 7-15), all within 12%
-_TERM_NS = (150.0, 12.5, 0.085)
-
-#: ns that one ``_exp_sum`` call costs beside its terms (its buffers, its chunk list and
-#: its Python loops): 28-38 us with 8 terms on 16 to 256 times, as much as 100-200 terms
-#: on short grids, where the tables of N = 5 hand it 68 (one BLAS thread, 2-vCPU host)
-_CALL_NS = 30e3
-
 
 class NumericsError(RuntimeError):
     """Raised on non-finite solver inputs or results, or when a solver fails to converge.
@@ -147,34 +129,22 @@ def _uniform_step(t: np.ndarray) -> float | None:
     return dt if np.max(np.abs(t - (t[0] + dt * np.arange(t.size)))) <= tol else None
 
 
-def _kernel_pays(n_times: int, tile_cost: float, n_terms: int) -> bool:
-    """Whether ``_exp_sum`` of n_terms terms on n_times times costs less than tiles of
-    ``tile_cost`` ns per time: the one route rule of every part.  It reads counts only,
-    never the CPU or BLAS thread count, so a route depends on the family and the grid."""
-    a, b, c = _TERM_NS
-    kernel = _CALL_NS + n_terms * (a + b * math.sqrt(n_times) + c * n_times)
-    return n_times * tile_cost >= kernel
-
-
 def _sector_sums(params: SystemParams, fam: SectorFamily, t, populations: bool,
                  coherence: bool, sectors: bool, fill, opts):
     """(coherence sum, population sum, sector coh, sector P_+), each None where not asked:
     the one route of the exact, TCL2 and NZ2 sector sums.
 
     ``fill(params, fam, t, populations, coherence, opts, dt)`` gives the method's tile fill
-    for ``_tiles`` and, per part, (tile cost per time, term count, terms) where dt is the
-    grid's uniform step and the part is a sum of exponentials in time, else None.  A part
-    whose terms ``_kernel_pays`` finds cheaper than its tiles takes its sum from
-    ``_exp_sum``, E(t) - E(0) (the real part for the populations), exact at t = 0; the
-    tiles run only for what such a sum cannot give: the sector arrays and the other
-    parts.  The callers form the totals from the sums S: coh0 (1 + S) for every
+    for ``_tiles`` and, per part, its (amp, nu) terms where dt is the grid's uniform step
+    and the part is a sum of exponentials in time, else None.  A part with terms takes its
+    sum from ``_exp_sum``, E(t) - E(0) (the real part for the populations), exact at
+    t = 0; the tiles run only for what no terms give: the sector arrays and the parts
+    without terms.  The callers form the totals from the sums S: coh0 (1 + S) for every
     coherence, P_+(0) + S for the TCL2 and NZ2 populations, and the survival 1 + S of
     |+> for the exact ones.
     """
     dt = _uniform_step(t)
-    chunk, *parts = fill(params, fam, t, populations, coherence, opts, dt)
-    coh_terms, pop_terms = (None if part is None or not _kernel_pays(t.size, *part[:2])
-                            else part[2] for part in parts)
+    chunk, coh_terms, pop_terms = fill(params, fam, t, populations, coherence, opts, dt)
     tile_coh = coherence and (sectors or coh_terms is None)
     tile_pop = populations and (sectors or pop_terms is None)
     s_coh, s_pop, sector_coh, sector_p = (_tiles(params, fam, t, tile_pop, tile_coh, sectors, chunk)

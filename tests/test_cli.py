@@ -371,7 +371,7 @@ def test_compare_on_a_long_uniform_grid_runs_no_tile(tmp_path, monkeypatch, proj
     def no_tiles(*args):
         raise AssertionError("the tiles ran")
 
-    monkeypatch.setattr(trajectory, "_tiles", no_tiles)
+    monkeypatch.setattr(trajectory, "_tiles", None)  # any tile would fail
     cfg = write_config(tmp_path, f"""
 N = 101
 omega0 = 1.0
@@ -395,25 +395,18 @@ coh_im = 0.1
 
 @pytest.mark.parametrize("preset", sorted(FIGURE_PRESETS))
 def test_every_figure_preset_takes_the_kernel_for_every_part(monkeypatch, preset):
-    # the route of each part from the counts that the exact, TCL2 and NZ2 fills hand
-    # trajectory._kernel_pays, two parts a method: they do not depend on the grid
-    # length, so three times of the preset's step give them, and no kernel runs
-    from spinstar import exact, masters, trajectory
+    # no part of a preset runs a tile: on a uniform grid a part takes the tiles only
+    # where its fill has no terms, whatever the grid's length, so three times of the
+    # preset's step show the route of its whole grid
+    from spinstar import trajectory
 
     cfg = figure_config(preset)
-    params, t = cfg.params(), cfg.times()
-    short = trajectory._uniform_step(t) * np.arange(3)
-    pays, seen = trajectory._kernel_pays, []
-    monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: seen.append(counts[1:]))
+    assert trajectory._uniform_step(cfg.times()) is not None
+    short = figure_config(preset, t_max=2 * cfg.dt)
+    assert short.times().size == 3
+    monkeypatch.setattr(trajectory, "_tiles", None)  # any tile would fail
     for method in cfg.methods:
-        if method == "exact":
-            exact._exact(params, short, True, True)
-        elif method != "standard":  # the product projection has no kernel part
-            masters._solve(params, short, method, cfg.projection)
-    n_parts = sum(0 if method == "standard" else 2 for method in cfg.methods)
-    assert len(seen) == n_parts  # a part without terms would not be weighed
-    for tile_cost, n_terms in seen:
-        assert pays(t.size, tile_cost, n_terms)
+        _run_method(short, method)
 
 
 def test_scenario_times_include_endpoint():
@@ -566,16 +559,37 @@ def test_ten_thousand_spins_end_to_end_under_a_memory_cap(tmp_path, run_capped):
 
 
 def test_ten_thousand_spins_on_a_uniform_grid_under_a_memory_cap(tmp_path, run_capped):
-    # 81 uniform times take exact's exponential-sum kernel (from 19 times on at N = 10^4
-    # for the survival, 35 for the coherence), whose terms go in slices of the sector table
+    # every part takes the exponential-sum kernel, whose terms go in slices of the
+    # sector table
     _ten_thousand_spins(tmp_path, run_capped, dt=2.5, n_times=81)
 
 
-def test_ten_thousand_spins_on_the_tiles_under_a_memory_cap(tmp_path, run_capped):
-    # 21 times are below the kernel thresholds at N = 10^4 of the exact coherence (35)
-    # and of the TCL2 coherence and populations (41 and 107), so those three run on the
-    # tiles; the exact survival takes the kernel from 19 times on
-    _ten_thousand_spins(tmp_path, run_capped, dt=10.0, n_times=21)
+_CAPPED_TILES = textwrap.dedent(
+    """
+    import numpy as np
+    from spinstar import trajectory
+    from spinstar.exact import exact_trajectory
+    from spinstar.masters import tcl2_jm
+    from spinstar.sectors import SystemParams, coupling_from_alpha
+
+    trajectory._exp_sum = None  # any kernel route would fail
+    p = SystemParams(N=10_000, A=coupling_from_alpha(10_000, 1.0, 0.1), omega0=1.0,
+                     initial_p_plus=0.7, initial_coh=0.3 - 0.2j)
+    t = np.concatenate([[0.0], np.geomspace(0.5, 200.0, 20)])
+    exact, tcl2 = exact_trajectory(p, t), tcl2_jm(p, t)
+    for traj in (exact, tcl2):
+        assert traj.p_plus[0] == 0.7 and traj.coh[0] == 0.3 - 0.2j
+    assert 0.0 < np.max(np.abs(tcl2.coh - exact.coh)) <= 0.05
+    """
+)
+
+
+def test_ten_thousand_spins_on_the_tiles_under_a_memory_cap(run_capped):
+    # the CLI builds only uniform grids, which take the kernel, so the tiles of the
+    # exact sums and of TCL2 (jm) at N = 10^4 run here on a geometric grid, under the
+    # 256 MiB cap of the compare runs above
+    proc = run_capped(_CAPPED_TILES, cap_mib=256)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _ten_thousand_spins(tmp_path, run_capped, dt, n_times):

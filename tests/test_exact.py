@@ -275,12 +275,10 @@ def test_uniform_route_agrees_with_the_sector_pass(monkeypatch, n, a, omega0):
         assert np.any(om == 0.0)
     if (n, a) == (3, -0.25):
         assert np.any(mu == 0.0)
-    routes = {}
-    for pays in (False, True):
-        with monkeypatch.context() as patch:
-            patch.setattr(trajectory, "_kernel_pays", lambda *counts, pays=pays: pays)
-            routes[pays] = exact_trajectory(p, t)
-    tiles, traj = routes[False], routes[True]
+    traj = exact_trajectory(p, t)
+    with monkeypatch.context() as patch:
+        patch.setattr(trajectory, "_uniform_step", lambda t: None)
+        tiles = exact_trajectory(p, t)
     np.testing.assert_allclose(traj.p_plus, tiles.p_plus, rtol=0, atol=1e-13)
     np.testing.assert_allclose(traj.coh, tiles.coh, rtol=0, atol=1e-13)
     assert traj.p_plus[0] == 0.35 and traj.coh[0] == 0.2 - 0.3j

@@ -156,11 +156,11 @@ def test_every_defaulted_parameter_of_a_private_function_is_passed_in_the_packag
 
 
 def test_only_the_route_reaches_the_kernel_and_only_the_tiles_sweep():
-    # one route for every method: trajectory._sector_sums alone weighs and runs the
+    # one route for every method: trajectory._sector_sums alone runs the
     # exponential-sum kernel, and trajectory._tiles alone sizes and runs the tile
     # sweep, so no method keeps a route or a tile loop of its own.  A name counts
     # wherever it is read or imported, not only where it is called
-    users = {"_kernel_pays": set(), "_exp_sum": set(), "_sweep": set(), "_sector_blocks": set()}
+    users = {"_exp_sum": set(), "_sweep": set(), "_sector_blocks": set()}
     for path in sorted((ROOT / "src" / "spinstar").glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
@@ -169,96 +169,6 @@ def test_only_the_route_reaches_the_kernel_and_only_the_tiles_sweep():
                          else [node.attr] if isinstance(node, ast.Attribute) else [])
                 for name in set(names) & users.keys():
                     users[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert users == {"_kernel_pays": {"trajectory._sector_sums"},
-                     "_exp_sum": {"trajectory._sector_sums"},
+    assert users == {"_exp_sum": {"trajectory._sector_sums"},
                      "_sweep": {"trajectory._tiles"},
                      "_sector_blocks": {"trajectory._tiles"}}
-
-
-#: every N = 101 route threshold the docs quote, as text that must appear in them once
-#: the fields are filled from trajectory._kernel_pays and the fills' counts: ex_* the
-#: exact survival and coherence, tc_* and tp_* the TCL2 coherence and populations, nc_*
-#: and np_* the NZ2 ones, tcn_* and tpn_* TCL2 terms per sector; suffix 5 for
-#: alpha = 0.5 (else 0.1), _1 for P_+(0) = 1 (else 0.7)
-THRESHOLD_QUOTES = {
-    "README.md": [
-        "alpha = 0.1, about {tcn_jm:.1f} per sector under jm and {tcn_m:.1f} under m: from "
-        "{tc_jm} and {tc_m} times on",
-        "the kernel takes them from {tp_jm} times on under jm and from {tp_m} under m "
-        "({tpn_jm:.1f} and {tpn_m:.1f} terms per sector) for P_+(0) = 0.7",
-        "from P_+(0) = 1 it is {tp_jm_1} and {tp_m_1} times ({tpn_jm_1:.1f} and "
-        "{tpn_m_1:.1f} terms)",
-        "At N = 101 it takes the kernel from {ex_pop} and {ex_coh} times on for the exact "
-        "survival and coherence, from {nc_m} and {np_m} (m) and {nc_jm} and {np_jm} (jm) for "
-        "the NZ2 coherence and populations; for the TCL2 coherence from {tc_m} (m) and "
-        "{tc_jm} (jm) at alpha = 0.1, {tc_m5} and {tc_jm5} at alpha = 0.5; for the TCL2 "
-        "populations from {tp_m} and {tp_jm}, and {tp_m5} and {tp_jm5}, for P_+(0) = 0.7 and "
-        "coherence 0.2+0.1j (from P_+(0) = 1: {tp_m_1} and {tp_jm_1}, and {tp_m5_1} and "
-        "{tp_jm5_1}).",
-    ],
-    "trajectory": [
-        "At N = 101 and alpha = 0.1 the kernel takes the exact survival from {ex_pop} times "
-        "on and the exact coherence from {ex_coh}, the TCL2 coherence from {tc_m} (m) and "
-        "{tc_jm} (jm), the TCL2 populations from {tp_m} and {tp_jm} (from P_+(0) = 0.7; "
-        "{tp_m_1} and {tp_jm_1} from P_+(0) = 1), and the NZ2 coherence and populations from "
-        "{nc_m} and {np_m} (m) and {nc_jm} and {np_jm} (jm), whatever the state.",
-    ],
-    "exact": [
-        "at N = 101 the kernel takes the survival from {ex_pop} times on and the coherence "
-        "from {ex_coh}.",
-        "the thresholds ({ex_pop} and {ex_coh} at N = 101,",
-    ],
-    "masters": [
-        "at N = 101 and alpha = 0.1, with about {tcn_jm:.1f} terms per sector under jm and "
-        "{tcn_m:.1f} under m, the kernel takes the coherence from {tc_jm} and {tc_m} times "
-        "on (alpha = 0.5: {tcn_jm5:.1f} and {tcn_m5:.1f} terms, from {tc_jm5} and {tc_m5}).",
-        "at N = 101 and alpha = 0.1, from P_+(0) = 0.7, with {tpn_jm:.1f} terms per sector "
-        "under jm and {tpn_m:.1f} under m, the kernel takes the populations from {tp_jm} "
-        "times on under jm and from {tp_m} under m (alpha = 0.5: from {tp_jm5} and "
-        "{tp_m5}). The terms follow y0: from P_+(0) = 1, from {tp_jm_1} and {tp_m_1} "
-        "(alpha = 0.5: {tp_jm5_1} and {tp_m5_1}).",
-    ],
-}
-
-
-def _route_thresholds():
-    """The fields of THRESHOLD_QUOTES, each the least grid length on which
-    trajectory._kernel_pays takes the kernel for the counts the part's fill hands it."""
-    import numpy as np
-
-    from spinstar import exact, masters, trajectory
-    from spinstar.sectors import SystemParams, coupling_from_alpha, sector_family
-
-    fields, by_state = {}, {}
-    fills = {"ex": (exact._exact_fill, ("jm",)), "t": (masters._tcl2_fill, ("m", "jm")),
-             "n": (masters._nz2_fill, ("m", "jm"))}
-    for alpha, p0 in ((0.1, 0.7), (0.5, 0.7), (0.1, 1.0), (0.5, 1.0)):
-        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, alpha), omega0=1.0,
-                         initial_p_plus=p0, initial_coh=0.2 + 0.1j if p0 < 1.0 else 0.0)
-        suffix = ("5" if alpha == 0.5 else "") + ("_1" if p0 == 1.0 else "")
-        for method, (fill, families) in fills.items():
-            for family in families:
-                fam = sector_family(p, family)
-                _, coh, pop = fill(p, fam, 0.5 * np.arange(3), True, True, None, 0.5)
-                for part, (cost, n_terms, _) in (("c", coh), ("p", pop)):
-                    n_star = next(n for n in range(1, 10**5)
-                                  if trajectory._kernel_pays(n, cost, n_terms))
-                    name = (f"ex_{'coh' if part == 'c' else 'pop'}" if method == "ex"
-                            else f"{method}{part}_{family}")
-                    fields[name + suffix] = n_star
-                    fields[f"{method}{part}n_{family}{suffix}"] = n_terms / fam.w.size
-                    by_state.setdefault((name, alpha), set()).add(n_star)
-    return fields, by_state
-
-
-def test_every_quoted_threshold_is_the_route_rule_s():
-    fields, by_state = _route_thresholds()
-    # the exact and NZ2 thresholds hold whatever the state, as the docs say
-    assert all(len(n) == 1 for (name, _), n in by_state.items() if not name.startswith("t"))
-    sources = {name: (ROOT / name).read_text() if name.endswith(".md") else
-               (ROOT / "src" / "spinstar" / f"{name}.py").read_text() for name in THRESHOLD_QUOTES}
-    for name, quotes in THRESHOLD_QUOTES.items():
-        text = " ".join(re.sub(r"^\s*#:?", "", sources[name].replace("`", ""),
-                               flags=re.M).split())
-        for quote in quotes:
-            assert quote.format(**fields) in text, (name, quote.format(**fields))

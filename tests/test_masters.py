@@ -381,8 +381,8 @@ class TestTimeChunks:
     @pytest.mark.parametrize("return_sectors", [False, True])
     @pytest.mark.parametrize("fn", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
     def test_chunked_closed_forms_are_bit_identical(self, monkeypatch, fn, return_sectors):
-        if fn.__name__.startswith("tcl2"):  # both TCL2 series are too long for 127 times
-            monkeypatch.setattr(trajectory, "_exp_sum", None)  # any kernel route would fail
+        if fn.__name__.startswith("tcl2"):  # their totals from the chunked tiles too
+            monkeypatch.setattr(trajectory, "_uniform_step", lambda t: None)
         whole = fn(PARAMS, self.T, return_sectors=return_sectors)
         # blocks of one chain each, the longest (j = 5/2, and the whole m table) 6 sectors
         # at 40 bytes per sector-time point, 48 with sectors: 5 times per chunk
@@ -406,24 +406,10 @@ class TestTimeChunks:
 
 
 def _tile_totals(monkeypatch, p, t, family):
-    """NZ2 of ``family`` with its totals from the tiles, as on a grid too short for the kernel."""
+    """NZ2 of ``family`` with its totals from the tiles, as on a non-uniform grid."""
     with monkeypatch.context() as patch:
-        patch.setattr(trajectory, "_kernel_pays", lambda *counts: False)
+        patch.setattr(trajectory, "_uniform_step", lambda t: None)
         return _solve(p, t, "nz2", family)[0]
-
-
-def _threshold(tile_cost, n_terms):
-    """The least grid length on which trajectory._kernel_pays takes the kernel."""
-    return next(n for n in range(1, 10**5) if trajectory._kernel_pays(n, tile_cost, n_terms))
-
-
-def _part(p, method, family, coherence):
-    """(tile cost per time, term count) of one part that the fill hands the route rule."""
-    fill = {"tcl2": masters._tcl2_fill, "nz2": masters._nz2_fill}[method]
-    t = 0.5 * np.arange(3)
-    part = fill(p, sector_family(p, family), t, not coherence, coherence, None, 0.5)[
-        1 if coherence else 2]
-    return part[:2]
 
 
 def _tile_calls(monkeypatch):
@@ -439,7 +425,7 @@ def _tile_calls(monkeypatch):
 
 
 class TestKernelRoute:
-    """NZ2 totals by trajectory._exp_sum on a uniform grid long enough for their terms."""
+    """NZ2 totals by trajectory._exp_sum on a uniform grid."""
 
     T = 0.5 * np.arange(601)
     # N <= 40 at A = -0.13 (resonant: Omega_+(m) = 0 at one sector); N = 101 at
@@ -490,8 +476,6 @@ class TestKernelRoute:
         geometric = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 90)])
         assert trajectory._uniform_step(geometric) is None
         nz2_jm(PARAMS, geometric)
-        short = min(_threshold(*_part(PARAMS, "nz2", "jm", part)) for part in (True, False))
-        nz2_jm(PARAMS, self.T[:short - 1])
         nz2_jm(PARAMS, self.T[:101], opts=SolveOptions(step=0.01))
         with pytest.raises(TypeError):
             nz2_jm(PARAMS, self.T)
@@ -630,7 +614,6 @@ class TestTcl2KernelRoute:
     @pytest.mark.parametrize("n", [1, 2, 5, 101])
     def test_coherence_matches_the_closed_form(self, monkeypatch, n, family, sign):
         p = self._params(n, sign)
-        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
         calls = _exp_sum_calls(monkeypatch)
         traj = _solve(p, self.T, "tcl2", family, populations=False)[0]
         assert len(calls) == 1
@@ -648,7 +631,6 @@ class TestTcl2KernelRoute:
         # POP_TOL's bounds
         assert np.max(c) <= 0.07 and np.max(np.abs(fam.om_p)) <= 1.2
         assert np.sum(np.abs(fam.y0)) <= 0.4
-        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
         calls = _exp_sum_calls(monkeypatch)
         traj = _solve(p, self.T, "tcl2", family, coherence=False)[0]
         assert len(calls) == 1
@@ -678,69 +660,15 @@ class TestTcl2KernelRoute:
         geometric = np.concatenate([[0.0], np.geomspace(0.05, 1000.0, 2000)])
         assert trajectory._uniform_step(geometric) is None
         tcl2_jm(p, geometric)
-        assert min(_threshold(*_part(p, "tcl2", "jm", part)) for part in (True, False)) > 63
-        tcl2_jm(p, uniform[:63])
         for fn in (tcl2_jm, tcl2_coherence_m, tcl2_population_m):
             with pytest.raises(TypeError):
                 fn(p, uniform)
 
-    def test_a_grid_too_short_for_the_terms_takes_the_tiles(self, monkeypatch):
-        # about 9.6 terms per sector under jm and 7.9 under m at N = 101 (alpha = 0.1),
-        # which trajectory._kernel_pays weighs against the tile cost of the fill
-        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
-                         initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
-        fam = sector_family(p, "jm")
-        n_terms, terms = masters._tcl2_series(p, fam)
-        counts = [sum(nu.size for _, nu in terms)]
-        assert n_terms == counts[0] and 9 <= counts[0] / fam.w.size < 10
-        need = _threshold(*_part(p, "tcl2", "jm", True))
-        assert 64 < need < 2001
-        calls = _exp_sum_calls(monkeypatch)
-        tcl2_jm(p, 0.5 * np.arange(need - 1))
-        assert calls == []
-        tcl2_jm(p, 0.5 * np.arange(need))
-        assert calls == counts
-        # under m the kernel pays earlier: 601 times, the grid of ``compare`` at
-        # dt = 0.1 and t_max = 60, take it, and so do 64, where it is about 1.4 times
-        # as fast as the tiles
-        fam = sector_family(p, "m")
-        n_terms, terms = masters._tcl2_series(p, fam)
-        counts = [sum(nu.size for _, nu in terms)]
-        assert n_terms == counts[0] and 7 <= counts[0] / fam.w.size < 8
-        need = _threshold(*_part(p, "tcl2", "m", True))
-        assert 16 < need <= 64
-        calls.clear()
-        tcl2_coherence_m(p, 0.5 * np.arange(need - 1))
-        assert calls == []
-        tcl2_coherence_m(p, 0.1 * np.arange(601))
-        assert calls == counts
 
-    @pytest.mark.parametrize("family, low, high", [("jm", 2.5, 3), ("m", 2, 2.5)])
-    def test_a_grid_too_short_for_the_population_terms_takes_the_tiles(self, monkeypatch,
-                                                                        family, low, high):
-        # about 2.8 terms per sector under jm and 2.25 under m at N = 101 (alpha = 0.1),
-        # against tiles that cost little per sector but read a g table of one row per
-        # detuning (87 under jm, 103 under m); closed_form_long's grid (jm, 2001 times)
-        # and nz2_memory's (m, 601 times) take the kernel
-        p = SystemParams(N=101, A=coupling_from_alpha(101, 1.0, 0.1), omega0=1.0,
-                         initial_p_plus=0.8, initial_coh=0.3 - 0.1j)
-        fam = sector_family(p, family)
-        n_terms, terms = masters._tcl2_population_series(fam)
-        counts = [sum(nu.size for _, nu in terms)]
-        assert n_terms == counts[0] and low <= counts[0] / fam.w.size < high
-        need = _threshold(*_part(p, "tcl2", family, False))
-        assert need <= {"jm": 2001, "m": 601}[family]
-        calls = _exp_sum_calls(monkeypatch)
-        _solve(p, 0.5 * np.arange(need - 1), "tcl2", family, coherence=False)
-        assert calls == []
-        _solve(p, 0.5 * np.arange(need), "tcl2", family, coherence=False)
-        assert calls == counts
-
-
-class TestRouteBoundary:
-    """Every part at its threshold n* of trajectory._kernel_pays: the tiles on n* - 1
-    times, the kernel on n*, and the same results on the shared times, within the
-    tolerance each part's kernel tests argue."""
+class TestKernelAgreesWithTheTiles:
+    """Every part by trajectory._exp_sum against the tiles on the same uniform grid,
+    within the tolerance each part's kernel tests argue: 1001 times (t <= 500, where
+    those arguments hold), and the edge grids of one and two times."""
 
     P = TestTcl2KernelRoute._params(101, 1.0)  # alpha = 0.1, the grounds of TOL and POP_TOL
     PARTS = {
@@ -752,57 +680,49 @@ class TestRouteBoundary:
         **{f"nz2-{part}-{family}": ("nz2", family, part == "pop", part == "coh", 1e-14)
            for part in ("coh", "pop") for family in ("m", "jm")},
     }
+    GRIDS = (0.5 * np.arange(1001), np.array([0.0]), np.array([3.7]), 0.5 * np.arange(2))
 
     @staticmethod
     def _run(method, family, populations, coherence, t):
+        p = TestKernelAgreesWithTheTiles.P
         if method == "exact":
-            return exact._exact(TestRouteBoundary.P, t, populations, coherence)
-        return _solve(TestRouteBoundary.P, t, method, family, populations, coherence)[0]
-
-    def _threshold(self, monkeypatch, part):
-        """n* from the counts the part hands trajectory._kernel_pays."""
-        seen = []
-        with monkeypatch.context() as patch:
-            patch.setattr(trajectory, "_kernel_pays", lambda *counts: seen.append(counts))
-            self._run(*part, 0.5 * np.arange(3))
-        ((_, tile_cost, n_terms),) = seen
-        return _threshold(tile_cost, n_terms)
+            return exact._exact(p, t, populations, coherence)
+        return _solve(p, t, method, family, populations, coherence)[0]
 
     @pytest.mark.parametrize("name", PARTS)
-    def test_tiles_below_and_kernel_at_the_threshold_agree(self, monkeypatch, name):
+    def test_kernel_and_tiles_agree(self, monkeypatch, name):
         *part, tol = self.PARTS[name]
-        n_star = self._threshold(monkeypatch, part)
-        for workers in (1, 2):  # the rule reads counts only
-            with monkeypatch.context() as patch:
-                patch.setattr(trajectory, "_workers", lambda workers=workers: workers)
-                assert self._threshold(monkeypatch, part) == n_star
-        assert n_star <= 1001  # t <= 500, where each tolerance's argument holds
+        method, populations = part[0], part[2]
         calls = []
-        for name in ("_tiles", "_exp_sum"):
-            def spy(*args, fn=getattr(trajectory, name), kind=name == "_tiles"):
-                calls.append("tiles" if kind else "kernel")
+        for route in ("_tiles", "_exp_sum"):
+            def spy(*args, fn=getattr(trajectory, route), route=route):
+                calls.append(route)
                 return fn(*args)
 
-            monkeypatch.setattr(trajectory, name, spy)
-        below = self._run(*part, 0.5 * np.arange(n_star - 1))
-        assert calls == ["tiles"]
-        calls.clear()
-        at = self._run(*part, 0.5 * np.arange(n_star))
-        assert calls == ["kernel"]
-        for got in ("p_plus", "coh"):
-            a, b = getattr(below, got), getattr(at, got)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.max(np.abs(a - b[:-1])) <= tol
+            monkeypatch.setattr(trajectory, route, spy)
+        start = self.P.initial_p_plus if populations else self.P.initial_coh
+        for t in self.GRIDS:
+            if method == "nz2" and t[0] != 0.0:
+                continue  # NZ2 refuses such a grid on either route
+            got = {}
+            for route, step in (("_exp_sum", trajectory._uniform_step), ("_tiles", lambda t: None)):
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(trajectory, "_uniform_step", step)
+                    traj = self._run(*part, t)
+                assert calls == [route]
+                got[route] = traj.p_plus if populations else traj.coh
+                if t[0] == 0.0:
+                    assert got[route][0] == start
+            assert np.max(np.abs(got["_exp_sum"] - got["_tiles"])) <= tol
 
 
 @pytest.mark.parametrize("method, family", [
     ("tcl2", "m"), ("nz2", "m"), ("tcl2", "jm"), ("nz2", "jm"), ("exact", "jm"),
 ], ids=["tcl2-m", "nz2-m", "tcl2-jm", "nz2-jm", "exact"])
 def test_each_total_is_blind_to_the_other_part_and_to_the_tiles(monkeypatch, method, family):
-    # on a uniform kernel grid each part takes one _exp_sum call of its own, whether
-    # the other part is asked for and whether sectors run the tiles (exact has none)
-    monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)  # any length
+    # on a uniform grid each part takes one _exp_sum call of its own, whether the
+    # other part is asked for and whether sectors run the tiles (exact has none)
     t = 0.5 * np.arange(601)
 
     def solve(populations, coherence, sectors):
@@ -878,10 +798,9 @@ def _series_degrees(monkeypatch, p, fam):
     with monkeypatch.context() as patch:
         patch.setattr(masters, "_poisson_degrees",
                       lambda *args: used.append(poisson_degrees(*args)) or used[-1])
-        n_terms, terms = masters._tcl2_series(p, fam)
-        assert n_terms == sum(nu.size for _, nu in terms)
+        terms = masters._tcl2_series(p, fam)
     (degree,) = used
-    assert n_terms == np.sum((degree + 1) * (degree + 2) // 2)
+    assert sum(nu.size for _, nu in terms) == np.sum((degree + 1) * (degree + 2) // 2)
     return degree
 
 
@@ -945,8 +864,6 @@ class TestTcl2ResonanceFallback:
         # the populations of a sector nearest resonance are coupled: pair_coef > 0
         nearest = np.abs(fam.om_p) == np.min(np.abs(fam.om_p))
         assert np.any(fam.pair_coef[nearest] > 0.0)
-        # with the cost rule out of the way, only the series itself can refuse
-        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)
         assert masters._tcl2_series(p, fam) is None
         assert masters._tcl2_population_series(fam) is None
         calls = _exp_sum_calls(monkeypatch)
@@ -962,7 +879,6 @@ class TestTcl2ResonanceFallback:
         p = SystemParams(N=1, A=-0.25, omega0=1.0, initial_p_plus=0.6, initial_coh=0.3 - 0.1j)
         fam = sector_family(p, family)
         assert np.any(fam.om_p == 0.0) and np.all(fam.b_p[fam.om_p == 0.0] == 0.0)
-        monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: True)
         calls = _exp_sum_calls(monkeypatch)
         coh = _solve(p, self.T, "tcl2", family, populations=False)[0].coh
         assert len(calls) == 1

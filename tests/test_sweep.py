@@ -90,8 +90,8 @@ ROUTES["exact-tiles"] = _exact_tiles
 @pytest.mark.parametrize("solve", ROUTES.values(), ids=ROUTES.keys())
 def test_worker_count_changes_no_bit(monkeypatch, solve, grid):
     t = GRIDS[grid]
-    # NZ2 totals from the tiles on the uniform grid too, not from trajectory._exp_sum
-    monkeypatch.setattr(trajectory, "_kernel_pays", lambda *counts: False)
+    # the totals from the tiles on the uniform grid too, not from trajectory._exp_sum
+    monkeypatch.setattr(trajectory, "_uniform_step", lambda t: None)
     whole = solve(t)  # one chunk
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)
     started = _count_thread_starts(monkeypatch)
@@ -194,6 +194,7 @@ def _raise_off_the_calling_thread(monkeypatch, exc):
         return per_chunk, *terms
 
     monkeypatch.setattr(masters, "_tcl2_fill", failing)
+    monkeypatch.setattr(trajectory, "_uniform_step", lambda t: None)  # the tiles on any grid
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", BUDGET)
     _workers(monkeypatch, 2)
 
