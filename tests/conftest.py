@@ -33,3 +33,23 @@ def run_capped():
         )
 
     return run
+
+
+@pytest.fixture
+def on_the_tiles(monkeypatch):
+    """Every sector sum on the tiles, as on a non-uniform grid, whatever the grid.
+
+    Returns the list of (populations, coherence) of every ``trajectory._tiles`` call
+    from then on, so a test can check that the tiles it steers to did run.
+    """
+    from spinstar import trajectory
+
+    calls, tiles = [], trajectory._tiles
+
+    def spy(params, fam, t, populations, coherence, *rest):
+        calls.append((populations, coherence))
+        return tiles(params, fam, t, populations, coherence, *rest)
+
+    monkeypatch.setattr(trajectory, "_uniform_step", lambda t: None)
+    monkeypatch.setattr(trajectory, "_tiles", spy)
+    return calls

@@ -360,6 +360,10 @@ class TestFigurePresets:
         assert method_filename("nz2", "m") == "nz2_m.csv"
 
 
+def _no_tiles(*args):
+    raise AssertionError("the tiles ran")
+
+
 @pytest.mark.parametrize("projection, dt, t_max", [("jm", 0.5, 1000.0), ("m", 0.1, 60.0)])
 def test_compare_on_a_long_uniform_grid_runs_no_tile(tmp_path, monkeypatch, projection, dt,
                                                      t_max):
@@ -368,10 +372,7 @@ def test_compare_on_a_long_uniform_grid_runs_no_tile(tmp_path, monkeypatch, proj
     # J_3^tot, constant by construction, comes from the sector table
     from spinstar import trajectory
 
-    def no_tiles(*args):
-        raise AssertionError("the tiles ran")
-
-    monkeypatch.setattr(trajectory, "_tiles", None)  # any tile would fail
+    monkeypatch.setattr(trajectory, "_tiles", _no_tiles)
     cfg = write_config(tmp_path, f"""
 N = 101
 omega0 = 1.0
@@ -404,7 +405,7 @@ def test_every_figure_preset_takes_the_kernel_for_every_part(monkeypatch, preset
     assert trajectory._uniform_step(cfg.times()) is not None
     short = figure_config(preset, t_max=2 * cfg.dt)
     assert short.times().size == 3
-    monkeypatch.setattr(trajectory, "_tiles", None)  # any tile would fail
+    monkeypatch.setattr(trajectory, "_tiles", _no_tiles)
     for method in cfg.methods:
         _run_method(short, method)
 
@@ -579,6 +580,7 @@ _CAPPED_TILES = textwrap.dedent(
     exact, tcl2 = exact_trajectory(p, t), tcl2_jm(p, t)
     for traj in (exact, tcl2):
         assert traj.p_plus[0] == 0.7 and traj.coh[0] == 0.3 - 0.2j
+        assert traj.trace_drift() == 0.0
     assert 0.0 < np.max(np.abs(tcl2.coh - exact.coh)) <= 0.05
     """
 )

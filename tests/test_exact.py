@@ -147,10 +147,11 @@ def test_trajectory_builds_one_sector_table(monkeypatch):
     np.testing.assert_array_equal(traj.coh, exact_coherence(p, t).coh)
 
 
-def test_time_chunks_do_not_change_the_result(monkeypatch):
+def test_time_chunks_do_not_change_the_result(monkeypatch, on_the_tiles):
     p = SystemParams(N=7, A=0.21, omega0=1.3, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
     t = np.linspace(0.0, 20.0, 60)
     whole = exact_trajectory(p, t)
+    on_the_tiles.clear()
     # blocks of one chain each, the longest (j = 7/2) 8 sectors at 40 bytes per sector-time
     # point: 7 times per chunk
     rows = 8
@@ -158,6 +159,7 @@ def test_time_chunks_do_not_change_the_result(monkeypatch):
     monkeypatch.setattr(trajectory, "_workers", lambda: 1)  # the chunks counted below run
     assert len(list(trajectory._time_chunks(t.size, 40 * rows))) == 9
     chunked = exact_trajectory(p, t)
+    assert on_the_tiles == [(True, True)]
     np.testing.assert_allclose(chunked.p_plus, whole.p_plus, rtol=0, atol=1e-15)
     np.testing.assert_allclose(chunked.coh, whole.coh, rtol=0, atol=1e-15)
 

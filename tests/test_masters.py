@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import math
 import textwrap
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,6 +285,17 @@ class TestSharedKernelsAtResonance:
         "p", CASES + list(NEAR.values()), ids=["N3", "N1"] + list(NEAR)
     )
     def test_closed_forms_match_direct_integration(self, p, family):
+        self._check_against_direct_integration(p, family)
+
+    @pytest.mark.parametrize("family", ["m", "jm"])
+    @pytest.mark.parametrize(
+        "p", CASES + list(NEAR.values()), ids=["N3", "N1"] + list(NEAR)
+    )
+    def test_the_tiles_match_direct_integration(self, on_the_tiles, p, family):
+        self._check_against_direct_integration(p, family)
+        assert on_the_tiles
+
+    def _check_against_direct_integration(self, p, family):
         om_p = np.abs(sector_family(p, family).om_p)
         if p.A == -0.25:
             assert np.any(om_p == 0.0)
@@ -333,15 +346,24 @@ def _resonant_or_generic_params(data):
     return SystemParams(N=n, A=a, omega0=omega0, initial_p_plus=p0, initial_coh=coh)
 
 
+def _drawn_route(data):
+    """A context in which the sector sums of a uniform grid take the kernel or, as drawn,
+    the tiles."""
+    if data.draw(st.booleans(), label="tiles"):
+        return mock.patch.object(trajectory, "_uniform_step", lambda t: None)
+    return contextlib.nullcontext()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_nz2_default_route_is_exact_hypothesis(data):
     p = _resonant_or_generic_params(data)
     t = np.linspace(0.0, 20.0, 81)
-    np.testing.assert_allclose(
-        nz2_jm(p, t).p_plus, exact_population_plus(p, t).p_plus, rtol=0, atol=1e-12
-    )
-    assert nz2_coherence_m(p, t).coh[0] == complex(p.initial_coh)
+    with _drawn_route(data):
+        np.testing.assert_allclose(
+            nz2_jm(p, t).p_plus, exact_population_plus(p, t).p_plus, rtol=0, atol=1e-12
+        )
+        assert nz2_coherence_m(p, t).coh[0] == complex(p.initial_coh)
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,13 +371,24 @@ def test_nz2_default_route_is_exact_hypothesis(data):
 def test_exact_solution_stays_positive_hypothesis(data):
     # a physical initial state stays physical: |coh|^2 <= p(1-p) along the exact solution
     p = _resonant_or_generic_params(data)
-    traj = exact_trajectory(p, np.linspace(0.0, 40.0, 161))
+    with _drawn_route(data):
+        traj = exact_trajectory(p, np.linspace(0.0, 40.0, 161))
     margin = np.abs(traj.coh) ** 2 - traj.p_plus * (1.0 - traj.p_plus)
     assert np.max(margin) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_decoupled_bath_leaves_the_state_constant(n):
+    _check_decoupled_bath(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_decoupled_bath_leaves_the_state_constant_on_the_tiles(on_the_tiles, n):
+    _check_decoupled_bath(n)
+    assert on_the_tiles
+
+
+def _check_decoupled_bath(n):
     p = SystemParams(N=n, A=0.0, omega0=1.3, initial_p_plus=0.7, initial_coh=0.3 - 0.2j)
     t = np.linspace(0.0, 30.0, 61)
     trajs = [
@@ -380,10 +413,11 @@ class TestTimeChunks:
 
     @pytest.mark.parametrize("return_sectors", [False, True])
     @pytest.mark.parametrize("fn", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
-    def test_chunked_closed_forms_are_bit_identical(self, monkeypatch, fn, return_sectors):
-        if fn.__name__.startswith("tcl2"):  # their totals from the chunked tiles too
-            monkeypatch.setattr(trajectory, "_uniform_step", lambda t: None)
+    def test_chunked_closed_forms_are_bit_identical(self, monkeypatch, on_the_tiles, fn,
+                                                    return_sectors):
+        # the totals from the chunked tiles too, where on this grid they take the kernel
         whole = fn(PARAMS, self.T, return_sectors=return_sectors)
+        on_the_tiles.clear()
         # blocks of one chain each, the longest (j = 5/2, and the whole m table) 6 sectors
         # at 40 bytes per sector-time point, 48 with sectors: 5 times per chunk
         rows, point = 6, 48 if return_sectors else 40
@@ -391,6 +425,7 @@ class TestTimeChunks:
         monkeypatch.setattr(trajectory, "_workers", lambda: 1)  # the chunks counted below run
         assert len(list(trajectory._time_chunks(self.T.size, point * rows))) == 26
         chunked = fn(PARAMS, self.T, return_sectors=return_sectors)
+        assert on_the_tiles
         if return_sectors:
             (whole, whole_bundle), (chunked, chunked_bundle) = whole, chunked
             for part in ("p_plus", "p_minus", "coh"):

@@ -92,7 +92,7 @@ def test_trajectory_checks_each_array_as_it_is():
                    projection="none", params=p)
 
 
-def test_one_wide_tail_joins_the_last_chunk(monkeypatch):
+def test_one_wide_tail_joins_the_last_chunk(monkeypatch, on_the_tiles):
     # 36 jm sectors, 3 times per chunk: 10 times would leave a 1-wide tail,
     # which numpy sums over sectors pairwise instead of row by row
     p = SystemParams(N=10, A=0.07, omega0=1.2, initial_p_plus=0.35, initial_coh=0.2 - 0.3j)
@@ -110,7 +110,9 @@ def test_one_wide_tail_joins_the_last_chunk(monkeypatch):
     assert [s.stop - s.start for s in trajectory._time_chunks(3, 2**30)] == [3]
     assert [s.stop - s.start for s in trajectory._time_chunks(5, 2**30)] == [2, 3]
     for name, run in runs.items():
+        on_the_tiles.clear()
         chunked = run()
+        assert on_the_tiles, name
         for part in ("p_plus", "coh"):
             if getattr(chunked, part) is not None:
                 np.testing.assert_array_equal(getattr(chunked, part), getattr(whole[name], part))
