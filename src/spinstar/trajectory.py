@@ -4,11 +4,12 @@ Every public solver checks its grid with ``_validate_times``.  The exact, TCL2
 and NZ2 sector sums all take one route, ``_sector_sums``, part by part (a
 coherence or a population sum).  Where ``_uniform_step`` finds a uniform grid,
 a part that is a sum of exponentials in time takes ``_exp_sum``, one blocked
-complex GEMM on the whole grid, its terms cut into the slices of
-``_sector_slices``.  Every other part, and every sector-resolved array, comes
-from ``_tiles``, which sums per (sector block, time chunk) tile of
-``_sector_blocks`` and ``_time_chunks``; ``_sweep`` spreads the time chunks
-over one thread per allowed CPU, up to _MAX_WORKERS.
+baby-step/giant-step complex GEMM on the whole grid of two tables of phase
+powers, its terms cut into the slices of ``_sector_slices``.  Every other
+part, and every sector-resolved array, comes from ``_tiles``, which sums per
+(sector block, time chunk) tile of ``_sector_blocks`` and ``_time_chunks``;
+``_sweep`` spreads the time chunks over one thread per allowed CPU, up to
+_MAX_WORKERS.
 """
 
 from __future__ import annotations
@@ -237,49 +238,39 @@ def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
 
     ``terms`` yields the (amp, nu) array pairs of the sum, added in order.
     Baby steps and giant steps (Paterson & Stockmeyer, SIAM J. Comput. 2,
-    60, 1973): with j = q C + r, E is one complex GEMM (Q x K) @ (K x C) of
-    the giant steps amp_k exp(i nu_k (t0 + q C dt)) and the baby steps
-    exp(i nu_k r dt).  Each table is in turn the elementwise product of two
-    small tables, one level deeper: r = a c2 + c splits the baby steps
-    into exp(i nu_k a c2 dt) exp(i nu_k c dt), and q = u r2 + v the giant
-    steps into amp_k exp(i nu_k t0) exp(i nu_k u r2 C dt) exp(i nu_k v C dt),
-    with c2 ~ sqrt(C), C rounded up to c1 c2 ~ sqrt(n) and r2 ~ sqrt(Q).  The
-    four small tables are powers of their steps' phases (``_power_tables``), so
-    it takes 4 K sines and cosines, 5 K where t0 != 0, and K (Q + C) complex
-    products, plus about 4 K n^(1/4) for the powers, instead of K n of each.
-    A last giant row at t = 0, exactly amp_k, gives E(0) from the same GEMM;
-    where t0 = 0 the first row does, so the result is exactly 0 there.
+    60, 1973): with j = q C + r, C = isqrt(n - 1) + 1 >= sqrt(n) and Q =
+    ceil(n / C), E is one complex GEMM (Q x K) @ (K x C) of the giant steps
+    amp_k exp(i nu_k (t0 + q C dt)) and the baby steps exp(i nu_k r dt).
+    Both tables are powers of their steps' phases (``_power_tables``), so
+    it takes 2 K sines and cosines, 3 K where t0 != 0, and about 2 K sqrt(n)
+    complex products for the powers, instead of K n of each.  A last giant
+    row at t = 0, exactly amp_k, gives E(0) from the same GEMM; where t0 = 0
+    the first row does, so the result is exactly 0 there.
 
     The tables of each (amp, nu) pair are built once, for as many terms as fit
-    _CHUNK_BYTES at a time, and the pair, padded with zero terms to a multiple
-    of 8, runs through the GEMM in K blocks of _EXP_SUM_BLOCK terms, the
-    giant-step rows of each block in chunks whose table fits _CHUNK_BYTES.
-    Every table entry is a product of one term's phases alone, in a fixed order,
-    and every element adds the same block products in the same order, whatever
-    the budget, so the bits do not depend on it: splitting a GEMM by rows
-    moves no bit, splitting K would.  Nor do they depend on the BLAS thread
-    count, as long as every GEMM is complex, at least 2 rows tall
-    (``_time_chunks`` and the t = 0 row see to that) and has a K that is a
-    multiple of 8.  Measured with OpenBLAS 0.3.31 at 1 to 4 threads: a K of
-    5825 or a single row changes bits, and so do real GEMMs on the real and
-    imaginary parts.
+    _CHUNK_BYTES at a time, at least one K block, and the pair, padded with
+    zero terms to a multiple of 8, runs through the GEMM in K blocks of
+    _EXP_SUM_BLOCK terms.  The tables of one K block, (2 max(C, Q + 1) + 1)
+    _EXP_SUM_BLOCK complex numbers, stop fitting _CHUNK_BYTES from about 2.6e5
+    times, where they are as large as the 16 n bytes of the sum itself; beyond,
+    they grow like sqrt(n) and the sum like n.  Every table entry is a product
+    of one term's phases alone, in a fixed order, and every element adds the
+    same block products in the same order, whatever the budget, so the bits do
+    not depend on it: the budget splits K only at block edges.  Nor do they
+    depend on the BLAS thread count, as long as every GEMM is complex, at least
+    2 rows tall (the t = 0 row sees to that) and has a K that is a multiple of
+    8.  Measured with OpenBLAS 0.3.31 at 1 to 4 threads: a K of 5825 or a
+    single row changes bits, and so do real GEMMs on the real and imaginary
+    parts.
     """
-    c2 = math.isqrt(math.isqrt(n - 1)) + 1  # about n^(1/4)
-    c1 = -(-(math.isqrt(n - 1) + 1) // c2)
-    cols = c1 * c2  # C >= ceil(sqrt(n))
+    cols = math.isqrt(n - 1) + 1  # C >= ceil(sqrt(n))
     rows = -(-n // cols)  # Q giant rows, then the row at t = 0
-    r2 = math.isqrt(rows - 1) + 1
-    g1_rows = -(-rows // r2)
-    steps = np.array([c2 * dt, dt, r2 * cols * dt, cols * dt])  # baby 1, 2, giant 1, 2
-    depth = max(2, c1, c2, g1_rows, r2)
+    depth = max(cols, rows + 1)
     # terms whose tables fit the budget, a whole number of K blocks, at least one
-    width = _EXP_SUM_BLOCK * max(1, _CHUNK_BYTES // (16 * (4 * depth + 1) * _EXP_SUM_BLOCK))
-    chunks = list(_time_chunks(rows + 1, 16 * _EXP_SUM_BLOCK))
-    g_buf = np.empty(max(sl.stop - sl.start for sl in chunks) * _EXP_SUM_BLOCK, complex)
-    b_buf = np.empty(_EXP_SUM_BLOCK * cols, complex)
+    width = _EXP_SUM_BLOCK * max(1, _CHUNK_BYTES // (16 * (2 * depth + 1) * _EXP_SUM_BLOCK))
     # tables and amp exp(i nu t0) of up to ``width`` terms; pages that no slice reaches
     # are never touched, so they take no memory
-    table_buf = np.empty((4 * depth + 1) * width, complex)
+    table_buf = np.empty((2 * depth + 1) * width, complex)
     total = np.zeros((rows + 1, cols), complex)
     for amp, nu in terms:
         pad = -nu.size % 8
@@ -287,36 +278,24 @@ def _exp_sum(terms, t0: float, dt: float, n: int) -> np.ndarray:
         for lo in range(0, nu.size, width):
             amp_w, nu_w = amp[lo:lo + width], nu[lo:lo + width]
             kw = nu_w.size
-            tables = _tile(table_buf, 4 * depth + 1, kw)
+            tables = _tile(table_buf, 2 * depth + 1, kw)
             w = amp_w  # amp_k exp(i nu_k t0), the factor of the giant steps
             if t0 != 0.0:
                 w = _phases(tables[-1:], np.array([t0]), nu_w)[0]
                 w *= amp_w
-            tables = _power_tables(tables[:-1].reshape(4, depth, kw), steps, nu_w)
-            giant_1 = tables[2, :g1_rows]
-            giant_1 *= w
+            baby, giant = _power_tables(tables[:-1].reshape(2, depth, kw),
+                                        np.array([dt, cols * dt]), nu_w)
+            giant[:rows] *= w
+            giant[rows] = amp_w
             for k_lo in range(0, kw, _EXP_SUM_BLOCK):
                 k = slice(k_lo, k_lo + _EXP_SUM_BLOCK)
-                b1, b2, g1, g2 = (tables[0, :c1, k], tables[1, :c2, k], giant_1[:, k],
-                                  tables[3, :r2, k])
-                kb = b1.shape[1]
-                b = _tile(b_buf, kb, cols)
-                np.multiply(b1.T[:, :, None], b2.T[:, None, :], out=b.reshape(kb, c1, c2))
-                for sl in chunks:
-                    g = _tile(g_buf, sl.stop - sl.start, kb)
-                    for u in range(sl.start // r2, -(-min(sl.stop, rows) // r2)):
-                        q0, q1 = max(sl.start, u * r2), min(sl.stop, rows, (u + 1) * r2)
-                        np.multiply(g1[u], g2[q0 - u * r2:q1 - u * r2],
-                                    out=g[q0 - sl.start:q1 - sl.start])
-                    if sl.stop > rows:
-                        g[-1] = amp_w[k]
-                    total[sl] += g @ b
+                total += giant[:rows + 1, k] @ baby[:cols, k].T
     total -= total[0 if t0 == 0.0 else -1, 0]
     return total.ravel()[:n]
 
 
 def _power_tables(tables: np.ndarray, steps: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """exp(i nu_k a steps_l) into the complex (4, depth, K) ``tables`` at [l, a, k].
+    """exp(i nu_k a steps_l) into the complex (len(steps), depth, K) ``tables`` at [l, a, k].
 
     Only the bases, a = 1, take sines and cosines (``_phases``); row a = 0 is 1, and
     every other row is a product of two earlier ones, a = floor(a/2) + ceil(a/2),

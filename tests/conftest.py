@@ -36,12 +36,8 @@ def run_capped():
 
 
 @pytest.fixture
-def on_the_tiles(monkeypatch):
-    """Every sector sum on the tiles, as on a non-uniform grid, whatever the grid.
-
-    Returns the list of (populations, coherence) of every ``trajectory._tiles`` call
-    from then on, so a test can check that the tiles it steers to did run.
-    """
+def tile_calls(monkeypatch):
+    """The list of (populations, coherence) of every ``trajectory._tiles`` call from then on."""
     from spinstar import trajectory
 
     calls, tiles = [], trajectory._tiles
@@ -50,6 +46,17 @@ def on_the_tiles(monkeypatch):
         calls.append((populations, coherence))
         return tiles(params, fam, t, populations, coherence, *rest)
 
-    monkeypatch.setattr(trajectory, "_uniform_step", lambda t: None)
     monkeypatch.setattr(trajectory, "_tiles", spy)
     return calls
+
+
+@pytest.fixture
+def on_the_tiles(monkeypatch, tile_calls):
+    """Every sector sum on the tiles, as on a non-uniform grid, whatever the grid.
+
+    Returns ``tile_calls``, so a test can check that the tiles it steers to did run.
+    """
+    from spinstar import trajectory
+
+    monkeypatch.setattr(trajectory, "_uniform_step", lambda t: None)
+    return tile_calls

@@ -1,14 +1,20 @@
 import math
+import os
+import re
+import shutil
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinstar import exact, trajectory
+from spinstar import exact, goldens, trajectory
 from spinstar.exact import exact_coherence, exact_population_plus, exact_trajectory
 from spinstar.masters import tcl2_jm
 from spinstar.oracle import propagate
-from spinstar.sectors import SystemParams, sector_family
+from spinstar.sectors import SystemParams, coupling_from_alpha, sector_family
 
 
 def two_spin_survival(A, omega0, t):
@@ -290,7 +296,7 @@ def test_uniform_route_agrees_with_the_sector_pass(monkeypatch, n, a, omega0):
 
 def test_uniform_route_bits_do_not_depend_on_the_budget_or_the_term_slices(monkeypatch):
     # 1892 kept jm sectors of N = 101: 8 slices of 256 sectors against one
-    # slice, and 2 giant-step rows per GEMM against all 46 of 2001 times.  The
+    # slice, and tables built one K block at a time against 11 at a time.  The
     # TCL2 series take their slices from the same trajectory._TERM_SLICE, of whole
     # sectors, so there the slices move the K blocks and the bits, but the budget does not
     p = SystemParams(N=101, A=0.05 / 101, omega0=1.0, initial_p_plus=0.7, initial_coh=0.3 + 0.1j)
@@ -339,6 +345,27 @@ def test_large_bath_fits_a_memory_cap(run_capped):
     # is pinned by tests/test_tail_cut.py::test_thousand_spins_on_16001_times_fit_a_memory_cap
     proc = run_capped(_CAPPED_CHILD, cap_mib=512)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_exact_vs_tcl2_demo_runs_and_meets_the_goldens(tmp_path):
+    # a copy, because the demos write next to themselves; 12000 uniform times, so
+    # every sum takes trajectory._exp_sum
+    demo = Path(__file__).resolve().parents[1] / "demos" / "demo_exact_vs_tcl2.py"
+    script = tmp_path / demo.name
+    shutil.copy(demo, script)
+    src = str(Path(exact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = (tmp_path / "demo_exact_vs_tcl2.csv").read_text().splitlines()
+    assert lines[0] == "t,abs_coh_exact,abs_coh_tcl2_m,abs_coh_tcl2_jm"
+    assert len(lines) == 1 + 12000
+    sup_jm = float(re.search(r"sup \|tcl2\(jm\) - exact\| = (\S+)", proc.stdout)[1])
+    assert sup_jm <= goldens.TCL2_JM_COH_SUP_ALPHA01, proc.stdout
+    revival = float(re.search(r"first revival: t = (\S+)", proc.stdout)[1])
+    expected = math.pi / (2.0 * coupling_from_alpha(101, 1.0, 0.1))
+    assert abs(revival - expected) <= goldens.REVIVAL_TIME_ABS_TOL, proc.stdout
 
 
 class TestValidation:

@@ -447,18 +447,6 @@ def _tile_totals(monkeypatch, p, t, family):
         return _solve(p, t, "nz2", family)[0]
 
 
-def _tile_calls(monkeypatch):
-    """A list that records (populations, coherence) of every trajectory._tiles call from now on."""
-    calls, tiles = [], trajectory._tiles
-
-    def spy(params, fam, t, populations, coherence, *rest):
-        calls.append((populations, coherence))
-        return tiles(params, fam, t, populations, coherence, *rest)
-
-    monkeypatch.setattr(trajectory, "_tiles", spy)
-    return calls
-
-
 class TestKernelRoute:
     """NZ2 totals by trajectory._exp_sum on a uniform grid."""
 
@@ -499,12 +487,11 @@ class TestKernelRoute:
                     if got is not None:
                         np.testing.assert_array_equal(got, start)
 
-    def test_tiles_run_only_for_bundles(self, monkeypatch):
-        calls = _tile_calls(monkeypatch)
+    def test_tiles_run_only_for_bundles(self, tile_calls):
         _solve(PARAMS, self.T, "nz2", "jm")
-        assert calls == []  # as in ``spinstar run`` and ``spinstar compare``
+        assert tile_calls == []  # as in ``spinstar run`` and ``spinstar compare``
         _solve(PARAMS, self.T, "nz2", "jm", sectors=True)
-        assert calls == [(True, True)]
+        assert tile_calls == [(True, True)]
 
     def test_other_grids_and_explicit_options_take_the_tiles(self, monkeypatch):
         monkeypatch.setattr(trajectory, "_exp_sum", None)  # any kernel route would fail

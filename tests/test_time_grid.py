@@ -172,7 +172,7 @@ def test_exp_sum_equals_the_direct_sum(monkeypatch, n, t0):
     dt = 0.05
     direct = _direct_exp_sum(amp, nu, t0 + dt * np.arange(n))
     whole = trajectory._exp_sum([(amp, nu)], t0, dt, n)
-    # giant-step rows in chunks of 2, the least height, over two pairs of 300 and 400 terms
+    # tables built one K block at a time, over two pairs of 300 and 400 terms
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
     blocked = trajectory._exp_sum([(amp[:300], nu[:300]), (amp[300:], nu[300:])], t0, dt, n)
     for got in (whole, blocked):
@@ -185,7 +185,7 @@ def test_exp_sum_equals_the_direct_sum(monkeypatch, n, t0):
 @pytest.mark.parametrize("t0", [0.0, 3.7, -3.7])
 @pytest.mark.parametrize("n", [4, 5, 16, 17, 81, 82, 256, 257])
 def test_exp_sum_equals_the_direct_sum_where_the_tables_change_shape(monkeypatch, n, t0):
-    # C = c1 c2 grows at n = 5, and c2 at 17, 82 and 257; frequencies from 1e-9 to 50
+    # C grows at n = 5, 17, 82 and 257; frequencies from 1e-9 to 50
     # and amplitudes from 1e-6 to 1, of either sign, summing to 1 in magnitude
     rng = np.random.default_rng(n)
     amp = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-6.0, 0.0, 300)
@@ -207,7 +207,7 @@ def test_exp_sum_equals_the_direct_sum_where_the_tables_change_shape(monkeypatch
 
 @pytest.mark.parametrize("t0", [0.0, 3.7])
 def test_exp_sum_takes_a_fixed_count_of_sines_and_cosines_per_term(monkeypatch, t0):
-    # only the bases of the power tables take sines and cosines: four per term, and
+    # only the bases of the power tables take sines and cosines: two per term, and
     # one more for exp(i nu t0) where t0 != 0, however long the grid
     filled, phases = [], trajectory._phases
 
@@ -224,12 +224,13 @@ def test_exp_sum_takes_a_fixed_count_of_sines_and_cosines_per_term(monkeypatch, 
         filled.clear()
         trajectory._exp_sum([(amp[:300], nu[:300]), (amp[300:], nu[300:])], t0, 0.05, n)
         counts.append(sum(filled))
-    assert counts[0] == counts[1] <= 5 * padded
+    assert counts == [(2 + (t0 != 0.0)) * padded] * 2
 
 
 def test_exp_sum_tables_fit_the_budget(monkeypatch):
-    # 4096 terms on 16001 times: four tables of 12 rows, 3 MiB, built at once under
-    # the default 4 MiB budget, and 1280 terms at a time under 1 MiB, bit for bit
+    # 4096 terms on 16001 times: two tables of max(C, Q + 1) = 127 rows, built 1024
+    # terms at a time under the default 4 MiB budget, 256 at a time under 1 MiB, and
+    # one K block at a time under 1 B, bit for bit
     sizes, power_tables = [], trajectory._power_tables
 
     def spy(tables, *args):
@@ -240,29 +241,34 @@ def test_exp_sum_tables_fit_the_budget(monkeypatch):
     rng = np.random.default_rng(5)
     terms = [(rng.uniform(-1.0, 1.0, 4096) / 4096, rng.uniform(-2.0, 2.0, 4096))]
     whole = trajectory._exp_sum(terms, 0.0, 0.05, 16001)
-    assert sizes == [4 * 12 * 4096 * 16] and sizes[0] <= trajectory._CHUNK_BYTES
+    assert sizes == [2 * 127 * 1024 * 16] * 4 and max(sizes) <= trajectory._CHUNK_BYTES
     sizes.clear()
     monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 2**20)
     small = trajectory._exp_sum(terms, 0.0, 0.05, 16001)
-    assert len(sizes) == 4 and max(sizes) <= 2**20 and sum(sizes) == 4 * 12 * 4096 * 16
+    assert len(sizes) == 16 and max(sizes) <= 2**20 and sum(sizes) == 2 * 127 * 4096 * 16
     np.testing.assert_array_equal(small, whole)
+    sizes.clear()
+    monkeypatch.setattr(trajectory, "_CHUNK_BYTES", 1)
+    least = trajectory._exp_sum(terms, 0.0, 0.05, 16001)
+    assert sizes == [2 * 127 * trajectory._EXP_SUM_BLOCK * 16] * 16
+    np.testing.assert_array_equal(least, whole)
 
 
 @pytest.mark.parametrize("t0", [0.0, 3.7])
 def test_exp_sum_on_a_long_grid_equals_the_direct_sum(monkeypatch, t0):
     # t up to 8000: the phases of both sides round their arguments.  The direct sum
     # rounds nu t once, to eps/2 of |nu t|.  The kernel rounds nu t0 to eps/2 of
-    # |nu t0|, and the base of each power table, nu times its step (r2 C dt, C dt,
-    # c2 dt or dt), to eps of its size; the powers u, v, a and c multiply those
-    # errors by themselves, and the four parts u r2 C + v C + a c2 + c add up to
-    # (t - t0)/dt, so the kernel's phase is off by at most eps |nu| (|t0|/2 + t - t0).
-    # With 0 <= t0 <= t a term's phase differs by at most 1.5 eps |nu t| <= 2.5 eps
-    # |nu t|, and E(t) by at most 2.5 eps |t| sum |amp nu|, plus the 1e-14 of the
-    # short grids for the rounding of the sums, the products and the magnitudes of
-    # the bases.  Those do not grow with t: a term is a product of at most 42 factors
-    # of the four bases here (a < 11, c < 12, u < 11, v < 12), so it is off by at most about
-    # 100 eps |amp_k|, with a sign that varies from term to term (measured: 2e-16 on
-    # the first 100 times, and at most 2.5% of the tolerance on the whole grid).
+    # |nu t0|, and the base of each power table, nu times its step (C dt or dt), to
+    # eps of its size; the powers q and r multiply those errors by themselves, and
+    # the two parts q C + r add up to (t - t0)/dt, so the kernel's phase is off by at
+    # most eps |nu| (|t0|/2 + t - t0).  With 0 <= t0 <= t a term's phase differs by
+    # at most 1.5 eps |nu t| <= 2.5 eps |nu t|, and E(t) by at most 2.5 eps |t| sum
+    # |amp nu|, plus the 1e-14 of the short grids for the rounding of the sums, the
+    # products and the magnitudes of the bases.  Those do not grow with t: a term is
+    # a product of at most 252 factors here (q < 126 of the giant base, r < 127 of
+    # the baby base, and exp(i nu t0)), so it is off by at most about 600 eps
+    # |amp_k|, with a sign that varies from term to term (measured: 2.4e-16 on the
+    # first 100 times, and at most 2.3% of the tolerance on the whole grid).
     n, dt = 16001, 0.5
     rng = np.random.default_rng(n)
     amp = rng.uniform(-1.0, 1.0, 700) / 700
@@ -280,16 +286,24 @@ def test_exp_sum_on_a_long_grid_equals_the_direct_sum(monkeypatch, t0):
 
 
 def test_exp_sum_bits_do_not_depend_on_the_budget(monkeypatch):
-    # K blocks of a fixed _EXP_SUM_BLOCK terms; only the 42 giant-step rows (41 rows
-    # C = 49 steps apart, then t = 0) are chunked under the budget: 2 rows at 1 B,
-    # 4 at 16 KiB, all of them by default
+    # K blocks of a fixed _EXP_SUM_BLOCK terms; only the terms per table build move
+    # with the budget: a pair at a time by default, one K block at a time at 16 KiB
+    # and 1 B, so the 304- and 400-term pairs take 2 builds each
     rng = np.random.default_rng(7)
     amp, nu = rng.uniform(-1.0, 1.0, 700) / 700, rng.uniform(-2.0, 2.0, 700)
     terms = [(amp[:300], nu[:300]), (amp[300:], nu[300:])]
+    builds, power_tables = [], trajectory._power_tables
+
+    def spy(tables, *args):
+        builds[-1] += 1
+        return power_tables(tables, *args)
+
+    monkeypatch.setattr(trajectory, "_power_tables", spy)
     runs = []
     for budget in (trajectory._CHUNK_BYTES, 2**14, 1):
         monkeypatch.setattr(trajectory, "_CHUNK_BYTES", budget)
+        builds.append(0)
         runs.append(trajectory._exp_sum(iter(terms), 0.0, 0.05, 2001))
-    assert len(list(trajectory._time_chunks(42, 16 * trajectory._EXP_SUM_BLOCK))) == 21
+    assert builds == [2, 4, 4]
     for got in runs[1:]:
         np.testing.assert_array_equal(got, runs[0])
